@@ -17,7 +17,6 @@ dL/dg = Im(conj(c) G_c).
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -21,6 +21,7 @@ from .harness import (
     rerun_from_manifest,
     run_cell,
     save_config,
+    scatterer_budget,
     snr_to_sigma2,
     sweep_to_directory,
     train_system,
@@ -94,7 +95,9 @@ def cmd_eval(args) -> int:
         cfg.eval.test_blocks = args.blocks
         cfg.validate()
     nets = load_system(args.checkpoint, cfg)
-    row = run_cell(cfg, nets, cfg.system.num_scatterers, args.snr_db, args.attack)
+    sc = cfg.system.num_scatterers
+    row = run_cell(cfg, nets, sc, args.snr_db, args.attack,
+                   scatterer_budget(cfg, nets, sc, [args.attack]))
     print("snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel")
     print(f"{row.snr_db:.17g},{row.attack},{row.ser:.17g},{row.trials},"
           f"{row.ci_halfwidth:.17g},{row.scatterers},{row.attack_channel}")

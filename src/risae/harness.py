@@ -440,6 +440,20 @@ def make_budget(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderN
                         reference_power=resolve_reference_power(cfg, sys_cfg, nets, mode))
 
 
+def scatterer_budget(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
+                     kinds: list[str]) -> AttackBudget | None:
+    """The budget shared by every SNR cell at one scatterer count.
+
+    The reference power never depends on the SNR: its seed tag holds only the
+    scatterer count and the received estimate runs noiseless. None when
+    every kind is 'secured', which needs no budget.
+    """
+    if all(kind == "secured" for kind in kinds):
+        return None
+    return make_budget(cfg, cfg.system.replace(num_scatterers=scatterers), nets,
+                       cfg.attack.channel_mode)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -483,10 +497,10 @@ def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
 
 
 def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
-             snr_db: float, kind: str) -> ResultRow:
+             snr_db: float, kind: str, budget: AttackBudget | None) -> ResultRow:
+    """One sweep cell; ``budget`` comes from ``scatterer_budget`` (None for 'secured')."""
     sys_cfg = cfg.system.replace(num_scatterers=scatterers,
                                  sigma2=snr_to_sigma2(cfg.system.power, snr_db))
-    budget = make_budget(cfg, sys_cfg, nets, cfg.attack.channel_mode)
     source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db, budget)
     rng = derive_rng(cfg.seed, "eval", kind, cfg.attack.channel_mode, scatterers, snr_db)
     est = evaluate_ser(nets, sys_cfg, source, cfg.eval.test_blocks, rng,
@@ -506,10 +520,11 @@ def run_sweep(cfg: ExperimentConfig, nets: AutoencoderNets,
     cfg.validate()
     rows = []
     for sc in cfg.scatterers:
+        budget = scatterer_budget(cfg, nets, sc, cfg.attacks)
         for snr_db in cfg.eval.snr_sweep_db:
             for kind in cfg.attacks:
                 started = time.perf_counter()
-                row = run_cell(cfg, nets, sc, snr_db, kind)
+                row = run_cell(cfg, nets, sc, snr_db, kind, budget)
                 rows.append(row)
                 if progress:
                     print(f"[sweep] sc={sc} snr={snr_db:+.1f} dB {kind:8s} "

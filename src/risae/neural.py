@@ -5,7 +5,10 @@ inputs) for the handful of layer kinds the autoencoder needs: Conv1D with
 same padding, batch normalization, ReLU, channel-axis softmax, and the
 non-trainable power normalization. All arrays are float64 with shape
 (batch, channels, length); complex signals travel as stacked real/imaginary
-channel halves.
+channel halves. Layers accept any strides. Conv1D returns its output and
+its input gradient as channels-last views, transposes of C-ordered
+(batch, length, channels) arrays; the elementwise layers downstream keep
+that layout.
 
 Forward/backward on distinct activation records are independent; parameter
 updates assume a single writer.
@@ -60,27 +63,49 @@ class Conv1D:
     def params(self) -> dict[str, np.ndarray]:
         return {"weight": self.weight, "bias": self.bias}
 
+    def _weight_matrix(self) -> np.ndarray:
+        """The weight as a (K·C, O) matrix, row k·C + c holding weight[:, c, k]."""
+        return self.weight.transpose(2, 1, 0).reshape(-1, self.out_channels)
+
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
         if x.shape[1] != self.in_channels:
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
+        batch, channels, length = x.shape
         pad = self.kernel_size // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-        cols = sliding_window_view(xp, self.kernel_size, axis=2)  # (B, C, L, K)
-        y = np.einsum("bclk,ock->bol", cols, self.weight, optimize=True) + self.bias[None, :, None]
-        return y, {"cols": cols, "length": x.shape[2]}
+        xp = np.zeros((batch, length + 2 * pad, channels))
+        xp[:, pad:pad + length] = x.transpose(0, 2, 1)
+        # (B, C, L, K) view of the padded buffer; the backward pass rebuilds
+        # the im2col matrix from it instead of caching the K-times larger copy.
+        cols = sliding_window_view(xp, self.kernel_size, axis=1).transpose(0, 2, 1, 3)
+        y = _im2col(cols) @ self._weight_matrix()
+        y += self.bias
+        # Channels-last (B, O, L) view: BatchNorm's reductions over axes
+        # (0, 2) run much faster on this layout than on a C-ordered copy.
+        return y.reshape(batch, length, -1).transpose(0, 2, 1), {"cols": cols}
 
     def backward(self, cache: dict, gy: np.ndarray):
         cols = cache["cols"]
-        length = cache["length"]
-        pad = self.kernel_size // 2
-        g_w = np.einsum("bol,bclk->ock", gy, cols, optimize=True)
-        g_b = gy.sum(axis=(0, 2))
-        gyp = np.pad(gy, ((0, 0), (0, 0), (self.kernel_size - 1, self.kernel_size - 1)))
-        gcols = sliding_window_view(gyp, self.kernel_size, axis=2)  # (B, O, L + K - 1, K)
-        gxp = np.einsum("botk,ock->bct", gcols, self.weight[:, :, ::-1], optimize=True)
-        gx = gxp[:, :, pad:pad + length]
-        return gx, {"weight": g_w, "bias": g_b}
+        batch, channels, length, k_size = cols.shape
+        pad = k_size // 2
+        g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
+        g_w = (g2.T @ _im2col(cols)).reshape(self.out_channels, k_size, channels)
+        g_b = g2.sum(axis=0)
+        # col2im: output position l read padded positions l..l+K-1, so its
+        # K column blocks scatter back as K shifted adds.
+        gx_cols = (g2 @ self._weight_matrix().T).reshape(batch, length, k_size, channels)
+        gxp = np.zeros((batch, length + 2 * pad, channels))
+        for k in range(k_size):
+            gxp[:, k:k + length] += gx_cols[:, :, k]
+        gx = gxp[:, pad:pad + length].transpose(0, 2, 1)
+        return gx, {"weight": g_w.transpose(0, 2, 1), "bias": g_b}
+
+
+def _im2col(cols: np.ndarray) -> np.ndarray:
+    """(B·L, K·C) matrix of a (B, C, L, K) window view: row b·L + l holds the
+    K padded input columns that output position l reads, tap-major."""
+    batch, channels, length, k_size = cols.shape
+    return cols.transpose(0, 2, 3, 1).reshape(batch * length, k_size * channels)
 
 
 class BatchNorm:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from risae.config import SystemConfig
+from risae import harness
 from risae.errors import ConfigInvalid, MissingCheckpoint
 from risae.harness import (
     AttackSettings,
@@ -28,6 +29,7 @@ from risae.harness import (
     rerun_from_manifest,
     run_sweep,
     save_config,
+    scatterer_budget,
     snr_to_sigma2,
     sweep_to_directory,
     train_system,
@@ -170,6 +172,35 @@ class TestTrainAndSweep:
         wide.validate()
         rows = run_sweep(wide, nets)
         assert len(rows) == 20
+
+    def test_reference_power_once_per_scatterer_count(self, trained_tiny, monkeypatch):
+        cfg, nets, _ = trained_tiny
+        wide = tiny_experiment()
+        wide.scatterers = [2, 3]
+        wide.eval.test_blocks = 6
+        wide.validate()
+        seen = []
+        estimate = harness.estimate_received_power
+
+        def counting(nets_, sys_cfg, num_blocks, rng):
+            seen.append(sys_cfg.num_scatterers)
+            return estimate(nets_, sys_cfg, num_blocks, rng)
+
+        monkeypatch.setattr(harness, "estimate_received_power", counting)
+        run_sweep(wide, nets)
+        assert seen == [2, 3]
+        # The estimate runs noiseless, so the budget a cell at any SNR would
+        # compute for itself is the shared one.
+        for sc in wide.scatterers:
+            shared = scatterer_budget(wide, nets, sc, ["jamming"])
+            for snr_db in wide.eval.snr_sweep_db:
+                sys_cfg = wide.system.replace(num_scatterers=sc,
+                                              sigma2=snr_to_sigma2(wide.system.power, snr_db))
+                assert make_budget(wide, sys_cfg, nets, "ideal") == shared
+        seen.clear()
+        wide.attacks = ["secured"]
+        run_sweep(wide, nets)
+        assert seen == []
 
     def test_sweep_deterministic_under_seed(self, trained_tiny):
         cfg, nets, _ = trained_tiny

@@ -1,5 +1,7 @@
 """Gradient-correctness and contract tests for the CNN engine."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,63 @@ def check_layer_gradients(layer, x, train, tol=1e-4, seed=0):
         assert rel_err(grads[name], fd_gradient(loss_of_param, param.copy())) < tol, name
 
 
+# float64 rounding over sums of at most K·C products stays near 1e-14
+# relative; 1e-12 leaves two orders of margin and no room for a wrong index.
+ORACLE_RTOL = 1e-12
+
+
+def assert_close(actual, expected, rtol=ORACLE_RTOL):
+    assert actual.shape == expected.shape
+    assert np.linalg.norm((actual - expected).ravel()) <= rtol * np.linalg.norm(expected.ravel())
+
+
+def conv_oracle(x, weight, bias, gy=None):
+    """Cross-correlation with zero same-padding by explicit loops over output
+    positions and taps, and its exact gradients for upstream gradient gy
+    (zero when gy is None)."""
+    batch, _, length = x.shape
+    out_channels, _, k_size = weight.shape
+    pad = k_size // 2
+    if gy is None:
+        gy = np.zeros((batch, out_channels, length))
+    y = np.tile(bias[None, :, None], (batch, 1, length))
+    gx = np.zeros(x.shape)
+    g_w = np.zeros(weight.shape)
+    for l in range(length):
+        for k in range(k_size):
+            t = l + k - pad  # input position tap k reads for output position l
+            if 0 <= t < length:
+                y[:, :, l] += x[:, :, t] @ weight[:, :, k].T
+                gx[:, :, t] += gy[:, :, l] @ weight[:, :, k]
+                g_w[:, :, k] += gy[:, :, l].T @ x[:, :, t]
+    return y, gx, g_w, gy.sum(axis=(0, 2))
+
+
+class OracleConv:
+    """Conv1D stand-in that computes through ``conv_oracle``."""
+
+    def __init__(self, conv):
+        self.conv = conv
+
+    def params(self):
+        return self.conv.params()
+
+    def forward(self, x, train):
+        return conv_oracle(x, self.conv.weight, self.conv.bias)[0], x
+
+    def backward(self, x, gy):
+        _, gx, g_w, g_b = conv_oracle(x, self.conv.weight, self.conv.bias, gy)
+        return gx, {"weight": g_w, "bias": g_b}
+
+
+def array_in_layout(rng, shape, channels_last):
+    """Standard normal (B, C, L) array, C-ordered or as a transposed (B, L, C) one."""
+    if channels_last:
+        b, c, length = shape
+        return rng.standard_normal((b, length, c)).transpose(0, 2, 1)
+    return rng.standard_normal(shape)
+
+
 class TestConv1D:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -108,6 +167,46 @@ class TestConv1D:
         rng = np.random.default_rng(2)
         conv = Conv1D(3, 4, 3, rng)
         check_layer_gradients(conv, rng.standard_normal((2, 3, 5)), train=False)
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("length", [1, 2, 8])
+    @pytest.mark.parametrize("k_size", [1, 3, 5])
+    def test_matches_loop_oracle(self, k_size, length, batch, channels_last):
+        rng = np.random.default_rng(100 + 10 * k_size + length)
+        conv = Conv1D(3, 5, k_size, rng)
+        conv.bias = rng.standard_normal(5)
+        x = array_in_layout(rng, (batch, 3, length), channels_last)
+        gy = array_in_layout(rng, (batch, 5, length), channels_last)
+        y, cache = conv.forward(x, train=True)
+        gx, grads = conv.backward(cache, gy)
+        want_y, want_gx, want_gw, want_gb = conv_oracle(x, conv.weight, conv.bias, gy)
+        assert_close(y, want_y)
+        assert_close(gx, want_gx)
+        assert_close(grads["weight"], want_gw)
+        assert_close(grads["bias"], want_gb)
+
+    def test_gradients_kernel5(self):
+        rng = np.random.default_rng(22)
+        conv = Conv1D(3, 2, 5, rng)
+        conv.bias = rng.standard_normal(2)
+        check_layer_gradients(conv, rng.standard_normal((2, 3, 4)), train=False)
+
+    def test_cache_spans_only_padded_input(self):
+        # The cache may hold the padded input, never an im2col copy K times
+        # its size; the window view must keep the (B, C, L, K) shape.
+        batch, channels, length, k_size = 4, 6, 8, 3
+        conv = Conv1D(channels, 5, k_size, np.random.default_rng(23))
+        x = np.random.default_rng(24).standard_normal((batch, channels, length))
+        _, cache = conv.forward(x, train=True)
+        bounds = sorted(np.lib.array_utils.byte_bounds(v) for v in cache.values()
+                        if isinstance(v, np.ndarray))
+        spanned, reach = 0, -np.inf
+        for low, high in bounds:
+            spanned += max(high - max(low, reach), 0)
+            reach = max(reach, high)
+        assert spanned <= batch * (length + k_size - 1) * channels * 8
+        assert cache["cols"].shape == (batch, channels, length, k_size)
 
     def test_channel_mismatch(self):
         conv = Conv1D(3, 4, 3, np.random.default_rng(3))
@@ -301,6 +400,51 @@ class TestNetwork:
         net = conv_stack([2, 2], 3, np.random.default_rng(20))
         with pytest.raises(MissingRecord):
             net.backward(None, np.zeros((1, 2, 4)))
+
+
+class TestChannelsLastNetwork:
+    """The desk decoder stack, whose Conv1D activations are channels-last views."""
+
+    def decoder(self, rng):
+        return conv_stack([40, 128, 128, 16], 3, rng, final="softmax")
+
+    def test_matches_loop_oracle_network(self):
+        rng = np.random.default_rng(25)
+        net = self.decoder(rng)
+        oracle = copy.deepcopy(net)
+        oracle.layers = [OracleConv(layer) if isinstance(layer, Conv1D) else layer
+                         for layer in oracle.layers]
+        x = rng.standard_normal((6, 40, 8))
+        upstream = rng.standard_normal((6, 16, 8))
+        y, rec = net.forward(x, train=True)
+        want_y, want_rec = oracle.forward(x, train=True)
+        assert y.strides[1] < y.strides[2]  # channels-last reached the softmax
+        assert_close(y, want_y)
+        grads, gx = net.backward(rec, upstream)
+        want_grads, want_gx = oracle.backward(want_rec, upstream)
+        assert_close(gx, want_gx)
+        keys = sorted(net.trainable_params())
+        assert sorted(grads) == sorted(want_grads) == keys
+        # One vector: the conv biases feeding train-mode batchnorm have
+        # gradients that are zero up to rounding, with no scale of their own.
+        assert_close(np.concatenate([grads[k].ravel() for k in keys]),
+                     np.concatenate([want_grads[k].ravel() for k in keys]))
+        for key, value in net.params().items():
+            assert_close(value, oracle.params()[key])
+
+    def test_checkpoint_round_trip_after_step(self, tmp_path):
+        rng = np.random.default_rng(26)
+        net = self.decoder(rng)
+        x = rng.standard_normal((6, 8, 40)).transpose(0, 2, 1)
+        y, rec = net.forward(x, train=True)
+        grads, _ = net.backward(rec, rng.standard_normal(y.shape))
+        adam_step(net.trainable_params(), grads, AdamState(lr=1e-2))
+        path = tmp_path / "decoder.ckpt"
+        save_checkpoint(path, {"dec": net})
+        loaded, _ = load_checkpoint(path)
+        for key, value in net.params().items():
+            assert np.array_equal(loaded["dec"].params()[key], value)
+        assert np.array_equal(loaded["dec"].forward(x)[0], net.forward(x)[0])
 
 
 class TestAdam:
