@@ -32,7 +32,7 @@ from .autoencoder import (
 )
 from .channel import ChannelModel, crandn
 from .config import SystemConfig
-from .errors import AllTargetsFailed, NoProgress
+from .errors import AllTargetsFailed, InvariantViolation, NoProgress
 from .linalg import default_ridge, ls_solve
 from .neural import Network
 
@@ -148,22 +148,27 @@ class PgdConfig:
 # projections
 # ---------------------------------------------------------------------------
 
-def project_ball(w_adv: np.ndarray, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Whole-norm band clamp around w with half-width direction beta.
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each batch row, over every axis but the first."""
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=tuple(range(1, x.ndim))))
 
-    Returns w - beta when ||w_adv|| falls below ||w - beta||, w + beta when it
-    exceeds ||w + beta||, and w_adv unchanged in between.
+
+def project_band(w_adv: np.ndarray, w: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Batched whole-norm band clamp around w with half-width direction beta.
+
+    Row b becomes w[b] - beta[b] when ||w_adv[b]|| falls below
+    ||w[b] - beta[b]||, w[b] + beta[b] when it exceeds ||w[b] + beta[b]||, and
+    stays w_adv[b] in between.
     """
     if w_adv.shape != w.shape or beta.shape != w.shape:
         raise ValueError("w_adv, w and beta must share a shape")
     alpha_low = w - beta
     alpha_up = w + beta
-    n_adv = np.linalg.norm(w_adv)
-    if n_adv < np.linalg.norm(alpha_low):
-        return alpha_low
-    if n_adv > np.linalg.norm(alpha_up):
-        return alpha_up
-    return w_adv
+    n_adv = _row_norms(w_adv)
+    rows = (slice(None),) + (None,) * (w.ndim - 1)
+    below = (n_adv < _row_norms(alpha_low))[rows]
+    above = (n_adv > _row_norms(alpha_up))[rows]
+    return np.where(below, alpha_low, np.where(above, alpha_up, w_adv))
 
 
 def enforce_power(p: np.ndarray, budget: float) -> np.ndarray:
@@ -234,10 +239,6 @@ class PgdOutcome:
     ray_verified: bool
 
 
-def _class_norms(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(x) ** 2, axis=(1, 2)))
-
-
 def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
                              k_set: np.ndarray, pgd: PgdConfig,
                              loss_kind: str = "bce") -> PgdOutcome:
@@ -272,11 +273,13 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         _, _, g_input = decoder_input_gradient(decoder, d_input, targets, loss_kind)
         grad_evals += m
         g_r = g_input[:, :n_r] + 1j * g_input[:, n_r:2 * n_r]
-        norms = _class_norms(g_r)
+        norms = _row_norms(g_r)
         live = norms > 0.0
         unit = np.zeros_like(g_r)
         unit[live] = g_r[live] / norms[live, None, None]
-        assert np.all(np.abs(_class_norms(unit)[live] - 1.0) < 1e-12)
+        deviation = np.abs(_row_norms(unit)[live] - 1.0)
+        if not np.all(deviation < 1e-12):
+            raise InvariantViolation(f"unit gradient norm deviates from 1 by {deviation.max():.3e}")
         return unit
 
     def decisions(w_batch: np.ndarray) -> np.ndarray:
@@ -297,18 +300,10 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         eps_ave = 0.5 * (lo + hi)
         step = (eps_ave / pgd.n_s)[:, None, None]
         beta = step * p_norm
-        alpha_low = w_tiled - beta
-        alpha_up = w_tiled + beta
-        norm_low = _class_norms(alpha_low)
-        norm_up = _class_norms(alpha_up)
-        w_adv = w_tiled.copy()
+        w_adv = w_tiled
         p_temp = p_norm
         for _j in range(pgd.n_s):
-            w_adv = w_adv - step * p_temp
-            n_adv = _class_norms(w_adv)
-            below = (n_adv < norm_low)[:, None, None]
-            above = (n_adv > norm_up)[:, None, None]
-            w_adv = np.where(below, alpha_low, np.where(above, alpha_up, w_adv))
+            w_adv = project_band(w_adv - step * p_temp, w_tiled, beta)
             p_temp = gradients(w_adv)
         p_norm = p_temp
         dec = decisions(w_adv)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelBatch, ChannelModel, ChannelRealization, PhaseShiftMatrix, crandn
+from .channel import ChannelBatch, ChannelModel, crandn
 from .config import SystemConfig
-from .errors import Diverged, ShapeMismatch
+from .errors import Diverged, InvariantViolation, ShapeMismatch
 from .neural import (
     AdamState,
     Network,
@@ -360,100 +360,6 @@ def random_message_blocks(cfg: SystemConfig, n_blocks: int, rng: np.random.Gener
 
 
 # ---------------------------------------------------------------------------
-# spec-level single-block operations
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DecodedBlock:
-    """Column-stochastic probabilities (m x block_len) and argmax decisions."""
-
-    probs: np.ndarray
-    decisions: np.ndarray
-
-
-def encode(encoder: Network, block: np.ndarray, n_t: int) -> np.ndarray:
-    """Power-normalized complex transmit matrix (n_t x block_len)."""
-    out, _ = encoder.forward(np.asarray(block, dtype=np.float64)[None], train=False)
-    if out.shape[1] != 2 * n_t:
-        raise ShapeMismatch(f"encoder emitted {out.shape[1]} channels, expected {2 * n_t}")
-    return channels_to_complex(out)[0]
-
-
-def ris1_incident(real: ChannelRealization, o: np.ndarray) -> np.ndarray:
-    """Field impinging on surface 1: U1 o per symbol (same kernel as the
-    batched pipeline, so compositions reproduce it bit-exactly)."""
-    return np.einsum("ban,bnl->bal", real.u1[None], o[None], optimize=True)[0]
-
-
-def ris2_incident(real: ChannelRealization, o: np.ndarray, psi1: list[PhaseShiftMatrix]) -> np.ndarray:
-    """Field impinging on surface 2: (U2 + E psi1 U1) o per symbol."""
-    c1 = np.stack([p.diagonal for p in psi1], axis=1)[None]  # (1, A1, L)
-    a1 = np.einsum("ban,bnl->bal", real.u1[None], o[None], optimize=True)
-    return (np.einsum("bqn,bnl->bql", real.u2[None], o[None], optimize=True)
-            + np.einsum("bqa,bal->bql", real.e[None], c1 * a1, optimize=True))[0]
-
-
-def ris_controller(net: Network, incident: np.ndarray) -> list[PhaseShiftMatrix]:
-    """Predict one diagonal unit-modulus reflection per symbol of the block."""
-    incident = np.asarray(incident, dtype=np.complex128)
-    angles, _ = net.forward(complex_to_channels(incident[None]), train=False)
-    return [PhaseShiftMatrix(angles[0, :, i].copy()) for i in range(angles.shape[2])]
-
-
-def _phase_batch(psi: list[PhaseShiftMatrix]) -> np.ndarray:
-    return np.stack([p.diagonal for p in psi], axis=1)[None]  # (1, A, L)
-
-
-def transmit(real: ChannelRealization, psi1: list[PhaseShiftMatrix],
-             psi2: list[PhaseShiftMatrix], o: np.ndarray, sigma2: float,
-             rng: np.random.Generator | None = None,
-             noise: np.ndarray | None = None) -> np.ndarray:
-    """Received block r_i = K^i o_i + n_i, n_i ~ CN(0, sigma2 I)."""
-    chan = _single_batch(real)
-    k, _ = cascade_set(chan, _phase_batch(psi1), _phase_batch(psi2))
-    z = np.einsum("blrn,bnl->brl", k, o[None], optimize=True)[0]
-    if noise is None:
-        if sigma2 > 0.0:
-            noise = np.sqrt(sigma2) * crandn(rng, z.shape)
-        else:
-            noise = np.zeros_like(z)
-    return z + noise
-
-
-def cascaded_set_single(real: ChannelRealization, psi1: list[PhaseShiftMatrix],
-                        psi2: list[PhaseShiftMatrix]) -> np.ndarray:
-    """Per-symbol aggregates K (block_len, n_r, n_t) for one realization."""
-    chan = _single_batch(real)
-    k, _ = cascade_set(chan, _phase_batch(psi1), _phase_batch(psi2))
-    return k[0]
-
-
-def decode(decoder: Network, r: np.ndarray, k_set: np.ndarray) -> DecodedBlock:
-    """Decoder on the packed (received, flattened CSI) input of one block."""
-    d_input = pack_decoder_input(r[None], k_set[None])
-    probs, _ = decoder.forward(d_input, train=False)
-    return DecodedBlock(probs=probs[0], decisions=probs[0].argmax(axis=0))
-
-
-def _single_batch(real: ChannelRealization) -> ChannelBatch:
-    from .channel import LINK_NAMES
-    return ChannelBatch(**{n: getattr(real, n)[None] for n in LINK_NAMES},
-                        block_len=real.block_len)
-
-
-def forward_pipeline(nets: AutoencoderNets, cfg: SystemConfig, block: np.ndarray,
-                     real: ChannelRealization, sigma2: float,
-                     rng: np.random.Generator | None = None,
-                     noise: np.ndarray | None = None,
-                     attack: AttackApplication | None = None) -> DecodedBlock:
-    """Single-block composition of encode, both controllers, transmit, decode."""
-    rec = pipeline_forward(nets, cfg, np.asarray(block)[None], _single_batch(real), sigma2,
-                           rng=rng, noise=None if noise is None else noise[None],
-                           attack=attack, train=False)
-    return DecodedBlock(probs=rec.probs[0], decisions=rec.decisions[0])
-
-
-# ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
 
@@ -484,8 +390,8 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
     once; channel realizations are resampled for every batch (unless
     fixed_channels pins them, e.g. for overfitting checks) and noise is
     redrawn every forward pass. Raises Diverged when the loss leaves the
-    finite range. The unit-modulus structure of the predicted reflections is
-    asserted every epoch.
+    finite range, and InvariantViolation when a predicted reflection of the
+    epoch's last batch is not unit modulus.
     """
     cfg.validate()
     model = channel_model or ChannelModel(cfg)
@@ -524,8 +430,11 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
             epoch_loss += loss
             n_batches += 1
             last_rec = rec
-        assert np.max(np.abs(np.abs(last_rec.c1) - 1.0)) < 1e-12
-        assert np.max(np.abs(np.abs(last_rec.c2) - 1.0)) < 1e-12
+        for name, c in (("surface 1", last_rec.c1), ("surface 2", last_rec.c2)):
+            deviation = float(np.max(np.abs(np.abs(c) - 1.0)))
+            if not deviation < 1e-12:
+                raise InvariantViolation(f"{name} reflection modulus deviates from 1 "
+                                         f"by {deviation:.3e} at epoch {_epoch}")
         history.append(epoch_loss / n_batches)
         seconds.append(time.perf_counter() - started)
     return TrainResult(loss_history=history, epoch_seconds=seconds, adam=adam)
@@ -558,9 +467,6 @@ class SerEstimate:
     ci_high: float
     errors: int
     symbols: int
-
-    def overlaps(self, other: "SerEstimate") -> bool:
-        return self.ci_low <= other.ci_high and other.ci_low <= self.ci_high
 
 
 def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,

@@ -13,20 +13,18 @@ realizations can be produced concurrently from independent streams.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import SystemConfig
-from .errors import DimensionMismatch
 from .linalg import hermitian_sqrt, kron
 
 LINK_NAMES = ("u1", "u2", "y1", "y2", "e", "u1p", "u2p", "y1p", "y2p", "ep")
 
 
 # ---------------------------------------------------------------------------
-# geometry and parameter containers
+# array geometry
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -58,78 +56,12 @@ class ArrayGeometry:
         return self.count_v * self.count_h
 
     @classmethod
-    def ula(cls, count: int, spacing: float) -> "ArrayGeometry":
-        return cls("ula", 1, count, spacing, spacing)
-
-    @classmethod
     def upa(cls, count_v: int, count_h: int, spacing_v: float, spacing_h: float) -> "ArrayGeometry":
         return cls("upa", count_v, count_h, spacing_v, spacing_h)
 
 
-@dataclass(frozen=True)
-class ScatteringParams:
-    """Finite-scattering shape of a link: scatterer count, spreads, spacing."""
-
-    num_scatterers: int
-    spread_tx: float
-    spread_ris: float
-    spread_sc: float
-    scatterer_spacing: float
-
-    def __post_init__(self):
-        if self.num_scatterers < 1:
-            raise ValueError("num_scatterers must be >= 1")
-        for s in (self.spread_tx, self.spread_ris, self.spread_sc):
-            if not 0.0 < s <= np.pi:
-                raise ValueError("angular spreads must lie in (0, pi]")
-
-
-@dataclass(frozen=True)
-class RicianParams:
-    """Distance-dependent factor omega and LoS-dominant factor kappa."""
-
-    omega: float
-    kappa: float
-
-    def __post_init__(self):
-        if self.omega < 0.0 or self.kappa < 0.0:
-            raise ValueError("omega and kappa must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AngleSet:
-    """Azimuth/elevation arrival and departure angles of one link (radians)."""
-
-    azimuth_aoa: float
-    elevation_aoa: float
-    azimuth_aod: float
-    elevation_aod: float
-
-
-@dataclass
-class PhaseShiftMatrix:
-    """Per-symbol diagonal unit-modulus reflection of one surface.
-
-    Only the angle vector is stored; the diagonal entries are exp(j angles),
-    unit modulus by construction.
-    """
-
-    angles: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.angles.shape[0]
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.exp(1j * np.asarray(self.angles, dtype=np.float64))
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
 # ---------------------------------------------------------------------------
-# steering vectors and LoS components
+# steering vectors
 # ---------------------------------------------------------------------------
 
 def steering_ula(count: int, spacing: float, angle) -> np.ndarray:
@@ -155,17 +87,8 @@ def steering_upa(geom: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     return (a_v[..., :, None] * a_h[..., None, :]).reshape(*a_v.shape[:-1], geom.count_total)
 
 
-def los_matrix(rx_steering: np.ndarray, tx_steering: np.ndarray) -> np.ndarray:
-    """Rank-one LoS component rx tx^T (transpose, no conjugation)."""
-    rx = np.asarray(rx_steering, dtype=np.complex128)
-    tx = np.asarray(tx_steering, dtype=np.complex128)
-    if rx.ndim != 1 or tx.ndim != 1 or rx.size == 0 or tx.size == 0:
-        raise DimensionMismatch("steering vectors must be non-empty 1-D arrays")
-    return np.outer(rx, tx)
-
-
 # ---------------------------------------------------------------------------
-# correlation matrices and NLoS sampling
+# correlation matrices and Gaussian draws
 # ---------------------------------------------------------------------------
 
 def corr_uniform(count: int, spacing: float, spread: float, num_scatterers: int) -> np.ndarray:
@@ -201,35 +124,6 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def nlos_sample(r_tx: np.ndarray, r_sc: np.ndarray, r_rx: np.ndarray,
-                num_scatterers: int, rng: np.random.Generator) -> np.ndarray:
-    """Double-scattering NLoS draw SC^-0.5 R_tx^0.5 Q S^0.5 P R_rx^0.5.
-
-    Q (N1 x SC) and P (SC x N2) hold i.i.d. CN(0, 1) entries; the sample has
-    rank at most num_scatterers. Draw order is Q then P (real parts before
-    imaginary parts within each).
-    """
-    sc = num_scatterers
-    if r_sc.shape != (sc, sc):
-        raise DimensionMismatch(f"r_sc must be {sc} x {sc}, got {r_sc.shape}")
-    f_tx = hermitian_sqrt(r_tx)
-    f_sc = hermitian_sqrt(r_sc)
-    f_rx = hermitian_sqrt(r_rx)
-    q = crandn(rng, (f_tx.shape[0], sc))
-    p = crandn(rng, (sc, f_rx.shape[0]))
-    return (f_tx @ q @ f_sc @ p @ f_rx) / np.sqrt(sc)
-
-
-def link_sample(rician: RicianParams, los: np.ndarray, r_tx: np.ndarray, r_sc: np.ndarray,
-                r_rx: np.ndarray, num_scatterers: int, rng: np.random.Generator) -> np.ndarray:
-    """Rician combination sqrt(omega) (sqrt(k/(k+1)) LoS + sqrt(1/(k+1)) NLoS)."""
-    nlos = nlos_sample(r_tx, r_sc, r_rx, num_scatterers, rng)
-    if los.shape != nlos.shape:
-        raise DimensionMismatch(f"LoS shape {los.shape} != NLoS shape {nlos.shape}")
-    k = rician.kappa
-    return np.sqrt(rician.omega) * (np.sqrt(k / (k + 1.0)) * los + np.sqrt(1.0 / (k + 1.0)) * nlos)
-
-
 # ---------------------------------------------------------------------------
 # per-block realizations
 # ---------------------------------------------------------------------------
@@ -239,7 +133,7 @@ class ChannelBatch:
     """A batch of independent coherence-block realizations.
 
     Each field holds a (batch, rows, cols) array; links are static within a
-    block, so the per-symbol matrices of one block are all the same entry.
+    block, so one matrix per block serves every symbol of it.
     Legitimate links: u1 (A1 x N_t), u2 (A2 x N_t), y1 (N_r x A1),
     y2 (N_r x A2), e (A2 x A1). Adversary links carry a 'p' suffix; note
     ep is A1 x A2 (the reverse inter-surface direction).
@@ -255,40 +149,9 @@ class ChannelBatch:
     y1p: np.ndarray
     y2p: np.ndarray
     ep: np.ndarray
-    block_len: int
 
     def __len__(self) -> int:
         return self.u1.shape[0]
-
-    def __getitem__(self, idx: int) -> "ChannelRealization":
-        return ChannelRealization(
-            **{name: getattr(self, name)[idx] for name in LINK_NAMES},
-            block_len=self.block_len,
-        )
-
-
-@dataclass
-class ChannelRealization:
-    """All ten link matrices of one coherence block (see ChannelBatch)."""
-
-    u1: np.ndarray
-    u2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    e: np.ndarray
-    u1p: np.ndarray
-    u2p: np.ndarray
-    y1p: np.ndarray
-    y2p: np.ndarray
-    ep: np.ndarray
-    block_len: int
-
-    def link(self, name: str, symbol: int | None = None) -> np.ndarray:
-        """Per-symbol view of a link; the block is static so every symbol maps
-        to the same matrix."""
-        if symbol is not None and not 0 <= symbol < self.block_len:
-            raise IndexError(f"symbol index {symbol} outside block of length {self.block_len}")
-        return getattr(self, name)
 
 
 class ChannelModel:
@@ -305,7 +168,6 @@ class ChannelModel:
         sc = cfg.num_scatterers
         self.ris1 = ArrayGeometry.upa(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
         self.ris2 = ArrayGeometry.upa(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
-        self.rician = RicianParams(cfg.omega, cfg.kappa)
 
         r_enc = corr_uniform(cfg.n_t, cfg.spacing_tx, cfg.spread_tx, sc)
         r_dec = corr_uniform(cfg.n_r, cfg.spacing_tx, cfg.spread_tx, sc)
@@ -364,8 +226,11 @@ class ChannelModel:
     def sample_batch(self, n: int, rng: np.random.Generator) -> ChannelBatch:
         """Draw n independent coherence-block realizations.
 
-        Per link (in LINK_NAMES order): LoS angles first, then the Q and P
-        small-scale factors.
+        Each link is sqrt(omega) (sqrt(k/(k+1)) LoS + sqrt(1/(k+1)) NLoS) with
+        the double-scattering NLoS draw SC^-0.5 R_tx^0.5 Q R_sc^0.5 P R_rx^0.5,
+        where Q (N1 x SC) and P (SC x N2) hold i.i.d. CN(0, 1) entries, so the
+        NLoS part has rank at most SC. Per link (in LINK_NAMES order): LoS
+        angles first, then Q, then P.
         """
         cfg = self.cfg
         sc = cfg.num_scatterers
@@ -383,10 +248,7 @@ class ChannelModel:
             nlos = np.einsum("ij,bjs,st,btk,kl->bil", f_tx, q, f_sc, p, f_rx,
                              optimize=True) / np.sqrt(sc)
             links[name] = w_los * los + w_nlos * nlos
-        return ChannelBatch(**links, block_len=cfg.block_len)
-
-    def sample(self, rng: np.random.Generator) -> ChannelRealization:
-        return self.sample_batch(1, rng)[0]
+        return ChannelBatch(**links)
 
 
 def ris_correlation(geom: ArrayGeometry, spread: float, num_scatterers: int) -> np.ndarray:
@@ -395,116 +257,3 @@ def ris_correlation(geom: ArrayGeometry, spread: float, num_scatterers: int) -> 
     r_v = corr_uniform(geom.count_v, geom.spacing_v, spread, num_scatterers)
     r_h = corr_uniform(geom.count_h, geom.spacing_h, spread, num_scatterers)
     return kron(r_v, r_h)
-
-
-def realization_sample(cfg: SystemConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw one coherence-block realization of all ten links."""
-    return ChannelModel(cfg).sample(rng)
-
-
-# ---------------------------------------------------------------------------
-# cascaded end-to-end matrices
-# ---------------------------------------------------------------------------
-
-def _diag_vector(psi) -> np.ndarray:
-    if isinstance(psi, PhaseShiftMatrix):
-        return psi.diagonal
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.ndim == 2:
-        if not np.allclose(psi, np.diag(np.diagonal(psi))):
-            raise DimensionMismatch("phase-shift matrix must be diagonal")
-        psi = np.diagonal(psi).copy()
-    return psi
-
-
-def cascaded_matrix(y2: np.ndarray, e: np.ndarray, y1: np.ndarray, u1: np.ndarray,
-                    u2: np.ndarray, psi1, psi2) -> np.ndarray:
-    """End-to-end matrix Y2 psi2 E psi1 U1 + Y1 psi1 U1 + Y2 psi2 U2.
-
-    psi1/psi2 may be PhaseShiftMatrix instances, diagonal matrices or plain
-    diagonal vectors. With the primed link set passed in the adversary term
-    ordering (see adversary_cascade) this computes the adversary aggregate.
-    """
-    d1 = _diag_vector(psi1)
-    d2 = _diag_vector(psi2)
-    if u1.shape[1] != u2.shape[1]:
-        raise DimensionMismatch("u1 and u2 must share the transmit dimension")
-    if y1.shape[0] != y2.shape[0]:
-        raise DimensionMismatch("y1 and y2 must share the receive dimension")
-    if d1.shape[0] != u1.shape[0] or y1.shape[1] != u1.shape[0] or e.shape[1] != u1.shape[0]:
-        raise DimensionMismatch("psi1/U1/Y1/E dimensions are not conformable")
-    if d2.shape[0] != u2.shape[0] or y2.shape[1] != u2.shape[0] or e.shape[0] != u2.shape[0]:
-        raise DimensionMismatch("psi2/U2/Y2/E dimensions are not conformable")
-    double = (y2 * d2[None, :]) @ (e * d1[None, :]) @ u1
-    single1 = (y1 * d1[None, :]) @ u1
-    single2 = (y2 * d2[None, :]) @ u2
-    return double + single1 + single2
-
-
-def legitimate_cascade(real: ChannelRealization, psi1, psi2) -> np.ndarray:
-    """Encoder-to-decoder aggregate K for one symbol's phase shifts."""
-    return cascaded_matrix(real.y2, real.e, real.y1, real.u1, real.u2, psi1, psi2)
-
-
-def adversary_cascade(real: ChannelRealization, psi1, psi2) -> np.ndarray:
-    """Adversary-to-decoder aggregate G for one symbol's phase shifts.
-
-    G = Y1' psi1 E' psi2 U2' + Y1' psi1 U1' + Y2' psi2 U2'; the double
-    bounce runs through surface 2 first, then surface 1.
-    """
-    return cascaded_matrix(real.y1p, real.ep, real.y2p, real.u2p, real.u1p, psi2, psi1)
-
-
-# ---------------------------------------------------------------------------
-# debug dumps
-# ---------------------------------------------------------------------------
-
-_DUMP_MAGIC = b"RISCHAN1"
-
-
-def dump_realization(real: ChannelRealization, path, fmt: str = "csv") -> None:
-    """Write a realization for offline inspection.
-
-    csv: one row per entry (link, row, col, re, im). bin: magic, link count,
-    then per link a name/shape header and row-major little-endian doubles
-    interleaved re, im.
-    """
-    if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("link,row,col,re,im\n")
-            for name in LINK_NAMES:
-                mat = getattr(real, name)
-                for (r, c), val in np.ndenumerate(mat):
-                    fh.write(f"{name},{r},{c},{val.real:.17g},{val.imag:.17g}\n")
-    elif fmt == "bin":
-        with open(path, "wb") as fh:
-            fh.write(_DUMP_MAGIC)
-            fh.write(struct.pack("<I", len(LINK_NAMES)))
-            for name in LINK_NAMES:
-                mat = np.ascontiguousarray(getattr(real, name), dtype=np.complex128)
-                tag = name.encode("ascii")
-                fh.write(struct.pack("<B", len(tag)))
-                fh.write(tag)
-                fh.write(struct.pack("<II", *mat.shape))
-                inter = np.empty(mat.size * 2, dtype="<f8")
-                inter[0::2] = mat.real.ravel()
-                inter[1::2] = mat.imag.ravel()
-                fh.write(inter.tobytes())
-    else:
-        raise ValueError(f"unknown dump format {fmt!r}")
-
-
-def load_realization_bin(path, block_len: int = 1) -> ChannelRealization:
-    """Read back a binary dump produced by dump_realization(fmt='bin')."""
-    links = {}
-    with open(path, "rb") as fh:
-        if fh.read(8) != _DUMP_MAGIC:
-            raise ValueError("not a channel dump file")
-        (count,) = struct.unpack("<I", fh.read(4))
-        for _ in range(count):
-            (tlen,) = struct.unpack("<B", fh.read(1))
-            name = fh.read(tlen).decode("ascii")
-            rows, cols = struct.unpack("<II", fh.read(8))
-            inter = np.frombuffer(fh.read(rows * cols * 16), dtype="<f8")
-            links[name] = (inter[0::2] + 1j * inter[1::2]).reshape(rows, cols)
-    return ChannelRealization(**links, block_len=block_len)

@@ -1,7 +1,7 @@
 """Command-line entry points: train, attack, eval, sweep.
 
 Exit codes: 0 on success, 2 on configuration errors (with the offending
-field path), 3 on I/O errors.
+field path), 3 on I/O errors, including unreadable checkpoints.
 """
 
 from __future__ import annotations
@@ -10,11 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .attack import export_perturbation, rmaef, rmaep, jamming, AttackResult, PerturbationVector
-from .errors import ConfigInvalid, MissingCheckpoint
+from .attack import export_perturbation, rmaef, rmaep, jamming, AttackResult
+from .errors import ConfigInvalid, CorruptCheckpoint, MissingCheckpoint
 from .harness import (
     PRESETS,
-    build_attack_source,
     load_config,
     load_system,
     make_budget,
@@ -173,7 +172,8 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingCheckpoint, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (MissingCheckpoint, CorruptCheckpoint, FileNotFoundError, PermissionError,
+            IsADirectoryError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

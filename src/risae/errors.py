@@ -29,6 +29,10 @@ class Diverged(RuntimeError):
     """Training loss became non-finite."""
 
 
+class InvariantViolation(RuntimeError):
+    """A runtime invariant of the simulation does not hold (checked under python -O too)."""
+
+
 class AllTargetsFailed(RuntimeError):
     """No candidate target class could be flipped within the search radius."""
 
@@ -39,6 +43,10 @@ class NoProgress(UserWarning):
 
 class MissingCheckpoint(FileNotFoundError):
     """A run needs trained weights but no checkpoint exists at the given path."""
+
+
+class CorruptCheckpoint(ValueError):
+    """A checkpoint file is not a readable checkpoint: wrong magic, version or truncated."""
 
 
 class ConfigInvalid(ValueError):

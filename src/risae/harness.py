@@ -29,7 +29,7 @@ from .autoencoder import (
     train,
 )
 from .config import SystemConfig
-from .errors import ConfigInvalid, MissingCheckpoint
+from .errors import ConfigInvalid, InvariantViolation, MissingCheckpoint
 from .neural import load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
@@ -118,9 +118,13 @@ class ExperimentConfig:
             raise ConfigInvalid("attack.n_s", "must be >= 1")
         if self.attack.eps_acc is not None and self.attack.eps_acc <= 0:
             raise ConfigInvalid("attack.eps_acc", "must be > 0 when set")
+        if self.attack.p_max is not None and self.attack.p_max <= 0:
+            raise ConfigInvalid("attack.p_max", "must be > 0 when set")
         if self.attack.p_max is not None and self.attack.eps_acc is not None \
                 and self.attack.p_max <= self.attack.eps_acc:
             raise ConfigInvalid("attack.p_max", "must exceed attack.eps_acc")
+        if self.attack.ridge is not None and self.attack.ridge < 0:
+            raise ConfigInvalid("attack.ridge", "must be >= 0 when set")
         if self.attack.channel_mode not in ("ideal", "double"):
             raise ConfigInvalid("attack.channel_mode", "must be 'ideal' or 'double'")
         if self.attack.budget_reference not in BUDGET_REFERENCES:
@@ -606,10 +610,10 @@ def export_results(rows: list[ResultRow], csv_path) -> tuple[Path, Path]:
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     text = format_rows(rows)
+    if format_rows(parse_rows(text)) != text:  # 17-significant-digit fidelity
+        raise InvariantViolation(f"results for {csv_path} do not survive a parse/format round trip")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    round_trip = parse_rows(text)
-    assert format_rows(round_trip) == text  # 17-significant-digit fidelity
     plot_path = csv_path.with_name(csv_path.stem + "_plot.py")
     with open(plot_path, "w", encoding="utf-8") as fh:
         fh.write(_PLOT_SCRIPT.format(csv_name=csv_path.name, stem=csv_path.stem))

@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, SingularSystem
 
-HERMITIAN_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
 
 
@@ -22,11 +21,6 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(a)):  # complex isfinite checks both parts, any layout
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def is_hermitian(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    h = np.asarray(h)
-    return h.ndim == 2 and h.shape[0] == h.shape[1] and np.allclose(h, h.conj().T, atol=atol, rtol=0.0)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

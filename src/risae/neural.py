@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateInput, MissingRecord, ShapeMismatch
+from .errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 
 PROB_CLAMP = 1e-12
 
@@ -250,10 +250,6 @@ class PowerNorm:
         return gx, {}
 
 
-_LAYER_KINDS = {"conv": Conv1D, "batchnorm": BatchNorm, "relu": ReLU,
-                "softmax": Softmax, "powernorm": PowerNorm}
-
-
 def layer_from_spec(spec: dict):
     kind = spec["kind"]
     if kind == "conv":
@@ -398,9 +394,6 @@ def cross_entropy_loss(probs: np.ndarray, target: np.ndarray):
     return value, grad
 
 
-LOSSES = {"bce": bce_loss, "ce": cross_entropy_loss}
-
-
 # ---------------------------------------------------------------------------
 # Adam
 # ---------------------------------------------------------------------------
@@ -473,21 +466,35 @@ def save_checkpoint(path, networks: dict[str, Network], meta: dict | None = None
             fh.write(blob)
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise CorruptCheckpoint(f"truncated checkpoint: {what} needs {size} bytes, "
+                                f"{len(data)} remain")
+    return data
+
+
 def load_checkpoint(path) -> tuple[dict[str, Network], dict]:
-    """Rebuild networks (architecture and parameters) from a checkpoint."""
+    """Rebuild networks (architecture and parameters) from a checkpoint.
+
+    Raises CorruptCheckpoint on a foreign, unsupported or truncated file.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CKPT_MAGIC:
-            raise ValueError("not a checkpoint file")
-        version, header_len = struct.unpack("<II", fh.read(8))
+        if fh.read(8) != _CKPT_MAGIC:
+            raise CorruptCheckpoint("not a checkpoint file")
+        version, header_len = struct.unpack("<II", _read_exact(fh, 8, "the version and header length"))
         if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+            raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
+        try:
+            header = json.loads(_read_exact(fh, header_len, "the header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
         networks = {name: Network([layer_from_spec(s) for s in spec])
                     for name, spec in header["specs"].items()}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
             n_items = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(fh.read(n_items * 8), dtype="<f8").reshape(shape)
-            networks[entry["net"]].set_param(entry["param"], arr)
+            blob = _read_exact(fh, n_items * 8, f"{entry['net']}/{entry['param']}")
+            networks[entry["net"]].set_param(entry["param"],
+                                             np.frombuffer(blob, dtype="<f8").reshape(shape))
     return networks, header["meta"]

@@ -12,7 +12,7 @@ from risae.attack import (
     jamming,
     load_perturbation,
     pgd_minimal_perturbation,
-    project_ball,
+    project_band,
     receiver_to_transmit,
     rmaef,
     rmaep,
@@ -61,36 +61,58 @@ class TestPerturbationVector:
             PerturbationVector(np.array([1.0 + 0j, 1.0]), budget=0.1)
 
 
+def band_oracle(w_adv, w, beta):
+    """One row of the band clamp by the three-branch definition."""
+    low, up = w - beta, w + beta
+    if np.linalg.norm(w_adv) < np.linalg.norm(low):
+        return low
+    if np.linalg.norm(w_adv) > np.linalg.norm(up):
+        return up
+    return w_adv
+
+
 class TestProjectBall:
     def test_inside_band_unchanged(self):
         # beta aligned with w guarantees ||w - beta|| < ||w|| < ||w + beta||
         rng = np.random.default_rng(0)
-        w = crand(rng, 2, 3)
+        w = crand(rng, 1, 2, 3)
         beta = 0.01 * w
         w_adv = w.copy()
-        assert np.array_equal(project_ball(w_adv, w, beta), w_adv)
+        assert np.array_equal(project_band(w_adv, w, beta), w_adv)
 
     def test_lower_clamp(self):
         rng = np.random.default_rng(1)
-        w = crand(rng, 2, 2)
-        beta = 0.1 * crand(rng, 2, 2)
-        out = project_ball(np.zeros_like(w), w, beta)
+        w = crand(rng, 1, 2, 2)
+        beta = 0.1 * crand(rng, 1, 2, 2)
+        out = project_band(np.zeros_like(w), w, beta)
         assert np.array_equal(out, w - beta)
 
     def test_randomized_three_branch_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            w = crand(rng, 3)
-            beta = rng.uniform(0.01, 2.0) * crand(rng, 3)
-            w_adv = rng.uniform(0.0, 3.0) * crand(rng, 3)
-            low, up = w - beta, w + beta
-            if np.linalg.norm(w_adv) < np.linalg.norm(low):
-                expected = low
-            elif np.linalg.norm(w_adv) > np.linalg.norm(up):
-                expected = up
-            else:
-                expected = w_adv
-            assert np.array_equal(project_ball(w_adv, w, beta), expected)
+            w = crand(rng, 1, 3)
+            beta = rng.uniform(0.01, 2.0) * crand(rng, 1, 3)
+            w_adv = rng.uniform(0.0, 3.0) * crand(rng, 1, 3)
+            expected = band_oracle(w_adv[0], w[0], beta[0])
+            assert np.array_equal(project_band(w_adv, w, beta)[0], expected)
+
+    def test_batch_rows_clamp_independently(self):
+        # rows chosen to hit all three branches in one call
+        rng = np.random.default_rng(3)
+        w = crand(rng, 3, 2, 4)
+        beta = 0.1 * w
+        w_adv = np.stack([0.5 * w[0], w[1], 2.0 * w[2]])
+        out = project_band(w_adv, w, beta)
+        assert np.array_equal(out[0], w[0] - beta[0])
+        assert np.array_equal(out[1], w_adv[1])
+        assert np.array_equal(out[2], w[2] + beta[2])
+        for b in range(3):
+            assert np.array_equal(out[b], band_oracle(w_adv[b], w[b], beta[b]))
+
+    def test_shape_mismatch(self):
+        w = np.ones((2, 3), dtype=complex)
+        with pytest.raises(ValueError):
+            project_band(w, w, np.ones((2, 4), dtype=complex))
 
 
 class TestEnforcePower:

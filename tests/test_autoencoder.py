@@ -3,33 +3,27 @@
 import numpy as np
 import pytest
 
+from risae import autoencoder
 from risae.autoencoder import (
     AttackApplication,
-    AutoencoderNets,
     build_autoencoder,
-    cascaded_set_single,
+    cascade_set,
+    channels_to_complex,
     complex_to_channels,
-    decode,
-    encode,
     estimate_received_power,
     evaluate_ser,
-    forward_pipeline,
     one_hot_blocks,
     pack_decoder_input,
     pipeline_backward,
     pipeline_forward,
     pipeline_loss,
     random_message_blocks,
-    ris1_incident,
-    ris2_incident,
-    ris_controller,
     train,
-    transmit,
     wilson_interval,
 )
-from risae.channel import ChannelModel, realization_sample
+from risae.channel import ChannelModel
 from risae.config import SystemConfig
-from risae.errors import Diverged, ShapeMismatch
+from risae.errors import Diverged, InvariantViolation, ShapeMismatch
 
 
 def tiny_config(**kwargs) -> SystemConfig:
@@ -45,109 +39,101 @@ def make_system(seed=0, **kwargs):
     return cfg, nets
 
 
+def one_block(cfg, nets, rng, blocks=None, **kwargs):
+    """pipeline_forward on one block (B = 1) with a freshly sampled channel."""
+    chan = ChannelModel(cfg).sample_batch(1, rng)
+    if blocks is None:
+        blocks, _ = random_message_blocks(cfg, 1, rng)
+    kwargs.setdefault("sigma2", cfg.sigma2)
+    return pipeline_forward(nets, cfg, blocks, chan, rng=rng, **kwargs)
+
+
 class TestEncode:
     def test_output_shape(self):
         cfg, nets = make_system()
-        block = one_hot_blocks(np.array([[0, 1, 2]]), cfg.m)[0]
-        o = encode(nets.encoder, block, cfg.n_t)
-        assert o.shape == (cfg.n_t, cfg.block_len)
-        assert o.dtype == np.complex128
+        blocks = one_hot_blocks(np.array([[0, 1, 2]]), cfg.m)
+        rec = one_block(cfg, nets, np.random.default_rng(0), blocks)
+        assert rec.o.shape == (1, cfg.n_t, cfg.block_len)
+        assert rec.o.dtype == np.complex128
 
     def test_deterministic(self):
         cfg, nets = make_system()
-        block = one_hot_blocks(np.array([[3, 1, 0]]), cfg.m)[0]
-        assert np.array_equal(encode(nets.encoder, block, cfg.n_t),
-                              encode(nets.encoder, block, cfg.n_t))
+        blocks = one_hot_blocks(np.array([[3, 1, 0]]), cfg.m)
+        first = one_block(cfg, nets, np.random.default_rng(0), blocks)
+        second = one_block(cfg, nets, np.random.default_rng(1), blocks)
+        assert np.array_equal(first.o, second.o)
 
     def test_power_invariant(self):
         cfg, nets = make_system()
         rng = np.random.default_rng(1)
         for _ in range(10):
-            blocks, _ = random_message_blocks(cfg, 1, rng)
-            o = encode(nets.encoder, blocks[0], cfg.n_t)
-            assert np.mean(np.abs(o) ** 2) == pytest.approx(cfg.power ** 2, abs=1e-10)
+            rec = one_block(cfg, nets, rng)
+            assert np.mean(np.abs(rec.o[0]) ** 2) == pytest.approx(cfg.power ** 2, abs=1e-10)
 
 
 class TestRisController:
     def test_shape_and_unit_modulus(self):
         cfg, nets = make_system()
-        rng = np.random.default_rng(2)
-        incident = rng.standard_normal((cfg.a1, cfg.block_len)) \
-            + 1j * rng.standard_normal((cfg.a1, cfg.block_len))
-        psis = ris_controller(nets.ris1, incident)
-        assert len(psis) == cfg.block_len
-        for psi in psis:
-            assert psi.size == cfg.a1
-            assert np.allclose(np.abs(psi.diagonal), 1.0, atol=1e-12)
-            mat = psi.matrix()
-            assert np.allclose(mat, np.diag(np.diagonal(mat)))
+        rec = one_block(cfg, nets, np.random.default_rng(2))
+        assert rec.c1.shape == (1, cfg.a1, cfg.block_len)
+        assert rec.c2.shape == (1, cfg.a2, cfg.block_len)
+        assert np.allclose(np.abs(rec.c1), 1.0, atol=1e-12)
+        assert np.allclose(np.abs(rec.c2), 1.0, atol=1e-12)
 
     def test_ris2_incident_matches_direct_formula(self):
         cfg, nets = make_system()
-        rng = np.random.default_rng(3)
-        real = realization_sample(cfg, rng)
-        o = rng.standard_normal((cfg.n_t, cfg.block_len)) \
-            + 1j * rng.standard_normal((cfg.n_t, cfg.block_len))
-        psi1 = ris_controller(nets.ris1, ris1_incident(real, o))
-        got = ris2_incident(real, o, psi1)
+        rec = one_block(cfg, nets, np.random.default_rng(3))
+        u1, u2, e = rec.chan.u1[0], rec.chan.u2[0], rec.chan.e[0]
+        o = rec.o[0]
         for i in range(cfg.block_len):
-            expected = (real.u2 + real.e @ psi1[i].matrix() @ real.u1) @ o[:, i]
-            assert np.allclose(got[:, i], expected, atol=1e-12)
+            assert np.allclose(rec.a1[0][:, i], u1 @ o[:, i], atol=1e-12)
+            expected = (u2 + e @ np.diag(rec.c1[0, :, i]) @ u1) @ o[:, i]
+            assert np.allclose(rec.b2[0][:, i], expected, atol=1e-12)
 
 
 class TestTransmit:
-    def _phases(self, cfg, nets, real, o):
-        psi1 = ris_controller(nets.ris1, ris1_incident(real, o))
-        psi2 = ris_controller(nets.ris2, ris2_incident(real, o, psi1))
-        return psi1, psi2
-
     def test_noiseless_exact(self):
         cfg, nets = make_system()
-        rng = np.random.default_rng(4)
-        real = realization_sample(cfg, rng)
-        blocks, _ = random_message_blocks(cfg, 1, rng)
-        o = encode(nets.encoder, blocks[0], cfg.n_t)
-        psi1, psi2 = self._phases(cfg, nets, real, o)
-        r = transmit(real, psi1, psi2, o, sigma2=0.0)
-        k_set = cascaded_set_single(real, psi1, psi2)
+        rec = one_block(cfg, nets, np.random.default_rng(4), sigma2=0.0)
+        assert not rec.noise.any()
         for i in range(cfg.block_len):
-            assert np.allclose(r[:, i], k_set[i] @ o[:, i], atol=1e-12)
+            assert np.allclose(rec.z[0][:, i], rec.k[0, i] @ rec.o[0][:, i], atol=1e-12)
 
     def test_noise_variance(self):
         cfg, nets = make_system()
         rng = np.random.default_rng(5)
-        real = realization_sample(cfg, rng)
-        o = np.zeros((cfg.n_t, cfg.block_len), dtype=complex)
-        psi1, psi2 = self._phases(cfg, nets, real, o + 1.0)  # phases from any field
+        n_blocks = 10_000 // (cfg.n_r * cfg.block_len) + 1
+        chan = ChannelModel(cfg).sample_batch(n_blocks, rng)
+        blocks, _ = random_message_blocks(cfg, n_blocks, rng)
         sigma2 = 0.37
-        samples = []
-        for _ in range(10_000 // (cfg.n_r * cfg.block_len) + 1):
-            r = transmit(real, psi1, psi2, o, sigma2=sigma2, rng=rng)
-            samples.append(r.ravel())
-        values = np.concatenate(samples)
-        assert np.mean(np.abs(values) ** 2) == pytest.approx(sigma2, rel=0.05)
+        rec = pipeline_forward(nets, cfg, blocks, chan, sigma2, rng=rng)
+        assert np.mean(np.abs(rec.noise) ** 2) == pytest.approx(sigma2, rel=0.05)
 
     def test_superposition(self):
+        # the decoder receives the noiseless block plus the noise draw
         cfg, nets = make_system()
         rng = np.random.default_rng(6)
-        real = realization_sample(cfg, rng)
-        o1 = np.ones((cfg.n_t, cfg.block_len), dtype=complex)
-        o2 = 1j * np.ones((cfg.n_t, cfg.block_len), dtype=complex)
-        psi1, psi2 = self._phases(cfg, nets, real, o1)
-        lhs = transmit(real, psi1, psi2, o1 + o2, sigma2=0.0)
-        rhs = transmit(real, psi1, psi2, o1, sigma2=0.0) + transmit(real, psi1, psi2, o2, sigma2=0.0)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        chan = ChannelModel(cfg).sample_batch(1, rng)
+        blocks, _ = random_message_blocks(cfg, 1, rng)
+        noise = 0.3 * (np.ones((1, cfg.n_r, cfg.block_len)) - 2j)
+        clean = pipeline_forward(nets, cfg, blocks, chan, 0.0)
+        noisy = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, noise=noise)
+        assert np.array_equal(noisy.z, clean.z)
+        received = noisy.d_input[:, :cfg.n_r] + 1j * noisy.d_input[:, cfg.n_r:2 * cfg.n_r]
+        assert np.allclose(received, clean.z + noise, atol=1e-12)
 
 
 class TestDecode:
     def test_columns_sum_to_one_and_argmax(self):
         cfg, nets = make_system()
         rng = np.random.default_rng(7)
-        r = rng.standard_normal((cfg.n_r, cfg.block_len)) * (1 + 0j)
-        k = rng.standard_normal((cfg.block_len, cfg.n_r, cfg.n_t)) * (1 + 0j)
-        out = decode(nets.decoder, r, k)
-        assert np.allclose(out.probs.sum(axis=0), 1.0, atol=1e-12)
-        assert np.array_equal(out.decisions, out.probs.argmax(axis=0))
+        r = rng.standard_normal((1, cfg.n_r, cfg.block_len)) * (1 + 0j)
+        k = rng.standard_normal((1, cfg.block_len, cfg.n_r, cfg.n_t)) * (1 + 0j)
+        probs, _ = nets.decoder.forward(pack_decoder_input(r, k), train=False)
+        assert np.allclose(probs[0].sum(axis=0), 1.0, atol=1e-12)
+        rec = one_block(cfg, nets, rng)
+        assert np.allclose(rec.probs[0].sum(axis=0), 1.0, atol=1e-12)
+        assert np.array_equal(rec.decisions[0], rec.probs[0].argmax(axis=0))
 
     def test_packing_layout_golden(self):
         r = np.array([[[1.0 + 2.0j], [3.0 + 4.0j]]])  # (1, 2, 1)
@@ -160,32 +146,38 @@ class TestDecode:
 
 class TestForwardPipeline:
     def test_matches_manual_composition_bit_exactly(self):
+        # stage by stage with the same kernels: encoder, U1 o, controller 1,
+        # (U2 + E psi1 U1) o, controller 2, cascade_set, K o + n, decoder
         cfg, nets = make_system(seed=8)
         rng = np.random.default_rng(9)
-        real = realization_sample(cfg, rng)
+        chan = ChannelModel(cfg).sample_batch(1, rng)
         blocks, _ = random_message_blocks(cfg, 1, rng)
-        noise = np.sqrt(cfg.sigma2) * (rng.standard_normal((cfg.n_r, cfg.block_len))
-                                       + 1j * rng.standard_normal((cfg.n_r, cfg.block_len)))
-        out = forward_pipeline(nets, cfg, blocks[0], real, cfg.sigma2, noise=noise)
+        noise = np.sqrt(cfg.sigma2) * (rng.standard_normal((1, cfg.n_r, cfg.block_len))
+                                       + 1j * rng.standard_normal((1, cfg.n_r, cfg.block_len)))
+        out = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, noise=noise)
 
-        o = encode(nets.encoder, blocks[0], cfg.n_t)
-        psi1 = ris_controller(nets.ris1, ris1_incident(real, o))
-        psi2 = ris_controller(nets.ris2, ris2_incident(real, o, psi1))
-        r = transmit(real, psi1, psi2, o, cfg.sigma2, noise=noise)
-        manual = decode(nets.decoder, r, cascaded_set_single(real, psi1, psi2))
-        assert np.array_equal(out.probs, manual.probs)
-        assert np.array_equal(out.decisions, manual.decisions)
+        o = channels_to_complex(nets.encoder.forward(blocks, False)[0])
+        a1 = np.einsum("ban,bnl->bal", chan.u1, o, optimize=True)
+        c1 = np.exp(1j * nets.ris1.forward(complex_to_channels(a1), False)[0])
+        b2 = (np.einsum("bqn,bnl->bql", chan.u2, o, optimize=True)
+              + np.einsum("bqa,bal->bql", chan.e, c1 * a1, optimize=True))
+        c2 = np.exp(1j * nets.ris2.forward(complex_to_channels(b2), False)[0])
+        k, _ = cascade_set(chan, c1, c2)
+        r = np.einsum("blrn,bnl->brl", k, o, optimize=True) + noise
+        probs, _ = nets.decoder.forward(pack_decoder_input(r, k), False)
+        assert np.array_equal(out.probs, probs)
+        assert np.array_equal(out.decisions, probs.argmax(axis=1))
 
     def test_zero_perturbation_equals_secured(self):
         cfg, nets = make_system(seed=10)
         rng = np.random.default_rng(11)
-        real = realization_sample(cfg, rng)
+        chan = ChannelModel(cfg).sample_batch(1, rng)
         blocks, _ = random_message_blocks(cfg, 1, rng)
-        noise = np.zeros((cfg.n_r, cfg.block_len), dtype=complex)
-        secured = forward_pipeline(nets, cfg, blocks[0], real, cfg.sigma2, noise=noise)
+        noise = np.zeros((1, cfg.n_r, cfg.block_len), dtype=complex)
+        secured = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, noise=noise)
         for mode, dim in (("double", cfg.adversary_antennas), ("ideal", cfg.n_r)):
             attack = AttackApplication(channel_mode=mode, p_adv=np.zeros(dim, dtype=complex))
-            attacked = forward_pipeline(nets, cfg, blocks[0], real, cfg.sigma2,
+            attacked = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                         noise=noise, attack=attack)
             assert np.array_equal(attacked.probs, secured.probs)
 
@@ -195,23 +187,24 @@ class TestForwardPipeline:
                            block_len=1, num_scatterers=1, hidden_width=8, sigma2=1.0)
         nets = build_autoencoder(cfg, np.random.default_rng(12))
         rng = np.random.default_rng(13)
-        real = realization_sample(cfg, rng)
-        block = one_hot_blocks(np.array([[1]]), cfg.m)[0]
-        noise = np.array([[0.3 - 0.1j]])
-        out = forward_pipeline(nets, cfg, block, real, cfg.sigma2, noise=noise)
+        chan = ChannelModel(cfg).sample_batch(1, rng)
+        blocks = one_hot_blocks(np.array([[1]]), cfg.m)
+        noise = np.array([[[0.3 - 0.1j]]])
+        out = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, noise=noise)
 
-        o = encode(nets.encoder, block, cfg.n_t)
-        g1, _ = nets.ris1.forward(complex_to_channels((real.u1 @ o)[None]), False)
-        c1 = np.exp(1j * g1[0])
-        g2, _ = nets.ris2.forward(
-            complex_to_channels(((real.u2 + real.e * c1 * real.u1) @ o)[None]), False)
-        c2 = np.exp(1j * g2[0])
-        k = (real.y2 * c2 * real.e * c1 * real.u1
-             + real.y1 * c1 * real.u1 + real.y2 * c2 * real.u2)
-        r = k * o + noise
-        d = np.array([r[0, 0].real, r[0, 0].imag, k[0, 0].real, k[0, 0].imag])
+        u1, u2, e, y1, y2 = (getattr(chan, n)[0, 0, 0] for n in ("u1", "u2", "e", "y1", "y2"))
+        enc, _ = nets.encoder.forward(blocks, False)
+        o = enc[0, 0, 0] + 1j * enc[0, 1, 0]
+        g1, _ = nets.ris1.forward(np.array([[[(u1 * o).real], [(u1 * o).imag]]]), False)
+        c1 = np.exp(1j * g1[0, 0, 0])
+        b2 = (u2 + e * c1 * u1) * o
+        g2, _ = nets.ris2.forward(np.array([[[b2.real], [b2.imag]]]), False)
+        c2 = np.exp(1j * g2[0, 0, 0])
+        k = y2 * c2 * e * c1 * u1 + y1 * c1 * u1 + y2 * c2 * u2
+        r = k * o + noise[0, 0, 0]
+        d = np.array([r.real, r.imag, k.real, k.imag])
         probs, _ = nets.decoder.forward(d.reshape(1, 4, 1), False)
-        assert np.allclose(out.probs, probs[0], atol=1e-12)
+        assert np.allclose(out.probs, probs, atol=1e-12)
 
 
 class TestPipelineGradients:
@@ -309,6 +302,22 @@ class TestTrain:
         nets.encoder.set_param(key, poisoned)
         with pytest.raises(Diverged):
             train(nets, cfg, num_symbols=8, epochs=2, lr=1e-3,
+                  rng=np.random.default_rng(27), batch_blocks=4)
+
+
+    def test_unit_modulus_violation_raises(self, monkeypatch):
+        # a typed error rather than an assert, so the check survives python -O
+        cfg, nets = make_system(seed=26)
+        forward = autoencoder.pipeline_forward
+
+        def stretched(*args, **kwargs):
+            rec = forward(*args, **kwargs)
+            rec.c2 = 1.5 * rec.c2
+            return rec
+
+        monkeypatch.setattr(autoencoder, "pipeline_forward", stretched)
+        with pytest.raises(InvariantViolation, match="surface 2"):
+            train(nets, cfg, num_symbols=8, epochs=1, lr=1e-3,
                   rng=np.random.default_rng(27), batch_blocks=4)
 
 

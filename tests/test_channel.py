@@ -3,26 +3,18 @@
 import numpy as np
 import pytest
 
+from risae.autoencoder import adversary_cascade_set, cascade_set
 from risae.channel import (
+    LINK_NAMES,
     ArrayGeometry,
+    ChannelBatch,
     ChannelModel,
-    PhaseShiftMatrix,
-    RicianParams,
-    adversary_cascade,
-    cascaded_matrix,
     corr_uniform,
-    dump_realization,
-    legitimate_cascade,
-    link_sample,
-    load_realization_bin,
-    los_matrix,
-    nlos_sample,
-    realization_sample,
+    crandn,
     steering_ula,
     steering_upa,
 )
 from risae.config import SystemConfig
-from risae.errors import DimensionMismatch
 
 
 def crand(rng, *shape):
@@ -73,27 +65,41 @@ class TestSteering:
             assert np.allclose(steering_upa(geom, az, el), np.kron(a_v, a_h), atol=1e-13)
 
 
+class _FixedAngles:
+    """Generator stand-in whose uniform draws return fixed LoS angles."""
+
+    def __init__(self, azimuths, elevations):
+        self.draws = [np.array([azimuths], dtype=float), np.array([elevations], dtype=float)]
+
+    def uniform(self, low, high, size):
+        out = self.draws.pop(0)
+        assert out.shape == size and np.all((low <= out) & (out <= high))
+        return out
+
+
 class TestLosMatrix:
     def test_all_ones(self):
-        m = los_matrix(np.ones(3), np.ones(2))
-        assert np.allclose(m, np.ones((3, 2)))
+        model = ChannelModel(tiny_config(n_t=2, a1_v=1, a1_h=3))
+        los = model._los_batch("u1", 1, _FixedAngles([0.0, 0.0], [0.0, 0.0]))
+        assert np.allclose(los, np.ones((1, 3, 2)))
 
     def test_vector_case(self):
-        m = los_matrix(np.array([1.0, -1.0]), np.array([1.0]))
-        assert np.allclose(m, [[1.0], [-1.0]])
+        # decoder ULA at broadside alternates sign; a one-element surface is [1]
+        model = ChannelModel(tiny_config(n_r=2, a1_v=1, a1_h=1))
+        los = model._los_batch("y1", 1, _FixedAngles([np.pi / 2, 0.0], [0.0, 0.0]))
+        assert np.allclose(los, [[[1.0], [-1.0]]], atol=1e-12)
 
     def test_rank_one(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            rx = steering_ula(6, 0.5, rng.uniform(-np.pi, np.pi))
-            tx = steering_ula(4, 0.5, rng.uniform(-np.pi, np.pi))
-            sv = np.linalg.svd(los_matrix(rx, tx), compute_uv=False)
-            assert sv[1] < 1e-10
+        model = ChannelModel(tiny_config(n_r=6, a1_v=2, a1_h=2))
+        los = model._los_batch("y1", 20, np.random.default_rng(2))
+        sv = np.linalg.svd(los, compute_uv=False)
+        assert np.all(sv[:, 1] < 1e-10)
 
     def test_uses_transpose_not_conjugate(self):
-        rx = np.array([1j])
-        tx = np.array([1j])
-        assert np.allclose(los_matrix(rx, tx), [[-1.0]])
+        # sin(pi/6) = 1/2 makes both two-element responses [1, j]
+        model = ChannelModel(tiny_config(n_t=2, a1_v=1, a1_h=2))
+        los = model._los_batch("u1", 1, _FixedAngles([np.pi / 6, np.pi / 6], [0.0, 0.0]))
+        assert np.allclose(los, [[[1.0, 1j], [1j, -1.0]]], atol=1e-12)
 
 
 def corr_oracle(count, spacing, spread, sc):
@@ -152,119 +158,120 @@ class TestCorrUniform:
 
 
 class _StubRng:
-    """Deterministic standard_normal source for fixed-draw tests."""
+    """Zero LoS angles and constant-filled standard normal draws, cycling
+    through `values`."""
 
     def __init__(self, values):
         self.values = list(values)
+        self.calls = 0
+
+    def uniform(self, low, high, size):
+        return np.zeros(size)
 
     def standard_normal(self, shape):
-        return np.full(shape, self.values.pop(0), dtype=float)
+        value = self.values[self.calls % len(self.values)]
+        self.calls += 1
+        return np.full(shape, value, dtype=float)
+
+
+def nlos_model(**kwargs) -> ChannelModel:
+    """Pure-NLoS model (kappa = 0, omega = 1)."""
+    return ChannelModel(tiny_config(kappa=0.0, omega=1.0, **kwargs))
 
 
 class TestNlosSample:
     def test_single_scatterer_rank_one(self):
-        rng = np.random.default_rng(4)
-        n = nlos_sample(np.eye(4), np.eye(1), np.eye(3), 1, rng)
-        sv = np.linalg.svd(n, compute_uv=False)
-        assert sv[1] < 1e-10
+        model = nlos_model(num_scatterers=1, n_t=3, a1_v=2, a1_h=2)
+        u1 = model.sample_batch(20, np.random.default_rng(4)).u1
+        sv = np.linalg.svd(u1, compute_uv=False)
+        assert np.all(sv[:, 1] < 1e-10)
 
     def test_second_moment_identity_correlations(self):
-        rng = np.random.default_rng(5)
-        n1, n2, sc = 3, 4, 5
-        total = 0.0
-        draws = 10_000
-        for _ in range(draws):
-            n = nlos_sample(np.eye(n1), np.eye(sc), np.eye(n2), sc, rng)
-            total += np.linalg.norm(n) ** 2
-        assert total / draws == pytest.approx(n1 * n2, rel=0.05)
+        model = nlos_model(n_t=4, a1_v=1, a1_h=3, num_scatterers=5)
+        model._f = {key: np.eye(f.shape[0]) for key, f in model._f.items()}
+        u1 = model.sample_batch(10_000, np.random.default_rng(5)).u1
+        mean_sq = np.mean(np.sum(np.abs(u1) ** 2, axis=(1, 2)))
+        assert mean_sq == pytest.approx(3 * 4, rel=0.05)
 
     def test_fixed_draws_match_hand_product(self):
-        # Q filled with (1 + 2j)/sqrt(2), P with (3 + 4j)/sqrt(2)
-        stub = _StubRng([1.0, 2.0, 3.0, 4.0])
-        r_tx = np.diag([4.0, 1.0])
-        r_sc = np.eye(2)
-        r_rx = np.diag([9.0, 1.0])
-        out = nlos_sample(r_tx, r_sc, r_rx, 2, stub)
+        # every link draws Q re, Q im, P re, P im: Q filled with
+        # (1 + 2j)/sqrt(2), P with (3 + 4j)/sqrt(2)
+        model = nlos_model(n_t=2, a1_v=1, a1_h=2, num_scatterers=2)
+        model._f["ris1"] = np.diag([2.0, 1.0])
+        model._f["sc"] = np.eye(2)
+        model._f["enc"] = np.diag([3.0, 1.0])
+        out = model.sample_batch(1, _StubRng([1.0, 2.0, 3.0, 4.0])).u1
         q = np.full((2, 2), (1.0 + 2.0j) / np.sqrt(2.0))
         p = np.full((2, 2), (3.0 + 4.0j) / np.sqrt(2.0))
         expected = np.diag([2.0, 1.0]) @ q @ np.eye(2) @ p @ np.diag([3.0, 1.0]) / np.sqrt(2.0)
-        assert np.allclose(out, expected, atol=1e-13)
+        assert np.allclose(out[0], expected, atol=1e-13)
 
 
 class TestLinkSample:
     def test_pure_los_limit(self):
-        rng = np.random.default_rng(6)
-        los = los_matrix(steering_ula(3, 0.5, 0.4), steering_ula(2, 0.5, -0.3))
-        out = link_sample(RicianParams(1.0, 1e12), los, np.eye(3), np.eye(2), np.eye(2), 2, rng)
+        # u1 is the first link, so a fresh generator replays its LoS angles
+        model = ChannelModel(tiny_config(kappa=1e12))
+        out = model.sample_batch(1, np.random.default_rng(6)).u1
+        los = model._los_batch("u1", 1, np.random.default_rng(6))
         assert np.linalg.norm(out - los) / np.linalg.norm(los) < 1e-5
 
     def test_pure_nlos_limit(self):
-        los = np.ones((3, 2), dtype=complex)
-        seed_rng = lambda: np.random.default_rng(7)
-        out = link_sample(RicianParams(1.0, 0.0), los, np.eye(3), np.eye(2), np.eye(2), 2, seed_rng())
-        nlos = nlos_sample(np.eye(3), np.eye(2), np.eye(2), 2, seed_rng())
-        assert np.allclose(out, nlos)
+        model = nlos_model()
+        out = model.sample_batch(1, np.random.default_rng(7)).u1
+        replay = np.random.default_rng(7)
+        replay.uniform(size=4)  # the LoS azimuth and elevation pairs
+        sc = model.cfg.num_scatterers
+        q = crandn(replay, (model.cfg.a1, sc))
+        p = crandn(replay, (sc, model.cfg.n_t))
+        f_ris1, f_sc, f_enc = model._f["ris1"], model._f["sc"], model._f["enc"]
+        expected = f_ris1 @ q @ f_sc @ p @ f_enc / np.sqrt(sc)  # SC^-0.5 R^0.5 Q R^0.5 P R^0.5
+        assert np.allclose(out[0], expected, atol=1e-13)
 
     def test_second_moment(self):
-        rng = np.random.default_rng(8)
-        n1, n2, sc = 3, 4, 4
-        los = los_matrix(steering_ula(n1, 0.5, 0.2), steering_ula(n2, 0.5, 0.9))
-        total = 0.0
-        draws = 10_000
-        for _ in range(draws):
-            out = link_sample(RicianParams(1.0, 0.2), los, np.eye(n1), np.eye(sc), np.eye(n2), sc, rng)
-            total += np.linalg.norm(out) ** 2
-        assert total / draws == pytest.approx(n1 * n2, rel=0.05)
+        # unit-modulus LoS and unit-diagonal correlations: E||H||^2 = N1 N2
+        cfg = tiny_config(kappa=0.2, n_t=4, a1_v=1, a1_h=3, num_scatterers=4)
+        u1 = ChannelModel(cfg).sample_batch(10_000, np.random.default_rng(8)).u1
+        mean_sq = np.mean(np.sum(np.abs(u1) ** 2, axis=(1, 2)))
+        assert mean_sq == pytest.approx(cfg.a1 * cfg.n_t, rel=0.05)
 
 
 class TestRealizationSample:
     def test_paper_scale_shapes(self):
         cfg = SystemConfig(n_t=16, n_r=16, a1_v=4, a1_h=8, a2_v=4, a2_h=8,
                            m=64, block_len=20, num_scatterers=3)
-        real = realization_sample(cfg, np.random.default_rng(9))
-        assert real.u1.shape == (32, 16)
-        assert real.u2.shape == (32, 16)
-        assert real.y1.shape == (16, 32)
-        assert real.y2.shape == (16, 32)
-        assert real.e.shape == (32, 32)
-        assert real.u1p.shape == (32, 16)
-        assert real.ep.shape == (32, 32)
+        real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(9))
+        assert real.u1.shape == (1, 32, 16)
+        assert real.u2.shape == (1, 32, 16)
+        assert real.y1.shape == (1, 16, 32)
+        assert real.y2.shape == (1, 16, 32)
+        assert real.e.shape == (1, 32, 32)
+        assert real.u1p.shape == (1, 32, 16)
+        assert real.ep.shape == (1, 32, 32)
 
     def test_primed_shapes_follow_adversary_antennas(self):
         cfg = tiny_config(n_adv=3)
-        real = realization_sample(cfg, np.random.default_rng(10))
-        assert real.u1p.shape == (2, 3)
-        assert real.u2p.shape == (2, 3)
-        assert real.y1p.shape == (2, 2)
-        assert real.ep.shape == (2, 2)
+        real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(10))
+        assert real.u1p.shape == (1, 2, 3)
+        assert real.u2p.shape == (1, 2, 3)
+        assert real.y1p.shape == (1, 2, 2)
+        assert real.ep.shape == (1, 2, 2)
 
     def test_deterministic_under_seed(self):
-        cfg = tiny_config()
-        r1 = realization_sample(cfg, np.random.default_rng(11))
-        r2 = realization_sample(cfg, np.random.default_rng(11))
-        for name in ("u1", "u2", "y1", "y2", "e", "u1p", "u2p", "y1p", "y2p", "ep"):
+        model = ChannelModel(tiny_config())
+        r1 = model.sample_batch(1, np.random.default_rng(11))
+        r2 = model.sample_batch(1, np.random.default_rng(11))
+        for name in LINK_NAMES:
             assert np.array_equal(getattr(r1, name), getattr(r2, name))
 
     def test_zero_large_scale_gain(self):
-        cfg = tiny_config(omega=0.0)
-        real = realization_sample(cfg, np.random.default_rng(12))
+        real = ChannelModel(tiny_config(omega=0.0)).sample_batch(1, np.random.default_rng(12))
         assert np.allclose(real.u1, 0.0)
         assert np.allclose(real.ep, 0.0)
 
     def test_batch_indexing_matches_batch_arrays(self):
-        cfg = tiny_config()
-        model = ChannelModel(cfg)
-        batch = model.sample_batch(3, np.random.default_rng(13))
+        batch = ChannelModel(tiny_config()).sample_batch(3, np.random.default_rng(13))
         assert len(batch) == 3
-        single = batch[1]
-        assert np.array_equal(single.u1, batch.u1[1])
-
-    def test_per_symbol_link_view_is_static(self):
-        cfg = tiny_config()
-        real = realization_sample(cfg, np.random.default_rng(14))
-        assert np.array_equal(real.link("u1", 0), real.link("u1", cfg.block_len - 1))
-        with pytest.raises(IndexError):
-            real.link("u1", cfg.block_len)
+        assert all(getattr(batch, name).shape[0] == 3 for name in LINK_NAMES)
 
 
 def cascade_oracle(y2, e, y1, u1, u2, d1, d2):
@@ -273,40 +280,58 @@ def cascade_oracle(y2, e, y1, u1, u2, d1, d2):
             + y2 @ np.diag(d2) @ u2)
 
 
+def one_block(**links) -> ChannelBatch:
+    """A batch of one block from 2-D link matrices; absent links are 1 x 1 zeros."""
+    return ChannelBatch(**{name: np.asarray(links.get(name, np.zeros((1, 1))),
+                                            dtype=np.complex128)[None]
+                           for name in LINK_NAMES})
+
+
+def legitimate(y2, e, y1, u1, u2, d1, d2):
+    """K of a one-symbol block through cascade_set at B = 1."""
+    chan = one_block(y2=y2, e=e, y1=y1, u1=u1, u2=u2)
+    k, _ = cascade_set(chan, np.asarray(d1)[None, :, None], np.asarray(d2)[None, :, None])
+    return k[0, 0]
+
+
+def unit_phases(rng, *shape):
+    return np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+
+
 class TestCascadedMatrix:
     def test_single_path_reduction(self):
         rng = np.random.default_rng(15)
         y1 = crand(rng, 2, 3)
         u1 = crand(rng, 3, 2)
-        k = cascaded_matrix(np.zeros((2, 4)), crand(rng, 4, 3), y1, u1,
-                            np.zeros((4, 2)), np.ones(3), np.ones(4))
+        k = legitimate(np.zeros((2, 4)), crand(rng, 4, 3), y1, u1,
+                       np.zeros((4, 2)), np.ones(3), np.ones(4))
         assert np.allclose(k, y1 @ u1)
 
     def test_scalar_hand_evaluation(self):
         y2, e, y1, u1, u2 = 2.0 + 1j, 0.5 - 0.5j, 1.0 + 0j, 3.0 + 0j, 1.0 + 2j
-        k = cascaded_matrix(*[np.array([[v]]) for v in (y2, e, y1, u1, u2)],
-                            np.ones(1), np.ones(1))
+        k = legitimate(*[np.array([[v]]) for v in (y2, e, y1, u1, u2)], np.ones(1), np.ones(1))
         assert np.allclose(k, y2 * e * u1 + y1 * u1 + y2 * u2)
 
     def test_matches_direct_formula(self):
+        # per-symbol phases: each symbol of the block gets its own aggregate
         rng = np.random.default_rng(16)
+        length = 3
         for _ in range(100):
-            y2 = crand(rng, 2, 2)
-            e = crand(rng, 2, 2)
-            y1 = crand(rng, 2, 2)
-            u1 = crand(rng, 2, 2)
-            u2 = crand(rng, 2, 2)
-            d1 = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-            d2 = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-            k = cascaded_matrix(y2, e, y1, u1, u2, d1, d2)
-            assert np.allclose(k, cascade_oracle(y2, e, y1, u1, u2, d1, d2), atol=1e-12)
+            mats = {name: crand(rng, 2, 2) for name in ("y2", "e", "y1", "u1", "u2")}
+            c1 = unit_phases(rng, 1, 2, length)
+            c2 = unit_phases(rng, 1, 2, length)
+            k, _ = cascade_set(one_block(**mats), c1, c2)
+            assert k.shape == (1, length, 2, 2)
+            for i in range(length):
+                expected = cascade_oracle(*mats.values(), c1[0, :, i], c2[0, :, i])
+                assert np.allclose(k[0, i], expected, atol=1e-12)
 
     def test_linear_in_each_link(self):
         # Superposition per operand: links absent from a term contribute a
         # constant offset, so compare against F(a) + F(b) - F(0).
         rng = np.random.default_rng(17)
-        d1 = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
-        d2 = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+        d1 = unit_phases(rng, 2)
+        d2 = unit_phases(rng, 2)
         args_a = [crand(rng, 2, 2) for _ in range(5)]
         args_b = [crand(rng, 2, 2) for _ in range(5)]
         for idx in range(5):
@@ -316,48 +341,35 @@ class TestCascadedMatrix:
             swapped[idx] = args_b[idx]
             zeroed = list(args_a)
             zeroed[idx] = np.zeros((2, 2))
-            lhs = cascaded_matrix(*mixed, d1, d2)
-            rhs = (cascaded_matrix(*args_a, d1, d2)
-                   + cascaded_matrix(*swapped, d1, d2)
-                   - cascaded_matrix(*zeroed, d1, d2))
+            lhs = legitimate(*mixed, d1, d2)
+            rhs = (legitimate(*args_a, d1, d2)
+                   + legitimate(*swapped, d1, d2)
+                   - legitimate(*zeroed, d1, d2))
             assert np.allclose(lhs, rhs, atol=1e-12)
-
-    def test_accepts_phase_shift_objects(self):
-        rng = np.random.default_rng(18)
-        mats = [crand(rng, 2, 2) for _ in range(5)]
-        angles1 = rng.uniform(-np.pi, np.pi, 2)
-        angles2 = rng.uniform(-np.pi, np.pi, 2)
-        k1 = cascaded_matrix(*mats, PhaseShiftMatrix(angles1), PhaseShiftMatrix(angles2))
-        k2 = cascaded_matrix(*mats, np.exp(1j * angles1), np.exp(1j * angles2))
-        assert np.allclose(k1, k2)
-
-    def test_dimension_mismatch(self):
-        rng = np.random.default_rng(19)
-        with pytest.raises(DimensionMismatch):
-            cascaded_matrix(crand(rng, 2, 3), crand(rng, 3, 3), crand(rng, 2, 3),
-                            crand(rng, 3, 2), crand(rng, 4, 2), np.ones(3), np.ones(3))
 
     def test_adversary_ordering(self):
         cfg = tiny_config(n_adv=3)
-        real = realization_sample(cfg, np.random.default_rng(20))
+        chan = ChannelModel(cfg).sample_batch(1, np.random.default_rng(20))
         rng = np.random.default_rng(21)
-        d1 = np.exp(1j * rng.uniform(-np.pi, np.pi, cfg.a1))
-        d2 = np.exp(1j * rng.uniform(-np.pi, np.pi, cfg.a2))
-        g = adversary_cascade(real, d1, d2)
-        expected = (real.y1p @ np.diag(d1) @ real.ep @ np.diag(d2) @ real.u2p
-                    + real.y1p @ np.diag(d1) @ real.u1p
-                    + real.y2p @ np.diag(d2) @ real.u2p)
-        assert np.allclose(g, expected, atol=1e-12)
-        assert g.shape == (cfg.n_r, 3)
+        d1 = unit_phases(rng, cfg.a1)
+        d2 = unit_phases(rng, cfg.a2)
+        g = adversary_cascade_set(chan, d1[None, :, None], d2[None, :, None])
+        assert g.shape == (1, 1, cfg.n_r, 3)
+        y1p, ep, u1p, y2p, u2p = (getattr(chan, n)[0] for n in ("y1p", "ep", "u1p", "y2p", "u2p"))
+        expected = (y1p @ np.diag(d1) @ ep @ np.diag(d2) @ u2p
+                    + y1p @ np.diag(d1) @ u1p
+                    + y2p @ np.diag(d2) @ u2p)
+        assert np.allclose(g[0, 0], expected, atol=1e-12)
 
     def test_legitimate_wrapper(self):
         cfg = tiny_config()
-        real = realization_sample(cfg, np.random.default_rng(22))
+        chan = ChannelModel(cfg).sample_batch(1, np.random.default_rng(22))
         rng = np.random.default_rng(23)
-        d1 = np.exp(1j * rng.uniform(-np.pi, np.pi, cfg.a1))
-        d2 = np.exp(1j * rng.uniform(-np.pi, np.pi, cfg.a2))
-        k = legitimate_cascade(real, d1, d2)
-        assert np.allclose(k, cascade_oracle(real.y2, real.e, real.y1, real.u1, real.u2, d1, d2))
+        d1 = unit_phases(rng, cfg.a1)
+        d2 = unit_phases(rng, cfg.a2)
+        k, _ = cascade_set(chan, d1[None, :, None], d2[None, :, None])
+        links = (getattr(chan, n)[0] for n in ("y2", "e", "y1", "u1", "u2"))
+        assert np.allclose(k[0, 0], cascade_oracle(*links, d1, d2), atol=1e-12)
 
 
 class TestStatisticalInvariants:
@@ -375,24 +387,3 @@ class TestStatisticalInvariants:
         batch = model.sample_batch(10_000, np.random.default_rng(25))
         mean_sq = np.mean(np.abs(batch.u1) ** 2 * batch.u1.shape[1] * batch.u1.shape[2],)
         assert mean_sq == pytest.approx(cfg.a1 * cfg.n_t, rel=0.05)
-
-
-class TestDump:
-    def test_csv_round_line_count(self, tmp_path):
-        cfg = tiny_config()
-        real = realization_sample(cfg, np.random.default_rng(26))
-        path = tmp_path / "real.csv"
-        dump_realization(real, path, fmt="csv")
-        lines = path.read_text().strip().splitlines()
-        expected_entries = sum(getattr(real, n).size for n in
-                               ("u1", "u2", "y1", "y2", "e", "u1p", "u2p", "y1p", "y2p", "ep"))
-        assert len(lines) == expected_entries + 1
-
-    def test_binary_round_trip(self, tmp_path):
-        cfg = tiny_config()
-        real = realization_sample(cfg, np.random.default_rng(27))
-        path = tmp_path / "real.bin"
-        dump_realization(real, path, fmt="bin")
-        back = load_realization_bin(path, block_len=cfg.block_len)
-        assert np.array_equal(back.u1, real.u1)
-        assert np.array_equal(back.ep, real.ep)

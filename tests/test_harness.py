@@ -9,7 +9,7 @@ import pytest
 
 from risae.config import SystemConfig
 from risae import harness
-from risae.errors import ConfigInvalid, MissingCheckpoint
+from risae.errors import ConfigInvalid, InvariantViolation, MissingCheckpoint
 from risae.harness import (
     AttackSettings,
     EvalSettings,
@@ -93,6 +93,17 @@ class TestConfig:
     def test_present_but_invalid_is_never_defaulted(self):
         with pytest.raises(ConfigInvalid):
             config_from_dict({"attack": {"psr_db": "loud"}})
+
+    @pytest.mark.parametrize("field, value", [("p_max", -1.0), ("p_max", 0.0),
+                                              ("ridge", -1.0)])
+    def test_bad_attack_search_settings_rejected(self, field, value):
+        with pytest.raises(ConfigInvalid) as err:
+            config_from_dict({"attack": {field: value, "channel_mode": "double"}})
+        assert err.value.field_path == f"attack.{field}"
+
+    def test_zero_ridge_and_unset_search_settings_accepted(self):
+        cfg = config_from_dict({"attack": {"ridge": 0.0, "p_max": None}})
+        assert cfg.attack.ridge == 0.0 and cfg.attack.p_max is None
 
     def test_snr_to_sigma2(self):
         assert snr_to_sigma2(1.0, 0.0) == pytest.approx(1.0)
@@ -255,6 +266,20 @@ class TestPersistence:
             rerun_from_manifest(out / "manifest.json", tmp_path / "again")
 
 
+    def test_export_round_trip_check_is_a_typed_error(self, monkeypatch, tmp_path):
+        rows = [ResultRow(0.0, "secured", 0.25, 24, 0.01, 3, "ideal")]
+
+        def altered(text):
+            back = parse_rows(text)
+            back[0].ser = 0.5
+            return back
+
+        monkeypatch.setattr(harness, "parse_rows", altered)
+        with pytest.raises(InvariantViolation):
+            export_results(rows, tmp_path / "results.csv")
+        assert not (tmp_path / "results.csv").exists()
+
+
 class TestCli:
     def test_exit_code_on_bad_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -266,6 +291,33 @@ class TestCli:
         code = cli_main(["eval", "--preset", "desk", "--checkpoint",
                          str(tmp_path / "none.ckpt"), "--snr-db", "0"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["eval", "attack"])
+    @pytest.mark.parametrize("attack", [{"p_max": -1.0}, {"ridge": -1.0, "channel_mode": "double"}])
+    def test_exit_code_on_bad_attack_settings(self, trained_tiny, tmp_path, capsys,
+                                              command, attack):
+        cfg, _, ckpt = trained_tiny
+        data = cfg.to_dict()
+        data["attack"].update(attack)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        argv = [command, "--config", str(bad), "--checkpoint", str(ckpt), "--snr-db", "4"]
+        if command == "eval":
+            argv += ["--attack", "rmaep"]
+        else:
+            argv += ["--kind", "rmaep", "--out", str(tmp_path / "p.csv")]
+        assert cli_main(argv) == 2
+        assert f"attack.{next(iter(attack))}" in capsys.readouterr().err
+
+    def test_exit_code_on_truncated_checkpoint(self, trained_tiny, tmp_path, capsys):
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(ckpt.read_bytes()[:-8])
+        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(cut),
+                         "--snr-db", "4"]) == 3
+        assert "truncated" in capsys.readouterr().err
 
     def test_train_eval_attack_sweep_flow(self, tmp_path, capsys):
         cfg = tiny_experiment()

@@ -1,11 +1,13 @@
 """Gradient-correctness and contract tests for the CNN engine."""
 
 import copy
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from risae.errors import DegenerateInput, MissingRecord, ShapeMismatch
+from risae.errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 from risae.neural import (
     AdamState,
     BatchNorm,
@@ -491,4 +493,24 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["header_length", "header", "mid_array",
+                                       "between_arrays", "last_element"])
+    def test_rejects_truncated_file(self, tmp_path, where):
+        rng = np.random.default_rng(22)
+        path = tmp_path / "weights.ckpt"
+        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], 3, rng, final="softmax")})
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[12:16])
+        arrays_start = 16 + header_len
+        first = json.loads(data[16:arrays_start])["arrays"][0]
+        first_bytes = 8 * int(np.prod(first["shape"]))
+        cut = {"header_length": 12,
+               "header": 16 + header_len // 2,
+               "mid_array": arrays_start + 8 + 3,
+               "between_arrays": arrays_start + first_bytes,  # an 8-byte boundary
+               "last_element": len(data) - 8}[where]
+        path.write_bytes(data[:cut])
+        with pytest.raises(CorruptCheckpoint, match="truncated"):
             load_checkpoint(path)
