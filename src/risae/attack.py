@@ -138,9 +138,11 @@ class PgdConfig:
                 raise ValueError("p_max must exceed eps_acc")
 
     def search_radius(self, w_norm: float) -> tuple[float, float, int]:
+        """(p_max, eps_acc, bisection probes); at least one probe, also when
+        eps_acc is at or above a default p_max."""
         p_max = self.p_max if self.p_max is not None else 2.0 * w_norm
         eps_acc = self.eps_acc if self.eps_acc is not None else 1e-3 * p_max
-        probes = int(np.ceil(np.log2(p_max / eps_acc)))
+        probes = max(1, int(np.ceil(np.log2(p_max / eps_acc))))
         return p_max, eps_acc, probes
 
 

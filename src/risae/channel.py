@@ -29,35 +29,23 @@ LINK_NAMES = ("u1", "u2", "y1", "y2", "e", "u1p", "u2p", "y1p", "y2p", "ep")
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """ULA or UPA layout; spacings in wavelengths.
+    """UPA layout: count_v x count_h elements with vertical/horizontal
+    spacings in wavelengths. Linear arrays use steering_ula directly."""
 
-    For a ULA, count_v = 1 and spacing_h is the antenna spacing. For a UPA,
-    count_v x count_h elements with vertical/horizontal spacings.
-    """
-
-    kind: str
     count_v: int
     count_h: int
     spacing_v: float
     spacing_h: float
 
     def __post_init__(self):
-        if self.kind not in ("ula", "upa"):
-            raise ValueError(f"kind must be 'ula' or 'upa', got {self.kind!r}")
         if self.count_v < 1 or self.count_h < 1:
             raise ValueError("element counts must be positive")
-        if self.kind == "ula" and self.count_v != 1:
-            raise ValueError("a ULA must have count_v = 1")
         if self.spacing_v <= 0.0 or self.spacing_h <= 0.0:
             raise ValueError("spacings must be > 0")
 
     @property
     def count_total(self) -> int:
         return self.count_v * self.count_h
-
-    @classmethod
-    def upa(cls, count_v: int, count_h: int, spacing_v: float, spacing_h: float) -> "ArrayGeometry":
-        return cls("upa", count_v, count_h, spacing_v, spacing_h)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +68,6 @@ def steering_ula(count: int, spacing: float, angle) -> np.ndarray:
 
 def steering_upa(geom: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     """UPA response a = a_v kron a_h; vertical axis steers by elevation."""
-    if geom.kind != "upa":
-        raise ValueError("steering_upa requires a UPA geometry")
     a_v = steering_ula(geom.count_v, geom.spacing_v, elevation)
     a_h = steering_ula(geom.count_h, geom.spacing_h, azimuth)
     return (a_v[..., :, None] * a_h[..., None, :]).reshape(*a_v.shape[:-1], geom.count_total)
@@ -166,8 +152,8 @@ class ChannelModel:
         cfg.validate()
         self.cfg = cfg
         sc = cfg.num_scatterers
-        self.ris1 = ArrayGeometry.upa(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
-        self.ris2 = ArrayGeometry.upa(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
+        self.ris1 = ArrayGeometry(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
+        self.ris2 = ArrayGeometry(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
 
         r_enc = corr_uniform(cfg.n_t, cfg.spacing_tx, cfg.spread_tx, sc)
         r_dec = corr_uniform(cfg.n_r, cfg.spacing_tx, cfg.spread_tx, sc)

@@ -50,8 +50,15 @@ class CorruptCheckpoint(ValueError):
 
 
 class ConfigInvalid(ValueError):
-    """A config file field is present but invalid; carries the field path."""
+    """A config file field is present but invalid; carries the field path.
+
+    ``args`` holds both constructor arguments, so the error pickles back to
+    itself (a sweep worker's error reaches the parent with its type).
+    """
 
     def __init__(self, field_path: str, message: str):
+        super().__init__(field_path, message)
         self.field_path = field_path
-        super().__init__(f"{field_path}: {message}")
+
+    def __str__(self) -> str:
+        return f"{self.field_path}: {self.args[1]}"

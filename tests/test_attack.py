@@ -278,6 +278,17 @@ class TestPgdMinimalPerturbation:
         assert out.probes_per_class == probes
         assert out.grad_evals == cfg.m * (1 + probes * pgd.n_s)
 
+    def test_eps_acc_above_default_radius_runs_one_probe(self):
+        pgd = PgdConfig(n_p=1, n_s=1, eps_acc=100.0)
+        assert pgd.search_radius(3.0) == (6.0, 100.0, 1)
+        decoder = linear_toy_decoder()
+        w = np.array([[1.3 + 0.4j]])
+        out = pgd_minimal_perturbation(decoder, toy_cfg(), w, np.array([[[0.7 + 0.2j]]]), pgd)
+        # the single bisection probe sits at p_max / 2 = ||w||, past the 1.3 margin
+        assert out.probes_per_class == 1
+        assert out.target == 1
+        assert out.eps_star == pytest.approx(np.abs(w).item())
+
     def test_binary_search_interval_width(self):
         decoder = linear_toy_decoder()
         cfg = toy_cfg()

@@ -47,16 +47,16 @@ class TestSteering:
             assert np.allclose(np.abs(v), 1.0, atol=1e-12)
 
     def test_upa_degenerate(self):
-        geom = ArrayGeometry.upa(1, 1, 0.5, 0.5)
+        geom = ArrayGeometry(1, 1, 0.5, 0.5)
         assert np.allclose(steering_upa(geom, 0.7, -0.2), [1.0])
 
     def test_upa_zero_angles(self):
-        geom = ArrayGeometry.upa(2, 3, 0.5, 0.5)
+        geom = ArrayGeometry(2, 3, 0.5, 0.5)
         assert np.allclose(steering_upa(geom, 0.0, 0.0), np.ones(6))
 
     def test_upa_matches_kron_expansion(self):
         rng = np.random.default_rng(1)
-        geom = ArrayGeometry.upa(2, 2, 0.4, 0.6)
+        geom = ArrayGeometry(2, 2, 0.4, 0.6)
         for _ in range(20):
             az = rng.uniform(-np.pi, np.pi)
             el = rng.uniform(-np.pi / 2, np.pi / 2)

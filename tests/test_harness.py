@@ -213,6 +213,40 @@ class TestTrainAndSweep:
         run_sweep(wide, nets)
         assert seen == []
 
+    @staticmethod
+    def _pool_grid():
+        grid = tiny_experiment()
+        grid.scatterers = [2, 3]
+        grid.eval.test_blocks = 6
+        grid.attacks = ["secured", "jamming", "rmaef", "rmaep"]
+        grid.attack.n_p = 1
+        grid.validate()
+        return grid
+
+    def test_pooled_sweep_matches_serial_cells(self, trained_tiny, capsys):
+        _, nets, _ = trained_tiny
+        grid = self._pool_grid()
+        serial = []
+        for sc in grid.scatterers:
+            budget = scatterer_budget(grid, nets, sc, grid.attacks)
+            for snr_db in grid.eval.snr_sweep_db:
+                for kind in grid.attacks:
+                    serial.append(harness.run_cell(grid, nets, sc, snr_db, kind, budget))
+        serial.sort(key=ResultRow.sort_key)
+        capsys.readouterr()
+        pooled = run_sweep(grid, nets, progress=True)
+        assert format_rows(pooled) == format_rows(serial)
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(serial)
+        assert all(line.startswith("[sweep] sc=") for line in printed)
+
+    def test_pooled_sweep_on_one_cpu(self, trained_tiny, monkeypatch):
+        _, nets, _ = trained_tiny
+        grid = self._pool_grid()
+        two = format_rows(run_sweep(grid, nets))
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        assert format_rows(run_sweep(grid, nets)) == two
+
     def test_sweep_deterministic_under_seed(self, trained_tiny):
         cfg, nets, _ = trained_tiny
         rows1 = run_sweep(cfg, nets)
@@ -318,6 +352,23 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(cut),
                          "--snr-db", "4"]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_exit_code_on_config_error_in_sweep_worker(self, trained_tiny, tmp_path,
+                                                       capsys, monkeypatch):
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        parent = harness.os.getpid()
+
+        def failing(*args):
+            if harness.os.getpid() == parent:
+                raise AssertionError("the cell ran in the parent process")
+            raise ConfigInvalid("attack.n_p", "rejected inside a sweep worker")
+
+        monkeypatch.setattr(harness, "run_cell", failing)
+        assert cli_main(["sweep", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "sweep")]) == 2
+        assert "attack.n_p: rejected inside a sweep worker" in capsys.readouterr().err
 
     def test_train_eval_attack_sweep_flow(self, tmp_path, capsys):
         cfg = tiny_experiment()
