@@ -22,16 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import (
+    CHANNEL_MODES,
     AttackApplication,
     AutoencoderNets,
     adversary_cascade_set,
+    attack_dimension,
     decoder_input_gradient,
     pack_decoder_input,
     pipeline_forward,
     random_message_blocks,
 )
 from .channel import ChannelModel, crandn
-from .config import SystemConfig
+from .config import COUNT, POSITIVE, SystemConfig, at_least, one_of, setting
 from .errors import AllTargetsFailed, InvariantViolation, NoProgress
 from .linalg import default_ridge, ls_solve
 from .neural import Network
@@ -94,25 +96,34 @@ class PerturbationVector:
 
 @dataclass
 class AttackResult:
-    """Outcome of one universal-perturbation construction."""
+    """Outcome of one universal-perturbation construction; every probe is
+    counted once, as a flip found, already broken or skipped."""
 
     perturbation: PerturbationVector
     channel_mode: str
     iterations: int
-    success_count: int      # probes already broken plus probes with a found flip
     flips_found: int
     already_broken: int
     skipped: int            # probes where no target class flipped in range
-    grad_evals: int
+    grad_evals: int         # decoder input gradients, failed searches included
 
     def __post_init__(self):
-        if self.success_count > self.iterations:
-            raise ValueError("success count cannot exceed probe count")
+        if self.flips_found + self.already_broken + self.skipped != self.iterations:
+            raise InvariantViolation(
+                f"{self.flips_found} flips + {self.already_broken} broken + "
+                f"{self.skipped} skipped != {self.iterations} probes")
+
+    @property
+    def success_count(self) -> int:
+        return self.flips_found + self.already_broken
+
+
+BUDGET_REFERENCES = ("auto", "power", "symbol", "received")
 
 
 @dataclass
-class PgdConfig:
-    """Shape of the perturbation search.
+class AttackSettings:
+    """Budget, search shape and attack channel of the attack constructions.
 
     n_p outer probes, n_s inner descent steps per bisection probe. p_max and
     eps_acc default per probe to 2 ||w|| and 1e-3 p_max when left unset.
@@ -120,22 +131,15 @@ class PgdConfig:
     receiver-to-transmit solve; ridge=0 disables regularization.
     """
 
-    n_p: int = 50
-    n_s: int = 20
-    eps_acc: float | None = None
-    p_max: float | None = None
-    ridge: float | None = None
-
-    def __post_init__(self):
-        if self.n_p < 1 or self.n_s < 1:
-            raise ValueError("n_p and n_s must be >= 1")
-        if self.eps_acc is not None and self.eps_acc <= 0.0:
-            raise ValueError("eps_acc must be > 0")
-        if self.p_max is not None:
-            if self.p_max <= 0.0:
-                raise ValueError("p_max must be > 0")
-            if self.eps_acc is not None and self.p_max <= self.eps_acc:
-                raise ValueError("p_max must exceed eps_acc")
+    psr_db: float = -7.0
+    n_p: int = setting(50, COUNT)
+    n_s: int = setting(20, COUNT)
+    eps_acc: float | None = setting(None, POSITIVE)
+    p_max: float | None = setting(None, POSITIVE)
+    ridge: float | None = setting(None, at_least(0))
+    channel_mode: str = setting("ideal", one_of(CHANNEL_MODES))
+    budget_reference: str = setting("auto", one_of(BUDGET_REFERENCES))
+    reference_blocks: int = setting(256, COUNT)
 
     def search_radius(self, w_norm: float) -> tuple[float, float, int]:
         """(p_max, eps_acc, bisection probes); at least one probe, also when
@@ -242,7 +246,7 @@ class PgdOutcome:
 
 
 def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
-                             k_set: np.ndarray, pgd: PgdConfig,
+                             k_set: np.ndarray, pgd: AttackSettings,
                              loss_kind: str = "bce") -> PgdOutcome:
     """Smallest receiver-domain perturbation that flips the block decision.
 
@@ -316,7 +320,8 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         success |= flipped
 
     if not success.any():
-        raise AllTargetsFailed(f"no target class flipped within radius {p_max:.3e}")
+        raise AllTargetsFailed(f"no target class flipped within radius {p_max:.3e}",
+                               grad_evals=grad_evals)
 
     per_class_eps = np.where(success, hi, np.inf)
     target = int(np.argmin(per_class_eps))
@@ -335,12 +340,8 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
 # universal perturbation constructions
 # ---------------------------------------------------------------------------
 
-def _attack_dimension(cfg: SystemConfig, channel_mode: str) -> int:
-    return cfg.n_r if channel_mode == "ideal" else cfg.adversary_antennas
-
-
 def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
-          pgd: PgdConfig, rng: np.random.Generator,
+          pgd: AttackSettings, rng: np.random.Generator,
           channel_mode: str = "double") -> AttackResult:
     """Accumulate minimal flipping perturbations into one universal vector.
 
@@ -349,7 +350,7 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     decodes perfectly. The receiver-domain flip (the negated search output)
     is mapped to the transmit domain and added under the power budget.
     """
-    dim = _attack_dimension(cfg, channel_mode)
+    dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
     model = ChannelModel(cfg)
     linear_budget = budget.linear
@@ -372,7 +373,8 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         try:
             outcome = pgd_minimal_perturbation(nets.decoder, cfg, w_adv, rec.k[0], pgd,
                                                loss_kind=cfg.loss)
-        except AllTargetsFailed:
+        except AllTargetsFailed as exc:
+            grad_evals += exc.grad_evals
             skipped += 1
             continue
         grad_evals += outcome.grad_evals
@@ -385,18 +387,17 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     if flips == 0 and broken == 0:
         warnings.warn(NoProgress("no probe produced a successful flip or break"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
-                        channel_mode=channel_mode, iterations=pgd.n_p,
-                        success_count=flips + broken, flips_found=flips,
+                        channel_mode=channel_mode, iterations=pgd.n_p, flips_found=flips,
                         already_broken=broken, skipped=skipped, grad_evals=grad_evals)
 
 
 def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
-          pgd: PgdConfig, rng: np.random.Generator,
+          pgd: AttackSettings, rng: np.random.Generator,
           channel_mode: str = "double") -> AttackResult:
     """Fast-gradient baseline: accumulate single-step true-label ascent
     directions, each mapped to the transmit domain, normalized to the budget
     sphere and projected back under the budget."""
-    dim = _attack_dimension(cfg, channel_mode)
+    dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
     model = ChannelModel(cfg)
     linear_budget = budget.linear
@@ -427,7 +428,7 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         warnings.warn(NoProgress("no probe produced a usable gradient step"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
                         channel_mode=channel_mode, iterations=pgd.n_p,
-                        success_count=steps, flips_found=steps, already_broken=0,
+                        flips_found=steps, already_broken=0,
                         skipped=pgd.n_p - steps, grad_evals=grad_evals)
 
 
@@ -435,14 +436,13 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
 # perturbation replay files
 # ---------------------------------------------------------------------------
 
-def export_perturbation(path, result: AttackResult, psr_db: float) -> None:
+def export_perturbation(path, p: PerturbationVector, channel_mode: str, psr_db: float) -> None:
     """CSV of interleaved real/imag components plus budget metadata, so an
     attack can be replayed against a checkpoint."""
-    p = result.perturbation
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# risae perturbation v1\n")
         fh.write(f"# psr_db={psr_db:.17g} budget={p.budget:.17g} "
-                 f"channel_mode={result.channel_mode} dimension={p.values.shape[0]}\n")
+                 f"channel_mode={channel_mode} dimension={p.values.shape[0]}\n")
         fh.write("re,im\n")
         for v in p.values:
             fh.write(f"{v.real:.17g},{v.imag:.17g}\n")

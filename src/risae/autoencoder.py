@@ -35,6 +35,7 @@ from .neural import (
 )
 
 Z_95 = 1.959963984540054
+CHANNEL_MODES = ("ideal", "double")  # how a perturbation reaches the receiver
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +140,12 @@ def adversary_cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray) ->
 # attack application (Eq.-10-style receiver-side addition)
 # ---------------------------------------------------------------------------
 
+def attack_dimension(cfg: SystemConfig, channel_mode: str) -> int:
+    """Length of a perturbation vector: receive antennas for the identity
+    attack channel, adversary transmit antennas for the double-scattering one."""
+    return cfg.n_r if channel_mode == "ideal" else cfg.adversary_antennas
+
+
 @dataclass
 class AttackApplication:
     """How a perturbation reaches the decoder during evaluation.
@@ -155,13 +162,10 @@ class AttackApplication:
     jam_budget: float | None = None
 
     def __post_init__(self):
-        if self.channel_mode not in ("double", "ideal"):
-            raise ValueError(f"channel_mode must be 'double' or 'ideal', got {self.channel_mode!r}")
+        if self.channel_mode not in CHANNEL_MODES:
+            raise ValueError(f"channel_mode must be one of {CHANNEL_MODES}, got {self.channel_mode!r}")
         if (self.p_adv is None) == (self.jam_budget is None):
             raise ValueError("set exactly one of p_adv or jam_budget")
-
-    def dimension(self, cfg: SystemConfig) -> int:
-        return cfg.n_r if self.channel_mode == "ideal" else cfg.adversary_antennas
 
     def received_perturbation(self, cfg: SystemConfig, chan: ChannelBatch,
                               c1: np.ndarray, c2: np.ndarray,
@@ -170,7 +174,7 @@ class AttackApplication:
         if self.p_adv is not None:
             vectors = np.broadcast_to(self.p_adv, (n, self.p_adv.shape[0]))
         else:
-            raw = crandn(rng, (n, self.dimension(cfg)))
+            raw = crandn(rng, (n, attack_dimension(cfg, self.channel_mode)))
             norms = np.linalg.norm(raw, axis=1, keepdims=True)
             vectors = raw * (np.sqrt(self.jam_budget) / norms)
         if self.channel_mode == "ideal":

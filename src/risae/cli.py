@@ -10,10 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .attack import export_perturbation, rmaef, rmaep, jamming, AttackResult
+from .attack import export_perturbation, jamming, rmaef, rmaep
+from .autoencoder import CHANNEL_MODES, attack_dimension
 from .errors import ConfigInvalid, CorruptCheckpoint, MissingCheckpoint
 from .harness import (
+    ATTACK_KINDS,
     PRESETS,
+    format_rows,
     load_config,
     load_system,
     make_budget,
@@ -68,22 +71,17 @@ def cmd_attack(args) -> int:
         cfg.validate()
     sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, args.snr_db))
     nets = load_system(args.checkpoint, cfg)
-    budget = make_budget(cfg, sys_cfg, nets, cfg.attack.channel_mode)
-    rng = derive_rng(cfg.seed, "attack", args.kind, cfg.attack.channel_mode,
-                     sys_cfg.num_scatterers, args.snr_db)
+    mode = cfg.attack.channel_mode
+    budget = make_budget(cfg, sys_cfg, nets, mode)
+    rng = derive_rng(cfg.seed, "attack", args.kind, mode, sys_cfg.num_scatterers, args.snr_db)
     if args.kind == "jamming":
-        vector = jamming(budget.linear, sys_cfg.n_r if cfg.attack.channel_mode == "ideal"
-                         else sys_cfg.adversary_antennas, rng)
-        result = AttackResult(perturbation=vector, channel_mode=cfg.attack.channel_mode,
-                              iterations=1, success_count=1, flips_found=0,
-                              already_broken=0, skipped=0, grad_evals=0)
+        vector = jamming(budget.linear, attack_dimension(sys_cfg, mode), rng)
     else:
         builder = {"rmaep": rmaep, "rmaef": rmaef}[args.kind]
-        result = builder(nets, sys_cfg, budget, cfg.attack.pgd_config(), rng,
-                         channel_mode=cfg.attack.channel_mode)
-    export_perturbation(args.out, result, psr_db=cfg.attack.psr_db)
-    print(f"[attack] {args.kind} ({cfg.attack.channel_mode}) at {args.snr_db:+.1f} dB; "
-          f"power {result.perturbation.power:.4e} <= budget {budget.linear:.4e}; "
+        vector = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode).perturbation
+    export_perturbation(args.out, vector, mode, psr_db=cfg.attack.psr_db)
+    print(f"[attack] {args.kind} ({mode}) at {args.snr_db:+.1f} dB; "
+          f"power {vector.power:.4e} <= budget {budget.linear:.4e}; "
           f"wrote {args.out}")
     return EXIT_OK
 
@@ -97,9 +95,7 @@ def cmd_eval(args) -> int:
     sc = cfg.system.num_scatterers
     row = run_cell(cfg, nets, sc, args.snr_db, args.attack,
                    scatterer_budget(cfg, nets, sc, [args.attack]))
-    print("snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel")
-    print(f"{row.snr_db:.17g},{row.attack},{row.ser:.17g},{row.trials},"
-          f"{row.ci_halfwidth:.17g},{row.scatterers},{row.attack_channel}")
+    print(format_rows([row]), end="")
     return EXIT_OK
 
 
@@ -136,9 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="construct a perturbation and export it")
     _add_common(p_attack)
     p_attack.add_argument("--checkpoint", type=Path, required=True)
-    p_attack.add_argument("--kind", choices=["rmaep", "rmaef", "jamming"], required=True)
+    p_attack.add_argument("--kind", choices=[k for k in ATTACK_KINDS if k != "secured"],
+                          required=True)
     p_attack.add_argument("--snr-db", type=float, required=True)
-    p_attack.add_argument("--mode", choices=["ideal", "double"], default=None,
+    p_attack.add_argument("--mode", choices=CHANNEL_MODES, default=None,
                           help="attack channel mode override")
     p_attack.add_argument("--out", type=Path, required=True, help="perturbation CSV path")
     p_attack.set_defaults(func=cmd_attack)
@@ -146,8 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one (SNR, benchmark) cell")
     _add_common(p_eval)
     p_eval.add_argument("--checkpoint", type=Path, required=True)
-    p_eval.add_argument("--attack", choices=["secured", "jamming", "rmaef", "rmaep"],
-                        default="secured")
+    p_eval.add_argument("--attack", choices=ATTACK_KINDS, default="secured")
     p_eval.add_argument("--snr-db", type=float, required=True)
     p_eval.add_argument("--blocks", type=int, default=None, help="test blocks override")
     p_eval.set_defaults(func=cmd_eval)

@@ -1,9 +1,105 @@
-"""System-level configuration shared by the channel model, networks and attacks."""
+"""Configuration: every field declares its type and bound once.
+
+A config section is a dataclass. Each field's annotation is its type, and
+``setting`` attaches its bound (a predicate and the message shown when the
+predicate fails). ``from_json`` builds a section from parsed JSON and
+``check`` tests a built one; both read those declarations and name the
+offending field by its dotted path.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
+
+from .errors import ConfigInvalid
+
+
+def setting(default, bound=None, *, shape: bool = False):
+    """A config field: its default, its bound as (predicate, message), and
+    whether the networks' tensor shapes depend on it (``shape``)."""
+    metadata = {"bound": bound, "shape": shape}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def at_least(low):
+    return (lambda v: v >= low), f"must be >= {low}"
+
+
+def above(low):
+    return (lambda v: v > low), f"must be > {low}"
+
+
+def one_of(choices: tuple):
+    return (lambda v: v in choices), f"must be one of {choices}"
+
+
+@functools.cache
+def _declared(cls) -> tuple:
+    """(name, type, bound) of every field of cls; the string annotations are
+    resolved once per class, because validate runs on every training call."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], f.metadata.get("bound")) for f in fields(cls))
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _coerce(kind, value, where: str):
+    """value as the declared kind (an int becomes a float where a float is
+    declared); ConfigInvalid at ``where`` when it is not one."""
+    if is_dataclass(kind):
+        return from_json(kind, value, where)
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigInvalid(where, f"expected a list, got {value!r}")
+        return [_coerce(args[0], v, where) for v in value]
+    if type(None) in args:
+        return None if value is None else _coerce(args[0], value, where)
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigInvalid(where, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def from_json(cls, data, path: str = ""):
+    """Build a cls from parsed JSON. Absent fields take their defaults;
+    unknown keys and values of the wrong type raise ConfigInvalid."""
+    if not isinstance(data, dict):
+        raise ConfigInvalid(path, "expected an object")
+    kinds = {name: kind for name, kind, _ in _declared(cls)}
+    unknown = sorted(set(data) - set(kinds))
+    if unknown:
+        raise ConfigInvalid(f"{path}.{unknown[0]}" if path else unknown[0], "unknown field")
+    return cls(**{name: _coerce(kinds[name], value, f"{path}.{name}" if path else name)
+                  for name, value in data.items()})
+
+
+def check(obj, path: str = "") -> None:
+    """Raise ConfigInvalid at the first field of obj, or of a section nested
+    in it, that has the wrong type or lies outside its bound (an unset
+    optional field has no bound)."""
+    for name, kind, bound in _declared(type(obj)):
+        value = getattr(obj, name)
+        where = f"{path}.{name}" if path else name
+        if is_dataclass(kind):
+            check(value, where)
+            continue
+        _coerce(kind, value, where)
+        if bound is not None and value is not None and not bound[0](value):
+            raise ConfigInvalid(where, f"{bound[1]}, got {value!r}")
+
+
+COUNT = at_least(1)
+POSITIVE = above(0)
+SPREAD = (lambda v: 0.0 < v <= math.pi), "must lie in (0, pi]"
 
 
 @dataclass
@@ -18,32 +114,33 @@ class SystemConfig:
     links. Spacings are in wavelengths, angular spreads in radians.
     """
 
-    n_t: int = 4
-    n_r: int = 4
-    a1_v: int = 2
-    a1_h: int = 4
-    a2_v: int = 2
-    a2_h: int = 4
-    m: int = 16
-    block_len: int = 8
-    power: float = 1.0
-    sigma2: float = 1.0
-    kappa: float = 0.2
-    omega: float = 1.0
-    n_adv: int | None = None  # adversary transmit antennas; None -> same as n_t
-    num_scatterers: int = 9
-    spread_tx: float = math.pi / 2
-    spread_ris: float = math.pi / 2
-    spread_sc: float = math.pi / 2
-    spacing_tx: float = 0.5
-    spacing_ris_v: float = 0.5
-    spacing_ris_h: float = 0.5
-    spacing_sc: float = 0.5
-    hidden_width: int = 128
-    kernel_size: int = 3
-    bn_eps: float = 1e-5
+    n_t: int = setting(4, COUNT, shape=True)
+    n_r: int = setting(4, COUNT, shape=True)
+    a1_v: int = setting(2, COUNT, shape=True)
+    a1_h: int = setting(4, COUNT, shape=True)
+    a2_v: int = setting(2, COUNT, shape=True)
+    a2_h: int = setting(4, COUNT, shape=True)
+    m: int = setting(16, at_least(2), shape=True)
+    block_len: int = setting(8, COUNT, shape=True)
+    power: float = setting(1.0, POSITIVE)
+    sigma2: float = setting(1.0, POSITIVE)
+    kappa: float = setting(0.2, at_least(0))
+    omega: float = setting(1.0, at_least(0))
+    n_adv: int | None = setting(None, COUNT)  # adversary transmit antennas; None -> n_t
+    num_scatterers: int = setting(9, COUNT)
+    spread_tx: float = setting(math.pi / 2, SPREAD)
+    spread_ris: float = setting(math.pi / 2, SPREAD)
+    spread_sc: float = setting(math.pi / 2, SPREAD)
+    spacing_tx: float = setting(0.5, POSITIVE)
+    spacing_ris_v: float = setting(0.5, POSITIVE)
+    spacing_ris_h: float = setting(0.5, POSITIVE)
+    spacing_sc: float = setting(0.5, POSITIVE)
+    hidden_width: int = setting(128, COUNT, shape=True)
+    kernel_size: int = setting(3, ((lambda v: v >= 1 and v % 2 == 1),
+                                   "must be odd and >= 1 for same padding"), shape=True)
+    bn_eps: float = setting(1e-5, POSITIVE)
     bn_momentum: float = 0.9
-    loss: str = "bce"  # "bce" (default) or "ce" for categorical cross entropy
+    loss: str = setting("bce", one_of(("bce", "ce")))  # binary or categorical cross entropy
 
     @property
     def a1(self) -> int:
@@ -63,39 +160,9 @@ class SystemConfig:
         return 2 * (self.n_r + self.n_r * self.n_t)
 
     def validate(self) -> None:
-        counts = {
-            "n_t": self.n_t, "n_r": self.n_r, "a1_v": self.a1_v, "a1_h": self.a1_h,
-            "a2_v": self.a2_v, "a2_h": self.a2_h, "block_len": self.block_len,
-            "num_scatterers": self.num_scatterers, "hidden_width": self.hidden_width,
-        }
-        for name, value in counts.items():
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2, got {self.m}")
-        if self.power <= 0.0:
-            raise ValueError(f"power must be > 0, got {self.power}")
-        if self.sigma2 <= 0.0:
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.kappa < 0.0 or self.omega < 0.0:
-            raise ValueError("kappa and omega must be nonnegative")
-        if self.n_adv is not None and self.n_adv < 1:
-            raise ValueError(f"n_adv must be positive when set, got {self.n_adv}")
-        for name in ("spread_tx", "spread_ris", "spread_sc"):
-            s = getattr(self, name)
-            if not 0.0 < s <= math.pi:
-                raise ValueError(f"{name} must lie in (0, pi], got {s}")
-        for name in ("spacing_tx", "spacing_ris_v", "spacing_ris_h", "spacing_sc"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd for same padding")
-        if self.loss not in ("bce", "ce"):
-            raise ValueError(f"loss must be 'bce' or 'ce', got {self.loss!r}")
+        check(self)
 
-    def replace(self, **kwargs) -> "SystemConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(kwargs)
-        cfg = SystemConfig(**values)
+    def replace(self, **changes) -> SystemConfig:
+        cfg = dataclasses.replace(self, **changes)
         cfg.validate()
         return cfg

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .attack import AttackBudget, PgdConfig, rmaef, rmaep
+from .attack import AttackBudget, AttackSettings, rmaef, rmaep
 from .autoencoder import (
     AttackApplication,
     AutoencoderNets,
@@ -31,12 +31,11 @@ from .autoencoder import (
     evaluate_ser,
     train,
 )
-from .config import SystemConfig
+from .config import COUNT, POSITIVE, SystemConfig, check, from_json, setting
 from .errors import ConfigInvalid, InvariantViolation, MissingCheckpoint
 from .neural import load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
-BUDGET_REFERENCES = ("auto", "power", "symbol", "received")
 CSV_HEADER = "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 
 
@@ -47,34 +46,19 @@ CSV_HEADER = "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 @dataclass
 class TrainSettings:
     snr_db: float = 15.0
-    epochs: int = 200
-    learning_rate: float = 1e-3
-    batch_blocks: int = 64
-    train_symbols: int = 4096
+    epochs: int = setting(200, COUNT)
+    learning_rate: float = setting(1e-3, POSITIVE)
+    batch_blocks: int = setting(64, COUNT)
+    train_symbols: int = setting(4096, COUNT)
 
 
 @dataclass
 class EvalSettings:
-    snr_sweep_db: list[float] = field(default_factory=lambda: [-4.0, 0.0, 4.0, 8.0])
-    test_blocks: int = 2000
-    chunk_blocks: int = 512
-
-
-@dataclass
-class AttackSettings:
-    psr_db: float = -7.0
-    n_p: int = 50
-    n_s: int = 20
-    eps_acc: float | None = None
-    p_max: float | None = None
-    ridge: float | None = None
-    channel_mode: str = "ideal"
-    budget_reference: str = "auto"
-    reference_blocks: int = 256
-
-    def pgd_config(self) -> PgdConfig:
-        return PgdConfig(n_p=self.n_p, n_s=self.n_s, eps_acc=self.eps_acc,
-                         p_max=self.p_max, ridge=self.ridge)
+    snr_sweep_db: list[float] = setting(
+        [-4.0, 0.0, 4.0, 8.0], ((lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:]))),
+                                "must be a non-empty, strictly increasing list"))
+    test_blocks: int = setting(2000, COUNT)
+    chunk_blocks: int = setting(512, COUNT)
 
 
 @dataclass
@@ -83,8 +67,11 @@ class ExperimentConfig:
     train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     attack: AttackSettings = field(default_factory=AttackSettings)
-    attacks: list[str] = field(default_factory=lambda: list(ATTACK_KINDS))
-    scatterers: list[int] = field(default_factory=lambda: [9])
+    attacks: list[str] = setting(
+        list(ATTACK_KINDS), ((lambda v: len(v) > 0 and set(v) <= set(ATTACK_KINDS)),
+                             f"must be a non-empty list of {ATTACK_KINDS}"))
+    scatterers: list[int] = setting(
+        [9], ((lambda v: len(v) > 0 and min(v) >= 1), "must be a list of positive counts"))
     seed: int = 20240810
     preset: str = "custom"
     # geometry distances in meters; recorded metadata only (links are
@@ -94,56 +81,15 @@ class ExperimentConfig:
     distance_dh_m: float = 2.0
 
     def validate(self) -> None:
+        # system errors keep the path "system"; their message names the field
         try:
             self.system.validate()
         except ValueError as exc:
             raise ConfigInvalid("system", str(exc)) from exc
-        if self.train.epochs < 1:
-            raise ConfigInvalid("train.epochs", "must be >= 1")
-        if self.train.learning_rate <= 0:
-            raise ConfigInvalid("train.learning_rate", "must be > 0")
-        if self.train.batch_blocks < 1:
-            raise ConfigInvalid("train.batch_blocks", "must be >= 1")
-        if self.train.train_symbols < 1:
-            raise ConfigInvalid("train.train_symbols", "must be >= 1")
-        sweep = self.eval.snr_sweep_db
-        if not sweep:
-            raise ConfigInvalid("eval.snr_sweep_db", "must be a non-empty list")
-        if any(b <= a for a, b in zip(sweep, sweep[1:])):
-            raise ConfigInvalid("eval.snr_sweep_db", "must be strictly increasing")
-        if self.eval.test_blocks < 1:
-            raise ConfigInvalid("eval.test_blocks", "must be >= 1")
-        if self.eval.chunk_blocks < 1:
-            raise ConfigInvalid("eval.chunk_blocks", "must be >= 1")
-        if self.attack.n_p < 1:
-            raise ConfigInvalid("attack.n_p", "must be >= 1")
-        if self.attack.n_s < 1:
-            raise ConfigInvalid("attack.n_s", "must be >= 1")
-        if self.attack.eps_acc is not None and self.attack.eps_acc <= 0:
-            raise ConfigInvalid("attack.eps_acc", "must be > 0 when set")
-        if self.attack.p_max is not None and self.attack.p_max <= 0:
-            raise ConfigInvalid("attack.p_max", "must be > 0 when set")
-        if self.attack.p_max is not None and self.attack.eps_acc is not None \
-                and self.attack.p_max <= self.attack.eps_acc:
+        check(self)
+        at = self.attack
+        if at.p_max is not None and at.eps_acc is not None and at.p_max <= at.eps_acc:
             raise ConfigInvalid("attack.p_max", "must exceed attack.eps_acc")
-        if self.attack.ridge is not None and self.attack.ridge < 0:
-            raise ConfigInvalid("attack.ridge", "must be >= 0 when set")
-        if self.attack.channel_mode not in ("ideal", "double"):
-            raise ConfigInvalid("attack.channel_mode", "must be 'ideal' or 'double'")
-        if self.attack.budget_reference not in BUDGET_REFERENCES:
-            raise ConfigInvalid("attack.budget_reference",
-                                f"must be one of {BUDGET_REFERENCES}")
-        if self.attack.reference_blocks < 1:
-            raise ConfigInvalid("attack.reference_blocks", "must be >= 1")
-        for kind in self.attacks:
-            if kind not in ATTACK_KINDS:
-                raise ConfigInvalid("attacks", f"unknown attack kind {kind!r}")
-        if not self.attacks:
-            raise ConfigInvalid("attacks", "must name at least one benchmark")
-        if not self.scatterers or any(s < 1 for s in self.scatterers):
-            raise ConfigInvalid("scatterers", "must be a list of positive counts")
-        if not isinstance(self.seed, int):
-            raise ConfigInvalid("seed", "must be an integer")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -188,133 +134,10 @@ PRESETS = {"desk": desk_preset, "paper": paper_preset}
 
 # -- JSON round trip --------------------------------------------------------
 
-def _take(data: dict, path: str, key: str, kind, default):
-    if key not in data:
-        return default
-    value = data.pop(key)
-    where = f"{path}.{key}" if path else key
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigInvalid(where, f"expected an integer, got {value!r}")
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigInvalid(where, f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _optional_float(data: dict, path: str, key: str, default):
-    if key not in data:
-        return default
-    value = data.pop(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigInvalid(f"{path}.{key}", f"expected a number or null, got {value!r}")
-    return float(value)
-
-
-def _reject_unknown(data: dict, path: str) -> None:
-    if data:
-        key = sorted(data)[0]
-        where = f"{path}.{key}" if path else key
-        raise ConfigInvalid(where, "unknown field")
-
-
-def _section(data: dict, name: str) -> dict:
-    section = data.pop(name, {})
-    if not isinstance(section, dict):
-        raise ConfigInvalid(name, "expected an object")
-    return dict(section)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig, naming the offending field on
     any invalid entry (defaults fill only absent fields, never invalid ones)."""
-    data = dict(data)
-    cfg = ExperimentConfig()
-
-    sys_data = _section(data, "system")
-    sys_kwargs = {}
-    for f in fields(SystemConfig):
-        if f.name not in sys_data:
-            continue
-        value = sys_data.pop(f.name)
-        where = f"system.{f.name}"
-        if f.name == "n_adv" and value is None:
-            sys_kwargs[f.name] = None
-            continue
-        if f.name == "loss":
-            if not isinstance(value, str):
-                raise ConfigInvalid(where, f"expected a string, got {value!r}")
-        elif (f.name in ("power", "sigma2", "kappa", "omega", "bn_eps", "bn_momentum")
-              or f.name.startswith(("spread", "spacing"))):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigInvalid(where, f"expected a number, got {value!r}")
-            value = float(value)
-        else:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigInvalid(where, f"expected an integer, got {value!r}")
-        sys_kwargs[f.name] = value
-    _reject_unknown(sys_data, "system")
-    try:
-        cfg.system = SystemConfig(**sys_kwargs) if sys_kwargs else SystemConfig()
-        cfg.system.validate()
-    except ValueError as exc:
-        raise ConfigInvalid("system", str(exc)) from exc
-
-    tr = _section(data, "train")
-    cfg.train = TrainSettings(
-        snr_db=_take(tr, "train", "snr_db", float, cfg.train.snr_db),
-        epochs=_take(tr, "train", "epochs", int, cfg.train.epochs),
-        learning_rate=_take(tr, "train", "learning_rate", float, cfg.train.learning_rate),
-        batch_blocks=_take(tr, "train", "batch_blocks", int, cfg.train.batch_blocks),
-        train_symbols=_take(tr, "train", "train_symbols", int, cfg.train.train_symbols),
-    )
-    _reject_unknown(tr, "train")
-
-    ev = _section(data, "eval")
-    sweep = ev.pop("snr_sweep_db", list(cfg.eval.snr_sweep_db))
-    if (not isinstance(sweep, list) or
-            any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in sweep)):
-        raise ConfigInvalid("eval.snr_sweep_db", "expected a list of numbers")
-    cfg.eval = EvalSettings(
-        snr_sweep_db=[float(v) for v in sweep],
-        test_blocks=_take(ev, "eval", "test_blocks", int, cfg.eval.test_blocks),
-        chunk_blocks=_take(ev, "eval", "chunk_blocks", int, cfg.eval.chunk_blocks),
-    )
-    _reject_unknown(ev, "eval")
-
-    at = _section(data, "attack")
-    cfg.attack = AttackSettings(
-        psr_db=_take(at, "attack", "psr_db", float, cfg.attack.psr_db),
-        n_p=_take(at, "attack", "n_p", int, cfg.attack.n_p),
-        n_s=_take(at, "attack", "n_s", int, cfg.attack.n_s),
-        eps_acc=_optional_float(at, "attack", "eps_acc", cfg.attack.eps_acc),
-        p_max=_optional_float(at, "attack", "p_max", cfg.attack.p_max),
-        ridge=_optional_float(at, "attack", "ridge", cfg.attack.ridge),
-        channel_mode=_take(at, "attack", "channel_mode", str, cfg.attack.channel_mode),
-        budget_reference=_take(at, "attack", "budget_reference", str, cfg.attack.budget_reference),
-        reference_blocks=_take(at, "attack", "reference_blocks", int, cfg.attack.reference_blocks),
-    )
-    _reject_unknown(at, "attack")
-
-    attacks = data.pop("attacks", list(cfg.attacks))
-    if not isinstance(attacks, list) or any(not isinstance(v, str) for v in attacks):
-        raise ConfigInvalid("attacks", "expected a list of attack names")
-    cfg.attacks = attacks
-
-    scatterers = data.pop("scatterers", list(cfg.scatterers))
-    if not isinstance(scatterers, list) or any(isinstance(v, bool) or not isinstance(v, int)
-                                               for v in scatterers):
-        raise ConfigInvalid("scatterers", "expected a list of integers")
-    cfg.scatterers = scatterers
-
-    cfg.seed = _take(data, "", "seed", int, cfg.seed)
-    cfg.preset = _take(data, "", "preset", str, cfg.preset)
-    cfg.distance_d1_m = _take(data, "", "distance_d1_m", float, cfg.distance_d1_m)
-    cfg.distance_d2_m = _take(data, "", "distance_d2_m", float, cfg.distance_d2_m)
-    cfg.distance_dh_m = _take(data, "", "distance_dh_m", float, cfg.distance_dh_m)
-    _reject_unknown(data, "")
+    cfg = from_json(ExperimentConfig, data)
     cfg.validate()
     return cfg
 
@@ -388,10 +211,6 @@ def train_system(cfg: ExperimentConfig, out_dir) -> tuple[AutoencoderNets, Path]
     return nets, ckpt_path
 
 
-_NET_SHAPE_FIELDS = ("n_t", "n_r", "a1_v", "a1_h", "a2_v", "a2_h", "m", "block_len",
-                     "hidden_width", "kernel_size")
-
-
 def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
     """Load a checkpoint and verify it matches the experiment's dimensions."""
     ckpt_path = Path(ckpt_path)
@@ -399,7 +218,7 @@ def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
         raise MissingCheckpoint(f"no checkpoint at {ckpt_path}")
     nets, meta = load_checkpoint(ckpt_path)
     saved = meta.get("system", {})
-    for name in _NET_SHAPE_FIELDS:
+    for name in (f.name for f in fields(SystemConfig) if f.metadata.get("shape")):
         if name in saved and saved[name] != getattr(cfg.system, name):
             raise ConfigInvalid(f"system.{name}",
                                 f"checkpoint was trained with {saved[name]}, "
@@ -497,9 +316,8 @@ def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
     if kind == "jamming":
         return AttackApplication(channel_mode=mode, jam_budget=budget.linear)
     rng = derive_rng(cfg.seed, "attack", kind, mode, sys_cfg.num_scatterers, snr_db)
-    pgd = cfg.attack.pgd_config()
     builder = {"rmaep": rmaep, "rmaef": rmaef}[kind]
-    result = builder(nets, sys_cfg, budget, pgd, rng, channel_mode=mode)
+    result = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode)
     return AttackApplication(channel_mode=mode, p_adv=result.perturbation.values)
 
 

@@ -1,12 +1,16 @@
 """Projection, mapping and search-contract tests for the attack module."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+import risae.attack
 from risae.attack import (
     AttackBudget,
+    AttackResult,
+    AttackSettings,
     PerturbationVector,
-    PgdConfig,
     enforce_power,
     export_perturbation,
     jamming,
@@ -26,7 +30,7 @@ from risae.autoencoder import (
 )
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
-from risae.errors import AllTargetsFailed, SingularSystem
+from risae.errors import AllTargetsFailed, InvariantViolation, SingularSystem
 from risae.neural import Conv1D, Network, Softmax
 
 
@@ -229,7 +233,7 @@ class TestPgdMinimalPerturbation:
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.4j]])
         k_set = np.array([[[0.7 + 0.2j]]])
-        pgd = PgdConfig(n_p=1, n_s=1, p_max=4.0, eps_acc=1e-3)
+        pgd = AttackSettings(n_p=1, n_s=1, p_max=4.0, eps_acc=1e-3)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         assert out.target == 1
         assert abs(out.eps_star - 1.3) <= 2e-3
@@ -240,7 +244,7 @@ class TestPgdMinimalPerturbation:
         cfg = toy_cfg()
         w = np.array([[0.9 - 0.2j]])
         k_set = np.array([[[0.5 + 0.1j]]])
-        pgd = PgdConfig(n_p=1, n_s=1, p_max=4.0, eps_acc=1e-3)
+        pgd = AttackSettings(n_p=1, n_s=1, p_max=4.0, eps_acc=1e-3)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         assert out.probes_per_class == int(np.ceil(np.log2(4.0 / 1e-3)))
         assert out.eps_star <= 4.0
@@ -256,9 +260,13 @@ class TestPgdMinimalPerturbation:
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.0j]])
         k_set = np.array([[[0.5 + 0.0j]]])
-        pgd = PgdConfig(n_p=1, n_s=1, p_max=0.5, eps_acc=1e-2)
-        with pytest.raises(AllTargetsFailed):
+        pgd = AttackSettings(n_p=1, n_s=1, p_max=0.5, eps_acc=1e-2)
+        with pytest.raises(AllTargetsFailed) as err:
             pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
+        # the failed search reports what it spent, also across a pickle
+        probes = pgd.search_radius(1.3)[2]
+        assert err.value.grad_evals == cfg.m * (1 + probes * pgd.n_s)
+        assert pickle.loads(pickle.dumps(err.value)).grad_evals == err.value.grad_evals
 
     def test_gradient_evaluation_bound(self):
         cfg = tiny_config()
@@ -268,7 +276,7 @@ class TestPgdMinimalPerturbation:
         blocks, _ = random_message_blocks(cfg, 1, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         w = (rec.z + rec.noise)[0]
-        pgd = PgdConfig(n_p=1, n_s=2, p_max=8.0, eps_acc=0.5)
+        pgd = AttackSettings(n_p=1, n_s=2, p_max=8.0, eps_acc=0.5)
         probes = int(np.ceil(np.log2(8.0 / 0.5)))
         try:
             out = pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd,
@@ -279,7 +287,7 @@ class TestPgdMinimalPerturbation:
         assert out.grad_evals == cfg.m * (1 + probes * pgd.n_s)
 
     def test_eps_acc_above_default_radius_runs_one_probe(self):
-        pgd = PgdConfig(n_p=1, n_s=1, eps_acc=100.0)
+        pgd = AttackSettings(n_p=1, n_s=1, eps_acc=100.0)
         assert pgd.search_radius(3.0) == (6.0, 100.0, 1)
         decoder = linear_toy_decoder()
         w = np.array([[1.3 + 0.4j]])
@@ -294,7 +302,7 @@ class TestPgdMinimalPerturbation:
         cfg = toy_cfg()
         w = np.array([[0.6 + 0.3j]])
         k_set = np.array([[[0.4 - 0.6j]]])
-        pgd = PgdConfig(n_p=1, n_s=1, p_max=2.0, eps_acc=1e-3)
+        pgd = AttackSettings(n_p=1, n_s=1, p_max=2.0, eps_acc=1e-3)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         # interval width after T probes is p_max / 2^T <= eps_acc
         assert 2.0 / 2 ** out.probes_per_class <= 1e-3
@@ -310,7 +318,7 @@ class TestUniversalAttacks:
     def test_rmaep_budget_and_bookkeeping(self, mode):
         cfg, nets = self._system()
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        pgd = PgdConfig(n_p=4, n_s=2, p_max=None, eps_acc=None)
+        pgd = AttackSettings(n_p=4, n_s=2, p_max=None, eps_acc=None)
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(15), channel_mode=mode)
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.iterations == 4
@@ -329,16 +337,44 @@ class TestUniversalAttacks:
         nets = build_autoencoder(cfg, np.random.default_rng(30))
         train(nets, cfg, num_symbols=768, epochs=30, lr=1e-2, rng=np.random.default_rng(31))
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        pgd = PgdConfig(n_p=8, n_s=2)
+        pgd = AttackSettings(n_p=8, n_s=2)
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(32), channel_mode="double")
         assert result.flips_found >= 1
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.perturbation.values.shape == (cfg.adversary_antennas,)
 
+    def test_rmaep_counts_gradients_of_failed_searches(self, monkeypatch):
+        # an untrained m=2, block_len=1 system decodes about half the probes,
+        # and a radius of 1e-6 flips none, so every search that runs fails
+        cfg = tiny_config(m=2, block_len=1)
+        nets = build_autoencoder(cfg, np.random.default_rng(40))
+        rows = []
+        gradient = risae.attack.decoder_input_gradient
+
+        def counting(decoder, d_input, *args):
+            rows.append(d_input.shape[0])
+            return gradient(decoder, d_input, *args)
+
+        monkeypatch.setattr(risae.attack, "decoder_input_gradient", counting)
+        pgd = AttackSettings(n_p=8, n_s=2, p_max=1e-6, eps_acc=1e-7)
+        result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
+                       np.random.default_rng(41), channel_mode="ideal")
+        assert result.skipped >= 1 and result.flips_found == 0
+        assert result.grad_evals == sum(rows)
+
+    def test_result_accounts_for_every_probe(self):
+        vector = PerturbationVector(np.zeros(2, dtype=complex), budget=1.0)
+        result = AttackResult(vector, "ideal", iterations=5, flips_found=2, already_broken=1,
+                              skipped=2, grad_evals=0)
+        assert result.success_count == 3
+        with pytest.raises(InvariantViolation):
+            AttackResult(vector, "ideal", iterations=5, flips_found=2, already_broken=1,
+                         skipped=1, grad_evals=0)
+
     def test_rmaep_grad_eval_bound(self):
         cfg, nets = self._system(seed=16)
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        pgd = PgdConfig(n_p=3, n_s=2, p_max=8.0, eps_acc=0.5)
+        pgd = AttackSettings(n_p=3, n_s=2, p_max=8.0, eps_acc=0.5)
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(17), channel_mode="ideal")
         probes = int(np.ceil(np.log2(8.0 / 0.5)))
         assert result.grad_evals <= pgd.n_p * cfg.m * (1 + probes * pgd.n_s)
@@ -346,7 +382,7 @@ class TestUniversalAttacks:
     def test_rmaep_vanishing_budget(self):
         cfg, nets = self._system(seed=18)
         budget = AttackBudget(-200.0, reference_power=cfg.power)
-        pgd = PgdConfig(n_p=2, n_s=1)
+        pgd = AttackSettings(n_p=2, n_s=1)
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(19), channel_mode="ideal")
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.perturbation.power < 1e-19
@@ -355,7 +391,7 @@ class TestUniversalAttacks:
     def test_rmaef_budget(self, mode):
         cfg, nets = self._system(seed=20)
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        pgd = PgdConfig(n_p=5, n_s=1)
+        pgd = AttackSettings(n_p=5, n_s=1)
         result = rmaef(nets, cfg, budget, pgd, np.random.default_rng(21), channel_mode=mode)
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.grad_evals == 5
@@ -363,10 +399,10 @@ class TestUniversalAttacks:
     def test_export_round_trip(self, tmp_path):
         cfg, nets = self._system(seed=22)
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        result = rmaef(nets, cfg, budget, PgdConfig(n_p=3, n_s=1),
+        result = rmaef(nets, cfg, budget, AttackSettings(n_p=3, n_s=1),
                        np.random.default_rng(23), channel_mode="double")
         path = tmp_path / "perturbation.csv"
-        export_perturbation(path, result, psr_db=-7.0)
+        export_perturbation(path, result.perturbation, "double", psr_db=-7.0)
         loaded, meta = load_perturbation(path)
         assert np.array_equal(loaded.values, result.perturbation.values)
         assert meta["psr_db"] == -7.0

@@ -1,8 +1,10 @@
 """Config validation, sweep orchestration, persistence and CLI tests."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from risae.harness import (
     sweep_to_directory,
     train_system,
 )
+from risae.attack import load_perturbation
 from risae.cli import main as cli_main
 
 
@@ -53,6 +56,18 @@ def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
     )
     cfg.validate()
     return cfg
+
+
+# (section, field) of every declared config field; "" is the top level,
+# whose fields include the sections themselves
+SECTIONS = [("system", SystemConfig), ("train", TrainSettings), ("eval", EvalSettings),
+            ("attack", AttackSettings), ("", ExperimentConfig)]
+FIELDS = [(section, f.name) for section, cls in SECTIONS for f in dataclasses.fields(cls)]
+# a JSON value of the wrong type for each field: a number for a string, else
+# a string and a boolean (JSON booleans are not integers here)
+WRONG_TYPES = [(section, name, wrong) for section, cls in SECTIONS
+               for name, kind in typing.get_type_hints(cls).items()
+               for wrong in ([7] if kind is str else ["wrong", True])]
 
 
 class TestConfig:
@@ -104,6 +119,30 @@ class TestConfig:
     def test_zero_ridge_and_unset_search_settings_accepted(self):
         cfg = config_from_dict({"attack": {"ridge": 0.0, "p_max": None}})
         assert cfg.attack.ridge == 0.0 and cfg.attack.p_max is None
+
+    @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
+    def test_presets_round_trip_through_save_and_load(self, tmp_path, preset):
+        cfg = preset()
+        save_config(cfg, tmp_path / "config.json")
+        assert load_config(tmp_path / "config.json") == cfg
+
+    @pytest.mark.parametrize("section, name, wrong", WRONG_TYPES, ids=lambda v: str(v) or "top")
+    def test_wrong_json_type_names_the_field(self, section, name, wrong):
+        data = {section: {name: wrong}} if section else {name: wrong}
+        with pytest.raises(ConfigInvalid) as err:
+            config_from_dict(data)
+        assert err.value.field_path == (f"{section}.{name}" if section else name)
+
+    @pytest.mark.parametrize("section, name", FIELDS, ids=lambda v: v or "top")
+    def test_absent_field_takes_its_default(self, section, name):
+        data = paper_preset().to_dict()
+        del (data[section] if section else data)[name]
+        cfg = config_from_dict(data)
+        owner = getattr(cfg, section) if section else cfg
+        declared = next(f for f in dataclasses.fields(owner) if f.name == name)
+        default = (declared.default if declared.default is not dataclasses.MISSING
+                   else declared.default_factory())
+        assert getattr(owner, name) == default
 
     def test_snr_to_sigma2(self):
         assert snr_to_sigma2(1.0, 0.0) == pytest.approx(1.0)
@@ -320,6 +359,30 @@ class TestCli:
         bad.write_text(json.dumps({"train": {"epochs": 0}}))
         code = cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("name, value", [("kernel_size", -1), ("bn_eps", -1.0),
+                                             ("bn_eps", 0.0)])
+    def test_exit_code_on_out_of_bound_system_field(self, tmp_path, capsys, name, value):
+        data = tiny_experiment().to_dict()
+        data["system"][name] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "system" in err and name in err
+
+    def test_attack_exports_jamming(self, trained_tiny, tmp_path):
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        out = tmp_path / "jam.csv"
+        assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--kind", "jamming", "--snr-db", "4", "--mode", "double",
+                         "--out", str(out)]) == 0
+        vector, meta = load_perturbation(out)
+        assert meta["channel_mode"] == "double"
+        assert vector.values.shape == (cfg.system.adversary_antennas,)
+        assert vector.power == pytest.approx(meta["budget"], rel=1e-12)
 
     def test_exit_code_on_missing_checkpoint(self, tmp_path):
         code = cli_main(["eval", "--preset", "desk", "--checkpoint",
