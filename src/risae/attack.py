@@ -100,7 +100,6 @@ class AttackResult:
     counted once, as a flip found, already broken or skipped."""
 
     perturbation: PerturbationVector
-    channel_mode: str
     iterations: int
     flips_found: int
     already_broken: int
@@ -206,17 +205,16 @@ def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray,
                          ridge: float | None = None) -> np.ndarray:
     """Map per-symbol receiver-domain perturbations to one transmit vector.
 
-    Columns of ptilde are averaged across the block (one time-invariant
-    vector must serve every symbol), then the block aggregate - the symbol
-    mean of g_set - is inverted by regularized least squares. g_set=None
-    stands for the identity attack channel and returns the average directly.
+    The columns of ptilde (n_r, L) are averaged across the block (one
+    time-invariant vector must serve every symbol), then the block aggregate
+    - the symbol mean of g_set (L, n_r, n_adv) - is inverted by regularized
+    least squares. g_set=None stands for the identity attack channel and
+    returns the average directly.
     """
-    ptilde = np.asarray(ptilde, dtype=np.complex128)
-    pbar = ptilde.mean(axis=1) if ptilde.ndim == 2 else ptilde
+    pbar = np.asarray(ptilde, dtype=np.complex128).mean(axis=1)
     if g_set is None:
         return pbar
-    g_set = np.asarray(g_set, dtype=np.complex128)
-    gbar = g_set.mean(axis=0) if g_set.ndim == 3 else g_set
+    gbar = np.asarray(g_set, dtype=np.complex128).mean(axis=0)
     if ridge is None:
         ridge = default_ridge(gbar)
     return ls_solve(gbar, pbar, ridge=ridge)
@@ -238,11 +236,7 @@ class PgdOutcome:
     p_add: np.ndarray
     target: int
     eps_star: float
-    per_class_eps: np.ndarray
-    success: np.ndarray
-    probes_per_class: int
     grad_evals: int
-    ray_verified: bool
 
 
 def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
@@ -326,14 +320,8 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     per_class_eps = np.where(success, hi, np.inf)
     target = int(np.argmin(per_class_eps))
     eps_star = float(per_class_eps[target])
-    p_add = eps_star * g_clean[target]
-    ray_dec = decisions(np.broadcast_to(w - p_add, (m, n_r, length)))[0]
-    ray_verified = bool(((ray_dec == target).sum() * 2 > length)
-                        and (ray_dec != clean_dec).any())
-    return PgdOutcome(p_add=p_add, target=target, eps_star=eps_star,
-                      per_class_eps=per_class_eps, success=success,
-                      probes_per_class=probes, grad_evals=grad_evals,
-                      ray_verified=ray_verified)
+    return PgdOutcome(p_add=eps_star * g_clean[target], target=target, eps_star=eps_star,
+                      grad_evals=grad_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +330,7 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
 
 def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
           pgd: AttackSettings, rng: np.random.Generator,
-          channel_mode: str = "double") -> AttackResult:
+          channel_mode: str) -> AttackResult:
     """Accumulate minimal flipping perturbations into one universal vector.
 
     Each of the n_p probes draws a block, realization and noise, applies the
@@ -387,13 +375,13 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     if flips == 0 and broken == 0:
         warnings.warn(NoProgress("no probe produced a successful flip or break"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
-                        channel_mode=channel_mode, iterations=pgd.n_p, flips_found=flips,
-                        already_broken=broken, skipped=skipped, grad_evals=grad_evals)
+                        iterations=pgd.n_p, flips_found=flips, already_broken=broken,
+                        skipped=skipped, grad_evals=grad_evals)
 
 
 def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
           pgd: AttackSettings, rng: np.random.Generator,
-          channel_mode: str = "double") -> AttackResult:
+          channel_mode: str) -> AttackResult:
     """Fast-gradient baseline: accumulate single-step true-label ascent
     directions, each mapped to the transmit domain, normalized to the budget
     sphere and projected back under the budget."""
@@ -427,8 +415,7 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     if steps == 0:
         warnings.warn(NoProgress("no probe produced a usable gradient step"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
-                        channel_mode=channel_mode, iterations=pgd.n_p,
-                        flips_found=steps, already_broken=0,
+                        iterations=pgd.n_p, flips_found=steps, already_broken=0,
                         skipped=pgd.n_p - steps, grad_evals=grad_evals)
 
 
@@ -451,7 +438,7 @@ def export_perturbation(path, p: PerturbationVector, channel_mode: str, psr_db: 
 def load_perturbation(path) -> tuple[PerturbationVector, dict]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != "# risae perturbation v1":
+    if len(lines) < 3 or lines[0] != "# risae perturbation v1" or lines[2] != "re,im":
         raise ValueError("not a perturbation file")
     meta: dict = {}
     for token in lines[1].removeprefix("# ").split():

@@ -17,7 +17,7 @@ dL/dg = Im(conj(c) G_c).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,14 +193,11 @@ class PipelineRecord:
 
     blocks: np.ndarray
     chan: ChannelBatch
-    sigma2: float
     enc_rec: list
     o: np.ndarray
-    a1: np.ndarray
     r1_rec: list
     c1: np.ndarray
     m1_field: np.ndarray
-    b2: np.ndarray
     r2_rec: list
     c2: np.ndarray
     m1: np.ndarray
@@ -212,20 +209,18 @@ class PipelineRecord:
     dec_rec: list
     probs: np.ndarray
     decisions: np.ndarray
-    train: bool
     loss_kind: str
 
 
 def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
                      chan: ChannelBatch, sigma2: float,
                      rng: np.random.Generator | None = None,
-                     noise: np.ndarray | None = None,
                      attack: AttackApplication | None = None,
                      train: bool = False) -> PipelineRecord:
     """Run the full system on a batch of one-hot blocks.
 
-    Noise is drawn from rng as CN(0, sigma2 I) unless an explicit noise array
-    is supplied (used by gradient checks and bit-exact composition tests).
+    Noise is drawn from rng as CN(0, sigma2 I), before anything else the
+    pass draws; sigma2 = 0 gives a noiseless pass that needs no rng.
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[1] != cfg.m or blocks.shape[2] != cfg.block_len:
@@ -249,11 +244,10 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     k, m1 = cascade_set(chan, c1, c2)
     z = np.einsum("blrn,bnl->brl", k, o, optimize=True)
 
-    if noise is None:
-        if sigma2 > 0.0:
-            noise = np.sqrt(sigma2) * crandn(rng, z.shape)
-        else:
-            noise = np.zeros_like(z)
+    if sigma2 > 0.0:
+        noise = np.sqrt(sigma2) * crandn(rng, z.shape)
+    else:
+        noise = np.zeros_like(z)
     r = z + noise
 
     ptilde = None
@@ -265,22 +259,19 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     probs, dec_rec = nets.decoder.forward(d_input, train)
     decisions = probs.argmax(axis=1)
 
-    return PipelineRecord(blocks=blocks, chan=chan, sigma2=sigma2, enc_rec=enc_rec, o=o,
-                          a1=a1, r1_rec=r1_rec, c1=c1, m1_field=m1_field, b2=b2,
-                          r2_rec=r2_rec, c2=c2, m1=m1, k=k, z=z, noise=noise,
-                          ptilde=ptilde, d_input=d_input, dec_rec=dec_rec, probs=probs,
-                          decisions=decisions, train=train, loss_kind=cfg.loss)
+    return PipelineRecord(blocks=blocks, chan=chan, enc_rec=enc_rec, o=o, r1_rec=r1_rec,
+                          c1=c1, m1_field=m1_field, r2_rec=r2_rec, c2=c2, m1=m1, k=k, z=z,
+                          noise=noise, ptilde=ptilde, d_input=d_input, dec_rec=dec_rec,
+                          probs=probs, decisions=decisions, loss_kind=cfg.loss)
 
 
-def pipeline_loss(rec: PipelineRecord, target: np.ndarray | None = None):
-    target = rec.blocks if target is None else target
+def pipeline_loss(rec: PipelineRecord):
     if rec.loss_kind == "ce":
-        return cross_entropy_loss(rec.probs, target)
-    return bce_loss(rec.probs, target)
+        return cross_entropy_loss(rec.probs, rec.blocks)
+    return bce_loss(rec.probs, rec.blocks)
 
 
-def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord,
-                      target: np.ndarray | None = None):
+def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     """Exact gradients of the block loss for all four networks.
 
     Channels and noise are constants; the pass accumulates the phase-angle
@@ -290,7 +281,7 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord,
     if rec.ptilde is not None:
         raise ValueError("cannot backpropagate through an attacked forward pass")
     chan = rec.chan
-    loss, g_probs = pipeline_loss(rec, target)
+    loss, g_probs = pipeline_loss(rec)
 
     dec_grads, g_input = nets.decoder.backward(rec.dec_rec, g_probs)
     n_r = rec.z.shape[1]
@@ -371,7 +362,6 @@ def random_message_blocks(cfg: SystemConfig, n_blocks: int, rng: np.random.Gener
 class TrainResult:
     loss_history: list[float]
     epoch_seconds: list[float]
-    adam: AdamState = field(repr=False, default=None)
 
 
 def _flat_trainable(nets: AutoencoderNets) -> dict[str, np.ndarray]:
@@ -385,14 +375,11 @@ def _flat_trainable(nets: AutoencoderNets) -> dict[str, np.ndarray]:
 def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: int,
           lr: float, rng: np.random.Generator, *, batch_blocks: int = 64,
           channel_model: ChannelModel | None = None,
-          fixed_channels: ChannelBatch | None = None,
-          fixed_noise: np.ndarray | None = None,
           adam: AdamState | None = None) -> TrainResult:
     """Train all four networks end to end with Adam.
 
     A fixed message dataset of ceil(num_symbols / block_len) blocks is drawn
-    once; channel realizations are resampled for every batch (unless
-    fixed_channels pins them, e.g. for overfitting checks) and noise is
+    once; channel realizations are resampled for every batch and noise is
     redrawn every forward pass. Raises Diverged when the loss leaves the
     finite range, and InvariantViolation when a predicted reflection of the
     epoch's last batch is not unit modulus.
@@ -415,14 +402,8 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
         last_rec = None
         for start in range(0, n_blocks, batch_blocks):
             batch = dataset[order[start:start + batch_blocks]]
-            if fixed_channels is not None:
-                chan = fixed_channels
-                if len(chan) != batch.shape[0]:
-                    raise ShapeMismatch("fixed_channels batch size must match the batch")
-            else:
-                chan = model.sample_batch(batch.shape[0], rng)
-            rec = pipeline_forward(nets, cfg, batch, chan, cfg.sigma2, rng=rng,
-                                   noise=fixed_noise, train=True)
+            chan = model.sample_batch(batch.shape[0], rng)
+            rec = pipeline_forward(nets, cfg, batch, chan, cfg.sigma2, rng=rng, train=True)
             loss, grads = pipeline_backward(nets, rec)
             if not np.isfinite(loss):
                 raise Diverged(f"loss became non-finite at epoch {_epoch}")
@@ -441,17 +422,18 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
                                          f"by {deviation:.3e} at epoch {_epoch}")
         history.append(epoch_loss / n_batches)
         seconds.append(time.perf_counter() - started)
-    return TrainResult(loss_history=history, epoch_seconds=seconds, adam=adam)
+    return TrainResult(loss_history=history, epoch_seconds=seconds)
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def wilson_interval(errors: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = Z_95
     p_hat = errors / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2.0 * trials)) / denom
@@ -467,21 +449,14 @@ class SerEstimate:
 
     ser: float
     ci_halfwidth: float
-    ci_low: float
-    ci_high: float
     errors: int
     symbols: int
 
 
 def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
                  attack: AttackApplication | None, num_blocks: int,
-                 rng: np.random.Generator, chunk: int = 512,
-                 decide=None) -> SerEstimate:
-    """Monte Carlo SER over fresh blocks, channels and noise.
-
-    `decide` replaces the decoder's hard decision for oracle tests; it maps a
-    PipelineRecord to an index array of shape (batch, block_len).
-    """
+                 rng: np.random.Generator, chunk: int = 512) -> SerEstimate:
+    """Monte Carlo SER over fresh blocks, channels and noise."""
     model = ChannelModel(cfg)
     errors = 0
     total = 0
@@ -491,12 +466,11 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
         chan = model.sample_batch(n, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
                                attack=attack, train=False)
-        decisions = rec.decisions if decide is None else decide(rec)
-        errors += int((decisions != indices).sum())
+        errors += int((rec.decisions != indices).sum())
         total += n * cfg.block_len
     low, high = wilson_interval(errors, total)
     return SerEstimate(ser=errors / total, ci_halfwidth=(high - low) / 2.0,
-                       ci_low=low, ci_high=high, errors=errors, symbols=total)
+                       errors=errors, symbols=total)
 
 
 def estimate_received_power(nets: AutoencoderNets, cfg: SystemConfig, num_blocks: int,

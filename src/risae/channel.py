@@ -20,7 +20,17 @@ import numpy as np
 from .config import SystemConfig
 from .linalg import hermitian_sqrt, kron
 
-LINK_NAMES = ("u1", "u2", "y1", "y2", "e", "u1p", "u2p", "y1p", "y2p", "ep")
+# (row array, column array) of every link, in sampling order: a link matrix
+# maps the column array's signal onto the row array, and both its LoS
+# steering vectors and its NLoS correlation factors belong to these arrays
+LINK_ENDS = {
+    "u1": ("ris1", "enc"), "u2": ("ris2", "enc"),
+    "y1": ("dec", "ris1"), "y2": ("dec", "ris2"),
+    "e": ("ris2", "ris1"),
+    "u1p": ("ris1", "adv"), "u2p": ("ris2", "adv"),
+    "y1p": ("dec", "ris1"), "y2p": ("dec", "ris2"),
+    "ep": ("ris1", "ris2"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -30,7 +40,8 @@ LINK_NAMES = ("u1", "u2", "y1", "y2", "e", "u1p", "u2p", "y1p", "y2p", "ep")
 @dataclass(frozen=True)
 class ArrayGeometry:
     """UPA layout: count_v x count_h elements with vertical/horizontal
-    spacings in wavelengths. Linear arrays use steering_ula directly."""
+    spacings in wavelengths. A linear array is a 1 x count layout, steered
+    by azimuth alone."""
 
     count_v: int
     count_h: int
@@ -152,29 +163,24 @@ class ChannelModel:
         cfg.validate()
         self.cfg = cfg
         sc = cfg.num_scatterers
-        self.ris1 = ArrayGeometry(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
-        self.ris2 = ArrayGeometry(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
+        ris1 = ArrayGeometry(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
+        ris2 = ArrayGeometry(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
 
-        r_enc = corr_uniform(cfg.n_t, cfg.spacing_tx, cfg.spread_tx, sc)
-        r_dec = corr_uniform(cfg.n_r, cfg.spacing_tx, cfg.spread_tx, sc)
-        r_adv = corr_uniform(cfg.adversary_antennas, cfg.spacing_tx, cfg.spread_tx, sc)
-        r_ris1 = ris_correlation(self.ris1, cfg.spread_ris, sc)
-        r_ris2 = ris_correlation(self.ris2, cfg.spread_ris, sc)
-        r_sc = corr_uniform(sc, cfg.spacing_sc, cfg.spread_sc, sc)
+        def ula(count: int) -> ArrayGeometry:
+            return ArrayGeometry(1, count, cfg.spacing_tx, cfg.spacing_tx)
 
-        sqrt = hermitian_sqrt
+        def ula_sqrt(count: int) -> np.ndarray:
+            return hermitian_sqrt(corr_uniform(count, cfg.spacing_tx, cfg.spread_tx, sc))
+
+        # geometry and correlation square root of every array a link ends on
+        self._geom = {"enc": ula(cfg.n_t), "dec": ula(cfg.n_r),
+                      "adv": ula(cfg.adversary_antennas), "ris1": ris1, "ris2": ris2}
         self._f = {
-            "enc": sqrt(r_enc), "dec": sqrt(r_dec), "adv": sqrt(r_adv),
-            "ris1": sqrt(r_ris1), "ris2": sqrt(r_ris2), "sc": sqrt(r_sc),
-        }
-        # (row-side factor, col-side factor) per link, matching LINK_NAMES order
-        self._factors = {
-            "u1": ("ris1", "enc"), "u2": ("ris2", "enc"),
-            "y1": ("dec", "ris1"), "y2": ("dec", "ris2"),
-            "e": ("ris2", "ris1"),
-            "u1p": ("ris1", "adv"), "u2p": ("ris2", "adv"),
-            "y1p": ("dec", "ris1"), "y2p": ("dec", "ris2"),
-            "ep": ("ris1", "ris2"),
+            "enc": ula_sqrt(cfg.n_t), "dec": ula_sqrt(cfg.n_r),
+            "adv": ula_sqrt(cfg.adversary_antennas),
+            "ris1": hermitian_sqrt(ris_correlation(ris1, cfg.spread_ris, sc)),
+            "ris2": hermitian_sqrt(ris_correlation(ris2, cfg.spread_ris, sc)),
+            "sc": hermitian_sqrt(corr_uniform(sc, cfg.spacing_sc, cfg.spread_sc, sc)),
         }
 
     # -- LoS -----------------------------------------------------------------
@@ -183,28 +189,13 @@ class ChannelModel:
         """Batch of rank-one LoS matrices with fresh uniform angles per block.
 
         Azimuths are uniform on [-pi, pi), elevations on [-pi/2, pi/2]; each
-        link draws its own arrival and departure angle set.
+        link draws its own arrival (row) and departure (column) angle set.
         """
-        cfg = self.cfg
+        rows, cols = LINK_ENDS[name]
         az = rng.uniform(-np.pi, np.pi, size=(n, 2))
         el = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, 2))
-        if name in ("u1", "u2", "u1p", "u2p"):
-            ris = self.ris1 if name in ("u1", "u1p") else self.ris2
-            count = cfg.n_t if name in ("u1", "u2") else cfg.adversary_antennas
-            rx = steering_upa(ris, az[:, 0], el[:, 0])
-            tx = steering_ula(count, cfg.spacing_tx, az[:, 1])
-        elif name in ("y1", "y2", "y1p", "y2p"):
-            ris = self.ris1 if name in ("y1", "y1p") else self.ris2
-            rx = steering_ula(cfg.n_r, cfg.spacing_tx, az[:, 0])
-            tx = steering_upa(ris, az[:, 1], el[:, 1])
-        elif name == "e":
-            rx = steering_upa(self.ris2, az[:, 0], el[:, 0])
-            tx = steering_upa(self.ris1, az[:, 1], el[:, 1])
-        elif name == "ep":
-            rx = steering_upa(self.ris1, az[:, 0], el[:, 0])
-            tx = steering_upa(self.ris2, az[:, 1], el[:, 1])
-        else:
-            raise KeyError(name)
+        rx = steering_upa(self._geom[rows], az[:, 0], el[:, 0])
+        tx = steering_upa(self._geom[cols], az[:, 1], el[:, 1])
         return rx[:, :, None] * tx[:, None, :]
 
     # -- sampling ------------------------------------------------------------
@@ -213,10 +204,11 @@ class ChannelModel:
         """Draw n independent coherence-block realizations.
 
         Each link is sqrt(omega) (sqrt(k/(k+1)) LoS + sqrt(1/(k+1)) NLoS) with
-        the double-scattering NLoS draw SC^-0.5 R_tx^0.5 Q R_sc^0.5 P R_rx^0.5,
-        where Q (N1 x SC) and P (SC x N2) hold i.i.d. CN(0, 1) entries, so the
-        NLoS part has rank at most SC. Per link (in LINK_NAMES order): LoS
-        angles first, then Q, then P.
+        the double-scattering NLoS draw SC^-0.5 R_rx^0.5 Q R_sc^0.5 P R_tx^0.5,
+        where R_rx belongs to the link's row (receive) array and R_tx to its
+        column (transmit) array, and Q (N_rx x SC) and P (SC x N_tx) hold
+        i.i.d. CN(0, 1) entries, so the NLoS part has rank at most SC. Per link
+        (in LINK_ENDS order): LoS angles first, then Q, then P.
         """
         cfg = self.cfg
         sc = cfg.num_scatterers
@@ -225,13 +217,13 @@ class ChannelModel:
         w_nlos = np.sqrt(cfg.omega) * np.sqrt(1.0 / (k + 1.0))
         f_sc = self._f["sc"]
         links = {}
-        for name in LINK_NAMES:
+        for name, (rows, cols) in LINK_ENDS.items():
             los = self._los_batch(name, n, rng)
-            f_tx = self._f[self._factors[name][0]]
-            f_rx = self._f[self._factors[name][1]]
-            q = crandn(rng, (n, f_tx.shape[0], sc))
-            p = crandn(rng, (n, sc, f_rx.shape[0]))
-            nlos = np.einsum("ij,bjs,st,btk,kl->bil", f_tx, q, f_sc, p, f_rx,
+            f_rx = self._f[rows]
+            f_tx = self._f[cols]
+            q = crandn(rng, (n, f_rx.shape[0], sc))
+            p = crandn(rng, (n, sc, f_tx.shape[0]))
+            nlos = np.einsum("ij,bjs,st,btk,kl->bil", f_rx, q, f_sc, p, f_tx,
                              optimize=True) / np.sqrt(sc)
             links[name] = w_los * los + w_nlos * nlos
         return ChannelBatch(**links)

@@ -142,7 +142,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json_object(path) -> dict:
+    """The JSON object in a config or manifest file; ConfigInvalid when the
+    file is not JSON or its top level is not an object."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -150,7 +152,11 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigInvalid("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("<file>", "top level must be an object")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json_object(path))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
@@ -534,10 +540,12 @@ def rerun_from_manifest(manifest_path, out_dir, progress: bool = False) -> Path:
     and verified against the stored content hash.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _read_json_object(manifest_path)
     if payload.get("manifest_version") != MANIFEST_VERSION:
         raise ConfigInvalid("manifest_version", "unsupported manifest version")
+    for key, kind in (("config", dict), ("checkpoint", str), ("checkpoint_sha256", str)):
+        if not isinstance(payload.get(key), kind):
+            raise ConfigInvalid(key, "missing from the manifest or of the wrong type")
     cfg = config_from_dict(payload["config"])
     ckpt_path = manifest_path.parent / payload["checkpoint"]
     if not ckpt_path.exists():

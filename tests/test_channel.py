@@ -5,7 +5,7 @@ import pytest
 
 from risae.autoencoder import adversary_cascade_set, cascade_set
 from risae.channel import (
-    LINK_NAMES,
+    LINK_ENDS,
     ArrayGeometry,
     ChannelBatch,
     ChannelModel,
@@ -260,7 +260,7 @@ class TestRealizationSample:
         model = ChannelModel(tiny_config())
         r1 = model.sample_batch(1, np.random.default_rng(11))
         r2 = model.sample_batch(1, np.random.default_rng(11))
-        for name in LINK_NAMES:
+        for name in LINK_ENDS:
             assert np.array_equal(getattr(r1, name), getattr(r2, name))
 
     def test_zero_large_scale_gain(self):
@@ -271,7 +271,7 @@ class TestRealizationSample:
     def test_batch_indexing_matches_batch_arrays(self):
         batch = ChannelModel(tiny_config()).sample_batch(3, np.random.default_rng(13))
         assert len(batch) == 3
-        assert all(getattr(batch, name).shape[0] == 3 for name in LINK_NAMES)
+        assert all(getattr(batch, name).shape[0] == 3 for name in LINK_ENDS)
 
 
 def cascade_oracle(y2, e, y1, u1, u2, d1, d2):
@@ -284,7 +284,7 @@ def one_block(**links) -> ChannelBatch:
     """A batch of one block from 2-D link matrices; absent links are 1 x 1 zeros."""
     return ChannelBatch(**{name: np.asarray(links.get(name, np.zeros((1, 1))),
                                             dtype=np.complex128)[None]
-                           for name in LINK_NAMES})
+                           for name in LINK_ENDS})
 
 
 def legitimate(y2, e, y1, u1, u2, d1, d2):

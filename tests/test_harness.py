@@ -339,6 +339,26 @@ class TestPersistence:
             rerun_from_manifest(out / "manifest.json", tmp_path / "again")
 
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"manifest_version": 1, "checkpoint": "weights.ckpt", "checkpoint_sha256": "0"}',
+         "config"),
+        ('{"manifest_version": 1, "config": {}, "checkpoint_sha256": "0"}', "checkpoint"),
+        ('{"manifest_version": 1, "config": {}, "checkpoint": "weights.ckpt"}',
+         "checkpoint_sha256"),
+        ('{"manifest_version": 1, "config": [], "checkpoint": "w", "checkpoint_sha256": "0"}',
+         "config"),
+        ('{"config": {}}', "manifest_version"),
+        ("{not json", "<file>: not valid JSON"),
+        ("[1, 2]", "<file>: top level must be an object"),
+    ], ids=["no-config", "no-checkpoint", "no-checksum", "config-not-object", "no-version",
+            "not-json", "not-object"])
+    def test_malformed_manifest_exits_with_config_error(self, tmp_path, capsys, text, where):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert cli_main(["sweep", "--from-manifest", str(manifest),
+                         "--out", str(tmp_path / "again")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {where}")
+
     def test_export_round_trip_check_is_a_typed_error(self, monkeypatch, tmp_path):
         rows = [ResultRow(0.0, "secured", 0.25, 24, 0.01, 3, "ideal")]
 

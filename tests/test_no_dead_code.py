@@ -69,3 +69,113 @@ def test_exemptions_are_still_needed():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         assert name in top_level_names(tree)
         assert name not in used
+
+
+# -- parameters ---------------------------------------------------------------
+
+def defaulted_signatures(tree: ast.Module) -> list[tuple[str, str, list[str], set[str]]]:
+    """(name a call uses, qualified name, positional parameters as a call
+    fills them, parameters with a default) of every function and method. A
+    method drops its first parameter, and a class's ``__init__`` goes by the
+    class name, because a call to the class fills it."""
+    out = []
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if cls is not None:
+                    positional = positional[1:]  # self, or cls of a classmethod
+                with_default = set(positional[len(positional) - len(args.defaults):])
+                with_default |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None}
+                qualname = node.name if cls is None else f"{cls}.{node.name}"
+                out.append((cls if node.name == "__init__" else node.name, qualname,
+                            positional, with_default))
+                visit(node.body, None)
+
+    visit(tree.body, None)
+    return out
+
+
+def call_sites(tree: ast.Module) -> list[tuple[str, ast.Call]]:
+    """(callee's bare or attribute name, call) of every call."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                sites.append((node.func.id, node))
+            elif isinstance(node.func, ast.Attribute):
+                sites.append((node.func.attr, node))
+    return sites
+
+
+def value_references(tree: ast.Module) -> set[str]:
+    """Names loaded as values rather than called, such as a function placed
+    in a table; a name bound locally (a parameter or variable) does not count."""
+    refs = set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            local = local | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            local |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+            local |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
+            refs.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            if not (isinstance(node, ast.Call) and child is node.func
+                    and isinstance(child, ast.Name)):
+                visit(child, local)
+
+    visit(tree, frozenset())
+    return refs
+
+
+def parameters_set(positional: list[str], call: ast.Call) -> set[str] | None:
+    """Parameters a call fills, by position or keyword; None when a ``**``
+    argument may fill any of them (a ``*`` argument fills the rest of the
+    positional ones)."""
+    filled = set()
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            filled.update(positional[i:])
+            break
+        if i < len(positional):
+            filled.add(positional[i])
+    for kw in call.keywords:
+        if kw.arg is None:
+            return None
+        filled.add(kw.arg)
+    return filled
+
+
+def unset_defaulted_parameters() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM_FILES}
+    sites = [site for tree in trees.values() for site in call_sites(tree)]
+    refs = set().union(*(value_references(tree) for tree in trees.values()))
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, qualname, positional, with_default in defaulted_signatures(trees[path]):
+            if not with_default or name in refs:
+                continue
+            filled = set()
+            for callee, call in sites:
+                if callee == name:
+                    params = parameters_set(positional, call)
+                    filled |= with_default if params is None else params
+            unset.extend(f"{path.stem}.{qualname}.{p}" for p in sorted(with_default - filled))
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    # A parameter whose default no call in src/risae or perfbench overrides
+    # is a knob only tests turn. A call to a class fills its __init__; a
+    # function placed in a table, like the attack builders, may be called
+    # with any of its parameters.
+    unset = unset_defaulted_parameters()
+    assert not unset, f"parameters no call in src/risae or perfbench sets: {unset}"
