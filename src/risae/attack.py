@@ -267,10 +267,11 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
 
     grad_evals = 0
 
-    def gradients(w_batch: np.ndarray) -> np.ndarray:
+    def gradients(w_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit received-signal gradients and the decisions of the same forward."""
         nonlocal grad_evals
         d_input = pack_decoder_input(w_batch, k_batch)
-        _, _, g_input = decoder_input_gradient(decoder, d_input, targets, loss_kind)
+        _, probs, g_input = decoder_input_gradient(decoder, d_input, targets, loss_kind)
         grad_evals += m
         g_r = g_input[:, :n_r] + 1j * g_input[:, n_r:2 * n_r]
         norms = _row_norms(g_r)
@@ -280,16 +281,11 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         deviation = np.abs(_row_norms(unit)[live] - 1.0)
         if not np.all(deviation < 1e-12):
             raise InvariantViolation(f"unit gradient norm deviates from 1 by {deviation.max():.3e}")
-        return unit
-
-    def decisions(w_batch: np.ndarray) -> np.ndarray:
-        d_input = pack_decoder_input(w_batch, k_batch)
-        probs, _ = decoder.forward(d_input, train=False)
-        return probs.argmax(axis=1)
+        return unit, probs.argmax(axis=1)
 
     w_tiled = np.broadcast_to(w, (m, n_r, length))
-    g_clean = gradients(w_tiled)
-    clean_dec = decisions(w_tiled)[0]
+    g_clean, tiled_dec = gradients(w_tiled)
+    clean_dec = tiled_dec[0]
 
     lo = np.zeros(m)
     hi = np.full(m, p_max)
@@ -304,9 +300,8 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         p_temp = p_norm
         for _j in range(pgd.n_s):
             w_adv = project_band(w_adv - step * p_temp, w_tiled, beta)
-            p_temp = gradients(w_adv)
+            p_temp, dec = gradients(w_adv)
         p_norm = p_temp
-        dec = decisions(w_adv)
         changed = (dec != clean_dec[None, :]).any(axis=1)
         flipped = ((dec == class_ids).sum(axis=1) * 2 > length) & changed
         hi = np.where(flipped, eps_ave, hi)

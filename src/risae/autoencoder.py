@@ -24,6 +24,7 @@ import numpy as np
 from .channel import ChannelBatch, ChannelModel, crandn
 from .config import SystemConfig
 from .errors import Diverged, InvariantViolation, ShapeMismatch
+from .linalg import contract
 from .neural import (
     AdamState,
     Network,
@@ -120,20 +121,20 @@ def unpack_received_gradient(g_input: np.ndarray, n_r: int, n_t: int):
 def cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray):
     """Per-symbol legitimate aggregates K (B, L, n_r, n_t) plus the E psi1 U1
     intermediate reused by the backward pass."""
-    m1 = np.einsum("bqa,bal,ban->bqln", chan.e, c1, chan.u1, optimize=True)
-    k = (np.einsum("brq,bql,bqln->blrn", chan.y2, c2, m1, optimize=True)
-         + np.einsum("bra,bal,ban->blrn", chan.y1, c1, chan.u1, optimize=True)
-         + np.einsum("brq,bql,bqn->blrn", chan.y2, c2, chan.u2, optimize=True))
+    m1 = contract("bqa,bal,ban->bqln", chan.e, c1, chan.u1)
+    k = (contract("brq,bql,bqln->blrn", chan.y2, c2, m1)
+         + contract("bra,bal,ban->blrn", chan.y1, c1, chan.u1)
+         + contract("brq,bql,bqn->blrn", chan.y2, c2, chan.u2))
     return k, m1
 
 
 def adversary_cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Per-symbol adversary aggregates G (B, L, n_r, n_adv); the double bounce
     enters surface 2 first, then surface 1."""
-    m1p = np.einsum("baq,bql,bqn->baln", chan.ep, c2, chan.u2p, optimize=True)
-    return (np.einsum("bra,bal,baln->blrn", chan.y1p, c1, m1p, optimize=True)
-            + np.einsum("bra,bal,ban->blrn", chan.y1p, c1, chan.u1p, optimize=True)
-            + np.einsum("brq,bql,bqn->blrn", chan.y2p, c2, chan.u2p, optimize=True))
+    m1p = contract("baq,bql,bqn->baln", chan.ep, c2, chan.u2p)
+    return (contract("bra,bal,baln->blrn", chan.y1p, c1, m1p)
+            + contract("bra,bal,ban->blrn", chan.y1p, c1, chan.u1p)
+            + contract("brq,bql,bqn->blrn", chan.y2p, c2, chan.u2p))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ class AttackApplication:
         if self.channel_mode == "ideal":
             return np.repeat(vectors[:, :, None], cfg.block_len, axis=2)
         g = adversary_cascade_set(chan, c1, c2)
-        return np.einsum("blrn,bn->brl", g, vectors, optimize=True)
+        return contract("blrn,bn->brl", g, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +232,18 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     enc_out, enc_rec = nets.encoder.forward(blocks, train)
     o = channels_to_complex(enc_out)
 
-    a1 = np.einsum("ban,bnl->bal", chan.u1, o, optimize=True)
+    a1 = contract("ban,bnl->bal", chan.u1, o)
     g1, r1_rec = nets.ris1.forward(complex_to_channels(a1), train)
     c1 = np.exp(1j * g1)
     m1_field = c1 * a1
 
-    b2 = (np.einsum("bqn,bnl->bql", chan.u2, o, optimize=True)
-          + np.einsum("bqa,bal->bql", chan.e, m1_field, optimize=True))
+    b2 = (contract("bqn,bnl->bql", chan.u2, o)
+          + contract("bqa,bal->bql", chan.e, m1_field))
     g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), train)
     c2 = np.exp(1j * g2)
 
     k, m1 = cascade_set(chan, c1, c2)
-    z = np.einsum("blrn,bnl->brl", k, o, optimize=True)
+    z = contract("blrn,bnl->brl", k, o)
 
     if sigma2 > 0.0:
         noise = np.sqrt(sigma2) * crandn(rng, z.shape)
@@ -289,28 +290,28 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     g_r, g_k = unpack_received_gradient(g_input, n_r, n_t)
 
     # r = K o + n: gradient into o directly and into K alongside the CSI copy
-    g_k = g_k + np.einsum("brl,bnl->blrn", g_r, np.conj(rec.o), optimize=True)
-    g_o = np.einsum("blrn,brl->bnl", np.conj(rec.k), g_r, optimize=True)
+    g_k = g_k + contract("brl,bnl->blrn", g_r, np.conj(rec.o))
+    g_o = contract("blrn,brl->bnl", np.conj(rec.k), g_r)
 
     # phase gradients of surface 2 (double-bounce and direct terms of K)
-    g_c2 = (np.einsum("blrn,brq,bqln->bql", g_k, np.conj(chan.y2), np.conj(rec.m1), optimize=True)
-            + np.einsum("blrn,brq,bqn->bql", g_k, np.conj(chan.y2), np.conj(chan.u2), optimize=True))
+    g_c2 = (contract("blrn,brq,bqln->bql", g_k, np.conj(chan.y2), np.conj(rec.m1))
+            + contract("blrn,brq,bqn->bql", g_k, np.conj(chan.y2), np.conj(chan.u2)))
     g_gamma2 = np.imag(np.conj(rec.c2) * g_c2)
 
     r2_grads, gs2 = nets.ris2.backward(rec.r2_rec, g_gamma2)
     g_b2 = channels_to_complex(gs2)
-    g_o += np.einsum("bqn,bql->bnl", np.conj(chan.u2), g_b2, optimize=True)
-    g_m1_field = np.einsum("bqa,bql->bal", np.conj(chan.e), g_b2, optimize=True)
+    g_o += contract("bqn,bql->bnl", np.conj(chan.u2), g_b2)
+    g_m1_field = contract("bqa,bql->bal", np.conj(chan.e), g_b2)
 
     # phase gradients of surface 1: double bounce, single bounce, incident field
-    w1 = np.einsum("brq,bql,bqa->bral", chan.y2, rec.c2, chan.e, optimize=True)
-    g_c1 = (np.einsum("blrn,bral,ban->bal", g_k, np.conj(w1), np.conj(chan.u1), optimize=True)
-            + np.einsum("blrn,bra,ban->bal", g_k, np.conj(chan.y1), np.conj(chan.u1), optimize=True))
+    w1 = contract("brq,bql,bqa->bral", chan.y2, rec.c2, chan.e)
+    g_c1 = (contract("blrn,bral,ban->bal", g_k, np.conj(w1), np.conj(chan.u1))
+            + contract("blrn,bra,ban->bal", g_k, np.conj(chan.y1), np.conj(chan.u1)))
     g_gamma1 = np.imag(np.conj(rec.c1) * g_c1) + np.imag(np.conj(rec.m1_field) * g_m1_field)
 
     r1_grads, gs1 = nets.ris1.backward(rec.r1_rec, g_gamma1)
     g_a1 = channels_to_complex(gs1) + np.conj(rec.c1) * g_m1_field
-    g_o += np.einsum("ban,bal->bnl", np.conj(chan.u1), g_a1, optimize=True)
+    g_o += contract("ban,bal->bnl", np.conj(chan.u1), g_a1)
 
     enc_grads, _ = nets.encoder.backward(rec.enc_rec, complex_to_channels(g_o))
     return loss, {"encoder": enc_grads, "ris1": r1_grads, "ris2": r2_grads,

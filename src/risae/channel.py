@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .linalg import hermitian_sqrt, kron
+from .linalg import contract, hermitian_sqrt, kron
 
 # (row array, column array) of every link, in sampling order: a link matrix
 # maps the column array's signal onto the row array, and both its LoS
@@ -118,7 +118,11 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard circularly symmetric complex Gaussian draws, CN(0, 1)."""
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    z /= np.sqrt(2.0)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +227,7 @@ class ChannelModel:
             f_tx = self._f[cols]
             q = crandn(rng, (n, f_rx.shape[0], sc))
             p = crandn(rng, (n, sc, f_tx.shape[0]))
-            nlos = np.einsum("ij,bjs,st,btk,kl->bil", f_rx, q, f_sc, p, f_tx,
-                             optimize=True) / np.sqrt(sc)
+            nlos = contract("ij,bjs,st,btk,kl->bil", f_rx, q, f_sc, p, f_tx) / np.sqrt(sc)
             links[name] = w_los * los + w_nlos * nlos
         return ChannelBatch(**links)
 

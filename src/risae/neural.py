@@ -90,15 +90,21 @@ class Conv1D:
         pad = k_size // 2
         g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
         g_w = (g2.T @ _im2col(cols)).reshape(self.out_channels, k_size, channels)
+        g_w = np.ascontiguousarray(g_w.transpose(0, 2, 1))  # the weight's (O, C, K) layout
         g_b = g2.sum(axis=0)
-        # col2im: output position l read padded positions l..l+K-1, so its
-        # K column blocks scatter back as K shifted adds.
+        # col2im: output position l read input position l + k - pad through
+        # tap k, so the K column blocks scatter back as K shifted slices,
+        # taken in tap order. Positions no earlier tap reached are assigned,
+        # the rest added to: the same sums as adding onto zeros.
         gx_cols = (g2 @ self._weight_matrix().T).reshape(batch, length, k_size, channels)
-        gxp = np.zeros((batch, length + 2 * pad, channels))
+        gx = np.empty((batch, length, channels))
+        reached = 0
         for k in range(k_size):
-            gxp[:, k:k + length] += gx_cols[:, :, k]
-        gx = gxp[:, pad:pad + length].transpose(0, 2, 1)
-        return gx, {"weight": g_w.transpose(0, 2, 1), "bias": g_b}
+            lo, hi = (min(max(j, 0), length) for j in (k - pad, length + k - pad))
+            gx[:, lo:reached] += gx_cols[:, lo - k + pad:reached - k + pad, k]
+            gx[:, reached:hi] = gx_cols[:, reached - k + pad:hi - k + pad, k]
+            reached = hi
+        return gx.transpose(0, 2, 1), {"weight": g_w, "bias": g_b}
 
 
 def _im2col(cols: np.ndarray) -> np.ndarray:
@@ -140,17 +146,24 @@ class BatchNorm:
         x = _check_input(x)
         if x.shape[1] != self.channels:
             raise ShapeMismatch(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        if train:
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
+        if not train:
+            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
+            xhat = (x - self.running_mean[None, :, None]) * inv_std[None, :, None]
+            y = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
+            return y, {"xhat": xhat, "inv_std": inv_std, "train": train}
+        # One centring pass serves the variance and x̂, and x̂ and y are
+        # written in place; the sums are those of x.var, so the statistics
+        # and y match the textbook formula bit for bit.
+        mean = x.mean(axis=(0, 2))
+        xhat = x - mean[None, :, None]
+        y = np.multiply(xhat, xhat)
+        var = y.sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
+        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
+        self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
-        y = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
+        xhat *= inv_std[None, :, None]
+        np.multiply(xhat, self.gamma[None, :, None], out=y)
+        y += self.beta[None, :, None]
         return y, {"xhat": xhat, "inv_std": inv_std, "train": train}
 
     def backward(self, cache: dict, gy: np.ndarray):
@@ -158,16 +171,15 @@ class BatchNorm:
         inv_std = cache["inv_std"]
         g_gamma = np.einsum("bcl,bcl->c", gy, xhat)
         g_beta = gy.sum(axis=(0, 2))
-        g_xhat = gy * self.gamma[None, :, None]
         if cache["train"]:
+            # (γ·inv_std/n)(n·gy − g_β − x̂·g_γ), as γ·inv_std·(gy − (g_β + x̂·g_γ)/n)
             n = xhat.shape[0] * xhat.shape[2]
-            gx = (inv_std[None, :, None] / n) * (
-                n * g_xhat
-                - g_xhat.sum(axis=(0, 2), keepdims=True)
-                - xhat * np.einsum("bcl,bcl->c", g_xhat, xhat)[None, :, None]
-            )
+            gx = xhat * (g_gamma / n)[None, :, None]
+            gx += (g_beta / n)[None, :, None]
+            np.subtract(gy, gx, out=gx)
+            gx *= (self.gamma * inv_std)[None, :, None]
         else:
-            gx = g_xhat * inv_std[None, :, None]
+            gx = gy * self.gamma[None, :, None] * inv_std[None, :, None]
         return gx, {"gamma": g_gamma, "beta": g_beta}
 
 
@@ -413,7 +425,13 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """Standard Adam update with bias correction; updates params in place."""
+    """Standard Adam update with bias correction; updates params in place.
+
+    Each parameter is updated in place through two scratch buffers, with the
+    operations of the textbook expression in its order:
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
+    p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
+    """
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -423,13 +441,20 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise ShapeMismatch(f"{key}: grad shape {g.shape} != param shape {p.shape}")
         m = state.m.setdefault(key, np.zeros_like(p))
         v = state.v.setdefault(key, np.zeros_like(p))
+        update = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += update
+        denom = np.multiply(g, 1.0 - b2)
+        denom *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += denom
+        np.divide(v, 1.0 - b2 ** t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, 1.0 - b1 ** t, out=update)
+        update *= state.lr
+        update /= denom
+        p -= update
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,27 @@ class TestPgdMinimalPerturbation:
         assert out.target == 1
         assert out.eps_star == pytest.approx(np.abs(w).item())
 
+    @pytest.mark.parametrize("n_s", [1, 3])
+    @pytest.mark.parametrize("p_max", [4.0, 0.5], ids=["flips", "fails"])
+    def test_one_decoder_forward_per_gradient_batch(self, n_s, p_max, monkeypatch):
+        # The clean and per-probe decisions come from the forwards that
+        # already compute the gradients: 1 + probes * n_s forwards per search.
+        decoder = linear_toy_decoder()
+        forwards = []
+        original = decoder.forward
+        monkeypatch.setattr(decoder, "forward",
+                            lambda x, train=False: forwards.append(len(x)) or original(x, train))
+        cfg = toy_cfg()
+        w = np.array([[1.3 + 0.4j]])
+        pgd = AttackSettings(n_p=1, n_s=n_s, p_max=p_max, eps_acc=1e-2)
+        try:
+            out = pgd_minimal_perturbation(decoder, cfg, w, np.array([[[0.7 + 0.2j]]]), pgd)
+            assert p_max > 1.3 and out.target == 1
+        except AllTargetsFailed:
+            assert p_max < 1.3
+        probes = pgd.search_radius(np.linalg.norm(w))[2]
+        assert forwards == [cfg.m] * (1 + probes * n_s)
+
     def test_binary_search_interval_width(self):
         decoder = linear_toy_decoder()
         cfg = toy_cfg()

@@ -157,6 +157,19 @@ class TestCorrUniform:
         assert np.allclose(np.diagonal(r), 1.0)
 
 
+class TestCrandn:
+    @pytest.mark.parametrize("shape", [5, (3, 4), (2, 0, 3)])
+    def test_matches_two_draws_combined(self, shape):
+        # CN(0, 1): the real parts are drawn first, then the imaginary parts,
+        # and the pair is scaled by 1/sqrt(2); bit for bit.
+        rng = np.random.default_rng(31)
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        z = crandn(np.random.default_rng(31), shape)
+        assert z.dtype == np.complex128
+        assert np.array_equal(z, (re + 1j * im) / np.sqrt(2.0))
+
+
 class _StubRng:
     """Zero LoS angles and constant-filled standard normal draws, cycling
     through `values`."""

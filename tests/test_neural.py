@@ -210,6 +210,31 @@ class TestConv1D:
         assert spanned <= batch * (length + k_size - 1) * channels * 8
         assert cache["cols"].shape == (batch, channels, length, k_size)
 
+    @pytest.mark.parametrize("length", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k_size", [1, 3, 5])
+    def test_input_gradient_equals_padded_col2im(self, k_size, length):
+        # Textbook col2im: K shifted adds of the column blocks into a zeroed
+        # padded buffer, in tap order, then the unpadded middle. The layer
+        # scatters into an unpadded array and must give the same bits.
+        rng = np.random.default_rng(200 + 10 * k_size + length)
+        batch, channels, out_channels = 3, 4, 5
+        conv = Conv1D(channels, out_channels, k_size, rng)
+        x = array_in_layout(rng, (batch, channels, length), channels_last=True)
+        gy = array_in_layout(rng, (batch, out_channels, length), channels_last=True)
+        _, cache = conv.forward(x, train=True)
+        gx, grads = conv.backward(cache, gy)
+
+        pad = k_size // 2
+        g2 = gy.transpose(0, 2, 1).reshape(batch * length, out_channels)
+        w2 = conv.weight.transpose(2, 1, 0).reshape(-1, out_channels)
+        gx_cols = (g2 @ w2.T).reshape(batch, length, k_size, channels)
+        gxp = np.zeros((batch, length + 2 * pad, channels))
+        for k in range(k_size):
+            gxp[:, k:k + length] += gx_cols[:, :, k]
+        assert np.array_equal(gx, gxp[:, pad:pad + length].transpose(0, 2, 1))
+        assert grads["weight"].shape == conv.weight.shape
+        assert grads["weight"].flags.c_contiguous
+
     def test_channel_mismatch(self):
         conv = Conv1D(3, 4, 3, np.random.default_rng(3))
         with pytest.raises(ShapeMismatch):
@@ -251,6 +276,30 @@ class TestBatchNorm:
         bn.forward(x, train=True)
         assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2)))
         assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2)))
+
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+    def test_train_mode_matches_two_pass_formula(self, channels_last):
+        # Textbook batch statistics: x.mean and x.var over batch and length,
+        # x̂ = (x - mean) / sqrt(var + eps), y = γ x̂ + β; bit for bit.
+        rng = np.random.default_rng(8)
+        bn = BatchNorm(6, eps=1e-5, momentum=0.9)
+        bn.gamma = rng.standard_normal(6)
+        bn.beta = rng.standard_normal(6)
+        bn.running_mean = rng.standard_normal(6)
+        bn.running_var = rng.uniform(0.5, 2.0, 6)
+        running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
+        x = 3.0 * array_in_layout(rng, (16, 6, 24), channels_last) + 1.5
+        y, cache = bn.forward(x, train=True)
+
+        mean = x.mean(axis=(0, 2))
+        var = x.var(axis=(0, 2))
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
+        assert np.array_equal(y, bn.gamma[None, :, None] * xhat + bn.beta[None, :, None])
+        assert np.array_equal(cache["xhat"], xhat)
+        assert np.array_equal(bn.running_mean, 0.9 * running_mean + (1.0 - 0.9) * mean)
+        assert np.array_equal(bn.running_var, 0.9 * running_var + (1.0 - 0.9) * var)
 
 
 class TestReLUSoftmax:
@@ -469,6 +518,33 @@ class TestAdam:
         for _ in range(200):
             adam_step(params, {"x": 2.0 * params["x"]}, state)
         assert abs(params["x"][0]) < 0.05
+
+
+    def test_matches_textbook_update_over_three_steps(self):
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, bias-corrected step,
+        # written out per parameter; the in-place update must give the same
+        # bits, also for a strided gradient view.
+        rng = np.random.default_rng(9)
+        params = {"w": rng.standard_normal((5, 4, 3)), "b": rng.standard_normal(5)}
+        want = {key: value.copy() for key, value in params.items()}
+        m = {key: np.zeros_like(value) for key, value in params.items()}
+        v = {key: np.zeros_like(value) for key, value in params.items()}
+        state = AdamState(lr=1e-2)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        for t in range(1, 4):
+            grads = {"w": rng.standard_normal((5, 3, 4)).transpose(0, 2, 1),
+                     "b": rng.standard_normal(5)}
+            adam_step(params, grads, state)
+            for key, g in grads.items():
+                m[key] = b1 * m[key] + (1.0 - b1) * g
+                v[key] = b2 * v[key] + (1.0 - b2) * g * g
+                m_hat = m[key] / (1.0 - b1 ** t)
+                v_hat = v[key] / (1.0 - b2 ** t)
+                want[key] = want[key] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            for key in params:
+                assert np.array_equal(params[key], want[key])
+                assert np.array_equal(state.m[key], m[key])
+                assert np.array_equal(state.v[key], v[key])
 
 
 class TestCheckpoint:
