@@ -28,6 +28,8 @@ from .linalg import contract
 from .neural import (
     AdamState,
     Network,
+    PowerNorm,
+    Softmax,
     adam_step,
     bce_loss_per_sample,
     conv_stack,
@@ -53,12 +55,7 @@ class AutoencoderNets:
     decoder: Network
 
     def as_dict(self) -> dict[str, Network]:
-        return {"encoder": self.encoder, "ris1": self.ris1, "ris2": self.ris2,
-                "decoder": self.decoder}
-
-    @classmethod
-    def from_dict(cls, nets: dict[str, Network]) -> "AutoencoderNets":
-        return cls(nets["encoder"], nets["ris1"], nets["ris2"], nets["decoder"])
+        return dict(vars(self))
 
 
 def build_autoencoder(cfg: SystemConfig, rng: np.random.Generator) -> AutoencoderNets:
@@ -71,11 +68,10 @@ def build_autoencoder(cfg: SystemConfig, rng: np.random.Generator) -> Autoencode
     w = cfg.hidden_width
     k = cfg.kernel_size
     kw = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
-    encoder = conv_stack([cfg.m, w, w, 2 * cfg.n_t], k, rng, final="powernorm",
-                         target_power=cfg.power, **kw)
+    encoder = conv_stack([cfg.m, w, w, 2 * cfg.n_t], k, rng, final=PowerNorm(cfg.power), **kw)
     ris1 = conv_stack([2 * cfg.a1, w, w, cfg.a1], k, rng, **kw)
     ris2 = conv_stack([2 * cfg.a2, w, w, cfg.a2], k, rng, **kw)
-    decoder = conv_stack([cfg.decoder_channels, w, w, cfg.m], k, rng, final="softmax", **kw)
+    decoder = conv_stack([cfg.decoder_channels, w, w, cfg.m], k, rng, final=Softmax(), **kw)
     return AutoencoderNets(encoder, ris1, ris2, decoder)
 
 
@@ -365,14 +361,6 @@ class TrainResult:
     epoch_seconds: list[float]
 
 
-def _flat_trainable(nets: AutoencoderNets) -> dict[str, np.ndarray]:
-    out = {}
-    for net_name, net in nets.as_dict().items():
-        for key, value in net.trainable_params().items():
-            out[f"{net_name}/{key}"] = value
-    return out
-
-
 def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: int,
           lr: float, rng: np.random.Generator, *, batch_blocks: int = 64,
           channel_model: ChannelModel | None = None,
@@ -389,7 +377,8 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
     model = channel_model or ChannelModel(cfg)
     n_blocks = max(1, int(np.ceil(num_symbols / cfg.block_len)))
     dataset, _ = random_message_blocks(cfg, n_blocks, rng)
-    params = _flat_trainable(nets)
+    params = {f"{net_name}/{key}": value for net_name, net in nets.as_dict().items()
+              for key, value in net.trainable_params().items()}
     adam = adam or AdamState(lr=lr)
     adam.lr = lr
 
@@ -408,11 +397,8 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
             loss, grads = pipeline_backward(nets, rec)
             if not np.isfinite(loss):
                 raise Diverged(f"loss became non-finite at epoch {_epoch}")
-            flat_grads = {f"{net_name}/{key}": g
-                          for net_name, net_grads in grads.items()
-                          for key, g in net_grads.items()
-                          if f"{net_name}/{key}" in params}
-            adam_step(params, flat_grads, adam)
+            adam_step(params, {f"{net_name}/{key}": g for net_name, net_grads in grads.items()
+                               for key, g in net_grads.items()}, adam)
             epoch_loss += loss
             n_batches += 1
             last_rec = rec
@@ -465,9 +451,10 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
         n = min(chunk, num_blocks - start)
         blocks, indices = random_message_blocks(cfg, n, rng)
         chan = model.sample_batch(n, rng)
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
-                               attack=attack, train=False)
-        errors += int((rec.decisions != indices).sum())
+        # keep only the decisions: the chunk's record is freed before the next forward
+        decisions = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
+                                     attack=attack, train=False).decisions
+        errors += int((decisions != indices).sum())
         total += n * cfg.block_len
     low, high = wilson_interval(errors, total)
     return SerEstimate(ser=errors / total, ci_halfwidth=(high - low) / 2.0,

@@ -36,11 +36,8 @@ EXIT_IO = 3
 
 
 def _resolve_config(args):
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = PRESETS[args.preset]()
-    if getattr(args, "seed", None) is not None:
+    cfg = load_config(args.config) if args.config else PRESETS[args.preset]()
+    if args.seed is not None:
         cfg.seed = args.seed
     cfg.validate()
     return cfg

@@ -32,7 +32,7 @@ from .autoencoder import (
     train,
 )
 from .config import COUNT, POSITIVE, SystemConfig, check, from_json, setting
-from .errors import ConfigInvalid, InvariantViolation, MissingCheckpoint
+from .errors import ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint
 from .neural import load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
@@ -81,12 +81,14 @@ class ExperimentConfig:
     distance_dh_m: float = 2.0
 
     def validate(self) -> None:
-        # system errors keep the path "system"; their message names the field
         try:
-            self.system.validate()
-        except ValueError as exc:
-            raise ConfigInvalid("system", str(exc)) from exc
-        check(self)
+            check(self)
+        except ConfigInvalid as exc:
+            # system errors keep the path "system"; their message names the field
+            name = exc.field_path.removeprefix("system.")
+            if name != exc.field_path:
+                raise ConfigInvalid("system", f"{name}: {exc.args[1]}") from exc
+            raise
         at = self.attack
         if at.p_max is not None and at.eps_acc is not None and at.p_max <= at.eps_acc:
             raise ConfigInvalid("attack.p_max", "must exceed attack.eps_acc")
@@ -95,44 +97,7 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def desk_preset(seed: int = 20240810) -> ExperimentConfig:
-    """Uniformly scaled-down system that trains in minutes on a CPU."""
-    cfg = ExperimentConfig(
-        system=SystemConfig(n_t=4, n_r=4, a1_v=2, a1_h=4, a2_v=2, a2_h=4, m=16,
-                            block_len=8, num_scatterers=9, hidden_width=128),
-        train=TrainSettings(snr_db=15.0, epochs=200, learning_rate=1e-3,
-                            batch_blocks=64, train_symbols=4096),
-        eval=EvalSettings(snr_sweep_db=[-4.0, 0.0, 4.0, 8.0], test_blocks=2000),
-        attack=AttackSettings(psr_db=-7.0, n_p=50, n_s=20, channel_mode="ideal"),
-        scatterers=[9],
-        seed=seed,
-        preset="desk",
-    )
-    cfg.validate()
-    return cfg
-
-
-def paper_preset(seed: int = 20240810) -> ExperimentConfig:
-    """Full-scale configuration; training runs for hours on a CPU."""
-    cfg = ExperimentConfig(
-        system=SystemConfig(n_t=16, n_r=16, a1_v=4, a1_h=8, a2_v=4, a2_h=8, m=64,
-                            block_len=20, num_scatterers=9, hidden_width=256),
-        train=TrainSettings(snr_db=15.0, epochs=1000, learning_rate=1e-3,
-                            batch_blocks=64, train_symbols=100_000),
-        eval=EvalSettings(snr_sweep_db=[-8.0, -4.0, 0.0, 4.0, 8.0], test_blocks=10_000),
-        attack=AttackSettings(psr_db=-7.0, n_p=50, n_s=20, channel_mode="ideal"),
-        scatterers=[9],
-        seed=seed,
-        preset="paper",
-    )
-    cfg.validate()
-    return cfg
-
-
-PRESETS = {"desk": desk_preset, "paper": paper_preset}
-
-
-# -- JSON round trip --------------------------------------------------------
+# -- presets and the JSON round trip ----------------------------------------
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig, naming the offending field on
@@ -142,12 +107,36 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
+def desk_preset(seed: int = ExperimentConfig.seed) -> ExperimentConfig:
+    """The declared defaults: a uniformly scaled-down system that trains in
+    minutes on a CPU."""
+    return config_from_dict({"seed": seed, "preset": "desk"})
+
+
+def paper_preset(seed: int = ExperimentConfig.seed) -> ExperimentConfig:
+    """Full-scale configuration; training runs for hours on a CPU. Only the
+    fields where it differs from the defaults are given."""
+    return config_from_dict({
+        "system": {"n_t": 16, "n_r": 16, "a1_v": 4, "a1_h": 8, "a2_v": 4, "a2_h": 8,
+                   "m": 64, "block_len": 20, "hidden_width": 256},
+        "train": {"epochs": 1000, "train_symbols": 100_000},
+        "eval": {"snr_sweep_db": [-8.0, -4.0, 0.0, 4.0, 8.0], "test_blocks": 10_000},
+        "seed": seed,
+        "preset": "paper",
+    })
+
+
+PRESETS = {"desk": desk_preset, "paper": paper_preset}
+
+
 def _read_json_object(path) -> dict:
     """The JSON object in a config or manifest file; ConfigInvalid when the
-    file is not JSON or its top level is not an object."""
+    file is not UTF-8 JSON or its top level is not an object."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigInvalid("<file>", f"not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigInvalid("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -224,12 +213,17 @@ def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
         raise MissingCheckpoint(f"no checkpoint at {ckpt_path}")
     nets, meta = load_checkpoint(ckpt_path)
     saved = meta.get("system", {})
+    if not isinstance(saved, dict):
+        raise CorruptCheckpoint(f"{ckpt_path}: the recorded system is not an object")
     for name in (f.name for f in fields(SystemConfig) if f.metadata.get("shape")):
         if name in saved and saved[name] != getattr(cfg.system, name):
             raise ConfigInvalid(f"system.{name}",
                                 f"checkpoint was trained with {saved[name]}, "
                                 f"config says {getattr(cfg.system, name)}")
-    return AutoencoderNets.from_dict(nets)
+    try:
+        return AutoencoderNets(**nets)
+    except TypeError as exc:  # a network missing, or one the system does not have
+        raise CorruptCheckpoint(f"{ckpt_path}: {exc}") from exc
 
 
 def checkpoint_sha256(path) -> str:
@@ -244,32 +238,29 @@ def checkpoint_sha256(path) -> str:
 # budgets
 # ---------------------------------------------------------------------------
 
-def resolve_reference_power(cfg: ExperimentConfig, sys_cfg: SystemConfig,
-                            nets: AutoencoderNets, mode: str) -> float:
-    """Reference power for the perturbation-to-signal ratio.
+def make_budget(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderNets,
+                mode: str) -> AttackBudget:
+    """The attack budget: psr_db relative to a reference power.
 
-    'power' is the plain transmit power P; 'symbol' the mean transmit symbol
-    energy n_t P^2; 'received' a seeded Monte Carlo estimate of the mean
-    received symbol energy E||K o||^2. 'auto' picks 'received' for the
-    identity attack channel (the perturbation enters at the receiver) and
-    'symbol' for the double-scattering one (budgeted at the adversary's
-    antenna port, whose aggregate gain matches the legitimate link's).
+    The reference 'power' is the plain transmit power P; 'symbol' the mean
+    transmit symbol energy n_t P^2; 'received' a seeded Monte Carlo estimate
+    of the mean received symbol energy E||K o||^2. 'auto' picks 'received'
+    for the identity attack channel (the perturbation enters at the
+    receiver) and 'symbol' for the double-scattering one (budgeted at the
+    adversary's antenna port, whose aggregate gain matches the legitimate
+    link's).
     """
     ref = cfg.attack.budget_reference
     if ref == "auto":
         ref = "received" if mode == "ideal" else "symbol"
     if ref == "power":
-        return sys_cfg.power
-    if ref == "symbol":
-        return sys_cfg.n_t * sys_cfg.power ** 2
-    rng = derive_rng(cfg.seed, "refpower", sys_cfg.num_scatterers)
-    return estimate_received_power(nets, sys_cfg, cfg.attack.reference_blocks, rng)
-
-
-def make_budget(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderNets,
-                mode: str) -> AttackBudget:
-    return AttackBudget(psr_db=cfg.attack.psr_db,
-                        reference_power=resolve_reference_power(cfg, sys_cfg, nets, mode))
+        reference_power = sys_cfg.power
+    elif ref == "symbol":
+        reference_power = sys_cfg.n_t * sys_cfg.power ** 2
+    else:
+        rng = derive_rng(cfg.seed, "refpower", sys_cfg.num_scatterers)
+        reference_power = estimate_received_power(nets, sys_cfg, cfg.attack.reference_blocks, rng)
+    return AttackBudget(psr_db=cfg.attack.psr_db, reference_power=reference_power)
 
 
 def scatterer_budget(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,

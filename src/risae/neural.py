@@ -35,12 +35,34 @@ def _check_input(x: np.ndarray) -> np.ndarray:
     return x
 
 
-class Conv1D:
+class Layer:
+    """What a layer declares once: ``kind`` names it in a checkpoint,
+    ``spec_fields`` are its constructor arguments (kept as attributes of the
+    same names), ``trainable`` the parameters Adam updates and ``state`` the
+    further arrays a checkpoint keeps."""
+
+    kind: str
+    spec_fields: tuple[str, ...] = ()
+    trainable: tuple[str, ...] = ()
+    state: tuple[str, ...] = ()
+
+    def spec(self) -> dict:
+        return {"kind": self.kind, **{name: getattr(self, name) for name in self.spec_fields}}
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in self.trainable + self.state}
+
+
+class Conv1D(Layer):
     """Cross-correlation along the length axis with zero same-padding.
 
     Weight shape (out_channels, in_channels, kernel_size); kernel_size must
     be odd so the output length equals the input length.
     """
+
+    kind = "conv"
+    spec_fields = ("in_channels", "out_channels", "kernel_size")
+    trainable = ("weight", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator | None = None):
@@ -55,13 +77,6 @@ class Conv1D:
         else:
             self.weight = rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size))
         self.bias = np.zeros(out_channels)
-
-    def spec(self) -> dict:
-        return {"kind": "conv", "in_channels": self.in_channels,
-                "out_channels": self.out_channels, "kernel_size": self.kernel_size}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias}
 
     def _weight_matrix(self) -> np.ndarray:
         """The weight as a (K·C, O) matrix, row k·C + c holding weight[:, c, k]."""
@@ -114,13 +129,18 @@ def _im2col(cols: np.ndarray) -> np.ndarray:
     return cols.transpose(0, 2, 3, 1).reshape(batch * length, k_size * channels)
 
 
-class BatchNorm:
+class BatchNorm(Layer):
     """Per-channel normalization over the batch and length axes.
 
     Training mode normalizes with batch statistics and updates the running
     estimates as running = momentum * running + (1 - momentum) * batch;
     inference mode applies the frozen affine map.
     """
+
+    kind = "batchnorm"
+    spec_fields = ("channels", "eps", "momentum")
+    trainable = ("gamma", "beta")
+    state = ("running_mean", "running_var")
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
         self.channels = channels
@@ -130,17 +150,6 @@ class BatchNorm:
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-
-    def spec(self) -> dict:
-        return {"kind": "batchnorm", "channels": self.channels,
-                "eps": self.eps, "momentum": self.momentum}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {"gamma": self.gamma, "beta": self.beta,
-                "running_mean": self.running_mean, "running_var": self.running_var}
-
-    def trainable(self) -> tuple[str, ...]:
-        return ("gamma", "beta")
 
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
@@ -183,12 +192,8 @@ class BatchNorm:
         return gx, {"gamma": g_gamma, "beta": g_beta}
 
 
-class ReLU:
-    def spec(self) -> dict:
-        return {"kind": "relu"}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+class ReLU(Layer):
+    kind = "relu"
 
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
@@ -198,14 +203,10 @@ class ReLU:
         return gy * cache["mask"], {}
 
 
-class Softmax:
+class Softmax(Layer):
     """Softmax over the channel axis; every output column sums to one."""
 
-    def spec(self) -> dict:
-        return {"kind": "softmax"}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
+    kind = "softmax"
 
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
@@ -220,7 +221,7 @@ class Softmax:
         return y * (gy - inner), {}
 
 
-class PowerNorm:
+class PowerNorm(Layer):
     """Non-trainable rescaling so each block's mean complex-entry squared
     magnitude equals target_power**2.
 
@@ -229,16 +230,13 @@ class PowerNorm:
     batch element.
     """
 
+    kind = "powernorm"
+    spec_fields = ("target_power",)
+
     def __init__(self, target_power: float):
         if target_power <= 0.0:
             raise ValueError("target_power must be > 0")
         self.target_power = target_power
-
-    def spec(self) -> dict:
-        return {"kind": "powernorm", "target_power": self.target_power}
-
-    def params(self) -> dict[str, np.ndarray]:
-        return {}
 
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
@@ -262,44 +260,31 @@ class PowerNorm:
         return gx, {}
 
 
-def layer_from_spec(spec: dict):
-    kind = spec["kind"]
-    if kind == "conv":
-        return Conv1D(spec["in_channels"], spec["out_channels"], spec["kernel_size"])
-    if kind == "batchnorm":
-        return BatchNorm(spec["channels"], spec["eps"], spec["momentum"])
-    if kind == "relu":
-        return ReLU()
-    if kind == "softmax":
-        return Softmax()
-    if kind == "powernorm":
-        return PowerNorm(spec["target_power"])
-    raise ValueError(f"unknown layer kind {kind!r}")
+LAYERS = {cls.kind: cls for cls in (Conv1D, BatchNorm, ReLU, Softmax, PowerNorm)}
+
+
+def layer_from_spec(spec: dict) -> Layer:
+    """The layer a checkpoint spec describes, its parameters at their initial values."""
+    args = dict(spec)
+    return LAYERS[args.pop("kind")](**args)
 
 
 class Network:
     """Ordered layer stack with a recorded forward pass and exact backward."""
 
-    def __init__(self, layers: list):
+    def __init__(self, layers: list[Layer]):
         self.layers = layers
 
     def spec(self) -> list[dict]:
         return [layer.spec() for layer in self.layers]
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, value in layer.params().items():
-                out[f"layer{i}.{name}"] = value
-        return out
+        return {f"layer{i}.{name}": value for i, layer in enumerate(self.layers)
+                for name, value in layer.params().items()}
 
     def trainable_params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            names = layer.trainable() if hasattr(layer, "trainable") else tuple(layer.params())
-            for name in names:
-                out[f"layer{i}.{name}"] = layer.params()[name]
-        return out
+        return {f"layer{i}.{name}": getattr(layer, name) for i, layer in enumerate(self.layers)
+                for name in layer.trainable}
 
     def set_param(self, key: str, value: np.ndarray) -> None:
         layer_tag, name = key.split(".", 1)
@@ -337,25 +322,21 @@ class Network:
 
 def conv_stack(channel_sizes: list[int], kernel_size: int, rng: np.random.Generator,
                bn_eps: float = 1e-5, bn_momentum: float = 0.9,
-               final: str | None = None, target_power: float = 1.0) -> Network:
+               final: Layer | None = None) -> Network:
     """Conv1D stack with BatchNorm + ReLU after every hidden convolution.
 
     channel_sizes runs [in, hidden..., out]; the last convolution is left
-    linear unless final='softmax' or final='powernorm'.
+    linear unless a final layer is given.
     """
-    layers: list = []
+    layers: list[Layer] = []
     n = len(channel_sizes) - 1
     for i in range(n):
         layers.append(Conv1D(channel_sizes[i], channel_sizes[i + 1], kernel_size, rng))
         if i < n - 1:
             layers.append(BatchNorm(channel_sizes[i + 1], bn_eps, bn_momentum))
             layers.append(ReLU())
-    if final == "softmax":
-        layers.append(Softmax())
-    elif final == "powernorm":
-        layers.append(PowerNorm(target_power))
-    elif final is not None:
-        raise ValueError(f"unknown final layer {final!r}")
+    if final is not None:
+        layers.append(final)
     return Network(layers)
 
 
@@ -502,7 +483,9 @@ def _read_exact(fh, size: int, what: str) -> bytes:
 def load_checkpoint(path) -> tuple[dict[str, Network], dict]:
     """Rebuild networks (architecture and parameters) from a checkpoint.
 
-    Raises CorruptCheckpoint on a foreign, unsupported or truncated file.
+    Raises CorruptCheckpoint on a foreign, unsupported, truncated or
+    malformed file: a header whose specs, array entries or meta do not
+    describe networks and their parameters.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _CKPT_MAGIC:
@@ -514,12 +497,20 @@ def load_checkpoint(path) -> tuple[dict[str, Network], dict]:
             header = json.loads(_read_exact(fh, header_len, "the header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
-        networks = {name: Network([layer_from_spec(s) for s in spec])
-                    for name, spec in header["specs"].items()}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            n_items = int(np.prod(shape)) if shape else 1
-            blob = _read_exact(fh, n_items * 8, f"{entry['net']}/{entry['param']}")
-            networks[entry["net"]].set_param(entry["param"],
-                                             np.frombuffer(blob, dtype="<f8").reshape(shape))
+        try:
+            networks = {name: Network([layer_from_spec(s) for s in spec])
+                        for name, spec in header["specs"].items()}
+            for entry in header["arrays"]:
+                shape = tuple(entry["shape"])
+                n_items = int(np.prod(shape)) if shape else 1
+                blob = _read_exact(fh, n_items * 8, f"{entry['net']}/{entry['param']}")
+                networks[entry["net"]].set_param(entry["param"],
+                                                 np.frombuffer(blob, dtype="<f8").reshape(shape))
+            if not isinstance(header["meta"], dict):
+                raise TypeError("meta is not an object")
+        except CorruptCheckpoint:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise CorruptCheckpoint(f"malformed checkpoint header: "
+                                    f"{type(exc).__name__}: {exc}") from exc
     return networks, header["meta"]

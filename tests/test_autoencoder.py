@@ -10,6 +10,7 @@ from risae.autoencoder import (
     cascade_set,
     channels_to_complex,
     complex_to_channels,
+    decoder_input_gradient,
     estimate_received_power,
     evaluate_ser,
     one_hot_blocks,
@@ -222,8 +223,9 @@ class TestForwardPipeline:
 
 
 class TestPipelineGradients:
-    def test_full_pipeline_matches_finite_differences(self):
-        cfg, nets = make_system(seed=14)
+    @pytest.mark.parametrize("loss", ["bce", "ce"])
+    def test_full_pipeline_matches_finite_differences(self, loss):
+        cfg, nets = make_system(seed=14, loss=loss)
         rng = np.random.default_rng(15)
         model = ChannelModel(cfg)
         chan = model.sample_batch(2, rng)
@@ -262,6 +264,32 @@ class TestPipelineGradients:
                 worst = max(worst, rel)
                 assert rel < 1e-3, f"{net_name}/{key}: rel err {rel:.2e}"
         assert worst < 1e-3
+
+    @pytest.mark.parametrize("loss", ["bce", "ce"])
+    def test_decoder_input_gradient_is_per_sample(self, loss):
+        # every rmaep and rmaef gradient comes from this: row b must be the
+        # gradient of sample b's own loss, which a weighted sum of the
+        # per-sample losses checks, weights and all
+        cfg, nets = make_system(seed=35)
+        rng = np.random.default_rng(36)
+        d_input = rng.standard_normal((3, cfg.decoder_channels, cfg.block_len))
+        target, _ = random_message_blocks(cfg, 3, rng)
+        weights = rng.uniform(0.5, 2.0, size=3)
+        _, _, g_input = decoder_input_gradient(nets.decoder, d_input, target, loss)
+
+        def weighted_loss(x):
+            return float(weights @ decoder_input_gradient(nets.decoder, x, target, loss)[0])
+
+        step = 1e-6
+        fd = np.zeros_like(d_input)
+        for i in np.ndindex(d_input.shape):
+            x = d_input.copy()
+            x[i] += step
+            hi = weighted_loss(x)
+            x[i] -= 2.0 * step
+            fd[i] = (hi - weighted_loss(x)) / (2.0 * step)
+        analytic = weights[:, None, None] * g_input
+        assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_backward_refuses_attacked_record(self):
         cfg, nets = make_system(seed=16)

@@ -11,7 +11,7 @@ import pytest
 
 from risae.config import SystemConfig
 from risae import harness
-from risae.errors import ConfigInvalid, InvariantViolation, MissingCheckpoint
+from risae.errors import ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint
 from risae.harness import (
     AttackSettings,
     EvalSettings,
@@ -38,6 +38,7 @@ from risae.harness import (
 )
 from risae.attack import load_perturbation
 from risae.cli import main as cli_main
+from risae.neural import save_checkpoint
 
 
 def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
@@ -350,14 +351,28 @@ class TestPersistence:
         ('{"config": {}}', "manifest_version"),
         ("{not json", "<file>: not valid JSON"),
         ("[1, 2]", "<file>: top level must be an object"),
+        (b"\xff\xfe{\x00}\x00", "<file>: not valid UTF-8"),
     ], ids=["no-config", "no-checkpoint", "no-checksum", "config-not-object", "no-version",
-            "not-json", "not-object"])
+            "not-json", "not-object", "not-utf8"])
     def test_malformed_manifest_exits_with_config_error(self, tmp_path, capsys, text, where):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(text)
+        manifest.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         assert cli_main(["sweep", "--from-manifest", str(manifest),
                          "--out", str(tmp_path / "again")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {where}")
+
+    @pytest.mark.parametrize("drop, meta, match", [
+        ("decoder", {}, "decoder"),
+        (None, {"system": 5}, "system"),
+    ], ids=["missing-network", "system-not-object"])
+    def test_checkpoint_the_system_cannot_use_is_corrupt(self, trained_tiny, tmp_path,
+                                                         drop, meta, match):
+        cfg, nets, _ = trained_tiny
+        path = tmp_path / "weights.ckpt"
+        save_checkpoint(path, {name: net for name, net in nets.as_dict().items()
+                               if name != drop}, meta=meta)
+        with pytest.raises(CorruptCheckpoint, match=match):
+            load_system(path, cfg)
 
     def test_export_round_trip_check_is_a_typed_error(self, monkeypatch, tmp_path):
         rows = [ResultRow(0.0, "secured", 0.25, 24, 0.01, 3, "ideal")]
@@ -435,6 +450,21 @@ class TestCli:
         assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(cut),
                          "--snr-db", "4"]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    def test_exit_code_on_malformed_checkpoint_header(self, tmp_path, capsys):
+        header = b"{}"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"RISAECK1" + (1).to_bytes(4, "little")
+                        + len(header).to_bytes(4, "little") + header)
+        assert cli_main(["eval", "--preset", "desk", "--checkpoint", str(bad),
+                         "--snr-db", "0"]) == 3
+        assert "malformed checkpoint header" in capsys.readouterr().err
+
+    def test_exit_code_on_config_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error: <file>: not valid UTF-8")
 
     def test_exit_code_on_config_error_in_sweep_worker(self, trained_tiny, tmp_path,
                                                        capsys, monkeypatch):

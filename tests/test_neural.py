@@ -64,8 +64,7 @@ def check_layer_gradients(layer, x, train, tol=1e-4, seed=0):
     gx, grads = layer.backward(cache, upstream)
     assert rel_err(gx, fd_gradient(loss_of_input, x.copy())) < tol
 
-    names = layer.trainable() if hasattr(layer, "trainable") else tuple(layer.params())
-    for name in names:
+    for name in layer.trainable:
         param = getattr(layer, name)
 
         def loss_of_param(pv, _name=name):
@@ -457,7 +456,7 @@ class TestChannelsLastNetwork:
     """The desk decoder stack, whose Conv1D activations are channels-last views."""
 
     def decoder(self, rng):
-        return conv_stack([40, 128, 128, 16], 3, rng, final="softmax")
+        return conv_stack([40, 128, 128, 16], 3, rng, final=Softmax())
 
     def test_matches_loop_oracle_network(self):
         rng = np.random.default_rng(25)
@@ -550,8 +549,8 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
-        nets = {"enc": conv_stack([2, 4, 2], 3, rng, final="powernorm", target_power=1.0),
-                "dec": conv_stack([2, 4, 3], 3, rng, final="softmax")}
+        nets = {"enc": conv_stack([2, 4, 2], 3, rng, final=PowerNorm(1.0)),
+                "dec": conv_stack([2, 4, 3], 3, rng, final=Softmax())}
         nets["enc"].layers[1].running_mean = rng.standard_normal(4)
         path = tmp_path / "weights.ckpt"
         save_checkpoint(path, nets, meta={"note": "test"})
@@ -576,7 +575,7 @@ class TestCheckpoint:
     def test_rejects_truncated_file(self, tmp_path, where):
         rng = np.random.default_rng(22)
         path = tmp_path / "weights.ckpt"
-        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], 3, rng, final="softmax")})
+        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], 3, rng, final=Softmax())})
         data = path.read_bytes()
         (header_len,) = struct.unpack("<I", data[12:16])
         arrays_start = 16 + header_len
@@ -589,4 +588,33 @@ class TestCheckpoint:
                "last_element": len(data) - 8}[where]
         path.write_bytes(data[:cut])
         with pytest.raises(CorruptCheckpoint, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: {},
+        lambda h: [],
+        lambda h: h["specs"]["dec"][0].update(kind="dense"),
+        lambda h: h["specs"]["dec"][0].pop("kernel_size"),
+        lambda h: h["specs"]["dec"][0].update(kernel_size=2),
+        lambda h: h["arrays"][0].update(param="layer2.bias"),  # layer 2 is a ReLU
+        lambda h: h["arrays"][0].update(param="layer9.bias"),
+        lambda h: h["arrays"][0].update(net="enc"),
+        lambda h: h["arrays"][0].update(shape=[2, 2]),  # layer0.bias has shape (4,)
+        lambda h: h.update(meta=[]),
+    ], ids=["empty", "not-object", "unknown-kind", "spec-missing-field", "even-kernel",
+            "unknown-param", "unknown-layer", "unknown-net", "shape-mismatch",
+            "meta-not-object"])
+    def test_rejects_malformed_header(self, tmp_path, edit):
+        # valid JSON of the wrong structure is a corrupt checkpoint, not a crash
+        path = tmp_path / "weights.ckpt"
+        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], 3, np.random.default_rng(27),
+                                                 final=Softmax())})
+        data = path.read_bytes()
+        (header_len,) = struct.unpack("<I", data[12:16])
+        header = json.loads(data[16:16 + header_len])
+        edited = edit(header)
+        text = json.dumps(header if edited is None else edited).encode("utf-8")
+        path.write_bytes(data[:12] + struct.pack("<I", len(text)) + text
+                         + data[16 + header_len:])
+        with pytest.raises(CorruptCheckpoint, match="malformed checkpoint header"):
             load_checkpoint(path)
