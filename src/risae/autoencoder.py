@@ -185,28 +185,64 @@ class AttackApplication:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PipelineRecord:
-    """Everything the backward pass and the attacks need from one forward."""
+class TransmitRecord:
+    """The pass up to the noiseless received signal z = K o. The activation
+    records (``*_rec``) are kept for a training pass only and are None otherwise."""
 
     blocks: np.ndarray
     chan: ChannelBatch
-    enc_rec: list
+    enc_rec: list | None
     o: np.ndarray
-    r1_rec: list
+    r1_rec: list | None
     c1: np.ndarray
     m1_field: np.ndarray
-    r2_rec: list
+    r2_rec: list | None
     c2: np.ndarray
     m1: np.ndarray
     k: np.ndarray
     z: np.ndarray
+
+
+@dataclass
+class PipelineRecord(TransmitRecord):
+    """Everything the backward pass and the attacks need from one forward."""
+
     noise: np.ndarray
     ptilde: np.ndarray | None
     d_input: np.ndarray
-    dec_rec: list
+    dec_rec: list | None
     probs: np.ndarray
     decisions: np.ndarray
     loss_kind: str
+
+
+def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
+                     chan: ChannelBatch, train: bool) -> TransmitRecord:
+    """Encoder, both surface controllers and the cascade: the first half of
+    ``pipeline_forward``, which needs neither noise nor the decoder."""
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if blocks.ndim != 3 or blocks.shape[1] != cfg.m or blocks.shape[2] != cfg.block_len:
+        raise ShapeMismatch(f"blocks must be (batch, {cfg.m}, {cfg.block_len}), got {blocks.shape}")
+    if len(chan) != blocks.shape[0]:
+        raise ShapeMismatch("channel batch and message batch sizes differ")
+
+    enc_out, enc_rec = nets.encoder.forward(blocks, train, record=train)
+    o = channels_to_complex(enc_out)
+
+    a1 = contract("ban,bnl->bal", chan.u1, o)
+    g1, r1_rec = nets.ris1.forward(complex_to_channels(a1), train, record=train)
+    c1 = np.exp(1j * g1)
+    m1_field = c1 * a1
+
+    b2 = (contract("bqn,bnl->bql", chan.u2, o)
+          + contract("bqa,bal->bql", chan.e, m1_field))
+    g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), train, record=train)
+    c2 = np.exp(1j * g2)
+
+    k, m1 = cascade_set(chan, c1, c2)
+    z = contract("blrn,bnl->brl", k, o)
+    return TransmitRecord(blocks=blocks, chan=chan, enc_rec=enc_rec, o=o, r1_rec=r1_rec,
+                          c1=c1, m1_field=m1_field, r2_rec=r2_rec, c2=c2, m1=m1, k=k, z=z)
 
 
 def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
@@ -217,29 +253,12 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     """Run the full system on a batch of one-hot blocks.
 
     Noise is drawn from rng as CN(0, sigma2 I), before anything else the
-    pass draws; sigma2 = 0 gives a noiseless pass that needs no rng.
+    pass draws; sigma2 = 0 gives a noiseless pass that needs no rng. Only a
+    training pass, the one pipeline_backward differentiates, keeps the
+    networks' activation records.
     """
-    blocks = np.asarray(blocks, dtype=np.float64)
-    if blocks.ndim != 3 or blocks.shape[1] != cfg.m or blocks.shape[2] != cfg.block_len:
-        raise ShapeMismatch(f"blocks must be (batch, {cfg.m}, {cfg.block_len}), got {blocks.shape}")
-    if len(chan) != blocks.shape[0]:
-        raise ShapeMismatch("channel batch and message batch sizes differ")
-
-    enc_out, enc_rec = nets.encoder.forward(blocks, train)
-    o = channels_to_complex(enc_out)
-
-    a1 = contract("ban,bnl->bal", chan.u1, o)
-    g1, r1_rec = nets.ris1.forward(complex_to_channels(a1), train)
-    c1 = np.exp(1j * g1)
-    m1_field = c1 * a1
-
-    b2 = (contract("bqn,bnl->bql", chan.u2, o)
-          + contract("bqa,bal->bql", chan.e, m1_field))
-    g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), train)
-    c2 = np.exp(1j * g2)
-
-    k, m1 = cascade_set(chan, c1, c2)
-    z = contract("blrn,bnl->brl", k, o)
+    tx = transmit_forward(nets, cfg, blocks, chan, train)
+    z = tx.z
 
     if sigma2 > 0.0:
         noise = np.sqrt(sigma2) * crandn(rng, z.shape)
@@ -249,17 +268,16 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
 
     ptilde = None
     if attack is not None:
-        ptilde = attack.received_perturbation(cfg, chan, c1, c2, rng)
+        ptilde = attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
         r = r + ptilde
 
-    d_input = pack_decoder_input(r, k)
-    probs, dec_rec = nets.decoder.forward(d_input, train)
+    d_input = pack_decoder_input(r, tx.k)
+    probs, dec_rec = nets.decoder.forward(d_input, train, record=train)
     decisions = probs.argmax(axis=1)
 
-    return PipelineRecord(blocks=blocks, chan=chan, enc_rec=enc_rec, o=o, r1_rec=r1_rec,
-                          c1=c1, m1_field=m1_field, r2_rec=r2_rec, c2=c2, m1=m1, k=k, z=z,
-                          noise=noise, ptilde=ptilde, d_input=d_input, dec_rec=dec_rec,
-                          probs=probs, decisions=decisions, loss_kind=cfg.loss)
+    return PipelineRecord(**vars(tx), noise=noise, ptilde=ptilde, d_input=d_input,
+                          dec_rec=dec_rec, probs=probs, decisions=decisions,
+                          loss_kind=cfg.loss)
 
 
 def pipeline_loss(rec: PipelineRecord):
@@ -329,7 +347,7 @@ def decoder_input_gradient(decoder: Network, d_input: np.ndarray, target: np.nda
         g_probs = -(target / p) / count
     else:
         values, g_probs = bce_loss_per_sample(probs, target)
-    _, g_input = decoder.backward(rec, g_probs)
+    _, g_input = decoder.backward(rec, g_probs, params=False)
     return values, probs, g_input
 
 
@@ -467,5 +485,5 @@ def estimate_received_power(nets: AutoencoderNets, cfg: SystemConfig, num_blocks
     model = ChannelModel(cfg)
     blocks, _ = random_message_blocks(cfg, num_blocks, rng)
     chan = model.sample_batch(num_blocks, rng)
-    rec = pipeline_forward(nets, cfg, blocks, chan, sigma2=0.0, train=False)
-    return float(np.mean(np.sum(np.abs(rec.z) ** 2, axis=1)))
+    z = transmit_forward(nets, cfg, blocks, chan, train=False).z
+    return float(np.mean(np.sum(np.abs(z) ** 2, axis=1)))

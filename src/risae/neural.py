@@ -1,14 +1,14 @@
 """Minimal differentiable 1-D CNN engine.
 
 Forward and exact reverse-mode gradients (with respect to parameters and
-inputs) for the handful of layer kinds the autoencoder needs: Conv1D with
-same padding, batch normalization, ReLU, channel-axis softmax, and the
-non-trainable power normalization. All arrays are float64 with shape
-(batch, channels, length); complex signals travel as stacked real/imaginary
-channel halves. Layers accept any strides. Conv1D returns its output and
-its input gradient as channels-last views, transposes of C-ordered
-(batch, length, channels) arrays; the elementwise layers downstream keep
-that layout.
+inputs, or to inputs alone) for the handful of layer kinds the autoencoder
+needs: Conv1D with same padding, batch normalization, ReLU, channel-axis
+softmax, and the non-trainable power normalization. All arrays are float64
+with shape (batch, channels, length); complex signals travel as stacked
+real/imaginary channel halves. Layers accept any strides. Conv1D returns
+its output and its input gradient as channels-last views, transposes of
+C-ordered (batch, length, channels) arrays; the elementwise layers
+downstream keep that layout.
 
 Forward/backward on distinct activation records are independent; parameter
 updates assume a single writer.
@@ -99,14 +99,19 @@ class Conv1D(Layer):
         # (0, 2) run much faster on this layout than on a C-ordered copy.
         return y.reshape(batch, length, -1).transpose(0, 2, 1), {"cols": cols}
 
-    def backward(self, cache: dict, gy: np.ndarray):
+    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
         cols = cache["cols"]
         batch, channels, length, k_size = cols.shape
         pad = k_size // 2
         g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
-        g_w = (g2.T @ _im2col(cols)).reshape(self.out_channels, k_size, channels)
-        g_w = np.ascontiguousarray(g_w.transpose(0, 2, 1))  # the weight's (O, C, K) layout
-        g_b = g2.sum(axis=0)
+        if params:
+            # the im2col rebuild and the GEMM result are freed before col2im allocates
+            g_w = (g2.T @ _im2col(cols)).reshape(self.out_channels, k_size, channels)
+            g_w = np.ascontiguousarray(g_w.transpose(0, 2, 1))  # the weight's (O, C, K) layout
+            g_b = g2.sum(axis=0)
+            grads = {"weight": g_w, "bias": g_b}
+        else:
+            grads = {}
         # col2im: output position l read input position l + k - pad through
         # tap k, so the K column blocks scatter back as K shifted slices,
         # taken in tap order. Positions no earlier tap reached are assigned,
@@ -119,7 +124,7 @@ class Conv1D(Layer):
             gx[:, lo:reached] += gx_cols[:, lo - k + pad:reached - k + pad, k]
             gx[:, reached:hi] = gx_cols[:, reached - k + pad:hi - k + pad, k]
             reached = hi
-        return gx.transpose(0, 2, 1), {"weight": g_w, "bias": g_b}
+        return gx.transpose(0, 2, 1), grads
 
 
 def _im2col(cols: np.ndarray) -> np.ndarray:
@@ -175,11 +180,12 @@ class BatchNorm(Layer):
         y += self.beta[None, :, None]
         return y, {"xhat": xhat, "inv_std": inv_std, "train": train}
 
-    def backward(self, cache: dict, gy: np.ndarray):
+    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
         xhat = cache["xhat"]
         inv_std = cache["inv_std"]
-        g_gamma = np.einsum("bcl,bcl->c", gy, xhat)
-        g_beta = gy.sum(axis=(0, 2))
+        if params or cache["train"]:  # the train-mode input gradient needs both
+            g_gamma = np.einsum("bcl,bcl->c", gy, xhat)
+            g_beta = gy.sum(axis=(0, 2))
         if cache["train"]:
             # (γ·inv_std/n)(n·gy − g_β − x̂·g_γ), as γ·inv_std·(gy − (g_β + x̂·g_γ)/n)
             n = xhat.shape[0] * xhat.shape[2]
@@ -189,7 +195,7 @@ class BatchNorm(Layer):
             gx *= (self.gamma * inv_std)[None, :, None]
         else:
             gx = gy * self.gamma[None, :, None] * inv_std[None, :, None]
-        return gx, {"gamma": g_gamma, "beta": g_beta}
+        return gx, {"gamma": g_gamma, "beta": g_beta} if params else {}
 
 
 class ReLU(Layer):
@@ -199,7 +205,7 @@ class ReLU(Layer):
         x = _check_input(x)
         return np.maximum(x, 0.0), {"mask": x > 0.0}
 
-    def backward(self, cache: dict, gy: np.ndarray):
+    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
         return gy * cache["mask"], {}
 
 
@@ -215,7 +221,7 @@ class Softmax(Layer):
         y = ez / ez.sum(axis=1, keepdims=True)
         return y, {"y": y}
 
-    def backward(self, cache: dict, gy: np.ndarray):
+    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
         y = cache["y"]
         inner = (gy * y).sum(axis=1, keepdims=True)
         return y * (gy - inner), {}
@@ -250,7 +256,7 @@ class PowerNorm(Layer):
         y = x * scale[:, None, None]
         return y, {"x": x, "scale": scale, "mean_power": mean_power, "n_complex": n_complex}
 
-    def backward(self, cache: dict, gy: np.ndarray):
+    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
         x = cache["x"]
         scale = cache["scale"]
         n_complex = cache["n_complex"]
@@ -294,18 +300,23 @@ class Network:
             raise ShapeMismatch(f"{key}: expected shape {current.shape}, got {value.shape}")
         setattr(layer, name, np.asarray(value, dtype=np.float64).copy())
 
-    def forward(self, x: np.ndarray, train: bool = False):
-        record = []
+    def forward(self, x: np.ndarray, train: bool = False, record: bool = True):
+        """Output and the activation record backward() needs; with
+        record=False the record is None and each layer's cache is dropped
+        once the next layer has run."""
+        caches = [] if record else None
         y = x
         for layer in self.layers:
             y, cache = layer.forward(y, train)
-            record.append(cache)
-        return y, record
+            if record:
+                caches.append(cache)
+        return y, caches
 
-    def backward(self, record, gy: np.ndarray):
+    def backward(self, record, gy: np.ndarray, params: bool = True):
         """Gradients of the recorded forward pass.
 
-        Returns (param gradients keyed like params(), input gradient).
+        Returns (param gradients keyed like params(), input gradient); with
+        params=False only the input gradient is computed and the dict is empty.
         """
         if record is None:
             raise MissingRecord("forward() was not run with recording")
@@ -314,7 +325,7 @@ class Network:
         grads: dict[str, np.ndarray] = {}
         g = gy
         for i in reversed(range(len(self.layers))):
-            g, layer_grads = self.layers[i].backward(record[i], g)
+            g, layer_grads = self.layers[i].backward(record[i], g, params)
             for name, value in layer_grads.items():
                 grads[f"layer{i}.{name}"] = value
         return grads, g

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import risae.attack
+import risae.neural
 from risae.attack import (
     AttackBudget,
     AttackResult,
@@ -429,6 +430,49 @@ class TestUniversalAttacks:
         result = rmaef(nets, cfg, budget, pgd, np.random.default_rng(21), channel_mode=mode)
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.grad_evals == 5
+
+    @pytest.mark.parametrize("construction", ["pgd_search", "rmaef"])
+    def test_attack_gradients_compute_no_weight_gradients(self, construction, monkeypatch):
+        # The attacks descend on the decoder's input gradient only: no layer
+        # returns a parameter gradient, and Conv1D rebuilds no im2col matrix
+        # for a weight gradient (every _im2col call is a forward's).
+        counts = {"backward": 0, "param_grads": 0, "im2col": 0, "conv_forward": 0}
+        for cls in risae.neural.LAYERS.values():
+            def counting(self, cache, gy, *args, _original=cls.backward, **kwargs):
+                gx, grads = _original(self, cache, gy, *args, **kwargs)
+                counts["backward"] += 1
+                counts["param_grads"] += len(grads)
+                return gx, grads
+            monkeypatch.setattr(cls, "backward", counting)
+        im2col, conv_forward = risae.neural._im2col, Conv1D.forward
+
+        def counting_im2col(cols):
+            counts["im2col"] += 1
+            return im2col(cols)
+
+        def counting_conv_forward(self, x, train):
+            counts["conv_forward"] += 1
+            return conv_forward(self, x, train)
+
+        monkeypatch.setattr(risae.neural, "_im2col", counting_im2col)
+        monkeypatch.setattr(Conv1D, "forward", counting_conv_forward)
+        cfg, nets = self._system(seed=24)
+        rng = np.random.default_rng(25)
+        if construction == "rmaef":
+            rmaef(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power),
+                  AttackSettings(n_p=3, n_s=1), rng, channel_mode="ideal")
+        else:
+            chan = ChannelModel(cfg).sample_batch(1, rng)
+            blocks, _ = random_message_blocks(cfg, 1, rng)
+            rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
+            try:
+                pgd_minimal_perturbation(nets.decoder, cfg, (rec.z + rec.noise)[0], rec.k[0],
+                                         AttackSettings(n_s=2, eps_acc=0.1))
+            except AllTargetsFailed:
+                pass
+        assert counts["backward"] > 0
+        assert counts["param_grads"] == 0
+        assert counts["im2col"] == counts["conv_forward"] > 0
 
     def test_export_round_trip(self, tmp_path):
         cfg, nets = self._system(seed=22)

@@ -24,7 +24,7 @@ from risae.autoencoder import (
 )
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
-from risae.errors import Diverged, InvariantViolation, ShapeMismatch
+from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
 
 
 def tiny_config(**kwargs) -> SystemConfig:
@@ -414,3 +414,30 @@ class TestEvaluate:
         p2 = estimate_received_power(nets, cfg, 20, np.random.default_rng(34))
         assert p1 == p2
         assert p1 > 0.0
+
+    def test_received_power_runs_no_decoder(self, monkeypatch):
+        cfg, nets = make_system(seed=37)
+        rng = np.random.default_rng(38)
+        blocks, _ = random_message_blocks(cfg, 20, rng)
+        chan = ChannelModel(cfg).sample_batch(20, rng)
+        z = pipeline_forward(nets, cfg, blocks, chan, sigma2=0.0).z
+        decoder_forwards = []
+        monkeypatch.setattr(nets.decoder, "forward", lambda *a, **k: decoder_forwards.append(a))
+        power = estimate_received_power(nets, cfg, 20, np.random.default_rng(38))
+        assert decoder_forwards == []
+        assert power == float(np.mean(np.sum(np.abs(z) ** 2, axis=1)))
+
+    def test_only_a_training_pass_keeps_activation_records(self):
+        cfg, nets = make_system(seed=39)
+        rng = np.random.default_rng(40)
+        chan = ChannelModel(cfg).sample_batch(2, rng)
+        blocks, _ = random_message_blocks(cfg, 2, rng)
+        names = ("enc_rec", "r1_rec", "r2_rec", "dec_rec")
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=np.random.default_rng(41))
+        assert all(getattr(rec, name) is None for name in names)
+        with pytest.raises(MissingRecord):
+            pipeline_backward(nets, rec)
+        trained = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
+                                   rng=np.random.default_rng(41), train=True)
+        assert all(len(getattr(trained, name)) == len(getattr(nets, net).layers)
+                   for name, net in zip(names, ("encoder", "ris1", "ris2", "decoder")))

@@ -9,6 +9,7 @@ import pytest
 
 from risae.errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 from risae.neural import (
+    LAYERS,
     AdamState,
     BatchNorm,
     Conv1D,
@@ -121,9 +122,9 @@ class OracleConv:
     def forward(self, x, train):
         return conv_oracle(x, self.conv.weight, self.conv.bias)[0], x
 
-    def backward(self, x, gy):
+    def backward(self, x, gy, params=True):
         _, gx, g_w, g_b = conv_oracle(x, self.conv.weight, self.conv.bias, gy)
-        return gx, {"weight": g_w, "bias": g_b}
+        return gx, {"weight": g_w, "bias": g_b} if params else {}
 
 
 def array_in_layout(rng, shape, channels_last):
@@ -450,6 +451,52 @@ class TestNetwork:
         net = conv_stack([2, 2], 3, np.random.default_rng(20))
         with pytest.raises(MissingRecord):
             net.backward(None, np.zeros((1, 2, 4)))
+
+    def test_forward_without_record(self):
+        rng = np.random.default_rng(21)
+        net = conv_stack([2, 4, 2], 3, rng, final=Softmax())
+        x = rng.standard_normal((3, 2, 5))
+        y, rec = net.forward(x, train=False, record=False)
+        assert rec is None
+        assert np.array_equal(y, net.forward(x, train=False)[0])
+        with pytest.raises(MissingRecord):
+            net.backward(rec, np.zeros_like(y))
+
+
+def one_layer_of_each_kind(rng):
+    """Every layer kind on 4 input channels, parameters and running
+    statistics away from their initial values."""
+    conv = Conv1D(4, 6, 3, rng)
+    conv.bias = rng.standard_normal(6)
+    bn = BatchNorm(4)
+    bn.gamma = rng.standard_normal(4)
+    bn.beta = rng.standard_normal(4)
+    bn.running_mean = rng.standard_normal(4)
+    bn.running_var = rng.uniform(0.5, 2.0, 4)
+    return {"conv": conv, "batchnorm": bn, "relu": ReLU(), "softmax": Softmax(),
+            "powernorm": PowerNorm(1.5)}
+
+
+class TestInputOnlyBackward:
+    """``backward(..., params=False)``, the attacks' decoder gradient."""
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("kind", sorted(LAYERS) + ["stack"])
+    def test_same_input_gradient_and_no_parameter_gradients(self, kind, train, channels_last):
+        rng = np.random.default_rng(27)
+        if kind == "stack":
+            net = conv_stack([4, 8, 8, 4], 3, rng, final=Softmax())
+        else:
+            net = Network([one_layer_of_each_kind(rng)[kind]])
+        x = array_in_layout(rng, (3, 4, 5), channels_last)
+        y, rec = net.forward(x, train=train)
+        gy = rng.standard_normal(y.shape)
+        full_grads, full_gx = net.backward(rec, gy)
+        grads, gx = net.backward(rec, gy, params=False)
+        assert grads == {}
+        assert np.array_equal(gx, full_gx)
+        assert sorted(full_grads) == sorted(net.trainable_params())
 
 
 class TestChannelsLastNetwork:
