@@ -50,9 +50,8 @@ class AttackBudget:
     """Power budget from a perturbation-to-signal ratio in dB.
 
     The squared-norm budget is reference_power * 10^(psr_db / 10); the
-    reference defaults to the encoder transmit power but is configurable
-    (e.g. mean transmit symbol energy, or measured received energy for the
-    identity attack channel).
+    harness picks the reference per attack channel (see
+    ``harness.make_budget``).
     """
 
     psr_db: float
@@ -108,13 +107,6 @@ class AttackResult:
                 f"{self.flips_found} flips + {self.already_broken} broken + "
                 f"{self.skipped} skipped != {self.iterations} probes")
 
-    @property
-    def success_count(self) -> int:
-        return self.flips_found + self.already_broken
-
-
-BUDGET_REFERENCES = ("auto", "power", "symbol", "received")
-
 
 @dataclass
 class AttackSettings:
@@ -133,8 +125,6 @@ class AttackSettings:
     p_max: float | None = setting(None, POSITIVE)
     ridge: float | None = setting(None, at_least(0))
     channel_mode: str = setting("ideal", one_of(CHANNEL_MODES))
-    budget_reference: str = setting("auto", one_of(BUDGET_REFERENCES))
-    reference_blocks: int = setting(256, COUNT)
 
     def search_radius(self, w_norm: float) -> tuple[float, float, int]:
         """(p_max, eps_acc, bisection probes); at least one probe, also when
@@ -236,8 +226,7 @@ class PgdOutcome:
 
 
 def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
-                             k_set: np.ndarray, pgd: AttackSettings,
-                             loss_kind: str = "bce") -> PgdOutcome:
+                             k_set: np.ndarray, pgd: AttackSettings) -> PgdOutcome:
     """Smallest receiver-domain perturbation that flips the block decision.
 
     For every candidate target class a bisection over the radius eps runs an
@@ -267,7 +256,7 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         """Unit received-signal gradients and the decisions of the same forward."""
         nonlocal grad_evals
         d_input = pack_decoder_input(w_batch, k_batch)
-        _, probs, g_input = decoder_input_gradient(decoder, d_input, targets, loss_kind)
+        _, probs, g_input = decoder_input_gradient(decoder, d_input, targets, cfg.loss)
         grad_evals += m
         g_r = g_input[:, :n_r] + 1j * g_input[:, n_r:2 * n_r]
         norms = _row_norms(g_r)
@@ -350,8 +339,7 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         w_adv = (rec.z + rec.noise + rec.ptilde)[0]
         g_set = None if channel_mode == "ideal" else adversary_cascade_set(chan, rec.c1, rec.c2)[0]
         try:
-            outcome = pgd_minimal_perturbation(nets.decoder, cfg, w_adv, rec.k[0], pgd,
-                                               loss_kind=cfg.loss)
+            outcome = pgd_minimal_perturbation(nets.decoder, cfg, w_adv, rec.k[0], pgd)
         except AllTargetsFailed as exc:
             grad_evals += exc.grad_evals
             skipped += 1
@@ -434,5 +422,10 @@ def load_perturbation(path) -> tuple[PerturbationVector, dict]:
         key, value = token.split("=", 1)
         meta[key] = value if key == "channel_mode" else float(value)
     rows = [line.split(",") for line in lines[3:] if line]
+    if "budget" not in meta:
+        raise ValueError("not a perturbation file: the header gives no budget")
+    if meta.get("dimension") != len(rows):
+        raise ValueError(f"not a perturbation file: {len(rows)} rows, "
+                         f"the header gives dimension {meta.get('dimension')}")
     values = np.array([float(r) + 1j * float(i) for r, i in rows])
     return PerturbationVector(values=values, budget=meta["budget"]), meta

@@ -458,15 +458,20 @@ class SerEstimate:
     symbols: int
 
 
+# blocks per evaluate_ser forward; the generator draws blocks, channels and
+# noise chunk by chunk, so the draw order, and with it the SER, depends on it
+EVAL_CHUNK_BLOCKS = 512
+
+
 def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
                  attack: AttackApplication | None, num_blocks: int,
-                 rng: np.random.Generator, chunk: int = 512) -> SerEstimate:
+                 rng: np.random.Generator) -> SerEstimate:
     """Monte Carlo SER over fresh blocks, channels and noise."""
     model = ChannelModel(cfg)
     errors = 0
     total = 0
-    for start in range(0, num_blocks, chunk):
-        n = min(chunk, num_blocks - start)
+    for start in range(0, num_blocks, EVAL_CHUNK_BLOCKS):
+        n = min(EVAL_CHUNK_BLOCKS, num_blocks - start)
         blocks, indices = random_message_blocks(cfg, n, rng)
         chan = model.sample_batch(n, rng)
         # keep only the decisions: the chunk's record is freed before the next forward

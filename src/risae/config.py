@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -52,7 +53,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 def _coerce(kind, value, where: str):
     """value as the declared kind (an int becomes a float where a float is
-    declared); ConfigInvalid at ``where`` when it is not one."""
+    declared); ConfigInvalid at ``where`` when it is not one, or when it is a
+    number that no finite float holds (JSON parsing lets NaN, Infinity and
+    integers of any size in)."""
     if is_dataclass(kind):
         return from_json(kind, value, where)
     args = typing.get_args(kind)
@@ -63,9 +66,11 @@ def _coerce(kind, value, where: str):
     if type(None) in args:
         return None if value is None else _coerce(args[0], value, where)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigInvalid(where, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigInvalid(where, f"must be finite, got {value!r}")
     return value
 
 
@@ -139,7 +144,7 @@ class SystemConfig:
     kernel_size: int = setting(3, ((lambda v: v >= 1 and v % 2 == 1),
                                    "must be odd and >= 1 for same padding"), shape=True)
     bn_eps: float = setting(1e-5, POSITIVE)
-    bn_momentum: float = 0.9
+    bn_momentum: float = setting(0.9, ((lambda v: 0.0 <= v < 1.0), "must lie in [0, 1)"))
     loss: str = setting("bce", one_of(("bce", "ce")))  # binary or categorical cross entropy
 
     @property

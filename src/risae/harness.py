@@ -58,7 +58,6 @@ class EvalSettings:
         [-4.0, 0.0, 4.0, 8.0], ((lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:]))),
                                 "must be a non-empty, strictly increasing list"))
     test_blocks: int = setting(2000, COUNT)
-    chunk_blocks: int = setting(512, COUNT)
 
 
 @dataclass
@@ -74,11 +73,6 @@ class ExperimentConfig:
         [9], ((lambda v: len(v) > 0 and min(v) >= 1), "must be a list of positive counts"))
     seed: int = 20240810
     preset: str = "custom"
-    # geometry distances in meters; recorded metadata only (links are
-    # normalized to unit large-scale gain and strength swept through SNR)
-    distance_d1_m: float = 100.0
-    distance_d2_m: float = 200.0
-    distance_dh_m: float = 2.0
 
     def validate(self) -> None:
         try:
@@ -137,7 +131,7 @@ def _read_json_object(path) -> dict:
             data = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigInvalid("<file>", f"not valid UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal past Python's digit limit
             raise ConfigInvalid("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("<file>", "top level must be an object")
@@ -238,28 +232,26 @@ def checkpoint_sha256(path) -> str:
 # budgets
 # ---------------------------------------------------------------------------
 
+REFERENCE_BLOCKS = 256
+
+
 def make_budget(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderNets,
                 mode: str) -> AttackBudget:
-    """The attack budget: psr_db relative to a reference power.
+    """The attack budget: psr_db relative to the signal where the
+    perturbation enters.
 
-    The reference 'power' is the plain transmit power P; 'symbol' the mean
-    transmit symbol energy n_t P^2; 'received' a seeded Monte Carlo estimate
-    of the mean received symbol energy E||K o||^2. 'auto' picks 'received'
-    for the identity attack channel (the perturbation enters at the
-    receiver) and 'symbol' for the double-scattering one (budgeted at the
-    adversary's antenna port, whose aggregate gain matches the legitimate
-    link's).
+    On the identity attack channel ('ideal') the perturbation is added at
+    the receiver, so the reference is the mean received symbol energy
+    E||K o||^2, estimated over REFERENCE_BLOCKS seeded noiseless blocks. On
+    the double-scattering channel it is budgeted at the adversary's antenna
+    port, whose aggregate gain matches the legitimate link's, so the
+    reference is the mean transmit symbol energy n_t P^2.
     """
-    ref = cfg.attack.budget_reference
-    if ref == "auto":
-        ref = "received" if mode == "ideal" else "symbol"
-    if ref == "power":
-        reference_power = sys_cfg.power
-    elif ref == "symbol":
-        reference_power = sys_cfg.n_t * sys_cfg.power ** 2
-    else:
+    if mode == "ideal":
         rng = derive_rng(cfg.seed, "refpower", sys_cfg.num_scatterers)
-        reference_power = estimate_received_power(nets, sys_cfg, cfg.attack.reference_blocks, rng)
+        reference_power = estimate_received_power(nets, sys_cfg, REFERENCE_BLOCKS, rng)
+    else:
+        reference_power = sys_cfg.n_t * sys_cfg.power ** 2
     return AttackBudget(psr_db=cfg.attack.psr_db, reference_power=reference_power)
 
 
@@ -325,8 +317,7 @@ def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
                                  sigma2=snr_to_sigma2(cfg.system.power, snr_db))
     source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db, budget)
     rng = derive_rng(cfg.seed, "eval", kind, cfg.attack.channel_mode, scatterers, snr_db)
-    est = evaluate_ser(nets, sys_cfg, source, cfg.eval.test_blocks, rng,
-                       chunk=cfg.eval.chunk_blocks)
+    est = evaluate_ser(nets, sys_cfg, source, cfg.eval.test_blocks, rng)
     return ResultRow(snr_db=snr_db, attack=kind, ser=est.ser, trials=est.symbols,
                      ci_halfwidth=est.ci_halfwidth, scatterers=scatterers,
                      attack_channel=cfg.attack.channel_mode)

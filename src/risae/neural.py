@@ -402,14 +402,17 @@ def cross_entropy_loss(probs: np.ndarray, target: np.ndarray):
 # Adam
 # ---------------------------------------------------------------------------
 
+# Adam's decay rates and denominator offset, at the values of Kingma & Ba
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates and step counter for one parameter set."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -426,7 +429,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for key, g in grads.items():
         p = params[key]
         if g.shape != p.shape:
@@ -442,7 +445,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += denom
         np.divide(v, 1.0 - b2 ** t, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, 1.0 - b1 ** t, out=update)
         update *= state.lr
         update /= denom

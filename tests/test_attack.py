@@ -290,8 +290,7 @@ class TestPgdMinimalPerturbation:
         pgd = AttackSettings(n_p=1, n_s=2, p_max=8.0, eps_acc=0.5)
         probes = int(np.ceil(np.log2(8.0 / 0.5)))
         try:
-            out = pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd,
-                                           loss_kind=cfg.loss)
+            out = pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd)
         except AllTargetsFailed:
             pytest.skip("random system produced no flip for this seed")
         assert pgd.search_radius(np.linalg.norm(w))[2] == probes
@@ -358,7 +357,7 @@ class TestUniversalAttacks:
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(15), channel_mode=mode)
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.iterations == 4
-        assert result.success_count <= result.iterations
+        assert result.flips_found + result.already_broken <= result.iterations
         expected_dim = cfg.n_r if mode == "ideal" else cfg.adversary_antennas
         assert result.perturbation.values.shape == (expected_dim,)
 
@@ -401,7 +400,7 @@ class TestUniversalAttacks:
         vector = PerturbationVector(np.zeros(2, dtype=complex), budget=1.0)
         result = AttackResult(vector, iterations=5, flips_found=2, already_broken=1,
                               skipped=2, grad_evals=0)
-        assert result.success_count == 3
+        assert result.flips_found + result.already_broken == 3
         with pytest.raises(InvariantViolation):
             AttackResult(vector, iterations=5, flips_found=2, already_broken=1,
                          skipped=1, grad_evals=0)
@@ -491,7 +490,10 @@ class TestUniversalAttacks:
         "# risae perturbation v1\n",
         "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=1\n",
         "# some other file\n# psr_db=-7\nre,im\n1,0\n",
-    ], ids=["empty", "header-only", "no-column-line", "foreign"])
+        "# risae perturbation v1\n# psr_db=-7 channel_mode=ideal dimension=1\nre,im\n1,0\n",
+        "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=2\n"
+        "re,im\n1,0\n",
+    ], ids=["empty", "header-only", "no-column-line", "foreign", "no-budget", "rows-short"])
     def test_load_rejects_truncated_or_foreign_file(self, tmp_path, text):
         path = tmp_path / "perturbation.csv"
         path.write_text(text)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from risae.config import SystemConfig
-from risae import harness
+from risae import autoencoder, harness
+from risae.autoencoder import estimate_received_power
 from risae.errors import ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint
 from risae.harness import (
     AttackSettings,
@@ -49,7 +50,7 @@ def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
         system=SystemConfig(**system),
         train=TrainSettings(snr_db=15.0, epochs=2, learning_rate=1e-3,
                             batch_blocks=8, train_symbols=48),
-        eval=EvalSettings(snr_sweep_db=[0.0, 8.0], test_blocks=30, chunk_blocks=16),
+        eval=EvalSettings(snr_sweep_db=[0.0, 8.0], test_blocks=30),
         attack=AttackSettings(psr_db=-7.0, n_p=2, n_s=1, channel_mode="ideal"),
         attacks=["secured", "jamming"],
         scatterers=[3],
@@ -116,6 +117,12 @@ class TestConfig:
         with pytest.raises(ConfigInvalid) as err:
             config_from_dict({"attack": {field: value, "channel_mode": "double"}})
         assert err.value.field_path == f"attack.{field}"
+
+    @pytest.mark.parametrize("p_max", [1.0, 0.5])
+    def test_search_radius_must_exceed_its_accuracy(self, p_max):
+        with pytest.raises(ConfigInvalid) as err:
+            config_from_dict({"attack": {"p_max": p_max, "eps_acc": 1.0}})
+        assert err.value.field_path == "attack.p_max"
 
     def test_zero_ridge_and_unset_search_settings_accepted(self):
         cfg = config_from_dict({"attack": {"ridge": 0.0, "p_max": None}})
@@ -206,12 +213,16 @@ class TestTrainAndSweep:
         with pytest.raises(MissingCheckpoint):
             load_system(tmp_path / "nope.ckpt", cfg)
 
-    def test_sweep_cardinality_and_sorting(self, trained_tiny):
+    def test_sweep_cardinality_and_sorting(self, trained_tiny, monkeypatch):
         cfg, nets, _ = trained_tiny
+        # 30 blocks evaluate in two chunks, the second one short; the forked
+        # workers inherit the patched constant
+        monkeypatch.setattr(autoencoder, "EVAL_CHUNK_BLOCKS", 16)
         rows = run_sweep(cfg, nets)
         assert len(rows) == len(cfg.eval.snr_sweep_db) * len(cfg.attacks) * len(cfg.scatterers)
         keys = [row.sort_key() for row in rows]
         assert keys == sorted(keys)
+        assert all(row.trials == 30 * cfg.system.block_len for row in rows)
 
     def test_five_by_four_grid_yields_twenty_rows(self, trained_tiny):
         cfg, nets, _ = trained_tiny
@@ -293,21 +304,16 @@ class TestTrainAndSweep:
         rows2 = run_sweep(cfg, nets)
         assert format_rows(rows1) == format_rows(rows2)
 
-    def test_budget_reference_modes(self, trained_tiny):
+    def test_budget_reference_per_attack_channel(self, trained_tiny):
+        # received symbol energy where the perturbation enters at the
+        # receiver, transmit symbol energy n_t P^2 at the adversary's port
         cfg, nets, _ = trained_tiny
         sys_cfg = cfg.system.replace(sigma2=0.1)
-        cfg.attack.budget_reference = "power"
-        b_power = make_budget(cfg, sys_cfg, nets, "double")
-        assert b_power.reference_power == sys_cfg.power
-        cfg.attack.budget_reference = "symbol"
-        b_sym = make_budget(cfg, sys_cfg, nets, "double")
-        assert b_sym.reference_power == pytest.approx(sys_cfg.n_t * sys_cfg.power ** 2)
-        cfg.attack.budget_reference = "auto"
-        b_auto = make_budget(cfg, sys_cfg, nets, "double")
-        assert b_auto.reference_power == b_sym.reference_power
-        b_ideal = make_budget(cfg, sys_cfg, nets, "ideal")
-        assert b_ideal.reference_power > 0
-        cfg.attack.budget_reference = "auto"
+        sc = sys_cfg.num_scatterers
+        received = estimate_received_power(nets, sys_cfg, 256, derive_rng(cfg.seed, "refpower", sc))
+        assert make_budget(cfg, sys_cfg, nets, "ideal").reference_power == received
+        assert (make_budget(cfg, sys_cfg, nets, "double").reference_power
+                == sys_cfg.n_t * sys_cfg.power ** 2)
 
 
 class TestPersistence:
@@ -350,10 +356,11 @@ class TestPersistence:
          "config"),
         ('{"config": {}}', "manifest_version"),
         ("{not json", "<file>: not valid JSON"),
+        ('{"manifest_version": 1' + "0" * 5000 + "}", "<file>: not valid JSON"),
         ("[1, 2]", "<file>: top level must be an object"),
         (b"\xff\xfe{\x00}\x00", "<file>: not valid UTF-8"),
     ], ids=["no-config", "no-checkpoint", "no-checksum", "config-not-object", "no-version",
-            "not-json", "not-object", "not-utf8"])
+            "not-json", "integer-past-digit-limit", "not-object", "not-utf8"])
     def test_malformed_manifest_exits_with_config_error(self, tmp_path, capsys, text, where):
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -396,7 +403,8 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("name, value", [("kernel_size", -1), ("bn_eps", -1.0),
-                                             ("bn_eps", 0.0)])
+                                             ("bn_eps", 0.0), ("bn_momentum", 1.5),
+                                             ("bn_momentum", 1.0), ("bn_momentum", -0.1)])
     def test_exit_code_on_out_of_bound_system_field(self, tmp_path, capsys, name, value):
         data = tiny_experiment().to_dict()
         data["system"][name] = value
@@ -405,6 +413,33 @@ class TestCli:
         assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "system" in err and name in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "huge-int"])
+    @pytest.mark.parametrize("section, name, wrap", [
+        ("attack", "psr_db", lambda v: v), ("eval", "snr_sweep_db", lambda v: [0.0, v]),
+        ("train", "snr_db", lambda v: v)], ids=["psr_db", "snr_sweep_db", "snr_db"])
+    def test_exit_code_on_non_finite_number(self, tmp_path, capsys, section, name, wrap,
+                                            value):
+        data = tiny_experiment().to_dict()
+        data[section][name] = wrap(value)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))  # NaN, Infinity or 400 digits, which json reads back
+        assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {section}.{name}: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "attack"])
+    def test_exit_code_on_non_finite_derived_noise(self, trained_tiny, tmp_path, capsys,
+                                                   command):
+        # -inf dB gives sigma2 = inf, which the > 0 bound alone lets through
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt), "--snr-db=-inf"]
+        if command == "attack":
+            argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
+        assert cli_main(argv) == 2
+        assert "config error: sigma2: must be finite" in capsys.readouterr().err
 
     def test_attack_exports_jamming(self, trained_tiny, tmp_path):
         cfg, _, ckpt = trained_tiny

@@ -9,6 +9,9 @@ import pytest
 
 from risae.errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 from risae.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     LAYERS,
     AdamState,
     BatchNorm,
@@ -576,7 +579,7 @@ class TestAdam:
         m = {key: np.zeros_like(value) for key, value in params.items()}
         v = {key: np.zeros_like(value) for key, value in params.items()}
         state = AdamState(lr=1e-2)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
         for t in range(1, 4):
             grads = {"w": rng.standard_normal((5, 3, 4)).transpose(0, 2, 1),
                      "b": rng.standard_normal(5)}

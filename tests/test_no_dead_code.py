@@ -1,14 +1,19 @@
-"""Dead-code guard: every top-level name in src/risae has a user in the program.
+"""Dead-code guard: every name in src/risae has a user in the program.
 
-A top-level function, class or constant of ``src/risae/*.py`` counts as used
-when its name is loaded, imported or spelled as a string constant anywhere
-in ``src/risae/`` or ``perfbench/`` (the benchmark wraps functions by name).
-Tests do not count: nothing in ``src/`` should exist only so that a test can
-call it.
+A top-level function, class or constant of ``src/risae/*.py``, and a method
+or property of one of its classes, counts as used when its name is loaded,
+imported or spelled as a string constant anywhere in ``src/risae/`` or
+``perfbench/`` (the benchmark wraps functions by name). A config field counts
+as used when it is read as an attribute there. Tests do not count: nothing
+in ``src/`` should exist only so that a test can call it.
 """
 
 import ast
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+from risae.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "risae"
@@ -69,6 +74,56 @@ def test_exemptions_are_still_needed():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         assert name in top_level_names(tree)
         assert name not in used
+
+
+def methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) of every method and property of the module's classes,
+    dunder methods aside."""
+    out = []
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            out.extend((cls.name, node.name) for node in cls.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not (node.name.startswith("__") and node.name.endswith("__")))
+    return out
+
+
+def test_every_method_has_a_program_user():
+    used = program_uses()
+    dead = [f"{path.stem}.{cls}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for cls, name in methods(ast.parse(path.read_text(encoding="utf-8")))
+            if name not in used]
+    assert not dead, f"methods and properties with no user in src/risae or perfbench: {dead}"
+
+
+# -- config fields ------------------------------------------------------------
+
+def config_fields(cls, path: str = "") -> list[str]:
+    """Dotted path of every field in the config tree rooted at cls."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        where = f"{path}.{f.name}" if path else f.name
+        out.append(where)
+        if is_dataclass(hints[f.name]):
+            out.extend(config_fields(hints[f.name], where))
+    return out
+
+
+def attributes_read() -> set[str]:
+    read = set()
+    for path in PROGRAM_FILES:
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return read
+
+
+def test_every_config_field_is_read_by_the_program():
+    # a field no program code reads changes nothing when a user sets it
+    read = attributes_read()
+    unread = [where for where in config_fields(ExperimentConfig)
+              if where.rsplit(".", 1)[-1] not in read]
+    assert not unread, f"config fields no code in src/risae or perfbench reads: {unread}"
 
 
 # -- parameters ---------------------------------------------------------------
