@@ -81,8 +81,8 @@ class PerturbationVector:
         if self.budget <= 0.0:
             raise ValueError("budget must be > 0")
         if self.power > self.budget + BUDGET_TOL:
-            raise AssertionError(f"perturbation power {self.power:.6e} exceeds "
-                                 f"budget {self.budget:.6e}")
+            raise InvariantViolation(f"perturbation power {self.power:.6e} exceeds "
+                                     f"budget {self.budget:.6e}")
 
     @property
     def power(self) -> float:
@@ -118,7 +118,7 @@ class AttackSettings:
     receiver-to-transmit solve; ridge=0 disables regularization.
     """
 
-    psr_db: float = -7.0
+    psr_db: float = setting(-7.0, ((lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300]"))
     n_p: int = setting(50, COUNT)
     n_s: int = setting(20, COUNT)
     eps_acc: float | None = setting(None, POSITIVE)

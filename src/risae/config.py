@@ -19,10 +19,12 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .errors import ConfigInvalid
 
 
-def setting(default, bound=None, *, shape: bool = False):
+def setting(default, bound=None, *, network: bool = False):
     """A config field: its default, its bound as (predicate, message), and
-    whether the networks' tensor shapes depend on it (``shape``)."""
-    metadata = {"bound": bound, "shape": shape}
+    whether the networks depend on it (``network``): ``build_autoencoder``
+    reads it, or it is the block length they were trained on. A checkpoint
+    trained with another value of such a field does not load."""
+    metadata = {"bound": bound, "network": network}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -119,15 +121,15 @@ class SystemConfig:
     links. Spacings are in wavelengths, angular spreads in radians.
     """
 
-    n_t: int = setting(4, COUNT, shape=True)
-    n_r: int = setting(4, COUNT, shape=True)
-    a1_v: int = setting(2, COUNT, shape=True)
-    a1_h: int = setting(4, COUNT, shape=True)
-    a2_v: int = setting(2, COUNT, shape=True)
-    a2_h: int = setting(4, COUNT, shape=True)
-    m: int = setting(16, at_least(2), shape=True)
-    block_len: int = setting(8, COUNT, shape=True)
-    power: float = setting(1.0, POSITIVE)
+    n_t: int = setting(4, COUNT, network=True)
+    n_r: int = setting(4, COUNT, network=True)
+    a1_v: int = setting(2, COUNT, network=True)
+    a1_h: int = setting(4, COUNT, network=True)
+    a2_v: int = setting(2, COUNT, network=True)
+    a2_h: int = setting(4, COUNT, network=True)
+    m: int = setting(16, at_least(2), network=True)
+    block_len: int = setting(8, COUNT, network=True)
+    power: float = setting(1.0, POSITIVE, network=True)
     sigma2: float = setting(1.0, POSITIVE)
     kappa: float = setting(0.2, at_least(0))
     omega: float = setting(1.0, at_least(0))
@@ -140,11 +142,12 @@ class SystemConfig:
     spacing_ris_v: float = setting(0.5, POSITIVE)
     spacing_ris_h: float = setting(0.5, POSITIVE)
     spacing_sc: float = setting(0.5, POSITIVE)
-    hidden_width: int = setting(128, COUNT, shape=True)
+    hidden_width: int = setting(128, COUNT, network=True)
     kernel_size: int = setting(3, ((lambda v: v >= 1 and v % 2 == 1),
-                                   "must be odd and >= 1 for same padding"), shape=True)
-    bn_eps: float = setting(1e-5, POSITIVE)
-    bn_momentum: float = setting(0.9, ((lambda v: 0.0 <= v < 1.0), "must lie in [0, 1)"))
+                                   "must be odd and >= 1 for same padding"), network=True)
+    bn_eps: float = setting(1e-5, POSITIVE, network=True)
+    bn_momentum: float = setting(0.9, ((lambda v: 0.0 <= v < 1.0), "must lie in [0, 1)"),
+                                  network=True)
     loss: str = setting("bce", one_of(("bce", "ce")))  # binary or categorical cross entropy
 
     @property

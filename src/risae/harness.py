@@ -32,7 +32,8 @@ from .autoencoder import (
     train,
 )
 from .config import COUNT, POSITIVE, SystemConfig, check, from_json, setting
-from .errors import ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint
+from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint,
+                     ShapeMismatch)
 from .neural import load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
@@ -201,23 +202,38 @@ def train_system(cfg: ExperimentConfig, out_dir) -> tuple[AutoencoderNets, Path]
 
 
 def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
-    """Load a checkpoint and verify it matches the experiment's dimensions."""
+    """The networks the config declares, with the parameters a checkpoint holds.
+
+    ConfigInvalid when the checkpoint was trained with another value of a
+    field the networks depend on; CorruptCheckpoint when its arrays are not
+    exactly the parameters of those networks, in their shapes.
+    """
     ckpt_path = Path(ckpt_path)
     if not ckpt_path.exists():
         raise MissingCheckpoint(f"no checkpoint at {ckpt_path}")
-    nets, meta = load_checkpoint(ckpt_path)
+    arrays, meta = load_checkpoint(ckpt_path)
     saved = meta.get("system", {})
     if not isinstance(saved, dict):
         raise CorruptCheckpoint(f"{ckpt_path}: the recorded system is not an object")
-    for name in (f.name for f in fields(SystemConfig) if f.metadata.get("shape")):
+    for name in (f.name for f in fields(SystemConfig) if f.metadata.get("network")):
         if name in saved and saved[name] != getattr(cfg.system, name):
             raise ConfigInvalid(f"system.{name}",
                                 f"checkpoint was trained with {saved[name]}, "
                                 f"config says {getattr(cfg.system, name)}")
-    try:
-        return AutoencoderNets(**nets)
-    except TypeError as exc:  # a network missing, or one the system does not have
-        raise CorruptCheckpoint(f"{ckpt_path}: {exc}") from exc
+    nets = build_autoencoder(cfg.system, derive_rng(cfg.seed, "init")).as_dict()
+    want = {(name, key) for name, net in nets.items() for key in net.params()}
+    have = {(name, key) for name, params in arrays.items() for key in params}
+    if have != want:
+        name, key = min(want ^ have, key=str)
+        what = "missing" if (name, key) in want else "unknown to the configured networks"
+        raise CorruptCheckpoint(f"{ckpt_path}: array {name}/{key} is {what}")
+    for name, params in arrays.items():
+        for key, value in params.items():
+            try:
+                nets[name].set_param(key, value)
+            except ShapeMismatch as exc:
+                raise CorruptCheckpoint(f"{ckpt_path}: {name}/{exc}") from exc
+    return AutoencoderNets(**nets)
 
 
 def checkpoint_sha256(path) -> str:

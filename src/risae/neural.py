@@ -36,18 +36,11 @@ def _check_input(x: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """What a layer declares once: ``kind`` names it in a checkpoint,
-    ``spec_fields`` are its constructor arguments (kept as attributes of the
-    same names), ``trainable`` the parameters Adam updates and ``state`` the
-    further arrays a checkpoint keeps."""
+    """What a layer declares once: ``trainable`` the parameters Adam updates
+    and ``state`` the further arrays a checkpoint keeps."""
 
-    kind: str
-    spec_fields: tuple[str, ...] = ()
     trainable: tuple[str, ...] = ()
     state: tuple[str, ...] = ()
-
-    def spec(self) -> dict:
-        return {"kind": self.kind, **{name: getattr(self, name) for name in self.spec_fields}}
 
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.trainable + self.state}
@@ -60,22 +53,17 @@ class Conv1D(Layer):
     be odd so the output length equals the input length.
     """
 
-    kind = "conv"
-    spec_fields = ("in_channels", "out_channels", "kernel_size")
     trainable = ("weight", "bias")
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator):
         if kernel_size % 2 != 1:
             raise ValueError("kernel_size must be odd for same padding")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         limit = np.sqrt(6.0 / (in_channels * kernel_size + out_channels * kernel_size))
-        if rng is None:
-            self.weight = np.zeros((out_channels, in_channels, kernel_size))
-        else:
-            self.weight = rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size))
+        self.weight = rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size))
         self.bias = np.zeros(out_channels)
 
     def _weight_matrix(self) -> np.ndarray:
@@ -142,8 +130,6 @@ class BatchNorm(Layer):
     inference mode applies the frozen affine map.
     """
 
-    kind = "batchnorm"
-    spec_fields = ("channels", "eps", "momentum")
     trainable = ("gamma", "beta")
     state = ("running_mean", "running_var")
 
@@ -199,8 +185,6 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    kind = "relu"
-
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
         return np.maximum(x, 0.0), {"mask": x > 0.0}
@@ -211,8 +195,6 @@ class ReLU(Layer):
 
 class Softmax(Layer):
     """Softmax over the channel axis; every output column sums to one."""
-
-    kind = "softmax"
 
     def forward(self, x: np.ndarray, train: bool):
         x = _check_input(x)
@@ -235,9 +217,6 @@ class PowerNorm(Layer):
     matching imaginary parts; the mean runs over all complex entries of one
     batch element.
     """
-
-    kind = "powernorm"
-    spec_fields = ("target_power",)
 
     def __init__(self, target_power: float):
         if target_power <= 0.0:
@@ -266,23 +245,11 @@ class PowerNorm(Layer):
         return gx, {}
 
 
-LAYERS = {cls.kind: cls for cls in (Conv1D, BatchNorm, ReLU, Softmax, PowerNorm)}
-
-
-def layer_from_spec(spec: dict) -> Layer:
-    """The layer a checkpoint spec describes, its parameters at their initial values."""
-    args = dict(spec)
-    return LAYERS[args.pop("kind")](**args)
-
-
 class Network:
     """Ordered layer stack with a recorded forward pass and exact backward."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = layers
-
-    def spec(self) -> list[dict]:
-        return [layer.spec() for layer in self.layers]
 
     def params(self) -> dict[str, np.ndarray]:
         return {f"layer{i}.{name}": value for i, layer in enumerate(self.layers)
@@ -463,20 +430,19 @@ _CKPT_VERSION = 1
 def save_checkpoint(path, networks: dict[str, Network], meta: dict | None = None) -> None:
     """Versioned binary checkpoint: JSON header then flat little-endian doubles.
 
-    Arrays appear in network order, layer order, then sorted parameter name.
+    It holds each network's parameters by name, not its architecture: the
+    reader builds the networks from the config. Arrays appear in network
+    order, then sorted parameter name.
     """
     manifest = []
     blobs = []
-    specs = {}
     for net_name in sorted(networks):
-        net = networks[net_name]
-        specs[net_name] = net.spec()
-        for key in sorted(net.params()):
-            arr = np.ascontiguousarray(net.params()[key], dtype="<f8")
+        params = networks[net_name].params()
+        for key in sorted(params):
+            arr = np.ascontiguousarray(params[key], dtype="<f8")
             manifest.append({"net": net_name, "param": key, "shape": list(arr.shape)})
             blobs.append(arr.tobytes())
-    header = json.dumps({"version": _CKPT_VERSION, "specs": specs,
-                         "arrays": manifest, "meta": meta or {}},
+    header = json.dumps({"version": _CKPT_VERSION, "arrays": manifest, "meta": meta or {}},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -494,12 +460,13 @@ def _read_exact(fh, size: int, what: str) -> bytes:
     return data
 
 
-def load_checkpoint(path) -> tuple[dict[str, Network], dict]:
-    """Rebuild networks (architecture and parameters) from a checkpoint.
+def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
+    """The arrays of a checkpoint as {network: {parameter: array}}, and its meta.
 
     Raises CorruptCheckpoint on a foreign, unsupported, truncated or
-    malformed file: a header whose specs, array entries or meta do not
-    describe networks and their parameters.
+    malformed file: a header whose array entries or meta are of the wrong
+    structure, or that names one array twice. A ``specs`` key, which older
+    writers added, is ignored.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _CKPT_MAGIC:
@@ -509,17 +476,18 @@ def load_checkpoint(path) -> tuple[dict[str, Network], dict]:
             raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(_read_exact(fh, header_len, "the header").decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # also an integer literal past Python's digit limit
             raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
         try:
-            networks = {name: Network([layer_from_spec(s) for s in spec])
-                        for name, spec in header["specs"].items()}
+            arrays: dict[str, dict[str, np.ndarray]] = {}
             for entry in header["arrays"]:
-                shape = tuple(entry["shape"])
+                net, param, shape = entry["net"], entry["param"], tuple(entry["shape"])
                 n_items = int(np.prod(shape)) if shape else 1
-                blob = _read_exact(fh, n_items * 8, f"{entry['net']}/{entry['param']}")
-                networks[entry["net"]].set_param(entry["param"],
-                                                 np.frombuffer(blob, dtype="<f8").reshape(shape))
+                blob = _read_exact(fh, n_items * 8, f"{net}/{param}")
+                params = arrays.setdefault(net, {})
+                if param in params:
+                    raise ValueError(f"{net}/{param} appears twice")
+                params[param] = np.frombuffer(blob, dtype="<f8").reshape(shape)
             if not isinstance(header["meta"], dict):
                 raise TypeError("meta is not an object")
         except CorruptCheckpoint:
@@ -527,4 +495,4 @@ def load_checkpoint(path) -> tuple[dict[str, Network], dict]:
         except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise CorruptCheckpoint(f"malformed checkpoint header: "
                                     f"{type(exc).__name__}: {exc}") from exc
-    return networks, header["meta"]
+    return arrays, header["meta"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
 import typing
@@ -39,7 +40,6 @@ from risae.harness import (
 )
 from risae.attack import load_perturbation
 from risae.cli import main as cli_main
-from risae.neural import save_checkpoint
 
 
 def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
@@ -192,6 +192,31 @@ def trained_tiny(tmp_path_factory):
     return cfg, nets, ckpt
 
 
+def rewrite_checkpoint(src, dst, edit):
+    """Write to dst the checkpoint src as changed by edit.
+
+    edit gets the (net, param, array) entries in file order and the meta; it
+    may change the meta in place and returns the entries to write. The
+    header and the array data are rewritten to match, other header keys kept
+    as they are.
+    """
+    data = src.read_bytes()
+    (header_len,) = struct.unpack("<I", data[12:16])
+    header = json.loads(data[16:16 + header_len])
+    arrays, offset = [], 16 + header_len
+    for entry in header["arrays"]:
+        size = 8 * int(np.prod(entry["shape"]))
+        values = np.frombuffer(data[offset:offset + size], dtype="<f8")
+        arrays.append((entry["net"], entry["param"], values.reshape(entry["shape"])))
+        offset += size
+    arrays = edit(arrays, header["meta"])
+    header["arrays"] = [{"net": net, "param": param, "shape": list(value.shape)}
+                        for net, param, value in arrays]
+    text = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:12] + struct.pack("<I", len(text)) + text
+                    + b"".join(np.asarray(value, dtype="<f8").tobytes() for *_, value in arrays))
+
+
 class TestTrainAndSweep:
     def test_checkpoint_and_log_written(self, trained_tiny):
         cfg, nets, ckpt = trained_tiny
@@ -201,12 +226,16 @@ class TestTrainAndSweep:
         assert lines[0] == "epoch,loss,wall_seconds"
         assert len(lines) == cfg.train.epochs + 1
 
-    def test_load_system_checks_dimensions(self, trained_tiny):
+    # power, bn_eps and bn_momentum are read by the encoder's power
+    # normalization and the batch norms
+    @pytest.mark.parametrize("name, value", [("n_t", 3), ("power", 2.0), ("bn_eps", 1e-3),
+                                             ("bn_momentum", 0.5)])
+    def test_load_system_checks_network_settings(self, trained_tiny, name, value):
         cfg, _, ckpt = trained_tiny
-        wrong = tiny_experiment(n_t=3)
         with pytest.raises(ConfigInvalid) as err:
-            load_system(ckpt, wrong)
-        assert err.value.field_path == "system.n_t"
+            load_system(ckpt, tiny_experiment(**{name: value}))
+        assert str(err.value) == (f"system.{name}: checkpoint was trained with "
+                                  f"{getattr(cfg.system, name)}, config says {value}")
 
     def test_missing_checkpoint(self, trained_tiny, tmp_path):
         cfg, _, _ = trained_tiny
@@ -368,16 +397,26 @@ class TestPersistence:
                          "--out", str(tmp_path / "again")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {where}")
 
-    @pytest.mark.parametrize("drop, meta, match", [
-        ("decoder", {}, "decoder"),
-        (None, {"system": 5}, "system"),
-    ], ids=["missing-network", "system-not-object"])
+    @pytest.mark.parametrize("edit, match", [
+        (lambda arrays, meta: [a for a in arrays if a[0] != "decoder"], "decoder"),
+        (lambda arrays, meta: meta.update(system=5) or arrays, "system"),
+        (lambda arrays, meta: [a for a in arrays if a[:2] != ("ris2", "layer6.weight")],
+         "ris2/layer6.weight is missing"),
+        (lambda arrays, meta: arrays[:1] + arrays, "appears twice"),
+        # layer 2 of every network is a ReLU, and each has 7 layers
+        (lambda arrays, meta: arrays + [("decoder", "layer2.bias", np.zeros(8))], "unknown"),
+        (lambda arrays, meta: arrays + [("decoder", "layer9.bias", np.zeros(8))], "unknown"),
+        (lambda arrays, meta: arrays + [("enc", "layer0.bias", np.zeros(8))],
+         "enc/layer0.bias is unknown"),
+        (lambda arrays, meta: [(net, param, value.reshape(2, 4) if param == "layer0.bias"
+                                else value) for net, param, value in arrays], "expected shape"),
+    ], ids=["missing-network", "system-not-object", "missing-array", "repeated-array",
+            "unknown-param", "unknown-layer", "unknown-net", "shape-mismatch"])
     def test_checkpoint_the_system_cannot_use_is_corrupt(self, trained_tiny, tmp_path,
-                                                         drop, meta, match):
-        cfg, nets, _ = trained_tiny
-        path = tmp_path / "weights.ckpt"
-        save_checkpoint(path, {name: net for name, net in nets.as_dict().items()
-                               if name != drop}, meta=meta)
+                                                         edit, match):
+        cfg, _, ckpt = trained_tiny
+        path = tmp_path / "edited.ckpt"
+        rewrite_checkpoint(ckpt, path, edit)
         with pytest.raises(CorruptCheckpoint, match=match):
             load_system(path, cfg)
 
@@ -402,17 +441,20 @@ class TestCli:
         code = cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.parametrize("name, value", [("kernel_size", -1), ("bn_eps", -1.0),
-                                             ("bn_eps", 0.0), ("bn_momentum", 1.5),
-                                             ("bn_momentum", 1.0), ("bn_momentum", -0.1)])
-    def test_exit_code_on_out_of_bound_system_field(self, tmp_path, capsys, name, value):
+    @pytest.mark.parametrize("section, name, value", [
+        ("system", "kernel_size", -1), ("system", "bn_eps", -1.0), ("system", "bn_eps", 0.0),
+        ("system", "bn_momentum", 1.5), ("system", "bn_momentum", 1.0),
+        ("system", "bn_momentum", -0.1), ("attack", "psr_db", 4000.0),
+        ("attack", "psr_db", -4000.0)])
+    def test_exit_code_on_out_of_bound_field(self, tmp_path, capsys, section, name, value):
+        # psr_db 4000 overflowed the jamming budget, -4000 made rmaef's budget 0
         data = tiny_experiment().to_dict()
-        data["system"][name] = value
+        data[section][name] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "system" in err and name in err
+        assert section in err and name in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
                              ids=["nan", "inf", "huge-int"])
@@ -494,6 +536,15 @@ class TestCli:
         assert cli_main(["eval", "--preset", "desk", "--checkpoint", str(bad),
                          "--snr-db", "0"]) == 3
         assert "malformed checkpoint header" in capsys.readouterr().err
+
+    def test_exit_code_on_checkpoint_header_past_digit_limit(self, tmp_path, capsys):
+        # Python refuses to parse an integer literal of more than 4,300 digits
+        header = b'{"arrays": [], "meta": {"n": 1' + b"0" * 5000 + b'}, "version": 1}'
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"RISAECK1" + struct.pack("<II", 1, len(header)) + header)
+        assert cli_main(["eval", "--preset", "desk", "--checkpoint", str(bad),
+                         "--snr-db", "0"]) == 3
+        assert "unreadable checkpoint header" in capsys.readouterr().err
 
     def test_exit_code_on_config_file_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

@@ -12,7 +12,6 @@ from risae.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    LAYERS,
     AdamState,
     BatchNorm,
     Conv1D,
@@ -485,7 +484,8 @@ class TestInputOnlyBackward:
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
     @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("kind", sorted(LAYERS) + ["stack"])
+    @pytest.mark.parametrize("kind", ["batchnorm", "conv", "powernorm", "relu", "softmax",
+                                      "stack"])
     def test_same_input_gradient_and_no_parameter_gradients(self, kind, train, channels_last):
         rng = np.random.default_rng(27)
         if kind == "stack":
@@ -542,9 +542,12 @@ class TestChannelsLastNetwork:
         path = tmp_path / "decoder.ckpt"
         save_checkpoint(path, {"dec": net})
         loaded, _ = load_checkpoint(path)
-        for key, value in net.params().items():
-            assert np.array_equal(loaded["dec"].params()[key], value)
-        assert np.array_equal(loaded["dec"].forward(x)[0], net.forward(x)[0])
+        assert sorted(loaded["dec"]) == sorted(net.params())
+        rebuilt = self.decoder(np.random.default_rng(0))
+        for key, value in loaded["dec"].items():
+            assert np.array_equal(value, net.params()[key])
+            rebuilt.set_param(key, value)
+        assert np.array_equal(rebuilt.forward(x)[0], net.forward(x)[0])
 
 
 class TestAdam:
@@ -606,13 +609,11 @@ class TestCheckpoint:
         save_checkpoint(path, nets, meta={"note": "test"})
         loaded, meta = load_checkpoint(path)
         assert meta == {"note": "test"}
+        assert sorted(loaded) == sorted(nets)
         for name, net in nets.items():
+            assert sorted(loaded[name]) == sorted(net.params())
             for key, value in net.params().items():
-                assert np.array_equal(loaded[name].params()[key], value)
-        x = rng.standard_normal((1, 2, 4))
-        y0, _ = nets["dec"].forward(x, train=False)
-        y1, _ = loaded["dec"].forward(x, train=False)
-        assert np.array_equal(y0, y1)
+                assert np.array_equal(loaded[name][key], value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -643,17 +644,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit", [
         lambda h: {},
         lambda h: [],
-        lambda h: h["specs"]["dec"][0].update(kind="dense"),
-        lambda h: h["specs"]["dec"][0].pop("kernel_size"),
-        lambda h: h["specs"]["dec"][0].update(kernel_size=2),
-        lambda h: h["arrays"][0].update(param="layer2.bias"),  # layer 2 is a ReLU
-        lambda h: h["arrays"][0].update(param="layer9.bias"),
-        lambda h: h["arrays"][0].update(net="enc"),
-        lambda h: h["arrays"][0].update(shape=[2, 2]),  # layer0.bias has shape (4,)
         lambda h: h.update(meta=[]),
-    ], ids=["empty", "not-object", "unknown-kind", "spec-missing-field", "even-kernel",
-            "unknown-param", "unknown-layer", "unknown-net", "shape-mismatch",
-            "meta-not-object"])
+    ], ids=["empty", "not-object", "meta-not-object"])
     def test_rejects_malformed_header(self, tmp_path, edit):
         # valid JSON of the wrong structure is a corrupt checkpoint, not a crash
         path = tmp_path / "weights.ckpt"
