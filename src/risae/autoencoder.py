@@ -8,10 +8,11 @@ stacked (received, flattened CSI) input. The training gradient flows through
 every stage; channel matrices and noise draws are constants per sample.
 
 Arrays are batched over blocks: complex tensors are (batch, dim, block_len)
-and cascaded aggregates are (batch, block_len, n_r, n_t). The backward pass
-uses the convention G_z = dL/dRe(z) + j dL/dIm(z), under which a linear map
-w = A z pulls back as G_z = A^H G_w and a unit phase c = exp(j g) contributes
-dL/dg = Im(conj(c) G_c).
+and cascaded aggregates are (batch, block_len, n_r, n_t) views of the
+(batch, n_r, block_len * n_t) arrays the cascade's GEMMs produce. The backward
+pass uses the convention G_z = dL/dRe(z) + j dL/dIm(z), under which a linear
+map w = A z pulls back as G_z = A^H G_w and a unit phase c = exp(j g)
+contributes dL/dg = Im(conj(c) G_c).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from .channel import ChannelBatch, ChannelModel, crandn
 from .config import SystemConfig
 from .errors import Diverged, InvariantViolation, ShapeMismatch
-from .linalg import contract
 from .neural import (
     AdamState,
     Network,
@@ -102,35 +102,44 @@ def pack_decoder_input(r: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def unpack_received_gradient(g_input: np.ndarray, n_r: int, n_t: int):
-    """Split a decoder-input gradient into complex gradients for r and K."""
+    """Split a decoder-input gradient into complex G_r (B, n_r, L) and G_K (B, n_r, L*n_t)."""
     b, _, length = g_input.shape
     g_r = g_input[:, :n_r] + 1j * g_input[:, n_r:2 * n_r]
     flat = g_input[:, 2 * n_r:2 * n_r + n_r * n_t] + 1j * g_input[:, 2 * n_r + n_r * n_t:]
-    g_k = flat.reshape(b, n_r, n_t, length).transpose(0, 3, 1, 2)
+    g_k = flat.reshape(b, n_r, n_t, length).transpose(0, 1, 3, 2).reshape(b, n_r, length * n_t)
     return g_r, g_k
 
 
 # ---------------------------------------------------------------------------
-# cascaded aggregates (batched einsum cores)
+# cascaded aggregates (batched matmuls over the (B, a, L*n) layout)
 # ---------------------------------------------------------------------------
 
+def _cascade(y_f, c_f, u_f, e, y_s, c_s, u_s):
+    """Aggregates Y_f X + Y_s (c_s o M) of a link whose double bounce meets
+    surface f, then s: X = c_f o U_f and M = E X + U_s are laid out as
+    (B, a, L*n), symbol outer, so each product is one batched GEMM. Returns
+    the aggregates as a (B, L, n_r, n) view and M as (B, a_s, L, n)."""
+    b, a_f, length = c_f.shape
+    n = u_f.shape[2]
+    x = (c_f[..., None] * u_f[:, :, None, :]).reshape(b, a_f, length * n)
+    m = (e @ x).reshape(b, -1, length, n)
+    m += u_s[:, :, None, :]
+    k = y_f @ x
+    del x
+    k += y_s @ (c_s[..., None] * m).reshape(b, -1, length * n)
+    return k.reshape(b, -1, length, n).transpose(0, 2, 1, 3), m
+
+
 def cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray):
-    """Per-symbol legitimate aggregates K (B, L, n_r, n_t) plus the E psi1 U1
-    intermediate reused by the backward pass."""
-    m1 = contract("bqa,bal,ban->bqln", chan.e, c1, chan.u1)
-    k = (contract("brq,bql,bqln->blrn", chan.y2, c2, m1)
-         + contract("bra,bal,ban->blrn", chan.y1, c1, chan.u1)
-         + contract("brq,bql,bqn->blrn", chan.y2, c2, chan.u2))
-    return k, m1
+    """Per-symbol legitimate aggregates K (B, L, n_r, n_t) plus the surface-2
+    incident aggregate M = E psi1 U1 + U2 (B, a2, L, n_t) for the backward pass."""
+    return _cascade(chan.y1, c1, chan.u1, chan.e, chan.y2, c2, chan.u2)
 
 
 def adversary_cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     """Per-symbol adversary aggregates G (B, L, n_r, n_adv); the double bounce
     enters surface 2 first, then surface 1."""
-    m1p = contract("baq,bql,bqn->baln", chan.ep, c2, chan.u2p)
-    return (contract("bra,bal,baln->blrn", chan.y1p, c1, m1p)
-            + contract("bra,bal,ban->blrn", chan.y1p, c1, chan.u1p)
-            + contract("brq,bql,bqn->blrn", chan.y2p, c2, chan.u2p))
+    return _cascade(chan.y2p, c2, chan.u2p, chan.ep, chan.y1p, c1, chan.u1p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +185,8 @@ class AttackApplication:
             vectors = raw * (np.sqrt(self.jam_budget) / norms)
         if self.channel_mode == "ideal":
             return np.repeat(vectors[:, :, None], cfg.block_len, axis=2)
-        g = adversary_cascade_set(chan, c1, c2)
-        return contract("blrn,bn->brl", g, vectors)
+        g = adversary_cascade_set(chan, c1, c2).transpose(0, 2, 1, 3)  # (B, n_r, L, n_adv)
+        return (g.reshape(n, -1, g.shape[3]) @ vectors[:, :, None]).reshape(g.shape[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +206,9 @@ class TransmitRecord:
     c1: np.ndarray
     m1_field: np.ndarray
     r2_rec: list | None
+    b2: np.ndarray  # surface-2 incident field M o
     c2: np.ndarray
-    m1: np.ndarray
+    m: np.ndarray  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
     k: np.ndarray
     z: np.ndarray
 
@@ -229,20 +239,19 @@ def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     enc_out, enc_rec = nets.encoder.forward(blocks, train, record=train)
     o = channels_to_complex(enc_out)
 
-    a1 = contract("ban,bnl->bal", chan.u1, o)
+    a1 = chan.u1 @ o
     g1, r1_rec = nets.ris1.forward(complex_to_channels(a1), train, record=train)
     c1 = np.exp(1j * g1)
     m1_field = c1 * a1
 
-    b2 = (contract("bqn,bnl->bql", chan.u2, o)
-          + contract("bqa,bal->bql", chan.e, m1_field))
+    b2 = chan.u2 @ o + chan.e @ m1_field
     g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), train, record=train)
     c2 = np.exp(1j * g2)
 
-    k, m1 = cascade_set(chan, c1, c2)
-    z = contract("blrn,bnl->brl", k, o)
-    return TransmitRecord(blocks=blocks, chan=chan, enc_rec=enc_rec, o=o, r1_rec=r1_rec,
-                          c1=c1, m1_field=m1_field, r2_rec=r2_rec, c2=c2, m1=m1, k=k, z=z)
+    k, m = cascade_set(chan, c1, c2)
+    z = chan.y1 @ m1_field + chan.y2 @ (c2 * b2)  # K o, symbol by symbol
+    return TransmitRecord(blocks=blocks, chan=chan, enc_rec=enc_rec, o=o, r1_rec=r1_rec, c1=c1,
+                          m1_field=m1_field, r2_rec=r2_rec, b2=b2, c2=c2, m=m, k=k, z=z)
 
 
 def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
@@ -289,9 +298,9 @@ def pipeline_loss(rec: PipelineRecord):
 def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     """Exact gradients of the block loss for all four networks.
 
-    Channels and noise are constants; the pass accumulates the phase-angle
-    gradients from all three aggregate terms plus the surface-2 incident
-    field, then pulls everything back to the encoder output.
+    Channels and noise are constants. The received signal pulls back through
+    the surface fields, the aggregates through one shared H = Y2^H G_K, and
+    everything then back to the encoder output.
     """
     if rec.ptilde is not None:
         raise ValueError("cannot backpropagate through an attacked forward pass")
@@ -299,33 +308,39 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     loss, g_probs = pipeline_loss(rec)
 
     dec_grads, g_input = nets.decoder.backward(rec.dec_rec, g_probs)
-    n_r = rec.z.shape[1]
+    b, n_r, length = rec.z.shape
     n_t = rec.o.shape[1]
     g_r, g_k = unpack_received_gradient(g_input, n_r, n_t)
+    u1h, u2h, y1h, y2h, eh = (np.conj(getattr(chan, name)).transpose(0, 2, 1)
+                              for name in ("u1", "u2", "y1", "y2", "e"))
 
-    # r = K o + n: gradient into o directly and into K alongside the CSI copy
-    g_k = g_k + contract("brl,bnl->blrn", g_r, np.conj(rec.o))
-    g_o = contract("blrn,brl->bnl", np.conj(rec.k), g_r)
+    # z = Y1 (psi1 U1 o) + Y2 (c2 o b2), the received signal without K
+    h_r = y2h @ g_r
+    g_c2 = np.conj(rec.b2) * h_r
+    g_m1_field = y1h @ g_r
 
-    # phase gradients of surface 2 (double-bounce and direct terms of K)
-    g_c2 = (contract("blrn,brq,bqln->bql", g_k, np.conj(chan.y2), np.conj(rec.m1))
-            + contract("blrn,brq,bqn->bql", g_k, np.conj(chan.y2), np.conj(chan.u2)))
+    # K = Y1 X1 + Y2 (c2 o M), X1 = c1 o U1, M = E X1 + U2: adjoint through H = Y2^H G_K
+    h = (y2h @ g_k).reshape(rec.m.shape)
+    g_c2 += np.einsum("bqln,bqln->bql", h, np.conj(rec.m))
+    h *= np.conj(rec.c2)[..., None]
+    g_x1 = eh @ h.reshape(b, -1, length * n_t)
+    del h
+    g_x1 += y1h @ g_k
+    g_c1 = (g_x1.reshape(b, -1, length, n_t) @ np.conj(chan.u1)[..., None])[..., 0]
+    del g_x1
     g_gamma2 = np.imag(np.conj(rec.c2) * g_c2)
 
     r2_grads, gs2 = nets.ris2.backward(rec.r2_rec, g_gamma2)
-    g_b2 = channels_to_complex(gs2)
-    g_o += contract("bqn,bql->bnl", np.conj(chan.u2), g_b2)
-    g_m1_field = contract("bqa,bql->bal", np.conj(chan.e), g_b2)
+    g_b2 = channels_to_complex(gs2) + np.conj(rec.c2) * h_r
+    g_o = u2h @ g_b2
+    g_m1_field += eh @ g_b2
 
-    # phase gradients of surface 1: double bounce, single bounce, incident field
-    w1 = contract("brq,bql,bqa->bral", chan.y2, rec.c2, chan.e)
-    g_c1 = (contract("blrn,bral,ban->bal", g_k, np.conj(w1), np.conj(chan.u1))
-            + contract("blrn,bra,ban->bal", g_k, np.conj(chan.y1), np.conj(chan.u1)))
+    # surface 1: the aggregate term, then the incident field psi1 U1 o
     g_gamma1 = np.imag(np.conj(rec.c1) * g_c1) + np.imag(np.conj(rec.m1_field) * g_m1_field)
 
     r1_grads, gs1 = nets.ris1.backward(rec.r1_rec, g_gamma1)
     g_a1 = channels_to_complex(gs1) + np.conj(rec.c1) * g_m1_field
-    g_o += contract("ban,bal->bnl", np.conj(chan.u1), g_a1)
+    g_o += u1h @ g_a1
 
     enc_grads, _ = nets.encoder.backward(rec.enc_rec, complex_to_channels(g_o))
     return loss, {"encoder": enc_grads, "ris1": r1_grads, "ris2": r2_grads,

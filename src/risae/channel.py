@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .linalg import contract, hermitian_sqrt, kron
+from .linalg import hermitian_sqrt, kron
 
 # (row array, column array) of every link, in sampling order: a link matrix
 # maps the column array's signal onto the row array, and both its LoS
@@ -225,9 +225,10 @@ class ChannelModel:
             los = self._los_batch(name, n, rng)
             f_rx = self._f[rows]
             f_tx = self._f[cols]
-            q = crandn(rng, (n, f_rx.shape[0], sc))
-            p = crandn(rng, (n, sc, f_tx.shape[0]))
-            nlos = contract("ij,bjs,st,btk,kl->bil", f_rx, q, f_sc, p, f_tx) / np.sqrt(sc)
+            # Q R_sc^0.5 and P R_tx^0.5 as one GEMM each over the stacked blocks
+            q = (crandn(rng, (n * f_rx.shape[0], sc)) @ f_sc).reshape(n, -1, sc)
+            p = (crandn(rng, (n * sc, f_tx.shape[0])) @ f_tx).reshape(n, sc, -1)
+            nlos = f_rx @ q @ p / np.sqrt(sc)
             links[name] = w_los * los + w_nlos * nlos
         return ChannelBatch(**links)
 

@@ -6,29 +6,11 @@ precision), so calls are safe from any number of concurrent workers.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotPSD, SingularSystem
 
 PSD_EIG_FLOOR = -1e-10
-
-
-@functools.cache
-def _contraction_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
-    """The path ``np.einsum(..., optimize=True)`` plans for these operand
-    shapes; planning reads only the shapes, so zero-stride stand-ins serve."""
-    stand_ins = [np.broadcast_to(0.0, shape) for shape in shapes]
-    return np.einsum_path(subscripts, *stand_ins, optimize=True)[0]
-
-
-def contract(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, *operands, optimize=True)`` with the greedy
-    path search run once per (subscripts, operand shapes) and reused; the
-    same path gives the same result bit for bit."""
-    path = _contraction_path(subscripts, *(np.shape(op) for op in operands))
-    return np.einsum(subscripts, *operands, optimize=path)
 
 
 def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:

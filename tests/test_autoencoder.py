@@ -34,6 +34,11 @@ def tiny_config(**kwargs) -> SystemConfig:
     return SystemConfig(**base)
 
 
+# n_t, n_r, n_adv, a1 = 5, a2 = 6 and L all differ, so a transposed link or a
+# swapped axis cannot pass
+NON_SQUARE = dict(n_t=2, n_r=3, n_adv=4, a1_v=1, a1_h=5, a2_v=2, a2_h=3, block_len=7)
+
+
 def make_system(seed=0, **kwargs):
     cfg = tiny_config(**kwargs)
     nets = build_autoencoder(cfg, np.random.default_rng(seed))
@@ -111,6 +116,19 @@ class TestTransmit:
         for i in range(cfg.block_len):
             assert np.allclose(rec.z[0][:, i], rec.k[0, i] @ rec.o[0][:, i], atol=1e-12)
 
+    def test_received_signal_and_incident_field_match_aggregates(self):
+        # z and the surface-2 input b2 are built without K and M; per symbol
+        # they must still equal K o and M o, at a non-square system
+        cfg, nets = make_system(**NON_SQUARE)
+        rng = np.random.default_rng(42)
+        chan = ChannelModel(cfg).sample_batch(2, rng)
+        blocks, _ = random_message_blocks(cfg, 2, rng)
+        rec = pipeline_forward(nets, cfg, blocks, chan, 0.0)
+        for b in range(2):
+            for i in range(cfg.block_len):
+                assert np.allclose(rec.z[b, :, i], rec.k[b, i] @ rec.o[b, :, i], atol=1e-12)
+                assert np.allclose(rec.b2[b, :, i], rec.m[b, :, i] @ rec.o[b, :, i], atol=1e-12)
+
     def test_noise_variance(self):
         cfg, nets = make_system()
         rng = np.random.default_rng(5)
@@ -161,7 +179,8 @@ class TestDecode:
 class TestForwardPipeline:
     def test_matches_manual_composition_bit_exactly(self):
         # stage by stage with the same kernels: encoder, U1 o, controller 1,
-        # (U2 + E psi1 U1) o, controller 2, cascade_set, K o + n, decoder
+        # U2 o + E psi1 U1 o, controller 2, cascade_set,
+        # Y1 psi1 U1 o + Y2 psi2 (U2 + E psi1 U1) o + n, decoder
         cfg, nets = make_system(seed=8)
         rng = np.random.default_rng(9)
         chan = ChannelModel(cfg).sample_batch(1, rng)
@@ -171,13 +190,12 @@ class TestForwardPipeline:
                                rng=np.random.default_rng(90))
 
         o = channels_to_complex(nets.encoder.forward(blocks, False)[0])
-        a1 = np.einsum("ban,bnl->bal", chan.u1, o, optimize=True)
+        a1 = chan.u1 @ o
         c1 = np.exp(1j * nets.ris1.forward(complex_to_channels(a1), False)[0])
-        b2 = (np.einsum("bqn,bnl->bql", chan.u2, o, optimize=True)
-              + np.einsum("bqa,bal->bql", chan.e, c1 * a1, optimize=True))
+        b2 = chan.u2 @ o + chan.e @ (c1 * a1)
         c2 = np.exp(1j * nets.ris2.forward(complex_to_channels(b2), False)[0])
         k, _ = cascade_set(chan, c1, c2)
-        r = np.einsum("blrn,bnl->brl", k, o, optimize=True) + noise
+        r = chan.y1 @ (c1 * a1) + chan.y2 @ (c2 * b2) + noise
         probs, _ = nets.decoder.forward(pack_decoder_input(r, k), False)
         assert np.array_equal(out.probs, probs)
         assert np.array_equal(out.decisions, probs.argmax(axis=1))
@@ -223,9 +241,11 @@ class TestForwardPipeline:
 
 
 class TestPipelineGradients:
-    @pytest.mark.parametrize("loss", ["bce", "ce"])
-    def test_full_pipeline_matches_finite_differences(self, loss):
-        cfg, nets = make_system(seed=14, loss=loss)
+    @pytest.mark.parametrize("loss, dims", [("bce", {}), ("ce", {}),
+                                            ("bce", NON_SQUARE), ("ce", NON_SQUARE)],
+                             ids=["bce", "ce", "non_square-bce", "non_square-ce"])
+    def test_full_pipeline_matches_finite_differences(self, loss, dims):
+        cfg, nets = make_system(seed=14, loss=loss, **dims)
         rng = np.random.default_rng(15)
         model = ChannelModel(cfg)
         chan = model.sample_batch(2, rng)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risae.autoencoder import adversary_cascade_set, cascade_set
+from risae.autoencoder import AttackApplication, adversary_cascade_set, cascade_set
 from risae.channel import (
     LINK_ENDS,
     ArrayGeometry,
@@ -26,6 +26,11 @@ def tiny_config(**kwargs) -> SystemConfig:
                 num_scatterers=3, hidden_width=8)
     base.update(kwargs)
     return SystemConfig(**base)
+
+
+# n_t, n_r, n_adv, a1 = 5, a2 = 6 and L all differ, so a transposed link or a
+# swapped axis cannot pass the per-symbol oracles
+NON_SQUARE = dict(n_t=2, n_r=3, n_adv=4, a1_v=1, a1_h=5, a2_v=2, a2_h=3, block_len=7)
 
 
 class TestSteering:
@@ -383,6 +388,54 @@ class TestCascadedMatrix:
         k, _ = cascade_set(chan, d1[None, :, None], d2[None, :, None])
         links = (getattr(chan, n)[0] for n in ("y2", "e", "y1", "u1", "u2"))
         assert np.allclose(k[0, 0], cascade_oracle(*links, d1, d2), atol=1e-12)
+
+
+class TestNonSquareCascades:
+    def setup_method(self):
+        self.cfg = tiny_config(**NON_SQUARE)
+        rng = np.random.default_rng(40)
+        self.chan = ChannelModel(self.cfg).sample_batch(3, rng)
+        self.c1 = unit_phases(rng, 3, self.cfg.a1, self.cfg.block_len)
+        self.c2 = unit_phases(rng, 3, self.cfg.a2, self.cfg.block_len)
+
+    def per_symbol(self):
+        """(block, symbol, diag(psi1), diag(psi2), that block's link matrices)."""
+        for b in range(len(self.chan)):
+            links = {name: getattr(self.chan, name)[b] for name in LINK_ENDS}
+            for i in range(self.cfg.block_len):
+                yield b, i, np.diag(self.c1[b, :, i]), np.diag(self.c2[b, :, i]), links
+
+    def test_legitimate_aggregate_per_symbol(self):
+        cfg = self.cfg
+        k, m = cascade_set(self.chan, self.c1, self.c2)
+        assert k.shape == (3, cfg.block_len, cfg.n_r, cfg.n_t)
+        assert m.shape == (3, cfg.a2, cfg.block_len, cfg.n_t)
+        for b, i, d1, d2, c in self.per_symbol():
+            expected = (c["y2"] @ d2 @ c["e"] @ d1 @ c["u1"]
+                        + c["y1"] @ d1 @ c["u1"]
+                        + c["y2"] @ d2 @ c["u2"])
+            assert np.allclose(k[b, i], expected, atol=1e-12)
+            assert np.allclose(m[b, :, i], c["e"] @ d1 @ c["u1"] + c["u2"], atol=1e-12)
+
+    def test_adversary_aggregate_per_symbol(self):
+        cfg = self.cfg
+        g = adversary_cascade_set(self.chan, self.c1, self.c2)
+        assert g.shape == (3, cfg.block_len, cfg.n_r, cfg.n_adv)
+        for b, i, d1, d2, c in self.per_symbol():
+            expected = (c["y1p"] @ d1 @ c["ep"] @ d2 @ c["u2p"]
+                        + c["y1p"] @ d1 @ c["u1p"]
+                        + c["y2p"] @ d2 @ c["u2p"])
+            assert np.allclose(g[b, i], expected, atol=1e-12)
+
+    def test_double_channel_perturbation_per_symbol(self):
+        cfg = self.cfg
+        p_adv = crand(np.random.default_rng(41), cfg.n_adv)
+        attack = AttackApplication("double", p_adv=p_adv)
+        got = attack.received_perturbation(cfg, self.chan, self.c1, self.c2, None)
+        assert got.shape == (3, cfg.n_r, cfg.block_len)
+        g = adversary_cascade_set(self.chan, self.c1, self.c2)
+        for b, i, *_ in self.per_symbol():
+            assert np.allclose(got[b, :, i], g[b, i] @ p_adv, atol=1e-12)
 
 
 class TestStatisticalInvariants:

@@ -1,25 +1,10 @@
 """Oracle and property tests for the complex matrix primitives."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import risae.autoencoder
-import risae.channel
-from risae import linalg
-from risae.autoencoder import (
-    AttackApplication,
-    build_autoencoder,
-    pipeline_backward,
-    pipeline_forward,
-    random_message_blocks,
-)
-from risae.channel import ChannelModel
 from risae.errors import DimensionMismatch, NotPSD, SingularSystem
-from risae.harness import desk_preset
-from risae.linalg import as_matrix, contract, default_ridge, hermitian_sqrt, kron, ls_solve
+from risae.linalg import as_matrix, default_ridge, hermitian_sqrt, kron, ls_solve
 
 
 def crand(rng, *shape):
@@ -206,55 +191,3 @@ class TestAsMatrixFiniteCheck:
             a = LAYOUTS[layout](a)
         with pytest.raises(ValueError, match="non-finite"):
             as_matrix(a)
-
-
-def contract_subscripts(module) -> set[str]:
-    """The subscript literal of every ``contract`` call in a module's source."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
-    return {node.args[0].value for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "contract"}
-
-
-class TestContract:
-    @pytest.mark.parametrize("batch", [1, 16, 64, 512])
-    def test_call_sites_match_einsum_optimize(self, batch, monkeypatch):
-        # Record every contraction one desk sampling, training forward and
-        # backward, and double-channel attacked forward perform, then check
-        # each against np.einsum(optimize=True) on the same operands.
-        calls = []
-
-        def recording(subscripts, *operands):
-            calls.append((subscripts, [np.copy(op) for op in operands]))
-            return contract(subscripts, *operands)
-
-        monkeypatch.setattr(risae.autoencoder, "contract", recording)
-        monkeypatch.setattr(risae.channel, "contract", recording)
-        cfg = desk_preset(7).system
-        rng = np.random.default_rng(batch)
-        nets = build_autoencoder(cfg, rng)
-        chan = ChannelModel(cfg).sample_batch(batch, rng)
-        blocks, _ = random_message_blocks(cfg, batch, rng)
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=True)
-        pipeline_backward(nets, rec)
-        p_adv = rng.standard_normal(cfg.adversary_antennas) + 0j
-        pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
-                         attack=AttackApplication("double", p_adv=p_adv))
-
-        seen = {subscripts for subscripts, _ in calls}
-        assert seen == contract_subscripts(risae.autoencoder) | contract_subscripts(risae.channel)
-        for subscripts, operands in calls:
-            assert np.array_equal(contract(subscripts, *operands),
-                                  np.einsum(subscripts, *operands, optimize=True)), subscripts
-
-    def test_one_plan_per_subscripts_and_shapes(self):
-        rng = np.random.default_rng(0)
-        a, b, c = crand(rng, 3, 4, 5), crand(rng, 3, 5, 2), crand(rng, 3, 2, 6)
-        linalg._contraction_path.cache_clear()
-        contract("bij,bjk,bkl->bil", a, b, c)
-        contract("bij,bjk,bkl->bil", a + 1.0, b, c)
-        assert linalg._contraction_path.cache_info().currsize == 1
-        contract("bij,bjk,bkl->bil", a[:2], b[:2], c[:2])
-        assert linalg._contraction_path.cache_info().currsize == 2
-        contract("bij,bjk,bkl->bli", a, b, c)
-        assert linalg._contraction_path.cache_info().currsize == 3
