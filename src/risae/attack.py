@@ -33,12 +33,15 @@ from .autoencoder import (
     random_message_blocks,
 )
 from .channel import ChannelModel, crandn
-from .config import COUNT, POSITIVE, SystemConfig, at_least, one_of, setting
+from .config import COUNT, DECIBELS, SystemConfig, one_of, setting
 from .errors import AllTargetsFailed, InvariantViolation, NoProgress
 from .linalg import default_ridge, ls_solve
 from .neural import Network
 
 BUDGET_TOL = 1e-9
+# Bisection probes of the minimal-flip search over the radius 2 ||w||: ten
+# halvings narrow it to under 1e-3 of itself (ceil(log2 1000) = 10).
+SEARCH_PROBES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -110,29 +113,13 @@ class AttackResult:
 
 @dataclass
 class AttackSettings:
-    """Budget, search shape and attack channel of the attack constructions.
+    """Budget, search shape and attack channel of the attack constructions:
+    n_p outer probes, n_s inner descent steps per bisection probe."""
 
-    n_p outer probes, n_s inner descent steps per bisection probe. p_max and
-    eps_acc default per probe to 2 ||w|| and 1e-3 p_max when left unset.
-    ridge=None applies the default trace-scaled regularizer to the
-    receiver-to-transmit solve; ridge=0 disables regularization.
-    """
-
-    psr_db: float = setting(-7.0, ((lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300]"))
+    psr_db: float = setting(-7.0, DECIBELS)
     n_p: int = setting(50, COUNT)
     n_s: int = setting(20, COUNT)
-    eps_acc: float | None = setting(None, POSITIVE)
-    p_max: float | None = setting(None, POSITIVE)
-    ridge: float | None = setting(None, at_least(0))
     channel_mode: str = setting("ideal", one_of(CHANNEL_MODES))
-
-    def search_radius(self, w_norm: float) -> tuple[float, float, int]:
-        """(p_max, eps_acc, bisection probes); at least one probe, also when
-        eps_acc is at or above a default p_max."""
-        p_max = self.p_max if self.p_max is not None else 2.0 * w_norm
-        eps_acc = self.eps_acc if self.eps_acc is not None else 1e-3 * p_max
-        probes = max(1, int(np.ceil(np.log2(p_max / eps_acc))))
-        return p_max, eps_acc, probes
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +174,20 @@ def jamming(budget: float, dimension: int, rng: np.random.Generator) -> Perturba
 # receiver -> transmit mapping
 # ---------------------------------------------------------------------------
 
-def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray,
-                         ridge: float | None = None) -> np.ndarray:
+def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray) -> np.ndarray:
     """Map per-symbol receiver-domain perturbations to one transmit vector.
 
     The columns of ptilde (n_r, L) are averaged across the block (one
     time-invariant vector must serve every symbol), then the block aggregate
     - the symbol mean of g_set (L, n_r, n_adv) - is inverted by regularized
-    least squares. g_set=None stands for the identity attack channel and
-    returns the average directly.
+    least squares with the trace-scaled ``default_ridge``. g_set=None stands
+    for the identity attack channel and returns the average directly.
     """
     pbar = np.asarray(ptilde, dtype=np.complex128).mean(axis=1)
     if g_set is None:
         return pbar
     gbar = np.asarray(g_set, dtype=np.complex128).mean(axis=0)
-    if ridge is None:
-        ridge = default_ridge(gbar)
-    return ls_solve(gbar, pbar, ridge=ridge)
+    return ls_solve(gbar, pbar, ridge=default_ridge(gbar))
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +213,22 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
                              k_set: np.ndarray, pgd: AttackSettings) -> PgdOutcome:
     """Smallest receiver-domain perturbation that flips the block decision.
 
-    For every candidate target class a bisection over the radius eps runs an
-    n_s-step walk: step along the normalized targeted-loss gradient, clamp to
-    the norm band of the probe direction, refresh the gradient. A probe
-    succeeds when the majority of symbol decisions equal the target and the
-    decision vector actually changed (the constraint is a changed decision,
-    so the clean block's own majority class cannot win at radius zero). All
-    class searches advance in lockstep as one decoder batch. Gradients on
-    the CSI portion of the input are masked to zero before normalization.
+    For every candidate target class a SEARCH_PROBES-step bisection of the
+    radius eps over (0, 2 ||w||] runs an n_s-step walk: step along the
+    normalized targeted-loss gradient, clamp to the norm band of the probe
+    direction, refresh the gradient. A probe succeeds when the majority of
+    symbol decisions equal the target and the decision vector actually
+    changed (the constraint is a changed decision, so the clean block's own
+    majority class cannot win at radius zero). All class searches advance in
+    lockstep as one decoder batch. Gradients on the CSI portion of the input
+    are masked to zero before normalization.
 
     Raises AllTargetsFailed when no class flips within the search radius.
     """
     w = np.asarray(w, dtype=np.complex128)
     n_r, length = w.shape
     m = cfg.m
-    p_max, eps_acc, probes = pgd.search_radius(float(np.linalg.norm(w)))
+    p_max = 2.0 * float(np.linalg.norm(w))
 
     targets = np.zeros((m, m, length))
     targets[np.arange(m), np.arange(m), :] = 1.0
@@ -277,7 +262,7 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     success = np.zeros(m, dtype=bool)
     p_norm = g_clean.copy()
 
-    for _probe in range(probes):
+    for _probe in range(SEARCH_PROBES):
         eps_ave = 0.5 * (lo + hi)
         step = (eps_ave / pgd.n_s)[:, None, None]
         beta = step * p_norm
@@ -346,7 +331,7 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
             continue
         grad_evals += outcome.grad_evals
         # the walk descends along the gradient, so the additive flip is -p_add
-        delta = receiver_to_transmit(g_set, -outcome.p_add, ridge=pgd.ridge)
+        delta = receiver_to_transmit(g_set, -outcome.p_add)
         p_adv = enforce_power(p_adv + delta, linear_budget)
         flips += 1
 
@@ -382,7 +367,7 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         if norm == 0.0:
             continue
         g_set = None if channel_mode == "ideal" else adversary_cascade_set(chan, rec.c1, rec.c2)[0]
-        delta = receiver_to_transmit(g_set, g_r / norm, ridge=pgd.ridge)
+        delta = receiver_to_transmit(g_set, g_r / norm)
         delta_norm = np.linalg.norm(delta)
         if delta_norm == 0.0:
             continue

@@ -208,8 +208,6 @@ class TransmitRecord:
     r2_rec: list | None
     b2: np.ndarray  # surface-2 incident field M o
     c2: np.ndarray
-    m: np.ndarray  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
-    k: np.ndarray
     z: np.ndarray
 
 
@@ -217,6 +215,8 @@ class TransmitRecord:
 class PipelineRecord(TransmitRecord):
     """Everything the backward pass and the attacks need from one forward."""
 
+    m: np.ndarray  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
+    k: np.ndarray
     noise: np.ndarray
     ptilde: np.ndarray | None
     d_input: np.ndarray
@@ -228,8 +228,9 @@ class PipelineRecord(TransmitRecord):
 
 def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
                      chan: ChannelBatch, train: bool) -> TransmitRecord:
-    """Encoder, both surface controllers and the cascade: the first half of
-    ``pipeline_forward``, which needs neither noise nor the decoder."""
+    """Encoder and both surface controllers up to z = K o: the first half of
+    ``pipeline_forward``, which needs neither the aggregates, noise nor the
+    decoder."""
     blocks = np.asarray(blocks, dtype=np.float64)
     if blocks.ndim != 3 or blocks.shape[1] != cfg.m or blocks.shape[2] != cfg.block_len:
         raise ShapeMismatch(f"blocks must be (batch, {cfg.m}, {cfg.block_len}), got {blocks.shape}")
@@ -248,10 +249,9 @@ def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), train, record=train)
     c2 = np.exp(1j * g2)
 
-    k, m = cascade_set(chan, c1, c2)
     z = chan.y1 @ m1_field + chan.y2 @ (c2 * b2)  # K o, symbol by symbol
     return TransmitRecord(blocks=blocks, chan=chan, enc_rec=enc_rec, o=o, r1_rec=r1_rec, c1=c1,
-                          m1_field=m1_field, r2_rec=r2_rec, b2=b2, c2=c2, m=m, k=k, z=z)
+                          m1_field=m1_field, r2_rec=r2_rec, b2=b2, c2=c2, z=z)
 
 
 def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
@@ -267,6 +267,7 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     networks' activation records.
     """
     tx = transmit_forward(nets, cfg, blocks, chan, train)
+    k, m = cascade_set(chan, tx.c1, tx.c2)
     z = tx.z
 
     if sigma2 > 0.0:
@@ -280,11 +281,11 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
         ptilde = attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
         r = r + ptilde
 
-    d_input = pack_decoder_input(r, tx.k)
+    d_input = pack_decoder_input(r, k)
     probs, dec_rec = nets.decoder.forward(d_input, train, record=train)
     decisions = probs.argmax(axis=1)
 
-    return PipelineRecord(**vars(tx), noise=noise, ptilde=ptilde, d_input=d_input,
+    return PipelineRecord(**vars(tx), m=m, k=k, noise=noise, ptilde=ptilde, d_input=d_input,
                           dec_rec=dec_rec, probs=probs, decisions=decisions,
                           loss_kind=cfg.loss)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .attack import export_perturbation, jamming, rmaef, rmaep
 from .autoencoder import CHANNEL_MODES, attack_dimension
+from .config import DECIBELS
 from .errors import ConfigInvalid, CorruptCheckpoint, MissingCheckpoint
 from .harness import (
     ATTACK_KINDS,
@@ -40,6 +41,15 @@ def _resolve_config(args):
     if args.seed is not None:
         cfg.seed = args.seed  # any int is a valid seed; the config is validated already
     return cfg
+
+
+def snr_db(text: str) -> float:
+    """An --snr-db value: a number within the config's dB bound; argparse
+    exits 2 on anything else."""
+    value = float(text)
+    if not DECIBELS[0](value):
+        raise argparse.ArgumentTypeError(f"{DECIBELS[1]}, got {text}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -130,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--checkpoint", type=Path, required=True)
     p_attack.add_argument("--kind", choices=[k for k in ATTACK_KINDS if k != "secured"],
                           required=True)
-    p_attack.add_argument("--snr-db", type=float, required=True)
+    p_attack.add_argument("--snr-db", type=snr_db, required=True)
     p_attack.add_argument("--mode", choices=CHANNEL_MODES, default=None,
                           help="attack channel mode override")
     p_attack.add_argument("--out", type=Path, required=True, help="perturbation CSV path")
@@ -140,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--attack", choices=ATTACK_KINDS, default="secured")
-    p_eval.add_argument("--snr-db", type=float, required=True)
+    p_eval.add_argument("--snr-db", type=snr_db, required=True)
     p_eval.add_argument("--blocks", type=int, default=None, help="test blocks override")
     p_eval.set_defaults(func=cmd_eval)
 

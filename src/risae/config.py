@@ -107,6 +107,9 @@ def check(obj, path: str = "") -> None:
 COUNT = at_least(1)
 POSITIVE = above(0)
 SPREAD = (lambda v: 0.0 < v <= math.pi), "must lie in (0, pi]"
+# a ratio in dB; far enough inside the float range that 10 ** (v / 10)
+# neither overflows nor rounds to 0
+DECIBELS = (lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300] dB"
 
 
 @dataclass
@@ -168,7 +171,7 @@ class SystemConfig:
         return 2 * (self.n_r + self.n_r * self.n_t)
 
     def validate(self) -> None:
-        check(self)
+        check(self, "system")
 
     def replace(self, **changes) -> SystemConfig:
         cfg = dataclasses.replace(self, **changes)

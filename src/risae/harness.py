@@ -31,7 +31,7 @@ from .autoencoder import (
     evaluate_ser,
     train,
 )
-from .config import COUNT, POSITIVE, SystemConfig, check, from_json, setting
+from .config import COUNT, DECIBELS, POSITIVE, SystemConfig, check, from_json, setting
 from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint,
                      ShapeMismatch)
 from .neural import load_checkpoint, save_checkpoint
@@ -46,7 +46,7 @@ CSV_HEADER = "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 
 @dataclass
 class TrainSettings:
-    snr_db: float = 15.0
+    snr_db: float = setting(15.0, DECIBELS)
     epochs: int = setting(200, COUNT)
     learning_rate: float = setting(1e-3, POSITIVE)
     batch_blocks: int = setting(64, COUNT)
@@ -56,8 +56,10 @@ class TrainSettings:
 @dataclass
 class EvalSettings:
     snr_sweep_db: list[float] = setting(
-        [-4.0, 0.0, 4.0, 8.0], ((lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:]))),
-                                "must be a non-empty, strictly increasing list"))
+        [-4.0, 0.0, 4.0, 8.0],
+        ((lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:]))
+          and all(DECIBELS[0](a) for a in v)),
+         f"must be a non-empty, strictly increasing list whose entries each {DECIBELS[1]}"))
     test_blocks: int = setting(2000, COUNT)
 
 
@@ -68,25 +70,17 @@ class ExperimentConfig:
     eval: EvalSettings = field(default_factory=EvalSettings)
     attack: AttackSettings = field(default_factory=AttackSettings)
     attacks: list[str] = setting(
-        list(ATTACK_KINDS), ((lambda v: len(v) > 0 and set(v) <= set(ATTACK_KINDS)),
-                             f"must be a non-empty list of {ATTACK_KINDS}"))
+        list(ATTACK_KINDS),
+        ((lambda v: len(v) > 0 and set(v) <= set(ATTACK_KINDS) and len(set(v)) == len(v)),
+         f"must be a non-empty list of {ATTACK_KINDS}, none repeated"))
     scatterers: list[int] = setting(
-        [9], ((lambda v: len(v) > 0 and min(v) >= 1), "must be a list of positive counts"))
+        [9], ((lambda v: len(v) > 0 and min(v) >= 1 and len(set(v)) == len(v)),
+              "must be a non-empty list of positive counts, none repeated"))
     seed: int = 20240810
     preset: str = "custom"
 
     def validate(self) -> None:
-        try:
-            check(self)
-        except ConfigInvalid as exc:
-            # system errors keep the path "system"; their message names the field
-            name = exc.field_path.removeprefix("system.")
-            if name != exc.field_path:
-                raise ConfigInvalid("system", f"{name}: {exc.args[1]}") from exc
-            raise
-        at = self.attack
-        if at.p_max is not None and at.eps_acc is not None and at.p_max <= at.eps_acc:
-            raise ConfigInvalid("attack.p_max", "must exceed attack.eps_acc")
+        check(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

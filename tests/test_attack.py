@@ -8,6 +8,7 @@ import pytest
 import risae.attack
 import risae.neural
 from risae.attack import (
+    SEARCH_PROBES,
     AttackBudget,
     AttackResult,
     AttackSettings,
@@ -31,7 +32,8 @@ from risae.autoencoder import (
 )
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
-from risae.errors import AllTargetsFailed, InvariantViolation, SingularSystem
+from risae.errors import AllTargetsFailed, InvariantViolation
+from risae.linalg import default_ridge
 from risae.neural import BatchNorm, Conv1D, Network, PowerNorm, ReLU, Softmax
 
 
@@ -161,24 +163,30 @@ class TestReceiverToTransmit:
         out = receiver_to_transmit(None, ptilde)
         assert np.allclose(out, ptilde.mean(axis=1))
 
-    def test_identity_matrices_behave_like_average(self):
+    def test_identity_matrices_shrink_the_average_by_the_ridge(self):
+        # (I + lambda I) p = pbar
         rng = np.random.default_rng(8)
         ptilde = crand(rng, 3, 4)
         g_set = np.broadcast_to(np.eye(3), (4, 3, 3))
-        out = receiver_to_transmit(g_set, ptilde, ridge=0.0)
-        assert np.allclose(out, ptilde.mean(axis=1), atol=1e-12)
+        out = receiver_to_transmit(g_set, ptilde)
+        ridge = default_ridge(np.eye(3))
+        assert ridge > 0.0
+        assert np.allclose(out, ptilde.mean(axis=1) / (1.0 + ridge), rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def assert_ridge_normal_equation(g_set, ptilde, p):
+        # the regularized normal equation G^H (G p - pbar) = -lambda p
+        gbar = g_set.mean(axis=0)
+        pbar = ptilde.mean(axis=1)
+        residual = gbar.conj().T @ (gbar @ p - pbar) + default_ridge(gbar) * p
+        assert np.linalg.norm(residual) <= 1e-9
 
     def test_normal_equation_residual(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             g_set = crand(rng, 4, 6, 3)
             ptilde = crand(rng, 6, 4)
-            ridge = 1e-6
-            p = receiver_to_transmit(g_set, ptilde, ridge=ridge)
-            gbar = g_set.mean(axis=0)
-            pbar = ptilde.mean(axis=1)
-            residual = np.linalg.norm(gbar.conj().T @ (gbar @ p - pbar))
-            assert residual <= ridge * np.linalg.norm(p) + 1e-9
+            self.assert_ridge_normal_equation(g_set, ptilde, receiver_to_transmit(g_set, ptilde))
 
     def test_normal_equation_residual_on_adversary_cascade(self):
         # g_set as the attacks pass it: one block of adversary_cascade_set,
@@ -189,15 +197,11 @@ class TestReceiverToTransmit:
         chan = ChannelModel(cfg).sample_batch(8, rng)
         blocks, _ = random_message_blocks(cfg, 8, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=False)
-        ridge = 1e-6
         for g_set in adversary_cascade_set(chan, rec.c1, rec.c2):
             ptilde = crand(rng, cfg.n_r, cfg.block_len)
-            p = receiver_to_transmit(g_set, ptilde, ridge=ridge)
+            p = receiver_to_transmit(g_set, ptilde)
             assert p.shape == (cfg.adversary_antennas,)
-            gbar = g_set.mean(axis=0)
-            pbar = ptilde.mean(axis=1)
-            residual = np.linalg.norm(gbar.conj().T @ (gbar @ p - pbar))
-            assert residual <= ridge * np.linalg.norm(p) + 1e-9
+            self.assert_ridge_normal_equation(g_set, ptilde, p)
 
     def test_rank_deficient_with_default_ridge(self):
         rng = np.random.default_rng(10)
@@ -206,20 +210,15 @@ class TestReceiverToTransmit:
         out = receiver_to_transmit(gbar[None], crand(rng, 4)[:, None])
         assert np.all(np.isfinite(out))
 
-    def test_rank_deficient_without_ridge_raises(self):
-        rng = np.random.default_rng(11)
-        col = crand(rng, 4, 1)
-        gbar = np.hstack([col, col])
-        with pytest.raises(SingularSystem):
-            receiver_to_transmit(gbar[None], crand(rng, 4)[:, None], ridge=0.0)
 
-
-def linear_toy_decoder(gain=2.0):
-    """Two-class decoder that reads only Re(r): boundary at Re(r) = 0."""
+def linear_toy_decoder(bias=0.0):
+    """Two-class decoder that reads only Re(r): logits (2 Re r + bias,
+    -2 Re r - bias), so the boundary lies at Re(r) = -bias / 2."""
     conv = Conv1D(4, 2, 1, np.random.default_rng(0))
     conv.weight = np.zeros((2, 4, 1))
-    conv.weight[0, 0, 0] = gain
-    conv.weight[1, 0, 0] = -gain
+    conv.weight[0, 0, 0] = 2.0
+    conv.weight[1, 0, 0] = -2.0
+    conv.bias = np.array([bias, -bias])
     return Network([conv, Softmax()])
 
 
@@ -246,7 +245,7 @@ class TestPgdMinimalPerturbation:
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.4j]])
         k_set = np.array([[[0.7 + 0.2j]]])
-        pgd = AttackSettings(n_p=1, n_s=1, p_max=4.0, eps_acc=1e-3)
+        pgd = AttackSettings(n_p=1, n_s=1)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         assert out.target == 1
         assert abs(out.eps_star - 1.3) <= 2e-3
@@ -257,26 +256,24 @@ class TestPgdMinimalPerturbation:
         cfg = toy_cfg()
         w = np.array([[0.9 - 0.2j]])
         k_set = np.array([[[0.5 + 0.1j]]])
-        pgd = AttackSettings(n_p=1, n_s=1, p_max=4.0, eps_acc=1e-3)
+        pgd = AttackSettings(n_p=1, n_s=1)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
-        probes = pgd.search_radius(np.linalg.norm(w))[2]
-        assert probes == int(np.ceil(np.log2(4.0 / 1e-3)))
-        assert out.grad_evals == cfg.m * (1 + probes * pgd.n_s)
-        assert out.eps_star <= 4.0
+        assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
+        assert out.eps_star <= 2.0 * np.abs(w).item()
         # w - p_add flips the decision to the reported target
         assert ray_flips_to_target(decoder, w, k_set, out)
 
     def test_all_targets_failed(self):
-        decoder = linear_toy_decoder()
+        # the boundary Re(r) = -2.5 lies 3.8 from w, past the radius 2 ||w|| = 2.6
+        decoder = linear_toy_decoder(bias=5.0)
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.0j]])
         k_set = np.array([[[0.5 + 0.0j]]])
-        pgd = AttackSettings(n_p=1, n_s=1, p_max=0.5, eps_acc=1e-2)
+        pgd = AttackSettings(n_p=1, n_s=1)
         with pytest.raises(AllTargetsFailed) as err:
             pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         # the failed search reports what it spent, also across a pickle
-        probes = pgd.search_radius(1.3)[2]
-        assert err.value.grad_evals == cfg.m * (1 + probes * pgd.n_s)
+        assert err.value.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s) == 22
         assert pickle.loads(pickle.dumps(err.value)).grad_evals == err.value.grad_evals
 
     def test_gradient_evaluation_bound(self):
@@ -287,60 +284,46 @@ class TestPgdMinimalPerturbation:
         blocks, _ = random_message_blocks(cfg, 1, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         w = (rec.z + rec.noise)[0]
-        pgd = AttackSettings(n_p=1, n_s=2, p_max=8.0, eps_acc=0.5)
-        probes = int(np.ceil(np.log2(8.0 / 0.5)))
+        pgd = AttackSettings(n_p=1, n_s=2)
         try:
             out = pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd)
         except AllTargetsFailed:
             pytest.skip("random system produced no flip for this seed")
-        assert pgd.search_radius(np.linalg.norm(w))[2] == probes
-        assert out.grad_evals == cfg.m * (1 + probes * pgd.n_s)
-
-    def test_eps_acc_above_default_radius_runs_one_probe(self):
-        pgd = AttackSettings(n_p=1, n_s=1, eps_acc=100.0)
-        assert pgd.search_radius(3.0) == (6.0, 100.0, 1)
-        decoder = linear_toy_decoder()
-        cfg = toy_cfg()
-        w = np.array([[1.3 + 0.4j]])
-        out = pgd_minimal_perturbation(decoder, cfg, w, np.array([[[0.7 + 0.2j]]]), pgd)
-        # the single bisection probe sits at p_max / 2 = ||w||, past the 1.3 margin
-        assert pgd.search_radius(np.linalg.norm(w))[2] == 1
-        assert out.grad_evals == cfg.m * (1 + pgd.n_s)
-        assert out.target == 1
-        assert out.eps_star == pytest.approx(np.abs(w).item())
+        assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
 
     @pytest.mark.parametrize("n_s", [1, 3])
-    @pytest.mark.parametrize("p_max", [4.0, 0.5], ids=["flips", "fails"])
-    def test_one_decoder_forward_per_gradient_batch(self, n_s, p_max, monkeypatch):
+    @pytest.mark.parametrize("bias", [0.0, 5.0], ids=["flips", "fails"])
+    def test_one_decoder_forward_per_gradient_batch(self, n_s, bias, monkeypatch):
         # The clean and per-probe decisions come from the forwards that
         # already compute the gradients: 1 + probes * n_s forwards per search.
-        decoder = linear_toy_decoder()
+        decoder = linear_toy_decoder(bias)
         forwards = []
         original = decoder.forward
         monkeypatch.setattr(decoder, "forward",
                             lambda x, train=False: forwards.append(len(x)) or original(x, train))
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.4j]])
-        pgd = AttackSettings(n_p=1, n_s=n_s, p_max=p_max, eps_acc=1e-2)
+        pgd = AttackSettings(n_p=1, n_s=n_s)
         try:
             out = pgd_minimal_perturbation(decoder, cfg, w, np.array([[[0.7 + 0.2j]]]), pgd)
-            assert p_max > 1.3 and out.target == 1
+            assert bias == 0.0 and out.target == 1
         except AllTargetsFailed:
-            assert p_max < 1.3
-        probes = pgd.search_radius(np.linalg.norm(w))[2]
-        assert forwards == [cfg.m] * (1 + probes * n_s)
+            assert bias > 0.0
+        assert forwards == [cfg.m] * (1 + SEARCH_PROBES * n_s)
 
     def test_binary_search_interval_width(self):
         decoder = linear_toy_decoder()
         cfg = toy_cfg()
         w = np.array([[0.6 + 0.3j]])
         k_set = np.array([[[0.4 - 0.6j]]])
-        pgd = AttackSettings(n_p=1, n_s=1, p_max=2.0, eps_acc=1e-3)
+        pgd = AttackSettings(n_p=1, n_s=1)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
-        probes = pgd.search_radius(np.linalg.norm(w))[2]
-        assert out.grad_evals == cfg.m * (1 + probes * pgd.n_s)
-        # interval width after T probes is p_max / 2^T <= eps_acc
-        assert 2.0 / 2 ** probes <= 1e-3
+        assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
+        # the interval left after the probes, radius / 2^probes, is at most
+        # 1e-3 of the radius, and holds the 0.6 margin from above
+        radius = 2.0 * np.abs(w).item()
+        assert 2.0 ** -SEARCH_PROBES <= 1e-3
+        assert 0.6 < out.eps_star <= 0.6 + radius / 2 ** SEARCH_PROBES
 
 
 class TestUniversalAttacks:
@@ -353,7 +336,7 @@ class TestUniversalAttacks:
     def test_rmaep_budget_and_bookkeeping(self, mode):
         cfg, nets = self._system()
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        pgd = AttackSettings(n_p=4, n_s=2, p_max=None, eps_acc=None, channel_mode=mode)
+        pgd = AttackSettings(n_p=4, n_s=2, channel_mode=mode)
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(15), channel_mode=mode)
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.iterations == 4
@@ -378,23 +361,24 @@ class TestUniversalAttacks:
         assert result.perturbation.values.shape == (cfg.adversary_antennas,)
 
     def test_rmaep_counts_gradients_of_failed_searches(self, monkeypatch):
-        # an untrained m=2, block_len=1 system decodes about half the probes,
-        # and a radius of 1e-6 flips none, so every search that runs fails
+        # an untrained m=2, block_len=1 system decodes about half the probes;
+        # every search that runs fails and reports 7 gradient evaluations
         cfg = tiny_config(m=2, block_len=1)
         nets = build_autoencoder(cfg, np.random.default_rng(40))
-        rows = []
-        gradient = risae.attack.decoder_input_gradient
+        searches = []
 
-        def counting(decoder, d_input, *args):
-            rows.append(d_input.shape[0])
-            return gradient(decoder, d_input, *args)
+        def failing(*args):
+            searches.append(args)
+            raise AllTargetsFailed("stub search", grad_evals=7)
 
-        monkeypatch.setattr(risae.attack, "decoder_input_gradient", counting)
-        pgd = AttackSettings(n_p=8, n_s=2, p_max=1e-6, eps_acc=1e-7, channel_mode="ideal")
+        monkeypatch.setattr(risae.attack, "pgd_minimal_perturbation", failing)
+        pgd = AttackSettings(n_p=8, n_s=2, channel_mode="ideal")
         result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
                        np.random.default_rng(41), channel_mode="ideal")
-        assert result.skipped >= 1 and result.flips_found == 0
-        assert result.grad_evals == sum(rows)
+        assert result.skipped == len(searches) >= 1 and result.flips_found == 0
+        assert result.skipped + result.already_broken == pgd.n_p
+        assert result.grad_evals == 7 * len(searches)
+        assert not result.perturbation.values.any()
 
     def test_result_accounts_for_every_probe(self):
         vector = PerturbationVector(np.zeros(2, dtype=complex), budget=1.0)
@@ -408,10 +392,9 @@ class TestUniversalAttacks:
     def test_rmaep_grad_eval_bound(self):
         cfg, nets = self._system(seed=16)
         budget = AttackBudget(-7.0, reference_power=cfg.power)
-        pgd = AttackSettings(n_p=3, n_s=2, p_max=8.0, eps_acc=0.5, channel_mode="ideal")
+        pgd = AttackSettings(n_p=3, n_s=2, channel_mode="ideal")
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(17), channel_mode="ideal")
-        probes = int(np.ceil(np.log2(8.0 / 0.5)))
-        assert result.grad_evals <= pgd.n_p * cfg.m * (1 + probes * pgd.n_s)
+        assert result.grad_evals <= pgd.n_p * cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
 
     def test_rmaep_vanishing_budget(self):
         cfg, nets = self._system(seed=18)
@@ -466,7 +449,7 @@ class TestUniversalAttacks:
             rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
             try:
                 pgd_minimal_perturbation(nets.decoder, cfg, (rec.z + rec.noise)[0], rec.k[0],
-                                         AttackSettings(n_s=2, eps_acc=0.1))
+                                         AttackSettings(n_s=2))
             except AllTargetsFailed:
                 pass
         assert counts["backward"] > 0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import struct
 import subprocess
 import sys
@@ -70,6 +71,9 @@ FIELDS = [(section, f.name) for section, cls in SECTIONS for f in dataclasses.fi
 WRONG_TYPES = [(section, name, wrong) for section, cls in SECTIONS
                for name, kind in typing.get_type_hints(cls).items()
                for wrong in ([7] if kind is str else ["wrong", True])]
+# per section, a bounded field and a value outside its bound
+OUT_OF_BOUND = {"system": ("n_t", 0), "train": ("epochs", 0), "eval": ("test_blocks", 0),
+                "attack": ("n_p", 0)}
 
 
 class TestConfig:
@@ -95,7 +99,7 @@ class TestConfig:
     def test_invalid_nested_system_field(self):
         with pytest.raises(ConfigInvalid) as err:
             config_from_dict({"system": {"n_t": -1}})
-        assert err.value.field_path == "system"
+        assert err.value.field_path == "system.n_t"
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigInvalid) as err:
@@ -111,22 +115,21 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             config_from_dict({"attack": {"psr_db": "loud"}})
 
-    @pytest.mark.parametrize("field, value", [("p_max", -1.0), ("p_max", 0.0),
-                                              ("ridge", -1.0)])
-    def test_bad_attack_search_settings_rejected(self, field, value):
+    @pytest.mark.parametrize("case", ["type", "unknown", "bound"])
+    @pytest.mark.parametrize("section", sorted(OUT_OF_BOUND))
+    def test_every_config_error_names_section_and_field(self, section, case):
+        name, bad = OUT_OF_BOUND[section]
+        entry = {"type": {name: "wrong"}, "unknown": {"bogus": 1}, "bound": {name: bad}}[case]
+        where = f"{section}.{'bogus' if case == 'unknown' else name}"
         with pytest.raises(ConfigInvalid) as err:
-            config_from_dict({"attack": {field: value, "channel_mode": "double"}})
-        assert err.value.field_path == f"attack.{field}"
+            config_from_dict({section: entry})
+        assert err.value.field_path == where
+        assert str(err.value).startswith(f"{where}: ")
 
-    @pytest.mark.parametrize("p_max", [1.0, 0.5])
-    def test_search_radius_must_exceed_its_accuracy(self, p_max):
+    def test_derived_system_error_names_section_and_field(self):
         with pytest.raises(ConfigInvalid) as err:
-            config_from_dict({"attack": {"p_max": p_max, "eps_acc": 1.0}})
-        assert err.value.field_path == "attack.p_max"
-
-    def test_zero_ridge_and_unset_search_settings_accepted(self):
-        cfg = config_from_dict({"attack": {"ridge": 0.0, "p_max": None}})
-        assert cfg.attack.ridge == 0.0 and cfg.attack.p_max is None
+            SystemConfig().replace(sigma2=math.inf)
+        assert str(err.value).startswith("system.sigma2: must be finite")
 
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     def test_presets_round_trip_through_save_and_load(self, tmp_path, preset):
@@ -445,9 +448,11 @@ class TestCli:
         ("system", "kernel_size", -1), ("system", "bn_eps", -1.0), ("system", "bn_eps", 0.0),
         ("system", "bn_momentum", 1.5), ("system", "bn_momentum", 1.0),
         ("system", "bn_momentum", -0.1), ("attack", "psr_db", 4000.0),
-        ("attack", "psr_db", -4000.0)])
+        ("attack", "psr_db", -4000.0), ("train", "snr_db", -4000.0),
+        ("eval", "snr_sweep_db", [-4000.0])])
     def test_exit_code_on_out_of_bound_field(self, tmp_path, capsys, section, name, value):
-        # psr_db 4000 overflowed the jamming budget, -4000 made rmaef's budget 0
+        # psr_db 4000 overflowed the jamming budget, -4000 made rmaef's budget
+        # 0; an SNR of -4000 dB overflowed snr_to_sigma2 in training and sweeps
         data = tiny_experiment().to_dict()
         data[section][name] = value
         bad = tmp_path / "bad.json"
@@ -470,18 +475,36 @@ class TestCli:
         assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {section}.{name}: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-inf", "nan", "-4000", "4000"])
     @pytest.mark.parametrize("command", ["eval", "attack"])
-    def test_exit_code_on_non_finite_derived_noise(self, trained_tiny, tmp_path, capsys,
-                                                   command):
-        # -inf dB gives sigma2 = inf, which the > 0 bound alone lets through
+    def test_exit_code_on_snr_db_option_past_the_db_bound(self, trained_tiny, tmp_path,
+                                                          capsys, command, value):
+        # -inf dB gave sigma2 = inf, -4000 dB overflowed snr_to_sigma2 into a
+        # traceback and 4000 dB gave sigma2 = 0
         cfg, _, ckpt = trained_tiny
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
-        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt), "--snr-db=-inf"]
+        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                f"--snr-db={value}"]
         if command == "attack":
             argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
-        assert cli_main(argv) == 2
-        assert "config error: sigma2: must be finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        assert (f"argument --snr-db: must lie in [-300, 300] dB, got {value}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name", ["attacks", "scatterers"])
+    def test_exit_code_on_repeated_grid_entry(self, trained_tiny, tmp_path, capsys, name):
+        # a repeated entry ran the same cells again and wrote their rows twice
+        cfg, _, ckpt = trained_tiny
+        data = cfg.to_dict()
+        data[name] = data[name][:1] * 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert cli_main(["sweep", "--config", str(bad), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {name}: " in capsys.readouterr().err
 
     def test_attack_exports_jamming(self, trained_tiny, tmp_path):
         cfg, _, ckpt = trained_tiny
@@ -502,9 +525,13 @@ class TestCli:
         assert code == 3
 
     @pytest.mark.parametrize("command", ["eval", "attack"])
-    @pytest.mark.parametrize("attack", [{"p_max": -1.0}, {"ridge": -1.0, "channel_mode": "double"}])
+    # the search radius p_max is a constant of the search, not a setting
+    @pytest.mark.parametrize("attack, message", [({"n_p": 0}, "must be >= 1"),
+                                                 ({"channel_mode": "bogus"}, "must be one of"),
+                                                 ({"p_max": 1.0}, "unknown field")],
+                             ids=["n_p", "channel_mode", "p_max"])
     def test_exit_code_on_bad_attack_settings(self, trained_tiny, tmp_path, capsys,
-                                              command, attack):
+                                              command, attack, message):
         cfg, _, ckpt = trained_tiny
         data = cfg.to_dict()
         data["attack"].update(attack)
@@ -516,7 +543,7 @@ class TestCli:
         else:
             argv += ["--kind", "rmaep", "--out", str(tmp_path / "p.csv")]
         assert cli_main(argv) == 2
-        assert f"attack.{next(iter(attack))}" in capsys.readouterr().err
+        assert f"config error: attack.{next(iter(attack))}: {message}" in capsys.readouterr().err
 
     def test_exit_code_on_truncated_checkpoint(self, trained_tiny, tmp_path, capsys):
         cfg, _, ckpt = trained_tiny
