@@ -61,7 +61,7 @@ class AttackBudget:
     reference_power: float = 1.0
 
     def __post_init__(self):
-        if self.reference_power <= 0.0:
+        if not self.reference_power > 0.0:
             raise ValueError("reference_power must be > 0")
 
     @property
@@ -81,9 +81,9 @@ class PerturbationVector:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.ndim != 1:
             raise ValueError("perturbation must be a vector")
-        if self.budget <= 0.0:
-            raise ValueError("budget must be > 0")
-        if self.power > self.budget + BUDGET_TOL:
+        if not 0.0 < self.budget < np.inf:
+            raise ValueError("budget must be finite and > 0")
+        if not self.power <= self.budget + BUDGET_TOL:
             raise InvariantViolation(f"perturbation power {self.power:.6e} exceeds "
                                      f"budget {self.budget:.6e}")
 
@@ -220,8 +220,8 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     symbol decisions equal the target and the decision vector actually
     changed (the constraint is a changed decision, so the clean block's own
     majority class cannot win at radius zero). All class searches advance in
-    lockstep as one decoder batch. Gradients on the CSI portion of the input
-    are masked to zero before normalization.
+    lockstep as one decoder batch. The walk moves the received signal only;
+    the CSI channels of the decoder input stay fixed.
 
     Raises AllTargetsFailed when no class flips within the search radius.
     """
@@ -241,9 +241,8 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         """Unit received-signal gradients and the decisions of the same forward."""
         nonlocal grad_evals
         d_input = pack_decoder_input(w_batch, k_batch)
-        _, probs, g_input = decoder_input_gradient(decoder, d_input, targets, cfg.loss)
+        probs, g_r = decoder_input_gradient(decoder, cfg, d_input, targets)
         grad_evals += m
-        g_r = g_input[:, :n_r] + 1j * g_input[:, n_r:2 * n_r]
         norms = _row_norms(g_r)
         live = norms > 0.0
         unit = np.zeros_like(g_r)
@@ -352,7 +351,6 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     p_adv = np.zeros(dim, dtype=np.complex128)
     model = ChannelModel(cfg)
     linear_budget = budget.linear
-    n_r = cfg.n_r
     grad_evals = 0
     steps = 0
 
@@ -360,9 +358,8 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         blocks, _ = random_message_blocks(cfg, 1, rng)
         chan = model.sample_batch(1, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=False)
-        _, _, g_input = decoder_input_gradient(nets.decoder, rec.d_input, blocks, cfg.loss)
+        g_r = decoder_input_gradient(nets.decoder, cfg, rec.d_input, blocks)[1][0]
         grad_evals += 1
-        g_r = g_input[0, :n_r] + 1j * g_input[0, n_r:2 * n_r]
         norm = np.linalg.norm(g_r)
         if norm == 0.0:
             continue
@@ -413,4 +410,6 @@ def load_perturbation(path) -> tuple[PerturbationVector, dict]:
         raise ValueError(f"not a perturbation file: {len(rows)} rows, "
                          f"the header gives dimension {meta.get('dimension')}")
     values = np.array([float(r) + 1j * float(i) for r, i in rows])
+    if not (np.isfinite(values).all() and np.isfinite(meta["budget"])):
+        raise ValueError("not a perturbation file: a value or the budget is not finite")
     return PerturbationVector(values=values, budget=meta["budget"]), meta

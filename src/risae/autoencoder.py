@@ -31,10 +31,11 @@ from .neural import (
     PowerNorm,
     Softmax,
     adam_step,
+    bce_loss,
     bce_loss_per_sample,
     conv_stack,
     cross_entropy_loss,
-    bce_loss,
+    log_loss,
 )
 
 Z_95 = 1.959963984540054
@@ -104,7 +105,7 @@ def pack_decoder_input(r: np.ndarray, k: np.ndarray) -> np.ndarray:
 def unpack_received_gradient(g_input: np.ndarray, n_r: int, n_t: int):
     """Split a decoder-input gradient into complex G_r (B, n_r, L) and G_K (B, n_r, L*n_t)."""
     b, _, length = g_input.shape
-    g_r = g_input[:, :n_r] + 1j * g_input[:, n_r:2 * n_r]
+    g_r = channels_to_complex(g_input[:, :2 * n_r])
     flat = g_input[:, 2 * n_r:2 * n_r + n_r * n_t] + 1j * g_input[:, 2 * n_r + n_r * n_t:]
     g_k = flat.reshape(b, n_r, n_t, length).transpose(0, 1, 3, 2).reshape(b, n_r, length * n_t)
     return g_r, g_k
@@ -175,7 +176,7 @@ class AttackApplication:
 
     def received_perturbation(self, cfg: SystemConfig, chan: ChannelBatch,
                               c1: np.ndarray, c2: np.ndarray,
-                              rng: np.random.Generator | None) -> np.ndarray:
+                              rng: np.random.Generator) -> np.ndarray:
         n = len(chan)
         if self.p_adv is not None:
             vectors = np.broadcast_to(self.p_adv, (n, self.p_adv.shape[0]))
@@ -255,26 +256,19 @@ def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
 
 
 def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
-                     chan: ChannelBatch, sigma2: float,
-                     rng: np.random.Generator | None = None,
+                     chan: ChannelBatch, sigma2: float, rng: np.random.Generator,
                      attack: AttackApplication | None = None,
                      train: bool = False) -> PipelineRecord:
     """Run the full system on a batch of one-hot blocks.
 
     Noise is drawn from rng as CN(0, sigma2 I), before anything else the
-    pass draws; sigma2 = 0 gives a noiseless pass that needs no rng. Only a
-    training pass, the one pipeline_backward differentiates, keeps the
-    networks' activation records.
+    pass draws. Only a training pass, the one pipeline_backward
+    differentiates, keeps the networks' activation records.
     """
     tx = transmit_forward(nets, cfg, blocks, chan, train)
     k, m = cascade_set(chan, tx.c1, tx.c2)
-    z = tx.z
-
-    if sigma2 > 0.0:
-        noise = np.sqrt(sigma2) * crandn(rng, z.shape)
-    else:
-        noise = np.zeros_like(z)
-    r = z + noise
+    noise = np.sqrt(sigma2) * crandn(rng, tx.z.shape)
+    r = tx.z + noise
 
     ptilde = None
     if attack is not None:
@@ -348,23 +342,21 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
                   "decoder": dec_grads}
 
 
-def decoder_input_gradient(decoder: Network, d_input: np.ndarray, target: np.ndarray,
-                           loss_kind: str = "bce"):
-    """Per-sample loss values, probabilities and input gradients of the decoder.
+def decoder_input_gradient(decoder: Network, cfg: SystemConfig, d_input: np.ndarray,
+                           target: np.ndarray):
+    """Probabilities of the decoder and the complex gradient G_r (B, n_r, L)
+    of its loss with respect to the received signal.
 
     Each batch element gets the gradient of its own mean loss, so a batch of
     candidate target classes can be processed in one pass.
     """
     probs, rec = decoder.forward(d_input, train=False)
-    if loss_kind == "ce":
-        p = np.clip(probs, 1e-12, 1.0 - 1e-12)
-        count = probs.shape[2]
-        values = -(target * np.log(p)).sum(axis=(1, 2)) / count
-        g_probs = -(target / p) / count
+    if cfg.loss == "ce":
+        g_probs = log_loss(probs, target, "ce")[1] / probs.shape[2]  # mean over the columns
     else:
-        values, g_probs = bce_loss_per_sample(probs, target)
+        g_probs = bce_loss_per_sample(probs, target)[1]
     _, g_input = decoder.backward(rec, g_probs, params=False)
-    return values, probs, g_input
+    return probs, channels_to_complex(g_input[:, :2 * cfg.n_r])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SystemConfig
-from .linalg import hermitian_sqrt, kron
+from .linalg import hermitian_sqrt
 
 # (row array, column array) of every link, in sampling order: a link matrix
 # maps the column array's signal onto the row array, and both its LoS
@@ -40,13 +40,14 @@ LINK_ENDS = {
 @dataclass(frozen=True)
 class ArrayGeometry:
     """UPA layout: count_v x count_h elements with vertical/horizontal
-    spacings in wavelengths. A linear array is a 1 x count layout, steered
-    by azimuth alone."""
+    spacings in wavelengths and the angular spread of the scattering it
+    sees. A linear array is a 1 x count layout, steered by azimuth alone."""
 
     count_v: int
     count_h: int
     spacing_v: float
     spacing_h: float
+    spread: float
 
     def __post_init__(self):
         if self.count_v < 1 or self.count_h < 1:
@@ -57,6 +58,14 @@ class ArrayGeometry:
     @property
     def count_total(self) -> int:
         return self.count_v * self.count_h
+
+    def correlation(self, num_scatterers: int) -> np.ndarray:
+        """Full-array correlation as the Kronecker product of the two axis
+        correlations, matching the a_v kron a_h steering structure; a linear
+        array's vertical factor is [[1]]."""
+        r_v = corr_uniform(self.count_v, self.spacing_v, self.spread, num_scatterers)
+        r_h = corr_uniform(self.count_h, self.spacing_h, self.spread, num_scatterers)
+        return np.kron(r_v, r_h)
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +176,20 @@ class ChannelModel:
         cfg.validate()
         self.cfg = cfg
         sc = cfg.num_scatterers
-        ris1 = ArrayGeometry(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
-        ris2 = ArrayGeometry(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h)
 
         def ula(count: int) -> ArrayGeometry:
-            return ArrayGeometry(1, count, cfg.spacing_tx, cfg.spacing_tx)
-
-        def ula_sqrt(count: int) -> np.ndarray:
-            return hermitian_sqrt(corr_uniform(count, cfg.spacing_tx, cfg.spread_tx, sc))
+            return ArrayGeometry(1, count, cfg.spacing_tx, cfg.spacing_tx, cfg.spread_tx)
 
         # geometry and correlation square root of every array a link ends on
-        self._geom = {"enc": ula(cfg.n_t), "dec": ula(cfg.n_r),
-                      "adv": ula(cfg.adversary_antennas), "ris1": ris1, "ris2": ris2}
-        self._f = {
-            "enc": ula_sqrt(cfg.n_t), "dec": ula_sqrt(cfg.n_r),
-            "adv": ula_sqrt(cfg.adversary_antennas),
-            "ris1": hermitian_sqrt(ris_correlation(ris1, cfg.spread_ris, sc)),
-            "ris2": hermitian_sqrt(ris_correlation(ris2, cfg.spread_ris, sc)),
-            "sc": hermitian_sqrt(corr_uniform(sc, cfg.spacing_sc, cfg.spread_sc, sc)),
+        self._geom = {
+            "enc": ula(cfg.n_t), "dec": ula(cfg.n_r), "adv": ula(cfg.adversary_antennas),
+            "ris1": ArrayGeometry(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h,
+                                  cfg.spread_ris),
+            "ris2": ArrayGeometry(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h,
+                                  cfg.spread_ris),
         }
+        self._f = {name: hermitian_sqrt(geom.correlation(sc)) for name, geom in self._geom.items()}
+        self._f["sc"] = hermitian_sqrt(corr_uniform(sc, cfg.spacing_sc, cfg.spread_sc, sc))
 
     # -- LoS -----------------------------------------------------------------
 
@@ -232,10 +236,3 @@ class ChannelModel:
             links[name] = w_los * los + w_nlos * nlos
         return ChannelBatch(**links)
 
-
-def ris_correlation(geom: ArrayGeometry, spread: float, num_scatterers: int) -> np.ndarray:
-    """Full-surface correlation as the Kronecker product of the two axis
-    correlations, matching the a_v kron a_h steering structure."""
-    r_v = corr_uniform(geom.count_v, geom.spacing_v, spread, num_scatterers)
-    r_h = corr_uniform(geom.count_h, geom.spacing_h, spread, num_scatterers)
-    return kron(r_v, r_h)

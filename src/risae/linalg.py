@@ -23,13 +23,6 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; block (m, n) of the result equals a[m, n] * b."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    return np.kron(a, b)
-
-
 def hermitian_sqrt(h: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 

@@ -17,6 +17,8 @@ updates assume a single writer.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -322,47 +324,43 @@ def conv_stack(channel_sizes: list[int], kernel_size: int, rng: np.random.Genera
 # losses
 # ---------------------------------------------------------------------------
 
-def bce_loss(probs: np.ndarray, target: np.ndarray):
-    """Element-wise binary cross entropy against a one-hot target.
+def log_loss(probs: np.ndarray, target: np.ndarray, kind: str):
+    """Element-wise log-loss terms of probs against a one-hot target, and
+    their exact gradients with respect to probs.
 
-    Returns the mean over all entries and its exact gradient with respect to
-    probs; probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
+    kind "bce" scores every entry as a binary event, "ce" only the target
+    entries (categorical cross entropy). Probabilities are clamped to
+    [PROB_CLAMP, 1 - PROB_CLAMP] before the logs.
     """
     probs = np.asarray(probs, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if probs.shape != target.shape:
         raise ShapeMismatch(f"probs shape {probs.shape} != target shape {target.shape}")
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    count = p.size
-    value = float(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).sum() / count)
-    grad = -(target / p - (1.0 - target) / (1.0 - p)) / count
-    return value, grad
+    if kind == "ce":
+        return -(target * np.log(p)), -(target / p)
+    return (-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)),
+            -(target / p - (1.0 - target) / (1.0 - p)))
+
+
+def bce_loss(probs: np.ndarray, target: np.ndarray):
+    """Binary cross entropy: the mean over all entries and its gradient."""
+    terms, grad = log_loss(probs, target, "bce")
+    return float(terms.sum() / terms.size), grad / terms.size
 
 
 def bce_loss_per_sample(probs: np.ndarray, target: np.ndarray):
     """Per-sample BCE over a batch: loss vector plus per-sample-mean gradients."""
-    probs = np.asarray(probs, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if probs.shape != target.shape:
-        raise ShapeMismatch(f"probs shape {probs.shape} != target shape {target.shape}")
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    count = p.shape[1] * p.shape[2]
-    values = -(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)).sum(axis=(1, 2)) / count
-    grad = -(target / p - (1.0 - target) / (1.0 - p)) / count
-    return values, grad
+    terms, grad = log_loss(probs, target, "bce")
+    count = terms.shape[1] * terms.shape[2]
+    return terms.sum(axis=(1, 2)) / count, grad / count
 
 
 def cross_entropy_loss(probs: np.ndarray, target: np.ndarray):
-    """Categorical cross entropy per column, available for comparison runs."""
-    probs = np.asarray(probs, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if probs.shape != target.shape:
-        raise ShapeMismatch(f"probs shape {probs.shape} != target shape {target.shape}")
-    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    columns = probs.shape[0] * probs.shape[2]
-    value = float(-(target * np.log(p)).sum() / columns)
-    grad = -(target / p) / columns
-    return value, grad
+    """Categorical cross entropy: the mean over all columns and its gradient."""
+    terms, grad = log_loss(probs, target, "ce")
+    columns = terms.shape[0] * terms.shape[2]
+    return float(terms.sum() / columns), grad / columns
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +451,12 @@ def save_checkpoint(path, networks: dict[str, Network], meta: dict | None = None
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
+    """The next size bytes, refused before reading when fewer remain."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > remaining:
         raise CorruptCheckpoint(f"truncated checkpoint: {what} needs {size} bytes, "
-                                f"{len(data)} remain")
-    return data
+                                f"{remaining} remain")
+    return fh.read(size)
 
 
 def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
@@ -465,8 +464,9 @@ def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
 
     Raises CorruptCheckpoint on a foreign, unsupported, truncated or
     malformed file: a header whose array entries or meta are of the wrong
-    structure, or that names one array twice. A ``specs`` key, which older
-    writers added, is ignored.
+    structure, that names one array twice or gives a dimension that is not a
+    non-negative integer, an array larger than the rest of the file, or a
+    non-finite value. A ``specs`` key, which older writers added, is ignored.
     """
     with open(path, "rb") as fh:
         if fh.read(8) != _CKPT_MAGIC:
@@ -482,12 +482,15 @@ def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
             arrays: dict[str, dict[str, np.ndarray]] = {}
             for entry in header["arrays"]:
                 net, param, shape = entry["net"], entry["param"], tuple(entry["shape"])
-                n_items = int(np.prod(shape)) if shape else 1
-                blob = _read_exact(fh, n_items * 8, f"{net}/{param}")
+                if not all(type(d) is int and d >= 0 for d in shape):
+                    raise ValueError(f"{net}/{param} has shape {list(shape)}")
+                blob = _read_exact(fh, math.prod(shape) * 8, f"{net}/{param}")
                 params = arrays.setdefault(net, {})
                 if param in params:
                     raise ValueError(f"{net}/{param} appears twice")
                 params[param] = np.frombuffer(blob, dtype="<f8").reshape(shape)
+                if not np.isfinite(params[param]).all():
+                    raise CorruptCheckpoint(f"non-finite values in {net}/{param}")
             if not isinstance(header["meta"], dict):
                 raise TypeError("meta is not an object")
         except CorruptCheckpoint:

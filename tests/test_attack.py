@@ -60,12 +60,25 @@ class TestAttackBudget:
         with pytest.raises(ValueError):
             AttackBudget(-7.0, reference_power=0.0)
 
+    def test_rejects_nan_reference(self):
+        with pytest.raises(ValueError):
+            AttackBudget(-7.0, reference_power=np.nan)
+
 
 class TestPerturbationVector:
     def test_budget_invariant(self):
         PerturbationVector(np.array([0.1 + 0.1j, 0.0]), budget=0.1)
         with pytest.raises(InvariantViolation):
             PerturbationVector(np.array([1.0 + 0j, 1.0]), budget=0.1)
+
+    def test_nan_value_breaks_the_budget(self):
+        with pytest.raises(InvariantViolation):
+            PerturbationVector(np.array([complex(np.nan, 0.0), 0.0]), budget=0.1)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_budget(self, budget):
+        with pytest.raises(ValueError, match="budget must be finite"):
+            PerturbationVector(np.array([0.1 + 0j]), budget=budget)
 
 
 def band_oracle(w_adv, w, beta):
@@ -476,7 +489,14 @@ class TestUniversalAttacks:
         "# risae perturbation v1\n# psr_db=-7 channel_mode=ideal dimension=1\nre,im\n1,0\n",
         "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=2\n"
         "re,im\n1,0\n",
-    ], ids=["empty", "header-only", "no-column-line", "foreign", "no-budget", "rows-short"])
+        "# risae perturbation v1\n# psr_db=-7 budget=nan channel_mode=ideal dimension=1\n"
+        "re,im\n0,0\n",
+        "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=2\n"
+        "re,im\nnan,0\n0,0\n",
+        "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=2\n"
+        "re,im\n0,0\ninf,1\n",
+    ], ids=["empty", "header-only", "no-column-line", "foreign", "no-budget", "rows-short",
+            "nan-budget", "nan-value", "inf-value"])
     def test_load_rejects_truncated_or_foreign_file(self, tmp_path, text):
         path = tmp_path / "perturbation.csv"
         path.write_text(text)

@@ -20,11 +20,13 @@ from risae.autoencoder import (
     pipeline_loss,
     random_message_blocks,
     train,
+    transmit_forward,
     wilson_interval,
 )
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
+from risae.neural import log_loss
 
 
 def tiny_config(**kwargs) -> SystemConfig:
@@ -111,10 +113,13 @@ class TestRisController:
 class TestTransmit:
     def test_noiseless_exact(self):
         cfg, nets = make_system()
-        rec = one_block(cfg, nets, np.random.default_rng(4), sigma2=0.0)
-        assert not rec.noise.any()
+        rng = np.random.default_rng(4)
+        chan = ChannelModel(cfg).sample_batch(1, rng)
+        blocks, _ = random_message_blocks(cfg, 1, rng)
+        tx = transmit_forward(nets, cfg, blocks, chan, train=False)
+        k, _ = cascade_set(chan, tx.c1, tx.c2)
         for i in range(cfg.block_len):
-            assert np.allclose(rec.z[0][:, i], rec.k[0, i] @ rec.o[0][:, i], atol=1e-12)
+            assert np.allclose(tx.z[0][:, i], k[0, i] @ tx.o[0][:, i], atol=1e-12)
 
     def test_received_signal_and_incident_field_match_aggregates(self):
         # z and the surface-2 input b2 are built without K and M; per symbol
@@ -123,7 +128,7 @@ class TestTransmit:
         rng = np.random.default_rng(42)
         chan = ChannelModel(cfg).sample_batch(2, rng)
         blocks, _ = random_message_blocks(cfg, 2, rng)
-        rec = pipeline_forward(nets, cfg, blocks, chan, 0.0)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         for b in range(2):
             for i in range(cfg.block_len):
                 assert np.allclose(rec.z[b, :, i], rec.k[b, i] @ rec.o[b, :, i], atol=1e-12)
@@ -146,7 +151,7 @@ class TestTransmit:
         chan = ChannelModel(cfg).sample_batch(1, rng)
         blocks, _ = random_message_blocks(cfg, 1, rng)
         noise = noise_draw(cfg, 1, seed=60)
-        clean = pipeline_forward(nets, cfg, blocks, chan, 0.0)
+        clean = transmit_forward(nets, cfg, blocks, chan, train=False)
         noisy = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                  rng=np.random.default_rng(60))
         assert np.array_equal(noisy.noise, noise)
@@ -288,27 +293,33 @@ class TestPipelineGradients:
     @pytest.mark.parametrize("loss", ["bce", "ce"])
     def test_decoder_input_gradient_is_per_sample(self, loss):
         # every rmaep and rmaef gradient comes from this: row b must be the
-        # gradient of sample b's own loss, which a weighted sum of the
-        # per-sample losses checks, weights and all
-        cfg, nets = make_system(seed=35)
+        # received-signal gradient of sample b's own mean loss, which a
+        # weighted sum of the per-sample losses checks, weights and all
+        cfg, nets = make_system(seed=35, loss=loss)
         rng = np.random.default_rng(36)
         d_input = rng.standard_normal((3, cfg.decoder_channels, cfg.block_len))
         target, _ = random_message_blocks(cfg, 3, rng)
         weights = rng.uniform(0.5, 2.0, size=3)
-        _, _, g_input = decoder_input_gradient(nets.decoder, d_input, target, loss)
+        _, g_r = decoder_input_gradient(nets.decoder, cfg, d_input, target)
+        assert g_r.shape == (3, cfg.n_r, cfg.block_len)
 
         def weighted_loss(x):
-            return float(weights @ decoder_input_gradient(nets.decoder, x, target, loss)[0])
+            terms = log_loss(nets.decoder.forward(x, train=False)[0], target, loss)[0]
+            # a column's loss: BCE averages over the classes, CE sums them
+            columns = terms.sum(axis=1) if loss == "ce" else terms.mean(axis=1)
+            return float(weights @ columns.mean(axis=1))
 
+        # Re r and Im r are the first 2 n_r decoder channels
         step = 1e-6
-        fd = np.zeros_like(d_input)
-        for i in np.ndindex(d_input.shape):
+        fd = np.zeros((3, 2 * cfg.n_r, cfg.block_len))
+        for i in np.ndindex(fd.shape):
             x = d_input.copy()
             x[i] += step
             hi = weighted_loss(x)
             x[i] -= 2.0 * step
             fd[i] = (hi - weighted_loss(x)) / (2.0 * step)
-        analytic = weights[:, None, None] * g_input
+        analytic = weights[:, None, None] * g_r
+        fd = channels_to_complex(fd)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_backward_refuses_attacked_record(self):
@@ -440,7 +451,7 @@ class TestEvaluate:
         rng = np.random.default_rng(38)
         blocks, _ = random_message_blocks(cfg, 20, rng)
         chan = ChannelModel(cfg).sample_batch(20, rng)
-        z = pipeline_forward(nets, cfg, blocks, chan, sigma2=0.0).z
+        z = transmit_forward(nets, cfg, blocks, chan, train=False).z
         decoder_forwards = []
         monkeypatch.setattr(nets.decoder, "forward", lambda *a, **k: decoder_forwards.append(a))
         power = estimate_received_power(nets, cfg, 20, np.random.default_rng(38))

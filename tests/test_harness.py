@@ -21,6 +21,7 @@ from risae.harness import (
     ExperimentConfig,
     ResultRow,
     TrainSettings,
+    build_attack_source,
     config_from_dict,
     derive_rng,
     desk_preset,
@@ -218,6 +219,25 @@ def rewrite_checkpoint(src, dst, edit):
     text = json.dumps(header).encode("utf-8")
     dst.write_bytes(data[:12] + struct.pack("<I", len(text)) + text
                     + b"".join(np.asarray(value, dtype="<f8").tobytes() for *_, value in arrays))
+
+
+def with_first_shape(src, dst, shape):
+    """Write to dst the checkpoint src with the shape of its first array
+    replaced in the header; the array data stays as it is."""
+    data = src.read_bytes()
+    (header_len,) = struct.unpack("<I", data[12:16])
+    header = json.loads(data[16:16 + header_len])
+    header["arrays"][0]["shape"] = shape
+    text = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:12] + struct.pack("<I", len(text)) + text + data[16 + header_len:])
+
+
+def fill_first_array(value):
+    """A rewrite_checkpoint edit that sets every entry of the first array to value."""
+    def edit(arrays, meta):
+        (net, param, array), *rest = arrays
+        return [(net, param, np.full_like(array, value))] + rest
+    return edit
 
 
 class TestTrainAndSweep:
@@ -519,6 +539,32 @@ class TestCli:
         assert vector.values.shape == (cfg.system.adversary_antennas,)
         assert vector.power == pytest.approx(meta["budget"], rel=1e-12)
 
+    @pytest.mark.parametrize("mode", ["ideal", "double"])
+    @pytest.mark.parametrize("kind", ["rmaep", "rmaef"])
+    def test_attack_exports_the_vector_the_sweep_cell_builds(self, trained_tiny, tmp_path,
+                                                             kind, mode):
+        # replaying an exported perturbation stands for the sweep cell with
+        # the same seed, scatterer count and SNR only if both build one vector;
+        # rmaep on the double channel finds no flip on this tiny system, so
+        # that case compares two zero vectors
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        out = tmp_path / "p.csv"
+        snr_db = cfg.eval.snr_sweep_db[-1]
+        assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--kind", kind, "--mode", mode, "--snr-db", str(snr_db),
+                         "--out", str(out)]) == 0
+        cell_cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
+                                                                       channel_mode=mode))
+        nets = load_system(ckpt, cell_cfg)
+        sc = cfg.system.num_scatterers
+        sys_cfg = cfg.system.replace(num_scatterers=sc,
+                                     sigma2=snr_to_sigma2(cfg.system.power, snr_db))
+        source = build_attack_source(cell_cfg, sys_cfg, nets, kind, snr_db,
+                                     scatterer_budget(cell_cfg, nets, sc, [kind]))
+        assert np.array_equal(load_perturbation(out)[0].values, source.p_adv)
+
     def test_exit_code_on_missing_checkpoint(self, tmp_path):
         code = cli_main(["eval", "--preset", "desk", "--checkpoint",
                          str(tmp_path / "none.ckpt"), "--snr-db", "0"])
@@ -572,6 +618,25 @@ class TestCli:
         assert cli_main(["eval", "--preset", "desk", "--checkpoint", str(bad),
                          "--snr-db", "0"]) == 3
         assert "unreadable checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda src, dst: with_first_shape(src, dst, [2 ** 61]), "truncated"),
+        (lambda src, dst: with_first_shape(src, dst, [2 ** 34]), "truncated"),
+        (lambda src, dst: rewrite_checkpoint(src, dst, fill_first_array(np.nan)), "non-finite"),
+        (lambda src, dst: rewrite_checkpoint(src, dst, fill_first_array(-np.inf)), "non-finite"),
+    ], ids=["shape-2**61", "shape-2**34", "nan-values", "inf-values"])
+    def test_exit_code_on_oversized_or_non_finite_checkpoint(self, trained_tiny, tmp_path,
+                                                              capsys, edit, message):
+        # an array is refused before it is read when it is larger than the
+        # rest of the file, and after it is read when it holds a non-finite value
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        bad = tmp_path / "bad.ckpt"
+        edit(ckpt, bad)
+        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(bad),
+                         "--snr-db", "4"]) == 3
+        assert message in capsys.readouterr().err
 
     def test_exit_code_on_config_file_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "config.json"

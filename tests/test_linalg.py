@@ -4,24 +4,11 @@ import numpy as np
 import pytest
 
 from risae.errors import DimensionMismatch, NotPSD, SingularSystem
-from risae.linalg import as_matrix, default_ridge, hermitian_sqrt, kron, ls_solve
+from risae.linalg import as_matrix, default_ridge, hermitian_sqrt, ls_solve
 
 
 def crand(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def kron_oracle(a, b):
-    """Direct-definition Kronecker product looping over all index quadruples."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for m in range(ra):
-        for n in range(ca):
-            for p in range(rb):
-                for q in range(cb):
-                    out[m * rb + p, n * cb + q] = a[m, n] * b[p, q]
-    return out
 
 
 def random_psd(rng, dim):
@@ -43,35 +30,6 @@ LAYOUTS = {
     "fortran": np.asfortranarray,
     "strided": strided_view,
 }
-
-
-class TestKron:
-    def test_scalar_scaling(self):
-        rng = np.random.default_rng(0)
-        b = crand(rng, 3, 2)
-        assert np.allclose(kron(np.array([[2.0 + 0j]]), b), 2.0 * b)
-
-    def test_identity(self):
-        assert np.allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_matches_direct_definition(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            a = crand(rng, 2, 2)
-            b = crand(rng, 2, 2)
-            assert np.allclose(kron(a, b), kron_oracle(a, b), atol=1e-13)
-
-    def test_bilinear_in_first_argument(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = crand(rng, 2, 2)
-            b = crand(rng, 2, 2)
-            alpha = complex(rng.standard_normal(), rng.standard_normal())
-            assert np.allclose(kron(alpha * a, b), alpha * kron(a, b), atol=1e-12)
-
-    def test_rejects_empty(self):
-        with pytest.raises(DimensionMismatch):
-            kron(np.zeros((0, 2)), np.eye(2))
 
 
 class TestHermitianSqrt:
@@ -164,13 +122,6 @@ class TestNonContiguousInputs:
         v = crand(rng, 6)
         p = ls_solve(g, v, ridge=1e-6)
         np.testing.assert_allclose(p, ls_solve(np.ascontiguousarray(g), v, ridge=1e-6),
-                                   rtol=1e-12, atol=1e-14)
-
-    def test_kron(self, layout):
-        rng = np.random.default_rng(11)
-        a = self._view(layout, crand(rng, 2, 3))
-        b = self._view(layout, crand(rng, 3, 2))
-        np.testing.assert_allclose(kron(a, b), kron(np.ascontiguousarray(a), np.ascontiguousarray(b)),
                                    rtol=1e-12, atol=1e-14)
 
     def test_hermitian_sqrt(self, layout):

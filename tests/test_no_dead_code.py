@@ -1,11 +1,13 @@
 """Dead-code guard: every name in src/risae has a user in the program.
 
 A top-level function, class or constant of ``src/risae/*.py``, and a method
-or property of one of its classes, counts as used when its name is loaded,
-imported or spelled as a string constant anywhere in ``src/risae/`` or
-``perfbench/`` (the benchmark wraps functions by name). A config field counts
-as used when it is read as an attribute there. Tests do not count: nothing
-in ``src/`` should exist only so that a test can call it.
+or property of one of its classes, counts as used when its name is loaded or
+imported anywhere in ``src/risae/`` or ``perfbench/``, or spelled as a string
+constant in ``src/risae/``. Strings in ``perfbench/`` do not count: the
+benchmark wraps functions by name, and a function that only its wrap table
+names is still one nothing calls. A config field counts as used when it is
+read as an attribute in either place. Tests do not count: nothing in
+``src/`` should exist only so that a test can call it.
 """
 
 import ast
@@ -36,7 +38,9 @@ def top_level_names(tree: ast.Module) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
-def used_names(tree: ast.Module) -> set[str]:
+def used_names(tree: ast.Module, strings: bool) -> set[str]:
+    """Names the module loads, reads as attributes or imports, and with
+    strings=True the string constants it spells."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -45,7 +49,7 @@ def used_names(tree: ast.Module) -> set[str]:
             used.add(node.attr)
         elif isinstance(node, ast.alias):
             used.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             used.add(node.value)
     return used
 
@@ -53,7 +57,8 @@ def used_names(tree: ast.Module) -> set[str]:
 def program_uses() -> set[str]:
     used = set()
     for path in PROGRAM_FILES:
-        used |= used_names(ast.parse(path.read_text(encoding="utf-8")))
+        used |= used_names(ast.parse(path.read_text(encoding="utf-8")),
+                           strings=path.parent == PACKAGE)
     return used
 
 
