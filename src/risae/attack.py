@@ -300,8 +300,10 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     Each of the n_p probes draws a block, realization and noise, applies the
     perturbation built so far, and only refines on probes the system still
     decodes perfectly. The receiver-domain flip (the negated search output)
-    is mapped to the transmit domain and added under the power budget.
+    is mapped to the transmit domain and added under the power budget. Every
+    forward and gradient runs on the folded networks.
     """
+    nets = nets.folded()
     dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
     model = ChannelModel(cfg)
@@ -346,7 +348,9 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
           channel_mode: str) -> AttackResult:
     """Fast-gradient baseline: accumulate single-step true-label ascent
     directions, each mapped to the transmit domain, normalized to the budget
-    sphere and projected back under the budget."""
+    sphere and projected back under the budget. Every forward and gradient
+    runs on the folded networks."""
+    nets = nets.folded()
     dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
     model = ChannelModel(cfg)

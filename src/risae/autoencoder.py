@@ -58,6 +58,10 @@ class AutoencoderNets:
     def as_dict(self) -> dict[str, Network]:
         return dict(vars(self))
 
+    def folded(self) -> AutoencoderNets:
+        """Inference copies of the four networks, BatchNorm folded (``Network.folded``)."""
+        return AutoencoderNets(**{name: net.folded() for name, net in self.as_dict().items()})
+
 
 def build_autoencoder(cfg: SystemConfig, rng: np.random.Generator) -> AutoencoderNets:
     """Three same-padded convolutions per network, hidden BatchNorm + ReLU.
@@ -474,7 +478,9 @@ EVAL_CHUNK_BLOCKS = 512
 def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
                  attack: AttackApplication | None, num_blocks: int,
                  rng: np.random.Generator) -> SerEstimate:
-    """Monte Carlo SER over fresh blocks, channels and noise."""
+    """Monte Carlo SER over fresh blocks, channels and noise, on the folded
+    networks."""
+    nets = nets.folded()
     model = ChannelModel(cfg)
     errors = 0
     total = 0
@@ -494,7 +500,9 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
 
 def estimate_received_power(nets: AutoencoderNets, cfg: SystemConfig, num_blocks: int,
                             rng: np.random.Generator) -> float:
-    """Mean noiseless received energy per symbol, E ||K o||^2 over blocks."""
+    """Mean noiseless received energy per symbol, E ||K o||^2 over blocks,
+    on the folded networks."""
+    nets = nets.folded()
     model = ChannelModel(cfg)
     blocks, _ = random_message_blocks(cfg, num_blocks, rng)
     chan = model.sample_batch(num_blocks, rng)

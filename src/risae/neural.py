@@ -16,6 +16,7 @@ updates assume a single writer.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -78,7 +79,9 @@ class Conv1D(Layer):
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
         batch, channels, length = x.shape
         pad = self.kernel_size // 2
-        xp = np.zeros((batch, length + 2 * pad, channels))
+        xp = np.empty((batch, length + 2 * pad, channels))
+        xp[:, :pad] = 0.0
+        xp[:, pad + length:] = 0.0
         xp[:, pad:pad + length] = x.transpose(0, 2, 1)
         # (B, C, L, K) view of the padded buffer; the backward pass rebuilds
         # the im2col matrix from it instead of caching the K-times larger copy.
@@ -299,6 +302,29 @@ class Network:
                 grads[f"layer{i}.{name}"] = value
         return grads, g
 
+    def folded(self) -> Network:
+        """An inference copy with every eval-mode BatchNorm folded into the
+        Conv1D before it (``conv_stack`` puts one before each): weight W·s
+        and bias (b − μ)·s + β, with s = γ / sqrt(σ² + eps). Each Conv1D of
+        the copy holds its weight as the (O, C, K) view of a C-ordered
+        (K, C, O) array, so its weight matrix is a reshape, not a copy. The
+        other layers are shared; this network is left unchanged."""
+        layers: list[Layer] = []
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm):
+                conv = layers[-1]
+                scale = layer.gamma / np.sqrt(layer.running_var + layer.eps)
+                conv.weight = np.asfortranarray(conv.weight * scale[:, None, None])
+                conv.bias = (conv.bias - layer.running_mean) * scale + layer.beta
+            elif isinstance(layer, Conv1D):
+                conv = copy.copy(layer)
+                conv.weight = np.array(layer.weight, order="F")
+                conv.bias = layer.bias.copy()
+                layers.append(conv)
+            else:
+                layers.append(layer)
+        return Network(layers)
+
 
 def conv_stack(channel_sizes: list[int], kernel_size: int, rng: np.random.Generator,
                bn_eps: float = 1e-5, bn_momentum: float = 0.9,
@@ -399,8 +425,9 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         p = params[key]
         if g.shape != p.shape:
             raise ShapeMismatch(f"{key}: grad shape {g.shape} != param shape {p.shape}")
-        m = state.m.setdefault(key, np.zeros_like(p))
-        v = state.v.setdefault(key, np.zeros_like(p))
+        if key not in state.m:  # both moments start at zero
+            state.m[key], state.v[key] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[key], state.v[key]
         update = np.multiply(g, 1.0 - b1)
         m *= b1
         m += update

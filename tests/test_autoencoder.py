@@ -1,5 +1,7 @@
 """End-to-end pipeline tests: composition, gradients, training, evaluation."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,10 @@ from risae.autoencoder import (
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
-from risae.neural import log_loss
+from risae.harness import desk_preset, load_system
+from risae.neural import BatchNorm, Conv1D, Softmax, log_loss
+
+REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
 
 def tiny_config(**kwargs) -> SystemConfig:
@@ -451,9 +456,9 @@ class TestEvaluate:
         rng = np.random.default_rng(38)
         blocks, _ = random_message_blocks(cfg, 20, rng)
         chan = ChannelModel(cfg).sample_batch(20, rng)
-        z = transmit_forward(nets, cfg, blocks, chan, train=False).z
-        decoder_forwards = []
-        monkeypatch.setattr(nets.decoder, "forward", lambda *a, **k: decoder_forwards.append(a))
+        z = transmit_forward(nets.folded(), cfg, blocks, chan, train=False).z
+        decoder_forwards = []  # the decoder is the one network that ends in a softmax
+        monkeypatch.setattr(Softmax, "forward", lambda *a, **k: decoder_forwards.append(a))
         power = estimate_received_power(nets, cfg, 20, np.random.default_rng(38))
         assert decoder_forwards == []
         assert power == float(np.mean(np.sum(np.abs(z) ** 2, axis=1)))
@@ -472,3 +477,69 @@ class TestEvaluate:
                                    rng=np.random.default_rng(41), train=True)
         assert all(len(getattr(trained, name)) == len(getattr(nets, net).layers)
                    for name, net in zip(names, ("encoder", "ris1", "ris2", "decoder")))
+
+
+@pytest.fixture(scope="module", params=["reference", "non_square"])
+def system(request):
+    """The reference checkpoint's networks, or a randomly initialised
+    non-square system whose BatchNorms get random affine maps and running
+    statistics, so that no fold is close to the identity."""
+    if request.param == "reference":
+        cfg = desk_preset(7)
+        return cfg.system, load_system(REFERENCE_CKPT, cfg)
+    cfg, nets = make_system(seed=42, **NON_SQUARE)
+    rng = np.random.default_rng(43)
+    for net in nets.as_dict().values():
+        for layer in net.layers:
+            if isinstance(layer, BatchNorm):
+                layer.gamma = rng.uniform(0.5, 2.0, layer.channels)
+                layer.beta = rng.standard_normal(layer.channels)
+                layer.running_mean = rng.standard_normal(layer.channels)
+                layer.running_var = rng.uniform(0.1, 3.0, layer.channels)
+    return cfg, nets
+
+
+class TestFolded:
+    """The folded networks against the eval-mode ones. Folding changes the
+    rounding, not the function: outputs agree to 1e-10 of their scale."""
+
+    def test_forward_and_decisions_match_eval_mode(self, system):
+        cfg, nets = system
+        rng = np.random.default_rng(44)
+        folded = nets.folded()
+        for name, net in nets.as_dict().items():
+            x = rng.standard_normal((16, net.layers[0].in_channels, cfg.block_len))
+            want = net.forward(x, train=False, record=False)[0]
+            got = folded.as_dict()[name].forward(x, train=False, record=False)[0]
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-10 * max(1.0, np.abs(want).max()), err_msg=name)
+            if name == "decoder":
+                assert np.array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+    def test_decoder_input_gradient_matches_eval_mode(self, system):
+        cfg, nets = system
+        rng = np.random.default_rng(45)
+        d_input = rng.standard_normal((16, cfg.decoder_channels, cfg.block_len))
+        target, _ = random_message_blocks(cfg, 16, rng)
+        probs, g_r = decoder_input_gradient(nets.decoder, cfg, d_input, target)
+        folded_probs, folded_g_r = decoder_input_gradient(nets.folded().decoder, cfg, d_input,
+                                                          target)
+        np.testing.assert_allclose(folded_probs, probs, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(folded_g_r, g_r, rtol=0, atol=1e-10 * np.abs(g_r).max())
+
+    def test_copy_drops_batchnorm_and_leaves_the_source_alone(self, system):
+        _, nets = system
+        before = {name: {k: v.copy() for k, v in net.params().items()}
+                  for name, net in nets.as_dict().items()}
+        folded = nets.folded()
+        for name, net in nets.as_dict().items():
+            layers = folded.as_dict()[name].layers
+            assert not any(isinstance(layer, BatchNorm) for layer in layers)
+            assert len(layers) == sum(not isinstance(layer, BatchNorm) for layer in net.layers)
+            params = net.params()
+            assert params.keys() == before[name].keys()
+            assert all(np.array_equal(params[k], v) for k, v in before[name].items())
+            for conv in (layer for layer in layers if isinstance(layer, Conv1D)):
+                assert np.shares_memory(conv._weight_matrix(), conv.weight)
+                assert not any(np.shares_memory(conv.weight, p) or np.shares_memory(conv.bias, p)
+                               for p in params.values())

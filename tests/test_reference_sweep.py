@@ -1,13 +1,14 @@
-"""Replays two cells of the benchmark's desk-sweep check in tier-1.
+"""Replays one 8 dB cell of every kind of the benchmark's desk-sweep check in tier-1.
 
 ``perfbench/run.py --workload desk-sweep`` loads the reference checkpoint
 with the desk preset (master seed 7), sweeps it at 8 dB and accepts a cell
 when it has the reference's trial count and its SER lies inside the Wilson
 interval of the reference row in ``perfbench/reference/results.csv``. This
 test loads the same checkpoint through ``load_system`` and runs the
-``secured`` and ``jamming`` cells with ``run_cell``, so a change to how a
-checkpoint becomes networks shows here and not only in a benchmark run. The
-reference files are read, never written.
+``secured``, ``jamming``, ``rmaef`` and ``rmaep`` cells with ``run_cell``,
+so a change to how a checkpoint becomes networks, or to how the attacks are
+built, shows here and not only in a benchmark run. The reference files are
+read, never written.
 """
 
 from pathlib import Path
@@ -28,7 +29,7 @@ def reference_system():
     return cfg, load_system(REFERENCE / "desk-seed7.ckpt", cfg)
 
 
-@pytest.mark.parametrize("kind", ["secured", "jamming"])
+@pytest.mark.parametrize("kind", ["secured", "jamming", "rmaef", "rmaep"])
 def test_cell_matches_benchmark_reference(reference_system, kind):
     cfg, nets = reference_system
     rows = parse_rows((REFERENCE / "results.csv").read_text(encoding="utf-8"))
