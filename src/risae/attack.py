@@ -317,8 +317,7 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         blocks, indices = random_message_blocks(cfg, 1, rng)
         chan = model.sample_batch(1, rng)
         attack = AttackApplication(channel_mode=channel_mode, p_adv=p_adv)
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
-                               attack=attack, train=False)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=attack)
         if not np.array_equal(rec.decisions[0], indices[0]):
             broken += 1
             continue
@@ -361,7 +360,7 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     for _it in range(pgd.n_p):
         blocks, _ = random_message_blocks(cfg, 1, rng)
         chan = model.sample_batch(1, rng)
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=False)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         g_r = decoder_input_gradient(nets.decoder, cfg, rec.d_input, blocks)[1][0]
         grad_evals += 1
         norm = np.linalg.norm(g_r)

@@ -242,16 +242,16 @@ def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     if len(chan) != blocks.shape[0]:
         raise ShapeMismatch("channel batch and message batch sizes differ")
 
-    enc_out, enc_rec = nets.encoder.forward(blocks, train, record=train)
+    enc_out, enc_rec = nets.encoder.forward(blocks, record=train)
     o = channels_to_complex(enc_out)
 
     a1 = chan.u1 @ o
-    g1, r1_rec = nets.ris1.forward(complex_to_channels(a1), train, record=train)
+    g1, r1_rec = nets.ris1.forward(complex_to_channels(a1), record=train)
     c1 = np.exp(1j * g1)
     m1_field = c1 * a1
 
     b2 = chan.u2 @ o + chan.e @ m1_field
-    g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), train, record=train)
+    g2, r2_rec = nets.ris2.forward(complex_to_channels(b2), record=train)
     c2 = np.exp(1j * g2)
 
     z = chan.y1 @ m1_field + chan.y2 @ (c2 * b2)  # K o, symbol by symbol
@@ -267,7 +267,8 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
 
     Noise is drawn from rng as CN(0, sigma2 I), before anything else the
     pass draws. Only a training pass, the one pipeline_backward
-    differentiates, keeps the networks' activation records.
+    differentiates, keeps the networks' activation records; any other pass
+    runs the folded networks.
     """
     tx = transmit_forward(nets, cfg, blocks, chan, train)
     k, m = cascade_set(chan, tx.c1, tx.c2)
@@ -280,7 +281,7 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
         r = r + ptilde
 
     d_input = pack_decoder_input(r, k)
-    probs, dec_rec = nets.decoder.forward(d_input, train, record=train)
+    probs, dec_rec = nets.decoder.forward(d_input, record=train)
     decisions = probs.argmax(axis=1)
 
     return PipelineRecord(**vars(tx), m=m, k=k, noise=noise, ptilde=ptilde, d_input=d_input,
@@ -348,13 +349,14 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
 
 def decoder_input_gradient(decoder: Network, cfg: SystemConfig, d_input: np.ndarray,
                            target: np.ndarray):
-    """Probabilities of the decoder and the complex gradient G_r (B, n_r, L)
+    """Probabilities of the folded decoder and the complex gradient G_r (B, n_r, L)
     of its loss with respect to the received signal.
 
     Each batch element gets the gradient of its own mean loss, so a batch of
     candidate target classes can be processed in one pass.
     """
-    probs, rec = decoder.forward(d_input, train=False)
+    decoder = decoder.folded()
+    probs, rec = decoder.forward(d_input, record=True)
     if cfg.loss == "ce":
         g_probs = log_loss(probs, target, "ce")[1] / probs.shape[2]  # mean over the columns
     else:
@@ -479,7 +481,7 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
                  attack: AttackApplication | None, num_blocks: int,
                  rng: np.random.Generator) -> SerEstimate:
     """Monte Carlo SER over fresh blocks, channels and noise, on the folded
-    networks."""
+    networks, folded once on entry."""
     nets = nets.folded()
     model = ChannelModel(cfg)
     errors = 0
@@ -490,7 +492,7 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
         chan = model.sample_batch(n, rng)
         # keep only the decisions: the chunk's record is freed before the next forward
         decisions = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
-                                     attack=attack, train=False).decisions
+                                     attack=attack).decisions
         errors += int((decisions != indices).sum())
         total += n * cfg.block_len
     low, high = wilson_interval(errors, total)
@@ -502,7 +504,6 @@ def estimate_received_power(nets: AutoencoderNets, cfg: SystemConfig, num_blocks
                             rng: np.random.Generator) -> float:
     """Mean noiseless received energy per symbol, E ||K o||^2 over blocks,
     on the folded networks."""
-    nets = nets.folded()
     model = ChannelModel(cfg)
     blocks, _ = random_message_blocks(cfg, num_blocks, rng)
     chan = model.sample_batch(num_blocks, rng)

@@ -37,34 +37,26 @@ LINK_ENDS = {
 # array geometry
 # ---------------------------------------------------------------------------
 
+# Every array's element spacing, in wavelengths, and the angular spread, in
+# radians, of the scattering that each array and the scatterer set see
+SPACING = 0.5
+SPREAD = np.pi / 2
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """UPA layout: count_v x count_h elements with vertical/horizontal
-    spacings in wavelengths and the angular spread of the scattering it
-    sees. A linear array is a 1 x count layout, steered by azimuth alone."""
+    """UPA layout: count_v x count_h elements at ``SPACING`` on both axes. A
+    linear array is a 1 x count layout, steered by azimuth alone."""
 
     count_v: int
     count_h: int
-    spacing_v: float
-    spacing_h: float
-    spread: float
-
-    def __post_init__(self):
-        if self.count_v < 1 or self.count_h < 1:
-            raise ValueError("element counts must be positive")
-        if self.spacing_v <= 0.0 or self.spacing_h <= 0.0:
-            raise ValueError("spacings must be > 0")
-
-    @property
-    def count_total(self) -> int:
-        return self.count_v * self.count_h
 
     def correlation(self, num_scatterers: int) -> np.ndarray:
         """Full-array correlation as the Kronecker product of the two axis
         correlations, matching the a_v kron a_h steering structure; a linear
         array's vertical factor is [[1]]."""
-        r_v = corr_uniform(self.count_v, self.spacing_v, self.spread, num_scatterers)
-        r_h = corr_uniform(self.count_h, self.spacing_h, self.spread, num_scatterers)
+        r_v = corr_uniform(self.count_v, SPACING, SPREAD, num_scatterers)
+        r_h = corr_uniform(self.count_h, SPACING, SPREAD, num_scatterers)
         return np.kron(r_v, r_h)
 
 
@@ -88,9 +80,10 @@ def steering_ula(count: int, spacing: float, angle) -> np.ndarray:
 
 def steering_upa(geom: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     """UPA response a = a_v kron a_h; vertical axis steers by elevation."""
-    a_v = steering_ula(geom.count_v, geom.spacing_v, elevation)
-    a_h = steering_ula(geom.count_h, geom.spacing_h, azimuth)
-    return (a_v[..., :, None] * a_h[..., None, :]).reshape(*a_v.shape[:-1], geom.count_total)
+    a_v = steering_ula(geom.count_v, SPACING, elevation)
+    a_h = steering_ula(geom.count_h, SPACING, azimuth)
+    outer = a_v[..., :, None] * a_h[..., None, :]
+    return outer.reshape(*outer.shape[:-2], geom.count_v * geom.count_h)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +160,7 @@ class ChannelBatch:
 class ChannelModel:
     """Precomputed correlation structure for a system configuration.
 
-    The correlation matrices depend only on geometry, spreads and the
+    The correlation matrices depend only on the array sizes and the
     scatterer count, so their square-root factors are computed once and
     reused for every draw.
     """
@@ -176,20 +169,14 @@ class ChannelModel:
         cfg.validate()
         self.cfg = cfg
         sc = cfg.num_scatterers
-
-        def ula(count: int) -> ArrayGeometry:
-            return ArrayGeometry(1, count, cfg.spacing_tx, cfg.spacing_tx, cfg.spread_tx)
-
         # geometry and correlation square root of every array a link ends on
         self._geom = {
-            "enc": ula(cfg.n_t), "dec": ula(cfg.n_r), "adv": ula(cfg.adversary_antennas),
-            "ris1": ArrayGeometry(cfg.a1_v, cfg.a1_h, cfg.spacing_ris_v, cfg.spacing_ris_h,
-                                  cfg.spread_ris),
-            "ris2": ArrayGeometry(cfg.a2_v, cfg.a2_h, cfg.spacing_ris_v, cfg.spacing_ris_h,
-                                  cfg.spread_ris),
+            "enc": ArrayGeometry(1, cfg.n_t), "dec": ArrayGeometry(1, cfg.n_r),
+            "adv": ArrayGeometry(1, cfg.adversary_antennas),
+            "ris1": ArrayGeometry(cfg.a1_v, cfg.a1_h), "ris2": ArrayGeometry(cfg.a2_v, cfg.a2_h),
         }
         self._f = {name: hermitian_sqrt(geom.correlation(sc)) for name, geom in self._geom.items()}
-        self._f["sc"] = hermitian_sqrt(corr_uniform(sc, cfg.spacing_sc, cfg.spread_sc, sc))
+        self._f["sc"] = hermitian_sqrt(corr_uniform(sc, SPACING, SPREAD, sc))
 
     # -- LoS -----------------------------------------------------------------
 

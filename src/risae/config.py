@@ -106,7 +106,6 @@ def check(obj, path: str = "") -> None:
 
 COUNT = at_least(1)
 POSITIVE = above(0)
-SPREAD = (lambda v: 0.0 < v <= math.pi), "must lie in (0, pi]"
 # a ratio in dB; far enough inside the float range that 10 ** (v / 10)
 # neither overflows nor rounds to 0
 DECIBELS = (lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300] dB"
@@ -121,7 +120,7 @@ class SystemConfig:
     m is the message cardinality, block_len the number of symbols processed
     per block. power is the transmit power P (linear), sigma2 the receiver
     noise variance (linear), kappa/omega the Rician parameters shared by all
-    links. Spacings are in wavelengths, angular spreads in radians.
+    links.
     """
 
     n_t: int = setting(4, COUNT, network=True)
@@ -138,13 +137,6 @@ class SystemConfig:
     omega: float = setting(1.0, at_least(0))
     n_adv: int | None = setting(None, COUNT)  # adversary transmit antennas; None -> n_t
     num_scatterers: int = setting(9, COUNT)
-    spread_tx: float = setting(math.pi / 2, SPREAD)
-    spread_ris: float = setting(math.pi / 2, SPREAD)
-    spread_sc: float = setting(math.pi / 2, SPREAD)
-    spacing_tx: float = setting(0.5, POSITIVE)
-    spacing_ris_v: float = setting(0.5, POSITIVE)
-    spacing_ris_h: float = setting(0.5, POSITIVE)
-    spacing_sc: float = setting(0.5, POSITIVE)
     hidden_width: int = setting(128, COUNT, network=True)
     kernel_size: int = setting(3, ((lambda v: v >= 1 and v % 2 == 1),
                                    "must be odd and >= 1 for same padding"), network=True)

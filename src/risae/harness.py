@@ -58,8 +58,9 @@ class EvalSettings:
     snr_sweep_db: list[float] = setting(
         [-4.0, 0.0, 4.0, 8.0],
         ((lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:]))
-          and all(DECIBELS[0](a) for a in v)),
-         f"must be a non-empty, strictly increasing list whose entries each {DECIBELS[1]}"))
+          and all(DECIBELS[0](a) for a in v) and len({_tag_int(a) for a in v}) == len(v)),
+         f"must be a non-empty, strictly increasing list whose entries each {DECIBELS[1]}"
+         ", no two sharing a seed tag (the entry rounded to 0.001 dB)"))
     test_blocks: int = setting(2000, COUNT)
 
 

@@ -16,7 +16,6 @@ updates assume a single writer.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -52,8 +51,9 @@ class Layer:
 class Conv1D(Layer):
     """Cross-correlation along the length axis with zero same-padding.
 
-    Weight shape (out_channels, in_channels, kernel_size); kernel_size must
-    be odd so the output length equals the input length.
+    Weight shape (out_channels, in_channels, kernel_size), the view of a
+    C-ordered (K, C, O) array, so the weight matrix is a reshape; kernel_size
+    must be odd so the output length equals the input length.
     """
 
     trainable = ("weight", "bias")
@@ -66,14 +66,15 @@ class Conv1D(Layer):
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         limit = np.sqrt(6.0 / (in_channels * kernel_size + out_channels * kernel_size))
-        self.weight = rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size))
+        self.weight = np.asfortranarray(
+            rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size)))
         self.bias = np.zeros(out_channels)
 
     def _weight_matrix(self) -> np.ndarray:
         """The weight as a (K·C, O) matrix, row k·C + c holding weight[:, c, k]."""
         return self.weight.transpose(2, 1, 0).reshape(-1, self.out_channels)
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray):
         x = _check_input(x)
         if x.shape[1] != self.in_channels:
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
@@ -100,7 +101,7 @@ class Conv1D(Layer):
         if params:
             # the im2col rebuild and the GEMM result are freed before col2im allocates
             g_w = (g2.T @ _im2col(cols)).reshape(self.out_channels, k_size, channels)
-            g_w = np.ascontiguousarray(g_w.transpose(0, 2, 1))  # the weight's (O, C, K) layout
+            g_w = np.asfortranarray(g_w.transpose(0, 2, 1))  # the weight's layout
             g_b = g2.sum(axis=0)
             grads = {"weight": g_w, "bias": g_b}
         else:
@@ -130,9 +131,10 @@ def _im2col(cols: np.ndarray) -> np.ndarray:
 class BatchNorm(Layer):
     """Per-channel normalization over the batch and length axes.
 
-    Training mode normalizes with batch statistics and updates the running
-    estimates as running = momentum * running + (1 - momentum) * batch;
-    inference mode applies the frozen affine map.
+    The forward normalizes with batch statistics and updates the running
+    estimates as running = momentum * running + (1 - momentum) * batch.
+    Inference folds the running estimates into the Conv1D before the layer
+    (``Network.folded``).
     """
 
     trainable = ("gamma", "beta")
@@ -147,15 +149,10 @@ class BatchNorm(Layer):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray):
         x = _check_input(x)
         if x.shape[1] != self.channels:
             raise ShapeMismatch(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
-        if not train:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean[None, :, None]) * inv_std[None, :, None]
-            y = self.gamma[None, :, None] * xhat + self.beta[None, :, None]
-            return y, {"xhat": xhat, "inv_std": inv_std, "train": train}
         # One centring pass serves the variance and x̂, and x̂ and y are
         # written in place; the sums are those of x.var, so the statistics
         # and y match the textbook formula bit for bit.
@@ -169,28 +166,24 @@ class BatchNorm(Layer):
         xhat *= inv_std[None, :, None]
         np.multiply(xhat, self.gamma[None, :, None], out=y)
         y += self.beta[None, :, None]
-        return y, {"xhat": xhat, "inv_std": inv_std, "train": train}
+        return y, {"xhat": xhat, "inv_std": inv_std}
 
     def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
         xhat = cache["xhat"]
         inv_std = cache["inv_std"]
-        if params or cache["train"]:  # the train-mode input gradient needs both
-            g_gamma = np.einsum("bcl,bcl->c", gy, xhat)
-            g_beta = gy.sum(axis=(0, 2))
-        if cache["train"]:
-            # (γ·inv_std/n)(n·gy − g_β − x̂·g_γ), as γ·inv_std·(gy − (g_β + x̂·g_γ)/n)
-            n = xhat.shape[0] * xhat.shape[2]
-            gx = xhat * (g_gamma / n)[None, :, None]
-            gx += (g_beta / n)[None, :, None]
-            np.subtract(gy, gx, out=gx)
-            gx *= (self.gamma * inv_std)[None, :, None]
-        else:
-            gx = gy * self.gamma[None, :, None] * inv_std[None, :, None]
+        g_gamma = np.einsum("bcl,bcl->c", gy, xhat)  # the input gradient needs both
+        g_beta = gy.sum(axis=(0, 2))
+        # (γ·inv_std/n)(n·gy − g_β − x̂·g_γ), as γ·inv_std·(gy − (g_β + x̂·g_γ)/n)
+        n = xhat.shape[0] * xhat.shape[2]
+        gx = xhat * (g_gamma / n)[None, :, None]
+        gx += (g_beta / n)[None, :, None]
+        np.subtract(gy, gx, out=gx)
+        gx *= (self.gamma * inv_std)[None, :, None]
         return gx, {"gamma": g_gamma, "beta": g_beta} if params else {}
 
 
 class ReLU(Layer):
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray):
         x = _check_input(x)
         return np.maximum(x, 0.0), {"mask": x > 0.0}
 
@@ -201,7 +194,7 @@ class ReLU(Layer):
 class Softmax(Layer):
     """Softmax over the channel axis; every output column sums to one."""
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray):
         x = _check_input(x)
         z = x - x.max(axis=1, keepdims=True)
         ez = np.exp(z)
@@ -228,7 +221,7 @@ class PowerNorm(Layer):
             raise ValueError("target_power must be > 0")
         self.target_power = target_power
 
-    def forward(self, x: np.ndarray, train: bool):
+    def forward(self, x: np.ndarray):
         x = _check_input(x)
         if x.shape[1] % 2 != 0:
             raise ShapeMismatch("powernorm input needs an even channel count (re/im stacking)")
@@ -270,16 +263,19 @@ class Network:
         current = layer.params()[name]
         if current.shape != value.shape:
             raise ShapeMismatch(f"{key}: expected shape {current.shape}, got {value.shape}")
-        setattr(layer, name, np.asarray(value, dtype=np.float64).copy())
+        current[...] = value  # in place, so a Conv1D weight keeps its layout
 
-    def forward(self, x: np.ndarray, train: bool = False, record: bool = True):
-        """Output and the activation record backward() needs; with
-        record=False the record is None and each layer's cache is dropped
-        once the next layer has run."""
+    def forward(self, x: np.ndarray, record: bool = False):
+        """Output, and with record=True the activation record backward() needs.
+        Without a record the folded network runs, and each layer's cache is
+        dropped once the next has run. With one, this network's own layers
+        run: on a network that still has its BatchNorms, a recorded forward is
+        a training step, which updates their running estimates."""
+        layers = self.layers if record else self.folded().layers
         caches = [] if record else None
         y = x
-        for layer in self.layers:
-            y, cache = layer.forward(y, train)
+        for layer in layers:
+            y, cache = layer.forward(y)
             if record:
                 caches.append(cache)
         return y, caches
@@ -303,23 +299,24 @@ class Network:
         return grads, g
 
     def folded(self) -> Network:
-        """An inference copy with every eval-mode BatchNorm folded into the
-        Conv1D before it (``conv_stack`` puts one before each): weight W·s
-        and bias (b − μ)·s + β, with s = γ / sqrt(σ² + eps). Each Conv1D of
-        the copy holds its weight as the (O, C, K) view of a C-ordered
-        (K, C, O) array, so its weight matrix is a reshape, not a copy. The
-        other layers are shared; this network is left unchanged."""
+        """An inference copy with every BatchNorm's running estimates folded
+        into the Conv1D before it (``conv_stack`` puts one before each):
+        weight W·s and bias (b − μ)·s + β, with s = γ / sqrt(σ² + eps). The
+        other layers are shared and this network is left unchanged; one
+        without BatchNorm is its own folded network."""
+        if not any(isinstance(layer, BatchNorm) for layer in self.layers):
+            return self
         layers: list[Layer] = []
         for layer in self.layers:
             if isinstance(layer, BatchNorm):
                 conv = layers[-1]
                 scale = layer.gamma / np.sqrt(layer.running_var + layer.eps)
-                conv.weight = np.asfortranarray(conv.weight * scale[:, None, None])
+                conv.weight *= scale[:, None, None]
                 conv.bias = (conv.bias - layer.running_mean) * scale + layer.beta
             elif isinstance(layer, Conv1D):
-                conv = copy.copy(layer)
-                conv.weight = np.array(layer.weight, order="F")
-                conv.bias = layer.bias.copy()
+                conv = Conv1D.__new__(Conv1D)  # copy.copy would cache __slotnames__
+                vars(conv).update(vars(layer), weight=np.array(layer.weight, order="F"),
+                                  bias=layer.bias.copy())
                 layers.append(conv)
             else:
                 layers.append(layer)

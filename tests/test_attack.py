@@ -209,7 +209,7 @@ class TestReceiverToTransmit:
         nets = build_autoencoder(cfg, rng)
         chan = ChannelModel(cfg).sample_batch(8, rng)
         blocks, _ = random_message_blocks(cfg, 8, rng)
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=False)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         for g_set in adversary_cascade_set(chan, rec.c1, rec.c2):
             ptilde = crand(rng, cfg.n_r, cfg.block_len)
             p = receiver_to_transmit(g_set, ptilde)
@@ -241,7 +241,7 @@ def ray_flips_to_target(decoder, w, k_set, out):
     def decide(r):
         d_in = np.array([r[0, 0].real, r[0, 0].imag,
                          k_set[0, 0, 0].real, k_set[0, 0, 0].imag]).reshape(1, 4, 1)
-        return decoder.forward(d_in, train=False)[0][0].argmax(axis=0)
+        return decoder.forward(d_in)[0][0].argmax(axis=0)
 
     flipped = decide(w - out.p_add)
     return (flipped == out.target).sum() * 2 > flipped.size and (flipped != decide(w)).any()
@@ -313,7 +313,7 @@ class TestPgdMinimalPerturbation:
         forwards = []
         original = decoder.forward
         monkeypatch.setattr(decoder, "forward",
-                            lambda x, train=False: forwards.append(len(x)) or original(x, train))
+                            lambda x, record=False: forwards.append(len(x)) or original(x, record))
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.4j]])
         pgd = AttackSettings(n_p=1, n_s=n_s)
@@ -445,9 +445,9 @@ class TestUniversalAttacks:
             counts["im2col"] += 1
             return im2col(cols)
 
-        def counting_conv_forward(self, x, train):
+        def counting_conv_forward(self, x):
             counts["conv_forward"] += 1
-            return conv_forward(self, x, train)
+            return conv_forward(self, x)
 
         monkeypatch.setattr(risae.neural, "_im2col", counting_im2col)
         monkeypatch.setattr(Conv1D, "forward", counting_conv_forward)

@@ -29,7 +29,7 @@ from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
 from risae.harness import desk_preset, load_system
-from risae.neural import BatchNorm, Conv1D, Softmax, log_loss
+from risae.neural import BatchNorm, Conv1D, Network, Softmax, log_loss
 
 REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
@@ -107,11 +107,11 @@ class TestRisController:
         u1, u2, e = rec.chan.u1[0], rec.chan.u2[0], rec.chan.e[0]
         o = rec.o[0]
         a1 = np.stack([u1 @ o[:, i] for i in range(cfg.block_len)], axis=1)[None]
-        c1 = np.exp(1j * nets.ris1.forward(complex_to_channels(a1), False)[0])
+        c1 = np.exp(1j * nets.ris1.forward(complex_to_channels(a1))[0])
         assert np.allclose(rec.c1, c1, atol=1e-12)
         b2 = np.stack([(u2 + e @ np.diag(rec.c1[0, :, i]) @ u1) @ o[:, i]
                        for i in range(cfg.block_len)], axis=1)[None]
-        c2 = np.exp(1j * nets.ris2.forward(complex_to_channels(b2), False)[0])
+        c2 = np.exp(1j * nets.ris2.forward(complex_to_channels(b2))[0])
         assert np.allclose(rec.c2, c2, atol=1e-12)
 
 
@@ -171,7 +171,7 @@ class TestDecode:
         rng = np.random.default_rng(7)
         r = rng.standard_normal((1, cfg.n_r, cfg.block_len)) * (1 + 0j)
         k = rng.standard_normal((1, cfg.block_len, cfg.n_r, cfg.n_t)) * (1 + 0j)
-        probs, _ = nets.decoder.forward(pack_decoder_input(r, k), train=False)
+        probs, _ = nets.decoder.forward(pack_decoder_input(r, k))
         assert np.allclose(probs[0].sum(axis=0), 1.0, atol=1e-12)
         rec = one_block(cfg, nets, rng)
         assert np.allclose(rec.probs[0].sum(axis=0), 1.0, atol=1e-12)
@@ -199,14 +199,14 @@ class TestForwardPipeline:
         out = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                rng=np.random.default_rng(90))
 
-        o = channels_to_complex(nets.encoder.forward(blocks, False)[0])
+        o = channels_to_complex(nets.encoder.forward(blocks)[0])
         a1 = chan.u1 @ o
-        c1 = np.exp(1j * nets.ris1.forward(complex_to_channels(a1), False)[0])
+        c1 = np.exp(1j * nets.ris1.forward(complex_to_channels(a1))[0])
         b2 = chan.u2 @ o + chan.e @ (c1 * a1)
-        c2 = np.exp(1j * nets.ris2.forward(complex_to_channels(b2), False)[0])
+        c2 = np.exp(1j * nets.ris2.forward(complex_to_channels(b2))[0])
         k, _ = cascade_set(chan, c1, c2)
         r = chan.y1 @ (c1 * a1) + chan.y2 @ (c2 * b2) + noise
-        probs, _ = nets.decoder.forward(pack_decoder_input(r, k), False)
+        probs, _ = nets.decoder.forward(pack_decoder_input(r, k))
         assert np.array_equal(out.probs, probs)
         assert np.array_equal(out.decisions, probs.argmax(axis=1))
 
@@ -236,17 +236,17 @@ class TestForwardPipeline:
                                rng=np.random.default_rng(130))
 
         u1, u2, e, y1, y2 = (getattr(chan, n)[0, 0, 0] for n in ("u1", "u2", "e", "y1", "y2"))
-        enc, _ = nets.encoder.forward(blocks, False)
+        enc, _ = nets.encoder.forward(blocks)
         o = enc[0, 0, 0] + 1j * enc[0, 1, 0]
-        g1, _ = nets.ris1.forward(np.array([[[(u1 * o).real], [(u1 * o).imag]]]), False)
+        g1, _ = nets.ris1.forward(np.array([[[(u1 * o).real], [(u1 * o).imag]]]))
         c1 = np.exp(1j * g1[0, 0, 0])
         b2 = (u2 + e * c1 * u1) * o
-        g2, _ = nets.ris2.forward(np.array([[[b2.real], [b2.imag]]]), False)
+        g2, _ = nets.ris2.forward(np.array([[[b2.real], [b2.imag]]]))
         c2 = np.exp(1j * g2[0, 0, 0])
         k = y2 * c2 * e * c1 * u1 + y1 * c1 * u1 + y2 * c2 * u2
         r = k * o + noise[0, 0, 0]
         d = np.array([r.real, r.imag, k.real, k.imag])
-        probs, _ = nets.decoder.forward(d.reshape(1, 4, 1), False)
+        probs, _ = nets.decoder.forward(d.reshape(1, 4, 1))
         assert np.allclose(out.probs, probs, atol=1e-12)
 
 
@@ -279,16 +279,14 @@ class TestPipelineGradients:
                 analytic = grads[net_name][key]
                 param = net.params()[key]
                 fd = np.zeros_like(param)
-                flat = param.ravel()
-                fd_flat = fd.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + step
+                for i in np.ndindex(param.shape):  # in place, whatever the layout
+                    orig = param[i]
+                    param[i] = orig + step
                     hi = loss_value()
-                    flat[i] = orig - step
+                    param[i] = orig - step
                     lo = loss_value()
-                    flat[i] = orig
-                    fd_flat[i] = (hi - lo) / (2.0 * step)
+                    param[i] = orig
+                    fd[i] = (hi - lo) / (2.0 * step)
                 denom = max(np.linalg.norm(analytic), np.linalg.norm(fd), 1e-6)
                 rel = np.linalg.norm(analytic - fd) / denom
                 worst = max(worst, rel)
@@ -309,7 +307,7 @@ class TestPipelineGradients:
         assert g_r.shape == (3, cfg.n_r, cfg.block_len)
 
         def weighted_loss(x):
-            terms = log_loss(nets.decoder.forward(x, train=False)[0], target, loss)[0]
+            terms = log_loss(nets.decoder.forward(x)[0], target, loss)[0]
             # a column's loss: BCE averages over the classes, CE sums them
             columns = terms.sum(axis=1) if loss == "ce" else terms.mean(axis=1)
             return float(weights @ columns.mean(axis=1))
@@ -456,7 +454,7 @@ class TestEvaluate:
         rng = np.random.default_rng(38)
         blocks, _ = random_message_blocks(cfg, 20, rng)
         chan = ChannelModel(cfg).sample_batch(20, rng)
-        z = transmit_forward(nets.folded(), cfg, blocks, chan, train=False).z
+        z = transmit_forward(nets, cfg, blocks, chan, train=False).z
         decoder_forwards = []  # the decoder is the one network that ends in a softmax
         monkeypatch.setattr(Softmax, "forward", lambda *a, **k: decoder_forwards.append(a))
         power = estimate_received_power(nets, cfg, 20, np.random.default_rng(38))
@@ -499,9 +497,34 @@ def system(request):
     return cfg, nets
 
 
+class AffineBatchNorm:
+    """A BatchNorm at inference, unfolded: γ(x − μ)/sqrt(σ² + eps) + β with
+    the running estimates μ and σ², and its input gradient."""
+
+    def __init__(self, bn):
+        self.bn = bn
+
+    def forward(self, x):
+        bn = self.bn
+        y = (bn.gamma[None, :, None] * (x - bn.running_mean[None, :, None])
+             / np.sqrt(bn.running_var + bn.eps)[None, :, None] + bn.beta[None, :, None])
+        return y, None
+
+    def backward(self, _cache, gy, _params):
+        bn = self.bn
+        return gy * (bn.gamma / np.sqrt(bn.running_var + bn.eps))[None, :, None], {}
+
+
+def affine_reference(net):
+    """net with each BatchNorm applied as its affine map after the Conv1D."""
+    return Network([AffineBatchNorm(layer) if isinstance(layer, BatchNorm) else layer
+                    for layer in net.layers])
+
+
 class TestFolded:
-    """The folded networks against the eval-mode ones. Folding changes the
-    rounding, not the function: outputs agree to 1e-10 of their scale."""
+    """The folded networks against the test-local affine reference. Folding
+    changes the rounding, not the function: outputs agree to 1e-10 of their
+    scale."""
 
     def test_forward_and_decisions_match_eval_mode(self, system):
         cfg, nets = system
@@ -509,8 +532,8 @@ class TestFolded:
         folded = nets.folded()
         for name, net in nets.as_dict().items():
             x = rng.standard_normal((16, net.layers[0].in_channels, cfg.block_len))
-            want = net.forward(x, train=False, record=False)[0]
-            got = folded.as_dict()[name].forward(x, train=False, record=False)[0]
+            want = affine_reference(net).forward(x)[0]
+            got = folded.as_dict()[name].forward(x)[0]
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-10 * max(1.0, np.abs(want).max()), err_msg=name)
             if name == "decoder":
@@ -521,11 +544,14 @@ class TestFolded:
         rng = np.random.default_rng(45)
         d_input = rng.standard_normal((16, cfg.decoder_channels, cfg.block_len))
         target, _ = random_message_blocks(cfg, 16, rng)
-        probs, g_r = decoder_input_gradient(nets.decoder, cfg, d_input, target)
+        probs, g_r = decoder_input_gradient(affine_reference(nets.decoder), cfg, d_input, target)
         folded_probs, folded_g_r = decoder_input_gradient(nets.folded().decoder, cfg, d_input,
                                                           target)
         np.testing.assert_allclose(folded_probs, probs, rtol=0, atol=1e-10)
         np.testing.assert_allclose(folded_g_r, g_r, rtol=0, atol=1e-10 * np.abs(g_r).max())
+        # on the unfolded decoder the gradient runs the same folded network
+        unfolded = decoder_input_gradient(nets.decoder, cfg, d_input, target)
+        assert all(np.array_equal(a, b) for a, b in zip(unfolded, (folded_probs, folded_g_r)))
 
     def test_copy_drops_batchnorm_and_leaves_the_source_alone(self, system):
         _, nets = system
@@ -536,6 +562,7 @@ class TestFolded:
             layers = folded.as_dict()[name].layers
             assert not any(isinstance(layer, BatchNorm) for layer in layers)
             assert len(layers) == sum(not isinstance(layer, BatchNorm) for layer in net.layers)
+            assert folded.as_dict()[name].folded() is folded.as_dict()[name]
             params = net.params()
             assert params.keys() == before[name].keys()
             assert all(np.array_equal(params[k], v) for k, v in before[name].items())
@@ -543,3 +570,47 @@ class TestFolded:
                 assert np.shares_memory(conv._weight_matrix(), conv.weight)
                 assert not any(np.shares_memory(conv.weight, p) or np.shares_memory(conv.bias, p)
                                for p in params.values())
+
+
+def batchnorm_arrays(nets):
+    """A copy of every BatchNorm's γ, β and running estimates."""
+    return [getattr(layer, name).copy() for net in nets.as_dict().values()
+            for layer in net.layers if isinstance(layer, BatchNorm)
+            for name in ("gamma", "beta", "running_mean", "running_var")]
+
+
+class TestInferenceTrainsNoBatchNorm:
+    """Inference on networks that still have their BatchNorms runs the
+    folded networks, so it leaves every BatchNorm array bit for bit."""
+
+    def run(self, entry, cfg, nets, rng):
+        if entry == "network_forward":
+            for net in nets.as_dict().values():
+                net.forward(rng.standard_normal((4, net.layers[0].in_channels, cfg.block_len)))
+        elif entry in ("pipeline_forward", "training_pass"):
+            one_block(cfg, nets, rng, train=entry == "training_pass")
+        elif entry == "evaluate_ser":
+            evaluate_ser(nets, cfg, None, num_blocks=20, rng=rng)
+        elif entry == "estimate_received_power":
+            estimate_received_power(nets, cfg, 20, rng)
+        else:
+            d_input = rng.standard_normal((4, cfg.decoder_channels, cfg.block_len))
+            decoder_input_gradient(nets.decoder, cfg, d_input,
+                                   random_message_blocks(cfg, 4, rng)[0])
+
+    @pytest.mark.parametrize("entry", ["network_forward", "pipeline_forward", "evaluate_ser",
+                                       "estimate_received_power", "decoder_input_gradient"])
+    def test_leaves_every_batchnorm_array_alone(self, system, entry):
+        cfg, nets = system
+        before = batchnorm_arrays(nets)
+        self.run(entry, cfg, nets, np.random.default_rng(47))
+        after = batchnorm_arrays(nets)
+        assert len(after) == 4 * 2 * 4  # four arrays of two BatchNorms in each network
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+    def test_a_training_pass_updates_the_running_estimates(self):
+        # the check above can see a change: a training pass makes one
+        cfg, nets = make_system(seed=46)
+        before = batchnorm_arrays(nets)
+        self.run("training_pass", cfg, nets, np.random.default_rng(47))
+        assert not all(np.array_equal(a, b) for a, b in zip(before, batchnorm_arrays(nets)))

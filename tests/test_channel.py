@@ -6,6 +6,8 @@ import pytest
 from risae.autoencoder import AttackApplication, adversary_cascade_set, cascade_set
 from risae.channel import (
     LINK_ENDS,
+    SPACING,
+    SPREAD,
     ArrayGeometry,
     ChannelBatch,
     ChannelModel,
@@ -52,21 +54,21 @@ class TestSteering:
             assert np.allclose(np.abs(v), 1.0, atol=1e-12)
 
     def test_upa_degenerate(self):
-        geom = ArrayGeometry(1, 1, 0.5, 0.5, 0.3)
+        geom = ArrayGeometry(1, 1)
         assert np.allclose(steering_upa(geom, 0.7, -0.2), [1.0])
 
     def test_upa_zero_angles(self):
-        geom = ArrayGeometry(2, 3, 0.5, 0.5, 0.3)
+        geom = ArrayGeometry(2, 3)
         assert np.allclose(steering_upa(geom, 0.0, 0.0), np.ones(6))
 
     def test_upa_matches_kron_expansion(self):
         rng = np.random.default_rng(1)
-        geom = ArrayGeometry(2, 2, 0.4, 0.6, 0.3)
+        geom = ArrayGeometry(2, 3)
         for _ in range(20):
             az = rng.uniform(-np.pi, np.pi)
             el = rng.uniform(-np.pi / 2, np.pi / 2)
-            a_v = steering_ula(2, 0.4, el)
-            a_h = steering_ula(2, 0.6, az)
+            a_v = steering_ula(2, SPACING, el)
+            a_h = steering_ula(3, SPACING, az)
             assert np.allclose(steering_upa(geom, az, el), np.kron(a_v, a_h), atol=1e-13)
 
 
@@ -165,13 +167,13 @@ class TestCorrUniform:
 class TestArrayCorrelation:
     def test_linear_array_is_its_axis_correlation(self):
         # a 1 x N array's vertical factor is [[1]], so the product is exact
-        geom = ArrayGeometry(1, 5, 0.5, 0.5, 0.9)
-        assert np.array_equal(geom.correlation(7), corr_uniform(5, 0.5, 0.9, 7))
+        geom = ArrayGeometry(1, 5)
+        assert np.array_equal(geom.correlation(7), corr_uniform(5, SPACING, SPREAD, 7))
 
     def test_planar_array_matches_entrywise_oracle(self):
         # entry (v h, v' h') is r_v[v, v'] r_h[h, h'], element index v count_h + h
-        geom = ArrayGeometry(2, 3, 0.4, 0.6, 0.7)
-        r_v, r_h = corr_oracle(2, 0.4, 0.7, 5), corr_oracle(3, 0.6, 0.7, 5)
+        geom = ArrayGeometry(2, 3)
+        r_v, r_h = corr_oracle(2, SPACING, SPREAD, 5), corr_oracle(3, SPACING, SPREAD, 5)
         oracle = np.array([[r_v[i // 3, j // 3] * r_h[i % 3, j % 3] for j in range(6)]
                            for i in range(6)])
         assert np.allclose(geom.correlation(5), oracle, atol=1e-12)

@@ -112,6 +112,19 @@ class TestConfig:
             config_from_dict({"eval": {"snr_sweep_db": [4.0, 0.0]}})
         assert err.value.field_path == "eval.snr_sweep_db"
 
+    def test_sweep_entries_sharing_a_seed_tag_rejected(self):
+        # a seed tag keeps an SNR to 0.001 dB, so 8.0 and 8.0004 dB would
+        # draw every stream alike; 0.001 dB apart they do not
+        tags = ("eval", "secured", "ideal", 9)
+        assert np.array_equal(derive_rng(7, *tags, 8.0).standard_normal(4),
+                              derive_rng(7, *tags, 8.0004).standard_normal(4))
+        with pytest.raises(ConfigInvalid) as err:
+            config_from_dict({"eval": {"snr_sweep_db": [8.0, 8.0004]}})
+        assert err.value.field_path == "eval.snr_sweep_db"
+        grid = config_from_dict({"eval": {"snr_sweep_db": [8.0, 8.001]}}).eval.snr_sweep_db
+        assert not np.array_equal(derive_rng(7, *tags, grid[0]).standard_normal(4),
+                                  derive_rng(7, *tags, grid[1]).standard_normal(4))
+
     def test_present_but_invalid_is_never_defaulted(self):
         with pytest.raises(ConfigInvalid):
             config_from_dict({"attack": {"psr_db": "loud"}})
@@ -469,7 +482,7 @@ class TestCli:
         ("system", "bn_momentum", 1.5), ("system", "bn_momentum", 1.0),
         ("system", "bn_momentum", -0.1), ("attack", "psr_db", 4000.0),
         ("attack", "psr_db", -4000.0), ("train", "snr_db", -4000.0),
-        ("eval", "snr_sweep_db", [-4000.0])])
+        ("eval", "snr_sweep_db", [-4000.0]), ("eval", "snr_sweep_db", [8.0, 8.0004])])
     def test_exit_code_on_out_of_bound_field(self, tmp_path, capsys, section, name, value):
         # psr_db 4000 overflowed the jamming budget, -4000 made rmaef's budget
         # 0; an SNR of -4000 dB overflowed snr_to_sigma2 in training and sweeps
@@ -480,6 +493,18 @@ class TestCli:
         assert cli_main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert section in err and name in err
+
+    @pytest.mark.parametrize("name", ["spread_tx", "spread_ris", "spread_sc", "spacing_tx",
+                                      "spacing_ris_v", "spacing_ris_h", "spacing_sc"])
+    def test_exit_code_on_removed_geometry_key(self, tmp_path, capsys, name):
+        # element spacing and angular spread are constants of the channel
+        # model; a config file that still sets one is refused, not ignored
+        data = tiny_experiment().to_dict()
+        data["system"][name] = 0.5
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        assert cli_main(["train", "--config", str(old), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: system.{name}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
                              ids=["nan", "inf", "huge-int"])

@@ -54,14 +54,14 @@ def rel_err(a, b):
     return np.linalg.norm((a - b).ravel()) / denom
 
 
-def check_layer_gradients(layer, x, train, tol=1e-4, seed=0):
+def check_layer_gradients(layer, x, tol=1e-4, seed=0):
     """Analytic vs central finite differences for inputs and every parameter."""
     rng = np.random.default_rng(seed)
-    y, cache = layer.forward(x, train)
+    y, cache = layer.forward(x)
     upstream = rng.standard_normal(y.shape)
 
     def loss_of_input(xv):
-        yy, _ = layer.forward(xv, train)
+        yy, _ = layer.forward(xv)
         return float((yy * upstream).sum())
 
     gx, grads = layer.backward(cache, upstream)
@@ -73,7 +73,7 @@ def check_layer_gradients(layer, x, train, tol=1e-4, seed=0):
         def loss_of_param(pv, _name=name):
             old = getattr(layer, _name)
             setattr(layer, _name, pv)
-            yy, _ = layer.forward(x, train)
+            yy, _ = layer.forward(x)
             setattr(layer, _name, old)
             return float((yy * upstream).sum())
 
@@ -121,7 +121,7 @@ class OracleConv:
     def params(self):
         return self.conv.params()
 
-    def forward(self, x, train):
+    def forward(self, x):
         return conv_oracle(x, self.conv.weight, self.conv.bias)[0], x
 
     def backward(self, x, gy, params=True):
@@ -146,7 +146,7 @@ class TestConv1D:
         conv.weight[1, 1, 1] = 1.0
         conv.bias = np.zeros(2)
         x = rng.standard_normal((3, 2, 7))
-        y, _ = conv.forward(x, train=False)
+        y, _ = conv.forward(x)
         assert np.allclose(y, x)
 
     def test_one_layer_adjoint_is_correlation(self):
@@ -155,7 +155,7 @@ class TestConv1D:
         rng = np.random.default_rng(1)
         conv = Conv1D(1, 1, 3, rng)
         x = rng.standard_normal((1, 1, 6))
-        y, cache = conv.forward(x, train=False)
+        y, cache = conv.forward(x)
         gy = rng.standard_normal(y.shape)
         gx, _ = conv.backward(cache, gy)
         w = conv.weight[0, 0]
@@ -170,7 +170,7 @@ class TestConv1D:
     def test_gradients(self):
         rng = np.random.default_rng(2)
         conv = Conv1D(3, 4, 3, rng)
-        check_layer_gradients(conv, rng.standard_normal((2, 3, 5)), train=False)
+        check_layer_gradients(conv, rng.standard_normal((2, 3, 5)))
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -182,7 +182,7 @@ class TestConv1D:
         conv.bias = rng.standard_normal(5)
         x = array_in_layout(rng, (batch, 3, length), channels_last)
         gy = array_in_layout(rng, (batch, 5, length), channels_last)
-        y, cache = conv.forward(x, train=True)
+        y, cache = conv.forward(x)
         gx, grads = conv.backward(cache, gy)
         want_y, want_gx, want_gw, want_gb = conv_oracle(x, conv.weight, conv.bias, gy)
         assert_close(y, want_y)
@@ -194,7 +194,7 @@ class TestConv1D:
         rng = np.random.default_rng(22)
         conv = Conv1D(3, 2, 5, rng)
         conv.bias = rng.standard_normal(2)
-        check_layer_gradients(conv, rng.standard_normal((2, 3, 4)), train=False)
+        check_layer_gradients(conv, rng.standard_normal((2, 3, 4)))
 
     def test_cache_spans_only_padded_input(self):
         # The cache may hold the padded input, never an im2col copy K times
@@ -202,7 +202,7 @@ class TestConv1D:
         batch, channels, length, k_size = 4, 6, 8, 3
         conv = Conv1D(channels, 5, k_size, np.random.default_rng(23))
         x = np.random.default_rng(24).standard_normal((batch, channels, length))
-        _, cache = conv.forward(x, train=True)
+        _, cache = conv.forward(x)
         bounds = sorted(np.lib.array_utils.byte_bounds(v) for v in cache.values()
                         if isinstance(v, np.ndarray))
         spanned, reach = 0, -np.inf
@@ -223,7 +223,7 @@ class TestConv1D:
         conv = Conv1D(channels, out_channels, k_size, rng)
         x = array_in_layout(rng, (batch, channels, length), channels_last=True)
         gy = array_in_layout(rng, (batch, out_channels, length), channels_last=True)
-        _, cache = conv.forward(x, train=True)
+        _, cache = conv.forward(x)
         gx, grads = conv.backward(cache, gy)
 
         pad = k_size // 2
@@ -235,12 +235,12 @@ class TestConv1D:
             gxp[:, k:k + length] += gx_cols[:, :, k]
         assert np.array_equal(gx, gxp[:, pad:pad + length].transpose(0, 2, 1))
         assert grads["weight"].shape == conv.weight.shape
-        assert grads["weight"].flags.c_contiguous
+        assert grads["weight"].flags.f_contiguous  # the weight's layout
 
     def test_channel_mismatch(self):
         conv = Conv1D(3, 4, 3, np.random.default_rng(3))
         with pytest.raises(ShapeMismatch):
-            conv.forward(np.zeros((1, 2, 5)), train=False)
+            conv.forward(np.zeros((1, 2, 5)))
 
 
 class TestBatchNorm:
@@ -249,33 +249,13 @@ class TestBatchNorm:
         bn = BatchNorm(3)
         bn.gamma = rng.standard_normal(3)
         bn.beta = rng.standard_normal(3)
-        check_layer_gradients(bn, rng.standard_normal((4, 3, 5)), train=True)
-
-    def test_infer_mode_gradients(self):
-        rng = np.random.default_rng(5)
-        bn = BatchNorm(3)
-        bn.running_mean = rng.standard_normal(3)
-        bn.running_var = rng.uniform(0.5, 2.0, 3)
-        check_layer_gradients(bn, rng.standard_normal((2, 3, 4)), train=False)
-
-    def test_infer_mode_is_affine(self):
-        rng = np.random.default_rng(6)
-        bn = BatchNorm(2)
-        bn.running_mean = rng.standard_normal(2)
-        bn.running_var = rng.uniform(0.5, 2.0, 2)
-        bn.gamma = rng.standard_normal(2)
-        bn.beta = rng.standard_normal(2)
-        x = rng.standard_normal((1, 2, 3))
-        y = rng.standard_normal((1, 2, 3))
-        f = lambda v: bn.forward(v, train=False)[0]
-        zero = f(np.zeros_like(x))
-        assert np.allclose(f(x + y) - zero, (f(x) - zero) + (f(y) - zero), atol=1e-12)
+        check_layer_gradients(bn, rng.standard_normal((4, 3, 5)))
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(7)
         bn = BatchNorm(2, momentum=0.9)
         x = rng.standard_normal((8, 2, 16))
-        bn.forward(x, train=True)
+        bn.forward(x)
         assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2)))
         assert np.allclose(bn.running_var, 0.9 * 1.0 + 0.1 * x.var(axis=(0, 2)))
 
@@ -292,7 +272,7 @@ class TestBatchNorm:
         bn.running_var = rng.uniform(0.5, 2.0, 6)
         running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
         x = 3.0 * array_in_layout(rng, (16, 6, 24), channels_last) + 1.5
-        y, cache = bn.forward(x, train=True)
+        y, cache = bn.forward(x)
 
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
@@ -306,7 +286,7 @@ class TestBatchNorm:
 
 class TestReLUSoftmax:
     def test_relu_definition(self):
-        y, _ = ReLU().forward(np.array([[[-1.0, 0.0, 2.0]]]), train=False)
+        y, _ = ReLU().forward(np.array([[[-1.0, 0.0, 2.0]]]))
         assert np.allclose(y, [[[0.0, 0.0, 2.0]]])
 
     def test_relu_gradients(self):
@@ -314,21 +294,21 @@ class TestReLUSoftmax:
         # keep inputs away from the kink
         x = rng.standard_normal((2, 3, 4))
         x[np.abs(x) < 0.1] += 0.2
-        check_layer_gradients(ReLU(), x, train=False)
+        check_layer_gradients(ReLU(), x)
 
     def test_softmax_uniform_on_zeros(self):
-        y, _ = Softmax().forward(np.zeros((1, 5, 2)), train=False)
+        y, _ = Softmax().forward(np.zeros((1, 5, 2)))
         assert np.allclose(y, 0.2)
 
     def test_softmax_columns_sum_to_one(self):
         rng = np.random.default_rng(9)
-        y, _ = Softmax().forward(rng.standard_normal((3, 6, 4)) * 3.0, train=False)
+        y, _ = Softmax().forward(rng.standard_normal((3, 6, 4)) * 3.0)
         assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_softmax_gradients(self):
         rng = np.random.default_rng(10)
-        check_layer_gradients(Softmax(), rng.standard_normal((2, 4, 3)), train=False)
+        check_layer_gradients(Softmax(), rng.standard_normal((2, 4, 3)))
 
 
 class TestPowerNorm:
@@ -336,21 +316,21 @@ class TestPowerNorm:
         rng = np.random.default_rng(11)
         x = rng.standard_normal((1, 4, 6))
         x *= np.sqrt((4 // 2) * 6 / (x ** 2).sum())  # unit mean complex power
-        y, _ = PowerNorm(1.0).forward(x, train=False)
+        y, _ = PowerNorm(1.0).forward(x)
         assert np.allclose(y, x, atol=1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((2, 4, 5))
         pn = PowerNorm(1.5)
-        y1, _ = pn.forward(x, train=False)
-        y2, _ = pn.forward(3.7 * x, train=False)
+        y1, _ = pn.forward(x)
+        y2, _ = pn.forward(3.7 * x)
         assert np.allclose(y1, y2, atol=1e-12)
 
     def test_output_power(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((3, 8, 7))
-        y, _ = PowerNorm(2.0).forward(x, train=False)
+        y, _ = PowerNorm(2.0).forward(x)
         n_complex = 4 * 7
         for b in range(3):
             power = (y[b] ** 2).sum() / n_complex
@@ -358,15 +338,15 @@ class TestPowerNorm:
 
     def test_gradients(self):
         rng = np.random.default_rng(14)
-        check_layer_gradients(PowerNorm(1.3), rng.standard_normal((2, 4, 3)), train=False)
+        check_layer_gradients(PowerNorm(1.3), rng.standard_normal((2, 4, 3)))
 
     def test_degenerate_input(self):
         with pytest.raises(DegenerateInput):
-            PowerNorm(1.0).forward(np.zeros((1, 2, 3)), train=False)
+            PowerNorm(1.0).forward(np.zeros((1, 2, 3)))
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ShapeMismatch):
-            PowerNorm(1.0).forward(np.zeros((1, 3, 3)), train=False)
+            PowerNorm(1.0).forward(np.zeros((1, 3, 3)))
 
 
 class TestLosses:
@@ -418,12 +398,12 @@ class TestNetwork:
         rng = np.random.default_rng(18)
         net = conv_stack([3, 6, 6, 2], 3, rng)
         x = rng.standard_normal((2, 3, 5))
-        y, rec = net.forward(x, train=True)
+        y, rec = net.forward(x, record=True)
         upstream = rng.standard_normal(y.shape)
         grads, gx = net.backward(rec, upstream)
 
         def loss_of_input(xv):
-            yy, _ = net.forward(xv, train=True)
+            yy, _ = net.forward(xv, record=True)
             return float((yy * upstream).sum())
 
         assert rel_err(gx, fd_gradient(loss_of_input, x.copy())) < 1e-4
@@ -434,7 +414,7 @@ class TestNetwork:
             def loss_of_param(pv, _key=key):
                 old = net.params()[_key].copy()
                 net.set_param(_key, pv)
-                yy, _ = net.forward(x, train=True)
+                yy, _ = net.forward(x, record=True)
                 net.set_param(_key, old)
                 return float((yy * upstream).sum())
 
@@ -444,7 +424,7 @@ class TestNetwork:
         rng = np.random.default_rng(19)
         net = conv_stack([2, 4, 2], 3, rng)
         x = rng.standard_normal((1, 2, 4))
-        y, rec = net.forward(x, train=True)
+        y, rec = net.forward(x, record=True)
         grads, gx = net.backward(rec, np.zeros_like(y))
         assert np.allclose(gx, 0.0)
         assert all(np.allclose(g, 0.0) for g in grads.values())
@@ -458,9 +438,10 @@ class TestNetwork:
         rng = np.random.default_rng(21)
         net = conv_stack([2, 4, 2], 3, rng, final=Softmax())
         x = rng.standard_normal((3, 2, 5))
-        y, rec = net.forward(x, train=False, record=False)
+        y, rec = net.forward(x)
         assert rec is None
-        assert np.array_equal(y, net.forward(x, train=False)[0])
+        # the forward without a record runs the folded network
+        assert np.array_equal(y, net.folded().forward(x, record=True)[0])
         with pytest.raises(MissingRecord):
             net.backward(rec, np.zeros_like(y))
 
@@ -479,21 +460,33 @@ def one_layer_of_each_kind(rng):
             "powernorm": PowerNorm(1.5)}
 
 
+def folded_stack(rng):
+    """A folded conv stack, the kind of network the attacks differentiate,
+    whose BatchNorms had affine maps and running statistics away from the
+    identity before folding."""
+    net = conv_stack([4, 8, 8, 4], 3, rng, final=Softmax())
+    for bn in (layer for layer in net.layers if isinstance(layer, BatchNorm)):
+        bn.gamma = rng.uniform(0.5, 2.0, bn.channels)
+        bn.beta = rng.standard_normal(bn.channels)
+        bn.running_mean = rng.standard_normal(bn.channels)
+        bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
+    return net.folded()
+
+
 class TestInputOnlyBackward:
     """``backward(..., params=False)``, the attacks' decoder gradient."""
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
-    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("kind", ["batchnorm", "conv", "powernorm", "relu", "softmax",
                                       "stack"])
-    def test_same_input_gradient_and_no_parameter_gradients(self, kind, train, channels_last):
+    def test_same_input_gradient_and_no_parameter_gradients(self, kind, channels_last):
         rng = np.random.default_rng(27)
         if kind == "stack":
-            net = conv_stack([4, 8, 8, 4], 3, rng, final=Softmax())
+            net = folded_stack(rng)
         else:
             net = Network([one_layer_of_each_kind(rng)[kind]])
         x = array_in_layout(rng, (3, 4, 5), channels_last)
-        y, rec = net.forward(x, train=train)
+        y, rec = net.forward(x, record=True)
         gy = rng.standard_normal(y.shape)
         full_grads, full_gx = net.backward(rec, gy)
         grads, gx = net.backward(rec, gy, params=False)
@@ -516,8 +509,8 @@ class TestChannelsLastNetwork:
                          for layer in oracle.layers]
         x = rng.standard_normal((6, 40, 8))
         upstream = rng.standard_normal((6, 16, 8))
-        y, rec = net.forward(x, train=True)
-        want_y, want_rec = oracle.forward(x, train=True)
+        y, rec = net.forward(x, record=True)
+        want_y, want_rec = oracle.forward(x, record=True)
         assert y.strides[1] < y.strides[2]  # channels-last reached the softmax
         assert_close(y, want_y)
         grads, gx = net.backward(rec, upstream)
@@ -536,7 +529,7 @@ class TestChannelsLastNetwork:
         rng = np.random.default_rng(26)
         net = self.decoder(rng)
         x = rng.standard_normal((6, 8, 40)).transpose(0, 2, 1)
-        y, rec = net.forward(x, train=True)
+        y, rec = net.forward(x, record=True)
         grads, _ = net.backward(rec, rng.standard_normal(y.shape))
         adam_step(net.trainable_params(), grads, AdamState(lr=1e-2))
         path = tmp_path / "decoder.ckpt"
@@ -548,6 +541,28 @@ class TestChannelsLastNetwork:
             assert np.array_equal(value, net.params()[key])
             rebuilt.set_param(key, value)
         assert np.array_equal(rebuilt.forward(x)[0], net.forward(x)[0])
+
+    def test_weight_matrix_is_a_view_when_built_stepped_and_loaded(self, tmp_path):
+        # Conv1D keeps its weight as the view of a C-ordered (K, C, O) array,
+        # so every forward and backward reshapes it to the matrix for free
+        def views(net):
+            return [np.shares_memory(layer._weight_matrix(), layer.weight)
+                    for layer in net.layers if isinstance(layer, Conv1D)]
+
+        rng = np.random.default_rng(29)
+        net = self.decoder(rng)
+        assert views(net) == [True] * 3
+        x = rng.standard_normal((6, 40, 8))
+        y, rec = net.forward(x, record=True)
+        grads, _ = net.backward(rec, rng.standard_normal(y.shape))
+        adam_step(net.trainable_params(), grads, AdamState(lr=1e-2))
+        assert views(net) == [True] * 3
+        save_checkpoint(tmp_path / "decoder.ckpt", {"dec": net})
+        loaded = self.decoder(np.random.default_rng(0))
+        for key, value in load_checkpoint(tmp_path / "decoder.ckpt")[0]["dec"].items():
+            loaded.set_param(key, value)
+            assert np.array_equal(loaded.params()[key], value)
+        assert views(loaded) == [True] * 3
 
 
 class TestAdam:

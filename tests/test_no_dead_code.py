@@ -6,8 +6,9 @@ imported anywhere in ``src/risae/`` or ``perfbench/``, or spelled as a string
 constant in ``src/risae/``. Strings in ``perfbench/`` do not count: the
 benchmark wraps functions by name, and a function that only its wrap table
 names is still one nothing calls. A config field counts as used when it is
-read as an attribute in either place. Tests do not count: nothing in
-``src/`` should exist only so that a test can call it.
+read as an attribute in either place, and a parameter of a function or
+method when its body reads it. Tests do not count: nothing in ``src/``
+should exist only so that a test can call it.
 """
 
 import ast
@@ -239,3 +240,48 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     # with any of its parameters.
     unset = unset_defaulted_parameters()
     assert not unset, f"parameters no call in src/risae or perfbench sets: {unset}"
+
+
+# -- parameters read ----------------------------------------------------------
+
+# (module, function, parameter): why the parameter stays unread in its body
+UNREAD_EXEMPT = {
+    ("neural", f"{layer}.backward", "params"): "Network.backward passes it to every layer"
+    for layer in ("ReLU", "Softmax", "PowerNorm")
+}
+
+
+def unread_parameters(path: Path) -> set[tuple[str, str, str]]:
+    """(module, qualified function, parameter) of every parameter of a
+    function or method that its body never loads; a method's self or cls
+    aside. A load in a nested function counts."""
+    unread = set()
+
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                         + [args.vararg, args.kwarg] if a is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                if cls is not None and not static:
+                    names = names[1:]
+                loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                qualname = node.name if cls is None else f"{cls}.{node.name}"
+                unread.update((path.stem, qualname, name) for name in names if name not in loaded)
+                visit(node.body, None)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")).body, None)
+    return unread
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads changes nothing when a caller sets it
+    unread = set().union(*(unread_parameters(path) for path in sorted(PACKAGE.glob("*.py"))))
+    assert unread >= set(UNREAD_EXEMPT), "an exemption is no longer needed"
+    stray = sorted(unread - set(UNREAD_EXEMPT))
+    assert not stray, f"parameters their function never reads: {stray}"
