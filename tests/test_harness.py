@@ -125,6 +125,24 @@ class TestConfig:
         assert not np.array_equal(derive_rng(7, *tags, grid[0]).standard_normal(4),
                                   derive_rng(7, *tags, grid[1]).standard_normal(4))
 
+    @pytest.mark.parametrize("grid, shared", [
+        ([-4.0004, -4.0], True),       # negative SNRs round alike too
+        ([0.0, 0.0005], True),         # 0.5 rounds half to even, to 0
+        ([0.0, 0.0015, 0.002], True),  # 1.5 and 2 both round to 2
+        ([-0.001, 0.0, 0.001], False),
+    ])
+    def test_grid_rejected_exactly_when_two_entries_draw_alike(self, grid, shared):
+        tags = ("eval", "secured", "ideal", 9)
+        draws = [derive_rng(7, *tags, v).standard_normal(4) for v in grid]
+        alike = any(np.array_equal(a, b) for i, a in enumerate(draws) for b in draws[i + 1:])
+        assert alike == shared
+        if shared:
+            with pytest.raises(ConfigInvalid) as err:
+                config_from_dict({"eval": {"snr_sweep_db": grid}})
+            assert err.value.field_path == "eval.snr_sweep_db"
+        else:
+            assert config_from_dict({"eval": {"snr_sweep_db": grid}}).eval.snr_sweep_db == grid
+
     def test_present_but_invalid_is_never_defaulted(self):
         with pytest.raises(ConfigInvalid):
             config_from_dict({"attack": {"psr_db": "loud"}})

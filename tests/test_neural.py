@@ -251,6 +251,38 @@ class TestBatchNorm:
         bn.beta = rng.standard_normal(3)
         check_layer_gradients(bn, rng.standard_normal((4, 3, 5)))
 
+    # At inference a BatchNorm is folded into the Conv1D before it.
+
+    def test_infer_mode_gradients(self):
+        rng = np.random.default_rng(5)
+        bn = BatchNorm(3)
+        bn.gamma = rng.standard_normal(3)
+        bn.beta = rng.standard_normal(3)
+        bn.running_mean = rng.standard_normal(3)
+        bn.running_var = rng.uniform(0.5, 2.0, 3)
+        (conv,) = Network([Conv1D(2, 3, 3, rng), bn]).folded().layers
+        check_layer_gradients(conv, rng.standard_normal((2, 2, 4)))
+
+    def test_infer_mode_is_affine(self):
+        rng = np.random.default_rng(6)
+        conv = Conv1D(2, 2, 3, rng)
+        conv.bias = rng.standard_normal(2)
+        bn = BatchNorm(2)
+        bn.running_mean = rng.standard_normal(2)
+        bn.running_var = rng.uniform(0.5, 2.0, 2)
+        bn.gamma = rng.standard_normal(2)
+        bn.beta = rng.standard_normal(2)
+        net = Network([conv, bn])
+        x = rng.standard_normal((1, 2, 3))
+        y = rng.standard_normal((1, 2, 3))
+        f = lambda v: net.forward(v)[0]
+        zero = f(np.zeros_like(x))
+        assert np.allclose(f(x + y) - zero, (f(x) - zero) + (f(y) - zero), atol=1e-12)
+        scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        want = ((conv.forward(x)[0] - bn.running_mean[:, None]) * scale[:, None]
+                + bn.beta[:, None])
+        assert np.allclose(f(x), want, atol=1e-12)
+
     def test_running_stats_update(self):
         rng = np.random.default_rng(7)
         bn = BatchNorm(2, momentum=0.9)
@@ -460,31 +492,45 @@ def one_layer_of_each_kind(rng):
             "powernorm": PowerNorm(1.5)}
 
 
-def folded_stack(rng):
-    """A folded conv stack, the kind of network the attacks differentiate,
-    whose BatchNorms had affine maps and running statistics away from the
-    identity before folding."""
+def stack_with_statistics(rng):
+    """A conv stack whose BatchNorms have affine maps and running statistics
+    away from the identity; folded, the kind of network the attacks
+    differentiate."""
     net = conv_stack([4, 8, 8, 4], 3, rng, final=Softmax())
     for bn in (layer for layer in net.layers if isinstance(layer, BatchNorm)):
         bn.gamma = rng.uniform(0.5, 2.0, bn.channels)
         bn.beta = rng.standard_normal(bn.channels)
         bn.running_mean = rng.standard_normal(bn.channels)
         bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
-    return net.folded()
+    return net
+
+
+def network_of_kind(rng, kind, train):
+    """The network one layer kind is differentiated in: the layer alone (the
+    stack unfolded) in training; at inference ("eval") the folded stack, or
+    a Conv1D with a BatchNorm folded into it and then the layer, the pair
+    alone for the BatchNorm kind."""
+    if kind == "stack":
+        net = stack_with_statistics(rng)
+        return net if train else net.folded()
+    layers = one_layer_of_each_kind(rng)
+    if train:
+        return Network([layers[kind]])
+    lead = [Conv1D(4, 4, 3, rng), layers["batchnorm"]]
+    return Network(lead + ([] if kind == "batchnorm" else [layers[kind]])).folded()
 
 
 class TestInputOnlyBackward:
     """``backward(..., params=False)``, the attacks' decoder gradient."""
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
     @pytest.mark.parametrize("kind", ["batchnorm", "conv", "powernorm", "relu", "softmax",
                                       "stack"])
-    def test_same_input_gradient_and_no_parameter_gradients(self, kind, channels_last):
+    def test_same_input_gradient_and_no_parameter_gradients(self, kind, train, channels_last):
         rng = np.random.default_rng(27)
-        if kind == "stack":
-            net = folded_stack(rng)
-        else:
-            net = Network([one_layer_of_each_kind(rng)[kind]])
+        net = network_of_kind(rng, kind, train)
+        assert train or not any(isinstance(layer, BatchNorm) for layer in net.layers)
         x = array_in_layout(rng, (3, 4, 5), channels_last)
         y, rec = net.forward(x, record=True)
         gy = rng.standard_normal(y.shape)
