@@ -8,7 +8,8 @@ receiver-domain perturbation that flips the decision (per-target binary
 search with an inner projected-gradient walk), maps it back to the transmit
 domain through the adversary aggregate by regularized least squares, and
 accumulates under the power budget. Baselines: budget-matched isotropic
-jamming and a single-step fast-gradient accumulation.
+jamming (``autoencoder.jamming``) and a single-step fast-gradient
+accumulation.
 
 Per-class searches inside the minimal-perturbation routine are independent
 and evaluated as one batch; the outer accumulation loop is sequential.
@@ -32,7 +33,7 @@ from .autoencoder import (
     pipeline_forward,
     random_message_blocks,
 )
-from .channel import ChannelModel, crandn
+from .channel import ChannelModel
 from .config import COUNT, DECIBELS, SystemConfig, one_of, setting
 from .errors import AllTargetsFailed, InvariantViolation, NoProgress
 from .linalg import default_ridge, ls_solve
@@ -155,19 +156,6 @@ def enforce_power(p: np.ndarray, budget: float) -> np.ndarray:
     if power <= budget:
         return p
     return p * np.sqrt(budget / power)
-
-
-# ---------------------------------------------------------------------------
-# baselines
-# ---------------------------------------------------------------------------
-
-def jamming(budget: float, dimension: int, rng: np.random.Generator) -> PerturbationVector:
-    """Isotropic Gaussian direction rescaled to exactly the budget norm."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    raw = crandn(rng, dimension)
-    values = raw * (np.sqrt(budget) / np.linalg.norm(raw))
-    return PerturbationVector(values=values, budget=budget)
 
 
 # ---------------------------------------------------------------------------

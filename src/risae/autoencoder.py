@@ -69,14 +69,11 @@ def build_autoencoder(cfg: SystemConfig, rng: np.random.Generator) -> Autoencode
     Encoder ends in power normalization, the controllers emit unconstrained
     phase angles, the decoder ends in a channel-axis softmax.
     """
-    cfg.validate()
     w = cfg.hidden_width
-    k = cfg.kernel_size
-    kw = dict(bn_eps=cfg.bn_eps, bn_momentum=cfg.bn_momentum)
-    encoder = conv_stack([cfg.m, w, w, 2 * cfg.n_t], k, rng, final=PowerNorm(cfg.power), **kw)
-    ris1 = conv_stack([2 * cfg.a1, w, w, cfg.a1], k, rng, **kw)
-    ris2 = conv_stack([2 * cfg.a2, w, w, cfg.a2], k, rng, **kw)
-    decoder = conv_stack([cfg.decoder_channels, w, w, cfg.m], k, rng, final=Softmax(), **kw)
+    encoder = conv_stack([cfg.m, w, w, 2 * cfg.n_t], rng, final=PowerNorm(cfg.power))
+    ris1 = conv_stack([2 * cfg.a1, w, w, cfg.a1], rng)
+    ris2 = conv_stack([2 * cfg.a2, w, w, cfg.a2], rng)
+    decoder = conv_stack([cfg.decoder_channels, w, w, cfg.m], rng, final=Softmax())
     return AutoencoderNets(encoder, ris1, ris2, decoder)
 
 
@@ -157,6 +154,14 @@ def attack_dimension(cfg: SystemConfig, channel_mode: str) -> int:
     return cfg.n_r if channel_mode == "ideal" else cfg.adversary_antennas
 
 
+def jamming(budget: float, n: int, dimension: int, rng: np.random.Generator) -> np.ndarray:
+    """n isotropic jamming vectors (n, dimension): CN(0, I) draws, each
+    rescaled to exactly the squared-norm budget."""
+    raw = crandn(rng, (n, dimension))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw * (np.sqrt(budget) / norms)
+
+
 @dataclass
 class AttackApplication:
     """How a perturbation reaches the decoder during evaluation.
@@ -164,8 +169,8 @@ class AttackApplication:
     channel_mode 'double' sends the transmit-domain vector through the
     adversary aggregate G of each symbol; 'ideal' adds the receiver-domain
     vector directly (identity attack channel). Exactly one of p_adv (a fixed
-    universal vector) or jam_budget (fresh isotropic Gaussian per block, norm
-    rescaled to the budget) must be set.
+    universal vector) or jam_budget (a fresh ``jamming`` vector per block)
+    must be set.
     """
 
     channel_mode: str
@@ -185,9 +190,7 @@ class AttackApplication:
         if self.p_adv is not None:
             vectors = np.broadcast_to(self.p_adv, (n, self.p_adv.shape[0]))
         else:
-            raw = crandn(rng, (n, attack_dimension(cfg, self.channel_mode)))
-            norms = np.linalg.norm(raw, axis=1, keepdims=True)
-            vectors = raw * (np.sqrt(self.jam_budget) / norms)
+            vectors = jamming(self.jam_budget, n, attack_dimension(cfg, self.channel_mode), rng)
         if self.channel_mode == "ideal":
             return np.repeat(vectors[:, :, None], cfg.block_len, axis=2)
         g = adversary_cascade_set(chan, c1, c2).transpose(0, 2, 1, 3)  # (B, n_r, L, n_adv)
@@ -405,7 +408,6 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
     finite range, and InvariantViolation when a predicted reflection of the
     epoch's last batch is not unit modulus.
     """
-    cfg.validate()
     model = channel_model or ChannelModel(cfg)
     n_blocks = max(1, int(np.ceil(num_symbols / cfg.block_len)))
     dataset, _ = random_message_blocks(cfg, n_blocks, rng)

@@ -166,7 +166,6 @@ class ChannelModel:
     """
 
     def __init__(self, cfg: SystemConfig):
-        cfg.validate()
         self.cfg = cfg
         sc = cfg.num_scatterers
         # geometry and correlation square root of every array a link ends on

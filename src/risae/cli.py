@@ -10,8 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .attack import export_perturbation, jamming, rmaef, rmaep
-from .autoencoder import CHANNEL_MODES, attack_dimension
+from .attack import PerturbationVector, export_perturbation, rmaef, rmaep
+from .autoencoder import CHANNEL_MODES, attack_dimension, jamming
 from .config import DECIBELS
 from .errors import ConfigInvalid, CorruptCheckpoint, MissingCheckpoint
 from .harness import (
@@ -81,7 +81,8 @@ def cmd_attack(args) -> int:
     budget = make_budget(cfg, sys_cfg, nets, mode)
     rng = derive_rng(cfg.seed, "attack", args.kind, mode, sys_cfg.num_scatterers, args.snr_db)
     if args.kind == "jamming":
-        vector = jamming(budget.linear, attack_dimension(sys_cfg, mode), rng)
+        values = jamming(budget.linear, 1, attack_dimension(sys_cfg, mode), rng)[0]
+        vector = PerturbationVector(values=values, budget=budget.linear)
     else:
         builder = {"rmaep": rmaep, "rmaef": rmaef}[args.kind]
         vector = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode).perturbation

@@ -4,7 +4,9 @@ A config section is a dataclass. Each field's annotation is its type, and
 ``setting`` attaches its bound (a predicate and the message shown when the
 predicate fails). ``from_json`` builds a section from parsed JSON and
 ``check`` tests a built one; both read those declarations and name the
-offending field by its dotted path.
+offending field by its dotted path. ``SystemConfig`` is frozen and checks
+itself when it is built, so every instance is valid: one from a file, a
+preset, ``replace`` or a bare constructor.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def one_of(choices: tuple):
 @functools.cache
 def _declared(cls) -> tuple:
     """(name, type, bound) of every field of cls; the string annotations are
-    resolved once per class, because validate runs on every training call."""
+    resolved once per class, because every SystemConfig is checked when it
+    is built, one per sweep cell and more."""
     hints = typing.get_type_hints(cls)
     return tuple((f.name, hints[f.name], f.metadata.get("bound")) for f in fields(cls))
 
@@ -111,7 +114,7 @@ POSITIVE = above(0)
 DECIBELS = (lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300] dB"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
     """Physical and network dimensions of one simulated link.
 
@@ -120,7 +123,9 @@ class SystemConfig:
     m is the message cardinality, block_len the number of symbols processed
     per block. power is the transmit power P (linear), sigma2 the receiver
     noise variance (linear), kappa/omega the Rician parameters shared by all
-    links.
+    links. An instance is checked when it is built (ConfigInvalid naming
+    ``system.<field>``), and it cannot be changed afterwards: ``replace``
+    builds a checked copy.
     """
 
     n_t: int = setting(4, COUNT, network=True)
@@ -138,11 +143,6 @@ class SystemConfig:
     n_adv: int | None = setting(None, COUNT)  # adversary transmit antennas; None -> n_t
     num_scatterers: int = setting(9, COUNT)
     hidden_width: int = setting(128, COUNT, network=True)
-    kernel_size: int = setting(3, ((lambda v: v >= 1 and v % 2 == 1),
-                                   "must be odd and >= 1 for same padding"), network=True)
-    bn_eps: float = setting(1e-5, POSITIVE, network=True)
-    bn_momentum: float = setting(0.9, ((lambda v: 0.0 <= v < 1.0), "must lie in [0, 1)"),
-                                  network=True)
     loss: str = setting("bce", one_of(("bce", "ce")))  # binary or categorical cross entropy
 
     @property
@@ -162,10 +162,7 @@ class SystemConfig:
         """Real channel count of the decoder input: 2 (N_r + N_r N_t)."""
         return 2 * (self.n_r + self.n_r * self.n_t)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         check(self, "system")
 
-    def replace(self, **changes) -> SystemConfig:
-        cfg = dataclasses.replace(self, **changes)
-        cfg.validate()
-        return cfg
+    replace = dataclasses.replace

@@ -9,12 +9,9 @@ class SingularSystem(ValueError):
     """A linear system is numerically singular and no ridge was requested."""
 
 
-class DimensionMismatch(ValueError):
-    """Matrix operands are not conformable."""
-
-
 class ShapeMismatch(ValueError):
-    """A tensor does not have the shape a layer or pipeline stage expects."""
+    """An operand does not have the shape a function, layer or pipeline stage
+    expects (matrix operands that are not conformable included)."""
 
 
 class MissingRecord(RuntimeError):

@@ -34,7 +34,7 @@ from .autoencoder import (
 from .config import COUNT, DECIBELS, POSITIVE, SystemConfig, check, from_json, setting
 from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint,
                      ShapeMismatch)
-from .neural import load_checkpoint, save_checkpoint
+from .neural import BN_EPS, BN_MOMENTUM, KERNEL_SIZE, load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
 CSV_HEADER = "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
@@ -200,7 +200,8 @@ def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
     """The networks the config declares, with the parameters a checkpoint holds.
 
     ConfigInvalid when the checkpoint was trained with another value of a
-    field the networks depend on; CorruptCheckpoint when its arrays are not
+    field the networks depend on, or of one of the network settings
+    ``risae.neural`` fixes; CorruptCheckpoint when its arrays are not
     exactly the parameters of those networks, in their shapes.
     """
     ckpt_path = Path(ckpt_path)
@@ -210,11 +211,14 @@ def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
     saved = meta.get("system", {})
     if not isinstance(saved, dict):
         raise CorruptCheckpoint(f"{ckpt_path}: the recorded system is not an object")
-    for name in (f.name for f in fields(SystemConfig) if f.metadata.get("network")):
-        if name in saved and saved[name] != getattr(cfg.system, name):
+    configured = {f.name: getattr(cfg.system, f.name) for f in fields(SystemConfig)
+                  if f.metadata.get("network")}
+    fixed = {"kernel_size": KERNEL_SIZE, "bn_eps": BN_EPS, "bn_momentum": BN_MOMENTUM}
+    for name, value in (configured | fixed).items():
+        if name in saved and saved[name] != value:
+            says = "risae fixes it at" if name in fixed else "config says"
             raise ConfigInvalid(f"system.{name}",
-                                f"checkpoint was trained with {saved[name]}, "
-                                f"config says {getattr(cfg.system, name)}")
+                                f"checkpoint was trained with {saved[name]}, {says} {value}")
     nets = build_autoencoder(cfg.system, derive_rng(cfg.seed, "init")).as_dict()
     want = {(name, key) for name, net in nets.items() for key in net.params()}
     have = {(name, key) for name, params in arrays.items() for key in params}

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD, SingularSystem
+from .errors import NotPSD, ShapeMismatch, SingularSystem
 
 PSD_EIG_FLOOR = -1e-10
 
@@ -17,7 +17,7 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a 2-D complex matrix with finite entries."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionMismatch(f"{name} must be a non-empty 2-D matrix, got shape {a.shape}")
+        raise ShapeMismatch(f"{name} must be a non-empty 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):  # complex isfinite checks both parts, any layout
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -34,7 +34,7 @@ def hermitian_sqrt(h: np.ndarray) -> np.ndarray:
     """
     h = as_matrix(h, "h")
     if h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"h must be square, got shape {h.shape}")
+        raise ShapeMismatch(f"h must be square, got shape {h.shape}")
     h = 0.5 * (h + h.conj().T)  # scrub rounding asymmetry
     w, v = np.linalg.eigh(h)
     if w.min() < PSD_EIG_FLOOR:
@@ -53,7 +53,7 @@ def ls_solve(g: np.ndarray, v: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     g = as_matrix(g, "g")
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (g.shape[0],):
-        raise DimensionMismatch(f"v must have length {g.shape[0]}, got shape {v.shape}")
+        raise ShapeMismatch(f"v must have length {g.shape[0]}, got shape {v.shape}")
     if ridge < 0.0:
         raise ValueError("ridge must be nonnegative")
     a = g.conj().T @ g + ridge * np.eye(g.shape[1])

@@ -28,6 +28,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 
 PROB_CLAMP = 1e-12
+# The network settings no run varies: the convolution width of every
+# conv_stack layer, and BatchNorm's variance offset and running-estimate decay
+KERNEL_SIZE = 3
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
 
 
 def _check_input(x: np.ndarray) -> np.ndarray:
@@ -131,8 +136,9 @@ def _im2col(cols: np.ndarray) -> np.ndarray:
 class BatchNorm(Layer):
     """Per-channel normalization over the batch and length axes.
 
-    The forward normalizes with batch statistics and updates the running
-    estimates as running = momentum * running + (1 - momentum) * batch.
+    The forward normalizes with batch statistics, offset by BN_EPS, and
+    updates the running estimates as
+    running = BN_MOMENTUM * running + (1 - BN_MOMENTUM) * batch.
     Inference folds the running estimates into the Conv1D before the layer
     (``Network.folded``).
     """
@@ -140,10 +146,8 @@ class BatchNorm(Layer):
     trainable = ("gamma", "beta")
     state = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.9):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
@@ -160,9 +164,9 @@ class BatchNorm(Layer):
         xhat = x - mean[None, :, None]
         y = np.multiply(xhat, xhat)
         var = y.sum(axis=(0, 2)) / (x.shape[0] * x.shape[2])
-        self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-        self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.running_mean = BN_MOMENTUM * self.running_mean + (1.0 - BN_MOMENTUM) * mean
+        self.running_var = BN_MOMENTUM * self.running_var + (1.0 - BN_MOMENTUM) * var
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std[None, :, None]
         np.multiply(xhat, self.gamma[None, :, None], out=y)
         y += self.beta[None, :, None]
@@ -310,7 +314,7 @@ class Network:
         for layer in self.layers:
             if isinstance(layer, BatchNorm):
                 conv = layers[-1]
-                scale = layer.gamma / np.sqrt(layer.running_var + layer.eps)
+                scale = layer.gamma / np.sqrt(layer.running_var + BN_EPS)
                 conv.weight *= scale[:, None, None]
                 conv.bias = (conv.bias - layer.running_mean) * scale + layer.beta
             elif isinstance(layer, Conv1D):
@@ -323,10 +327,10 @@ class Network:
         return Network(layers)
 
 
-def conv_stack(channel_sizes: list[int], kernel_size: int, rng: np.random.Generator,
-               bn_eps: float = 1e-5, bn_momentum: float = 0.9,
+def conv_stack(channel_sizes: list[int], rng: np.random.Generator,
                final: Layer | None = None) -> Network:
-    """Conv1D stack with BatchNorm + ReLU after every hidden convolution.
+    """KERNEL_SIZE-wide Conv1D stack with BatchNorm + ReLU after every hidden
+    convolution.
 
     channel_sizes runs [in, hidden..., out]; the last convolution is left
     linear unless a final layer is given.
@@ -334,9 +338,9 @@ def conv_stack(channel_sizes: list[int], kernel_size: int, rng: np.random.Genera
     layers: list[Layer] = []
     n = len(channel_sizes) - 1
     for i in range(n):
-        layers.append(Conv1D(channel_sizes[i], channel_sizes[i + 1], kernel_size, rng))
+        layers.append(Conv1D(channel_sizes[i], channel_sizes[i + 1], KERNEL_SIZE, rng))
         if i < n - 1:
-            layers.append(BatchNorm(channel_sizes[i + 1], bn_eps, bn_momentum))
+            layers.append(BatchNorm(channel_sizes[i + 1]))
             layers.append(ReLU())
     if final is not None:
         layers.append(final)

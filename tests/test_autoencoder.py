@@ -29,7 +29,7 @@ from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
 from risae.harness import desk_preset, load_system
-from risae.neural import BatchNorm, Conv1D, Network, Softmax, log_loss
+from risae.neural import BN_EPS, BatchNorm, Conv1D, Network, Softmax, log_loss
 
 REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
@@ -507,12 +507,12 @@ class AffineBatchNorm:
     def forward(self, x):
         bn = self.bn
         y = (bn.gamma[None, :, None] * (x - bn.running_mean[None, :, None])
-             / np.sqrt(bn.running_var + bn.eps)[None, :, None] + bn.beta[None, :, None])
+             / np.sqrt(bn.running_var + BN_EPS)[None, :, None] + bn.beta[None, :, None])
         return y, None
 
     def backward(self, _cache, gy, _params):
         bn = self.bn
-        return gy * (bn.gamma / np.sqrt(bn.running_var + bn.eps))[None, :, None], {}
+        return gy * (bn.gamma / np.sqrt(bn.running_var + BN_EPS))[None, :, None], {}
 
 
 def affine_reference(net):

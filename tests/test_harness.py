@@ -159,9 +159,16 @@ class TestConfig:
         assert str(err.value).startswith(f"{where}: ")
 
     def test_derived_system_error_names_section_and_field(self):
+        # a SystemConfig is checked when it is built, however it is built,
+        # and cannot be changed afterwards
         with pytest.raises(ConfigInvalid) as err:
             SystemConfig().replace(sigma2=math.inf)
         assert str(err.value).startswith("system.sigma2: must be finite")
+        with pytest.raises(ConfigInvalid) as err:
+            SystemConfig(n_t=0)
+        assert str(err.value) == "system.n_t: must be >= 1, got 0"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SystemConfig().sigma2 = 2.0
 
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     def test_presets_round_trip_through_save_and_load(self, tmp_path, preset):
@@ -280,16 +287,25 @@ class TestTrainAndSweep:
         assert lines[0] == "epoch,loss,wall_seconds"
         assert len(lines) == cfg.train.epochs + 1
 
-    # power, bn_eps and bn_momentum are read by the encoder's power
-    # normalization and the batch norms
-    @pytest.mark.parametrize("name, value", [("n_t", 3), ("power", 2.0), ("bn_eps", 1e-3),
-                                             ("bn_momentum", 0.5)])
-    def test_load_system_checks_network_settings(self, trained_tiny, name, value):
+    # power is read by the encoder's power normalization; the kernel size and
+    # BatchNorm's eps and momentum are constants of risae.neural, which a
+    # checkpoint's meta may still record
+    @pytest.mark.parametrize("name, value", [("n_t", 3), ("power", 2.0), ("kernel_size", 5),
+                                             ("bn_eps", 1e-3), ("bn_momentum", 0.5)])
+    def test_load_system_checks_network_settings(self, trained_tiny, tmp_path, name, value):
         cfg, _, ckpt = trained_tiny
+        fixed = {"kernel_size": 3, "bn_eps": 1e-5, "bn_momentum": 0.9}
+        says = (f"risae fixes it at {fixed[name]}" if name in fixed
+                else f"config says {getattr(cfg.system, name)}")
+
+        def record(arrays, meta):
+            meta["system"][name] = value
+            return arrays
+
+        rewrite_checkpoint(ckpt, tmp_path / "other.ckpt", record)
         with pytest.raises(ConfigInvalid) as err:
-            load_system(ckpt, tiny_experiment(**{name: value}))
-        assert str(err.value) == (f"system.{name}: checkpoint was trained with "
-                                  f"{getattr(cfg.system, name)}, config says {value}")
+            load_system(tmp_path / "other.ckpt", cfg)
+        assert str(err.value) == f"system.{name}: checkpoint was trained with {value}, {says}"
 
     def test_missing_checkpoint(self, trained_tiny, tmp_path):
         cfg, _, _ = trained_tiny
@@ -496,10 +512,7 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize("section, name, value", [
-        ("system", "kernel_size", -1), ("system", "bn_eps", -1.0), ("system", "bn_eps", 0.0),
-        ("system", "bn_momentum", 1.5), ("system", "bn_momentum", 1.0),
-        ("system", "bn_momentum", -0.1), ("attack", "psr_db", 4000.0),
-        ("attack", "psr_db", -4000.0), ("train", "snr_db", -4000.0),
+        ("attack", "psr_db", 4000.0), ("attack", "psr_db", -4000.0), ("train", "snr_db", -4000.0),
         ("eval", "snr_sweep_db", [-4000.0]), ("eval", "snr_sweep_db", [8.0, 8.0004])])
     def test_exit_code_on_out_of_bound_field(self, tmp_path, capsys, section, name, value):
         # psr_db 4000 overflowed the jamming budget, -4000 made rmaef's budget
@@ -513,10 +526,12 @@ class TestCli:
         assert section in err and name in err
 
     @pytest.mark.parametrize("name", ["spread_tx", "spread_ris", "spread_sc", "spacing_tx",
-                                      "spacing_ris_v", "spacing_ris_h", "spacing_sc"])
+                                      "spacing_ris_v", "spacing_ris_h", "spacing_sc",
+                                      "kernel_size", "bn_eps", "bn_momentum"])
     def test_exit_code_on_removed_geometry_key(self, tmp_path, capsys, name):
         # element spacing and angular spread are constants of the channel
-        # model; a config file that still sets one is refused, not ignored
+        # model, the kernel size and BatchNorm's eps and momentum constants of
+        # risae.neural; a config file that still sets one is refused, not ignored
         data = tiny_experiment().to_dict()
         data["system"][name] = 0.5
         old = tmp_path / "old.json"

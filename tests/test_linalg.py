@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from risae.errors import DimensionMismatch, NotPSD, SingularSystem
+from risae.errors import NotPSD, ShapeMismatch, SingularSystem
 from risae.linalg import as_matrix, default_ridge, hermitian_sqrt, ls_solve
 
 
@@ -99,7 +99,7 @@ class TestLsSolve:
             ls_solve(g, crand(rng, 6), ridge=0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             ls_solve(np.eye(3), np.zeros(4))
 
     def test_default_ridge_scale(self):

@@ -12,6 +12,8 @@ from risae.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    BN_EPS,
+    BN_MOMENTUM,
     AdamState,
     BatchNorm,
     Conv1D,
@@ -278,14 +280,14 @@ class TestBatchNorm:
         f = lambda v: net.forward(v)[0]
         zero = f(np.zeros_like(x))
         assert np.allclose(f(x + y) - zero, (f(x) - zero) + (f(y) - zero), atol=1e-12)
-        scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        scale = bn.gamma / np.sqrt(bn.running_var + BN_EPS)
         want = ((conv.forward(x)[0] - bn.running_mean[:, None]) * scale[:, None]
                 + bn.beta[:, None])
         assert np.allclose(f(x), want, atol=1e-12)
 
     def test_running_stats_update(self):
         rng = np.random.default_rng(7)
-        bn = BatchNorm(2, momentum=0.9)
+        bn = BatchNorm(2)
         x = rng.standard_normal((8, 2, 16))
         bn.forward(x)
         assert np.allclose(bn.running_mean, 0.1 * x.mean(axis=(0, 2)))
@@ -297,7 +299,7 @@ class TestBatchNorm:
         # Textbook batch statistics: x.mean and x.var over batch and length,
         # x̂ = (x - mean) / sqrt(var + eps), y = γ x̂ + β; bit for bit.
         rng = np.random.default_rng(8)
-        bn = BatchNorm(6, eps=1e-5, momentum=0.9)
+        bn = BatchNorm(6)
         bn.gamma = rng.standard_normal(6)
         bn.beta = rng.standard_normal(6)
         bn.running_mean = rng.standard_normal(6)
@@ -308,12 +310,13 @@ class TestBatchNorm:
 
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
-        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean[None, :, None]) * inv_std[None, :, None]
         assert np.array_equal(y, bn.gamma[None, :, None] * xhat + bn.beta[None, :, None])
         assert np.array_equal(cache["xhat"], xhat)
-        assert np.array_equal(bn.running_mean, 0.9 * running_mean + (1.0 - 0.9) * mean)
-        assert np.array_equal(bn.running_var, 0.9 * running_var + (1.0 - 0.9) * var)
+        m = BN_MOMENTUM
+        assert np.array_equal(bn.running_mean, m * running_mean + (1.0 - m) * mean)
+        assert np.array_equal(bn.running_var, m * running_var + (1.0 - m) * var)
 
 
 class TestReLUSoftmax:
@@ -428,7 +431,7 @@ class TestLosses:
 class TestNetwork:
     def test_three_layer_full_gradient_check(self):
         rng = np.random.default_rng(18)
-        net = conv_stack([3, 6, 6, 2], 3, rng)
+        net = conv_stack([3, 6, 6, 2], rng)
         x = rng.standard_normal((2, 3, 5))
         y, rec = net.forward(x, record=True)
         upstream = rng.standard_normal(y.shape)
@@ -454,7 +457,7 @@ class TestNetwork:
 
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(19)
-        net = conv_stack([2, 4, 2], 3, rng)
+        net = conv_stack([2, 4, 2], rng)
         x = rng.standard_normal((1, 2, 4))
         y, rec = net.forward(x, record=True)
         grads, gx = net.backward(rec, np.zeros_like(y))
@@ -462,13 +465,13 @@ class TestNetwork:
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
     def test_missing_record(self):
-        net = conv_stack([2, 2], 3, np.random.default_rng(20))
+        net = conv_stack([2, 2], np.random.default_rng(20))
         with pytest.raises(MissingRecord):
             net.backward(None, np.zeros((1, 2, 4)))
 
     def test_forward_without_record(self):
         rng = np.random.default_rng(21)
-        net = conv_stack([2, 4, 2], 3, rng, final=Softmax())
+        net = conv_stack([2, 4, 2], rng, final=Softmax())
         x = rng.standard_normal((3, 2, 5))
         y, rec = net.forward(x)
         assert rec is None
@@ -496,7 +499,7 @@ def stack_with_statistics(rng):
     """A conv stack whose BatchNorms have affine maps and running statistics
     away from the identity; folded, the kind of network the attacks
     differentiate."""
-    net = conv_stack([4, 8, 8, 4], 3, rng, final=Softmax())
+    net = conv_stack([4, 8, 8, 4], rng, final=Softmax())
     for bn in (layer for layer in net.layers if isinstance(layer, BatchNorm)):
         bn.gamma = rng.uniform(0.5, 2.0, bn.channels)
         bn.beta = rng.standard_normal(bn.channels)
@@ -545,7 +548,7 @@ class TestChannelsLastNetwork:
     """The desk decoder stack, whose Conv1D activations are channels-last views."""
 
     def decoder(self, rng):
-        return conv_stack([40, 128, 128, 16], 3, rng, final=Softmax())
+        return conv_stack([40, 128, 128, 16], rng, final=Softmax())
 
     def test_matches_loop_oracle_network(self):
         rng = np.random.default_rng(25)
@@ -663,8 +666,8 @@ class TestAdam:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(21)
-        nets = {"enc": conv_stack([2, 4, 2], 3, rng, final=PowerNorm(1.0)),
-                "dec": conv_stack([2, 4, 3], 3, rng, final=Softmax())}
+        nets = {"enc": conv_stack([2, 4, 2], rng, final=PowerNorm(1.0)),
+                "dec": conv_stack([2, 4, 3], rng, final=Softmax())}
         nets["enc"].layers[1].running_mean = rng.standard_normal(4)
         path = tmp_path / "weights.ckpt"
         save_checkpoint(path, nets, meta={"note": "test"})
@@ -687,7 +690,7 @@ class TestCheckpoint:
     def test_rejects_truncated_file(self, tmp_path, where):
         rng = np.random.default_rng(22)
         path = tmp_path / "weights.ckpt"
-        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], 3, rng, final=Softmax())})
+        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], rng, final=Softmax())})
         data = path.read_bytes()
         (header_len,) = struct.unpack("<I", data[12:16])
         arrays_start = 16 + header_len
@@ -710,7 +713,7 @@ class TestCheckpoint:
     def test_rejects_malformed_header(self, tmp_path, edit):
         # valid JSON of the wrong structure is a corrupt checkpoint, not a crash
         path = tmp_path / "weights.ckpt"
-        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], 3, np.random.default_rng(27),
+        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], np.random.default_rng(27),
                                                  final=Softmax())})
         data = path.read_bytes()
         (header_len,) = struct.unpack("<I", data[12:16])
