@@ -75,6 +75,11 @@ WRONG_TYPES = [(section, name, wrong) for section, cls in SECTIONS
 # per section, a bounded field and a value outside its bound
 OUT_OF_BOUND = {"system": ("n_t", 0), "train": ("epochs", 0), "eval": ("test_blocks", 0),
                 "attack": ("n_p", 0)}
+# per SystemConfig field, a value of its type outside its bound
+SYSTEM_OUT_OF_BOUND = {"n_t": 0, "n_r": 0, "a1_v": 0, "a1_h": 0, "a2_v": 0, "a2_h": 0,
+                       "m": 1, "block_len": 0, "power": 0.0, "sigma2": 0.0, "kappa": -0.5,
+                       "omega": -0.5, "n_adv": 0, "num_scatterers": 0, "hidden_width": 0,
+                       "loss": "mse"}
 
 
 class TestConfig:
@@ -169,6 +174,18 @@ class TestConfig:
         assert str(err.value) == "system.n_t: must be >= 1, got 0"
         with pytest.raises(dataclasses.FrozenInstanceError):
             SystemConfig().sigma2 = 2.0
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemConfig)])
+    def test_system_field_checked_however_built(self, name):
+        # a bare constructor and replace() check every field, not only the
+        # ones a config file sets; every field has an out-of-bound case
+        bad = SYSTEM_OUT_OF_BOUND[name]
+        for build in (lambda: SystemConfig(**{name: bad}),
+                      lambda: SystemConfig().replace(**{name: bad})):
+            with pytest.raises(ConfigInvalid) as err:
+                build()
+            assert err.value.field_path == f"system.{name}"
+            assert str(err.value).endswith(f"got {bad!r}")
 
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     def test_presets_round_trip_through_save_and_load(self, tmp_path, preset):
