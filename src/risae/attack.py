@@ -34,7 +34,7 @@ from .autoencoder import (
     random_message_blocks,
 )
 from .channel import ChannelModel
-from .config import COUNT, DECIBELS, SystemConfig, one_of, setting
+from .config import COUNT, DECIBELS, Section, SystemConfig, one_of, setting
 from .errors import AllTargetsFailed, InvariantViolation, NoProgress
 from .linalg import default_ridge, ls_solve
 from .neural import Network
@@ -113,9 +113,11 @@ class AttackResult:
 
 
 @dataclass
-class AttackSettings:
+class AttackSettings(Section):
     """Budget, search shape and attack channel of the attack constructions:
     n_p outer probes, n_s inner descent steps per bisection probe."""
+
+    section = "attack"
 
     psr_db: float = setting(-7.0, DECIBELS)
     n_p: int = setting(50, COUNT)
@@ -167,7 +169,7 @@ def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray) -> np.nda
 
     The columns of ptilde (n_r, L) are averaged across the block (one
     time-invariant vector must serve every symbol), then the block aggregate
-    - the symbol mean of g_set (L, n_r, n_adv) - is inverted by regularized
+    - the symbol mean of g_set (L, n_r, n_t) - is inverted by regularized
     least squares with the trace-scaled ``default_ridge``. g_set=None stands
     for the identity attack channel and returns the average directly.
     """

@@ -139,7 +139,7 @@ def cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray):
 
 
 def adversary_cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """Per-symbol adversary aggregates G (B, L, n_r, n_adv); the double bounce
+    """Per-symbol adversary aggregates G (B, L, n_r, n_t); the double bounce
     enters surface 2 first, then surface 1."""
     return _cascade(chan.y2p, c2, chan.u2p, chan.ep, chan.y1p, c1, chan.u1p)[0]
 
@@ -150,8 +150,9 @@ def adversary_cascade_set(chan: ChannelBatch, c1: np.ndarray, c2: np.ndarray) ->
 
 def attack_dimension(cfg: SystemConfig, channel_mode: str) -> int:
     """Length of a perturbation vector: receive antennas for the identity
-    attack channel, adversary transmit antennas for the double-scattering one."""
-    return cfg.n_r if channel_mode == "ideal" else cfg.adversary_antennas
+    attack channel, adversary transmit antennas (as many as the encoder's)
+    for the double-scattering one."""
+    return cfg.n_r if channel_mode == "ideal" else cfg.n_t
 
 
 def jamming(budget: float, n: int, dimension: int, rng: np.random.Generator) -> np.ndarray:
@@ -193,7 +194,7 @@ class AttackApplication:
             vectors = jamming(self.jam_budget, n, attack_dimension(cfg, self.channel_mode), rng)
         if self.channel_mode == "ideal":
             return np.repeat(vectors[:, :, None], cfg.block_len, axis=2)
-        g = adversary_cascade_set(chan, c1, c2).transpose(0, 2, 1, 3)  # (B, n_r, L, n_adv)
+        g = adversary_cascade_set(chan, c1, c2).transpose(0, 2, 1, 3)  # (B, n_r, L, n_t)
         return (g.reshape(n, -1, g.shape[3]) @ vectors[:, :, None]).reshape(g.shape[:3])
 
 

@@ -41,6 +41,9 @@ LINK_ENDS = {
 # radians, of the scattering that each array and the scatterer set see
 SPACING = 0.5
 SPREAD = np.pi / 2
+# Rician factor (LoS to NLoS power) and large-scale gain of every link
+KAPPA = 0.2
+OMEGA = 1.0
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ class ChannelModel:
         # geometry and correlation square root of every array a link ends on
         self._geom = {
             "enc": ArrayGeometry(1, cfg.n_t), "dec": ArrayGeometry(1, cfg.n_r),
-            "adv": ArrayGeometry(1, cfg.adversary_antennas),
+            "adv": ArrayGeometry(1, cfg.n_t),
             "ris1": ArrayGeometry(cfg.a1_v, cfg.a1_h), "ris2": ArrayGeometry(cfg.a2_v, cfg.a2_h),
         }
         self._f = {name: hermitian_sqrt(geom.correlation(sc)) for name, geom in self._geom.items()}
@@ -197,8 +200,9 @@ class ChannelModel:
     def sample_batch(self, n: int, rng: np.random.Generator) -> ChannelBatch:
         """Draw n independent coherence-block realizations.
 
-        Each link is sqrt(omega) (sqrt(k/(k+1)) LoS + sqrt(1/(k+1)) NLoS) with
-        the double-scattering NLoS draw SC^-0.5 R_rx^0.5 Q R_sc^0.5 P R_tx^0.5,
+        Each link is sqrt(OMEGA) (sqrt(k/(k+1)) LoS + sqrt(1/(k+1)) NLoS),
+        k = KAPPA, with the double-scattering NLoS draw
+        SC^-0.5 R_rx^0.5 Q R_sc^0.5 P R_tx^0.5,
         where R_rx belongs to the link's row (receive) array and R_tx to its
         column (transmit) array, and Q (N_rx x SC) and P (SC x N_tx) hold
         i.i.d. CN(0, 1) entries, so the NLoS part has rank at most SC. Per link
@@ -206,9 +210,9 @@ class ChannelModel:
         """
         cfg = self.cfg
         sc = cfg.num_scatterers
-        k = cfg.kappa
-        w_los = np.sqrt(cfg.omega) * np.sqrt(k / (k + 1.0))
-        w_nlos = np.sqrt(cfg.omega) * np.sqrt(1.0 / (k + 1.0))
+        k = KAPPA
+        w_los = np.sqrt(OMEGA) * np.sqrt(k / (k + 1.0))
+        w_nlos = np.sqrt(OMEGA) * np.sqrt(1.0 / (k + 1.0))
         f_sc = self._f["sc"]
         links = {}
         for name, (rows, cols) in LINK_ENDS.items():

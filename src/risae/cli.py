@@ -39,7 +39,7 @@ EXIT_IO = 3
 def _resolve_config(args):
     cfg = load_config(args.config) if args.config else PRESETS[args.preset]()
     if args.seed is not None:
-        cfg.seed = args.seed  # any int is a valid seed; the config is validated already
+        cfg.seed = args.seed  # checked, like every config field, when assigned
     return cfg
 
 
@@ -74,7 +74,6 @@ def cmd_attack(args) -> int:
     cfg = _resolve_config(args)
     if args.mode:
         cfg.attack.channel_mode = args.mode
-        cfg.validate()
     sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, args.snr_db))
     nets = load_system(args.checkpoint, cfg)
     mode = cfg.attack.channel_mode
@@ -97,7 +96,6 @@ def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
     if args.blocks is not None:
         cfg.eval.test_blocks = args.blocks
-        cfg.validate()
     nets = load_system(args.checkpoint, cfg)
     sc = cfg.system.num_scatterers
     row = run_cell(cfg, nets, sc, args.snr_db, args.attack,

@@ -1,12 +1,13 @@
 """Configuration: every field declares its type and bound once.
 
-A config section is a dataclass. Each field's annotation is its type, and
-``setting`` attaches its bound (a predicate and the message shown when the
-predicate fails). ``from_json`` builds a section from parsed JSON and
-``check`` tests a built one; both read those declarations and name the
-offending field by its dotted path. ``SystemConfig`` is frozen and checks
-itself when it is built, so every instance is valid: one from a file, a
-preset, ``replace`` or a bare constructor.
+A config section is a dataclass deriving from ``Section``, whose ``section``
+attribute names it (the top level has none). Each field's annotation is its
+type, and ``setting`` attaches its bound (a predicate and the message shown
+when the predicate fails). ``checked`` reads both to coerce and check one
+value, naming the field ``section.field``. A mutable section runs it on every
+assignment, its constructor's included, and the frozen ``SystemConfig`` on
+every field when it is built, so a section is valid whenever it exists. A
+sequence is stored as a tuple, so it cannot change in place past the check.
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ def setting(default, bound=None, *, network: bool = False):
     whether the networks depend on it (``network``): ``build_autoencoder``
     reads it, or it is the block length they were trained on. A checkpoint
     trained with another value of such a field does not load."""
-    metadata = {"bound": bound, "network": network}
-    if isinstance(default, list):
-        return field(default_factory=lambda: list(default), metadata=metadata)
-    return field(default=default, metadata=metadata)
+    return field(default=default, metadata={"bound": bound, "network": network})
 
 
 def at_least(low):
@@ -45,66 +43,68 @@ def one_of(choices: tuple):
 
 
 @functools.cache
-def _declared(cls) -> tuple:
-    """(name, type, bound) of every field of cls; the string annotations are
-    resolved once per class, because every SystemConfig is checked when it
-    is built, one per sweep cell and more."""
+def _declared(cls) -> dict:
+    """name -> (type, bound) of every field of cls; the string annotations
+    are resolved once per class, because every SystemConfig is checked when
+    it is built, one per sweep cell and more."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, hints[f.name], f.metadata.get("bound")) for f in fields(cls))
+    return {f.name: (hints[f.name], f.metadata.get("bound")) for f in fields(cls)}
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _coerce(kind, value, where: str):
-    """value as the declared kind (an int becomes a float where a float is
-    declared); ConfigInvalid at ``where`` when it is not one, or when it is a
-    number that no finite float holds (JSON parsing lets NaN, Infinity and
-    integers of any size in)."""
-    if is_dataclass(kind):
-        return from_json(kind, value, where)
-    args = typing.get_args(kind)
-    if typing.get_origin(kind) is list:
-        if not isinstance(value, list):
+def checked(cls, name: str, value):
+    """value as field ``name`` of section cls declares it; ConfigInvalid at
+    ``section.name`` when it is not of the field's type or lies outside its
+    bound. An int is taken where a float is declared and stored as a float, a
+    list or tuple where a sequence is and stored as a tuple, and a float must
+    be finite (JSON parsing lets NaN, Infinity and integers of any size in)."""
+    kind, bound = _declared(cls)[name]
+    where = f"{cls.section}.{name}" if cls.section else name
+    sequence = typing.get_origin(kind) is tuple
+    if sequence:
+        if not isinstance(value, (list, tuple)):
             raise ConfigInvalid(where, f"expected a list, got {value!r}")
-        return [_coerce(args[0], v, where) for v in value]
-    if type(None) in args:
-        return None if value is None else _coerce(args[0], value, where)
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value) if abs(value) <= sys.float_info.max else math.inf
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigInvalid(where, f"expected {_TYPE_NAMES[kind]}, got {value!r}")
-    if kind is float and not math.isfinite(value):
-        raise ConfigInvalid(where, f"must be finite, got {value!r}")
+        kind = typing.get_args(kind)[0]
+    items = list(value) if sequence else [value]
+    for i, item in enumerate(items):
+        if kind is float and type(item) is int:
+            items[i] = item = float(item) if abs(item) <= sys.float_info.max else math.inf
+        if isinstance(item, bool) or not isinstance(item, kind):
+            expected = _TYPE_NAMES.get(kind, "an object")  # a nested section
+            raise ConfigInvalid(where, f"expected {expected}, got {item!r}")
+        if kind is float and not math.isfinite(item):
+            raise ConfigInvalid(where, f"must be finite, got {item!r}")
+    value = tuple(items) if sequence else items[0]
+    if bound is not None and not bound[0](value):
+        raise ConfigInvalid(where, f"{bound[1]}, got {value!r}")
     return value
 
 
-def from_json(cls, data, path: str = ""):
-    """Build a cls from parsed JSON. Absent fields take their defaults;
-    unknown keys and values of the wrong type raise ConfigInvalid."""
-    if not isinstance(data, dict):
-        raise ConfigInvalid(path, "expected an object")
-    kinds = {name: kind for name, kind, _ in _declared(cls)}
-    unknown = sorted(set(data) - set(kinds))
+class Section:
+    """Base of a config section: assigning a field stores the value
+    ``checked`` returns, so a mutable section is checked when it is built
+    and whenever it is changed."""
+
+    section = ""
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, checked(type(self), name, value))
+
+
+def from_json(cls, data: dict):
+    """Build a cls from a parsed JSON object. Absent fields take their
+    defaults, an object given for a nested section builds that section, and
+    an unknown key raises ConfigInvalid; the section checks every value."""
+    declared = _declared(cls)
+    unknown = sorted(set(data) - set(declared))
     if unknown:
-        raise ConfigInvalid(f"{path}.{unknown[0]}" if path else unknown[0], "unknown field")
-    return cls(**{name: _coerce(kinds[name], value, f"{path}.{name}" if path else name)
+        raise ConfigInvalid(f"{cls.section}.{unknown[0]}" if cls.section else unknown[0],
+                            "unknown field")
+    return cls(**{name: from_json(declared[name][0], value)
+                  if is_dataclass(declared[name][0]) and isinstance(value, dict) else value
                   for name, value in data.items()})
-
-
-def check(obj, path: str = "") -> None:
-    """Raise ConfigInvalid at the first field of obj, or of a section nested
-    in it, that has the wrong type or lies outside its bound (an unset
-    optional field has no bound)."""
-    for name, kind, bound in _declared(type(obj)):
-        value = getattr(obj, name)
-        where = f"{path}.{name}" if path else name
-        if is_dataclass(kind):
-            check(value, where)
-            continue
-        _coerce(kind, value, where)
-        if bound is not None and value is not None and not bound[0](value):
-            raise ConfigInvalid(where, f"{bound[1]}, got {value!r}")
 
 
 COUNT = at_least(1)
@@ -115,18 +115,22 @@ DECIBELS = (lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300] dB"
 
 
 @dataclass(frozen=True)
-class SystemConfig:
+class SystemConfig(Section):
     """Physical and network dimensions of one simulated link.
 
-    Antenna/element counts: n_t, n_r transmit/receive ULA antennas, the two
-    reflecting surfaces are (a1_v x a1_h) and (a2_v x a2_h) planar arrays.
-    m is the message cardinality, block_len the number of symbols processed
-    per block. power is the transmit power P (linear), sigma2 the receiver
-    noise variance (linear), kappa/omega the Rician parameters shared by all
-    links. An instance is checked when it is built (ConfigInvalid naming
+    Antenna/element counts: n_t, n_r transmit/receive ULA antennas (the
+    adversary's array has n_t antennas too), the two reflecting surfaces are
+    (a1_v x a1_h) and (a2_v x a2_h) planar arrays. m is the message
+    cardinality, block_len the number of symbols processed per block. power
+    is the transmit power P (linear), sigma2 the receiver noise variance
+    (linear); every command derives sigma2 from its SNR (``train.snr_db``,
+    the sweep grid or ``--snr-db``), overwriting a value from a config file.
+    An instance is checked when it is built (ConfigInvalid naming
     ``system.<field>``), and it cannot be changed afterwards: ``replace``
     builds a checked copy.
     """
+
+    section = "system"
 
     n_t: int = setting(4, COUNT, network=True)
     n_r: int = setting(4, COUNT, network=True)
@@ -138,9 +142,6 @@ class SystemConfig:
     block_len: int = setting(8, COUNT, network=True)
     power: float = setting(1.0, POSITIVE, network=True)
     sigma2: float = setting(1.0, POSITIVE)
-    kappa: float = setting(0.2, at_least(0))
-    omega: float = setting(1.0, at_least(0))
-    n_adv: int | None = setting(None, COUNT)  # adversary transmit antennas; None -> n_t
     num_scatterers: int = setting(9, COUNT)
     hidden_width: int = setting(128, COUNT, network=True)
     loss: str = setting("bce", one_of(("bce", "ce")))  # binary or categorical cross entropy
@@ -154,15 +155,12 @@ class SystemConfig:
         return self.a2_v * self.a2_h
 
     @property
-    def adversary_antennas(self) -> int:
-        return self.n_t if self.n_adv is None else self.n_adv
-
-    @property
     def decoder_channels(self) -> int:
         """Real channel count of the decoder input: 2 (N_r + N_r N_t)."""
         return 2 * (self.n_r + self.n_r * self.n_t)
 
     def __post_init__(self):
-        check(self, "system")
+        for f in fields(self):
+            object.__setattr__(self, f.name, checked(SystemConfig, f.name, getattr(self, f.name)))
 
     replace = dataclasses.replace

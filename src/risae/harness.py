@@ -31,7 +31,7 @@ from .autoencoder import (
     evaluate_ser,
     train,
 )
-from .config import COUNT, DECIBELS, POSITIVE, SystemConfig, check, from_json, setting
+from .config import COUNT, DECIBELS, POSITIVE, Section, SystemConfig, from_json, setting
 from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint,
                      ShapeMismatch)
 from .neural import BN_EPS, BN_MOMENTUM, KERNEL_SIZE, load_checkpoint, save_checkpoint
@@ -45,7 +45,9 @@ CSV_HEADER = "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainSettings:
+class TrainSettings(Section):
+    section = "train"
+
     snr_db: float = setting(15.0, DECIBELS)
     epochs: int = setting(200, COUNT)
     learning_rate: float = setting(1e-3, POSITIVE)
@@ -54,9 +56,11 @@ class TrainSettings:
 
 
 @dataclass
-class EvalSettings:
-    snr_sweep_db: list[float] = setting(
-        [-4.0, 0.0, 4.0, 8.0],
+class EvalSettings(Section):
+    section = "eval"
+
+    snr_sweep_db: tuple[float, ...] = setting(
+        (-4.0, 0.0, 4.0, 8.0),
         ((lambda v: len(v) > 0 and all(a < b for a, b in zip(v, v[1:]))
           and all(DECIBELS[0](a) for a in v) and len({_tag_int(a) for a in v}) == len(v)),
          f"must be a non-empty, strictly increasing list whose entries each {DECIBELS[1]}"
@@ -65,36 +69,28 @@ class EvalSettings:
 
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(Section):
     system: SystemConfig = field(default_factory=SystemConfig)
     train: TrainSettings = field(default_factory=TrainSettings)
     eval: EvalSettings = field(default_factory=EvalSettings)
     attack: AttackSettings = field(default_factory=AttackSettings)
-    attacks: list[str] = setting(
-        list(ATTACK_KINDS),
+    attacks: tuple[str, ...] = setting(
+        ATTACK_KINDS,
         ((lambda v: len(v) > 0 and set(v) <= set(ATTACK_KINDS) and len(set(v)) == len(v)),
          f"must be a non-empty list of {ATTACK_KINDS}, none repeated"))
-    scatterers: list[int] = setting(
-        [9], ((lambda v: len(v) > 0 and min(v) >= 1 and len(set(v)) == len(v)),
-              "must be a non-empty list of positive counts, none repeated"))
+    scatterers: tuple[int, ...] = setting(
+        (9,), ((lambda v: len(v) > 0 and min(v) >= 1 and len(set(v)) == len(v)),
+               "must be a non-empty list of positive counts, none repeated"))
     seed: int = 20240810
     preset: str = "custom"
-
-    def validate(self) -> None:
-        check(self)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # -- presets and the JSON round trip ----------------------------------------
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and validate an ExperimentConfig, naming the offending field on
-    any invalid entry (defaults fill only absent fields, never invalid ones)."""
-    cfg = from_json(ExperimentConfig, data)
-    cfg.validate()
-    return cfg
+    """Build an ExperimentConfig, naming the offending field on any invalid
+    entry (defaults fill only absent fields, never invalid ones)."""
+    return from_json(ExperimentConfig, data)
 
 
 def desk_preset(seed: int = ExperimentConfig.seed) -> ExperimentConfig:
@@ -140,7 +136,7 @@ def load_config(path) -> ExperimentConfig:
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -176,7 +172,6 @@ def snr_to_sigma2(power: float, snr_db: float) -> float:
 
 def train_system(cfg: ExperimentConfig, out_dir) -> tuple[AutoencoderNets, Path]:
     """Train from scratch and persist checkpoint plus a per-epoch loss log."""
-    cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, cfg.train.snr_db))
@@ -411,7 +406,6 @@ def run_sweep(cfg: ExperimentConfig, nets: AutoencoderNets,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    cfg.validate()
     budgets = {sc: scatterer_budget(cfg, nets, sc, cfg.attacks) for sc in cfg.scatterers}
     cells = [(sc, snr_db, kind) for sc in cfg.scatterers
              for snr_db in cfg.eval.snr_sweep_db for kind in cfg.attacks]
@@ -523,7 +517,7 @@ MANIFEST_VERSION = 1
 def write_manifest(path, cfg: ExperimentConfig, ckpt_path, csv_name: str) -> None:
     payload = {
         "manifest_version": MANIFEST_VERSION,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "checkpoint": str(Path(ckpt_path).name),
         "checkpoint_sha256": checkpoint_sha256(ckpt_path),
         "results_csv": csv_name,

@@ -213,7 +213,7 @@ class TestReceiverToTransmit:
         for g_set in adversary_cascade_set(chan, rec.c1, rec.c2):
             ptilde = crand(rng, cfg.n_r, cfg.block_len)
             p = receiver_to_transmit(g_set, ptilde)
-            assert p.shape == (cfg.adversary_antennas,)
+            assert p.shape == (cfg.n_t,)
             self.assert_ridge_normal_equation(g_set, ptilde, p)
 
     def test_rank_deficient_with_default_ridge(self):
@@ -354,7 +354,7 @@ class TestUniversalAttacks:
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.iterations == 4
         assert result.flips_found + result.already_broken <= result.iterations
-        expected_dim = cfg.n_r if mode == "ideal" else cfg.adversary_antennas
+        expected_dim = cfg.n_r if mode == "ideal" else cfg.n_t
         assert result.perturbation.values.shape == (expected_dim,)
 
     def test_rmaep_double_maps_flips_to_transmit_domain(self):
@@ -371,7 +371,7 @@ class TestUniversalAttacks:
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(32), channel_mode="double")
         assert result.flips_found >= 1
         assert result.perturbation.power <= budget.linear + 1e-9
-        assert result.perturbation.values.shape == (cfg.adversary_antennas,)
+        assert result.perturbation.values.shape == (cfg.n_t,)
 
     def test_rmaep_counts_gradients_of_failed_searches(self, monkeypatch):
         # an untrained m=2, block_len=1 system decodes about half the probes;

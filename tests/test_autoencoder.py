@@ -41,9 +41,9 @@ def tiny_config(**kwargs) -> SystemConfig:
     return SystemConfig(**base)
 
 
-# n_t, n_r, n_adv, a1 = 5, a2 = 6 and L all differ, so a transposed link or a
-# swapped axis cannot pass
-NON_SQUARE = dict(n_t=2, n_r=3, n_adv=4, a1_v=1, a1_h=5, a2_v=2, a2_h=3, block_len=7)
+# n_t (also the adversary's antenna count), n_r, a1 = 5, a2 = 6 and L all
+# differ, so a transposed link or a swapped axis cannot pass
+NON_SQUARE = dict(n_t=2, n_r=3, a1_v=1, a1_h=5, a2_v=2, a2_h=3, block_len=7)
 
 
 def make_system(seed=0, **kwargs):
@@ -217,7 +217,7 @@ class TestForwardPipeline:
         blocks, _ = random_message_blocks(cfg, 1, rng)
         secured = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                    rng=np.random.default_rng(110))
-        for mode, dim in (("double", cfg.adversary_antennas), ("ideal", cfg.n_r)):
+        for mode, dim in (("double", cfg.n_t), ("ideal", cfg.n_r)):
             attack = AttackApplication(channel_mode=mode, p_adv=np.zeros(dim, dtype=complex))
             attacked = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                         rng=np.random.default_rng(110), attack=attack)

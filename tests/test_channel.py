@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from risae.autoencoder import AttackApplication, adversary_cascade_set, cascade_set
+from risae import channel
 from risae.channel import (
     LINK_ENDS,
     SPACING,
@@ -30,9 +31,10 @@ def tiny_config(**kwargs) -> SystemConfig:
     return SystemConfig(**base)
 
 
-# n_t, n_r, n_adv, a1 = 5, a2 = 6 and L all differ, so a transposed link or a
-# swapped axis cannot pass the per-symbol oracles
-NON_SQUARE = dict(n_t=2, n_r=3, n_adv=4, a1_v=1, a1_h=5, a2_v=2, a2_h=3, block_len=7)
+# n_t (also the adversary's antenna count), n_r, a1 = 5, a2 = 6 and L all
+# differ, so a transposed link or a swapped axis cannot pass the per-symbol
+# oracles
+NON_SQUARE = dict(n_t=2, n_r=3, a1_v=1, a1_h=5, a2_v=2, a2_h=3, block_len=7)
 
 
 class TestSteering:
@@ -216,20 +218,23 @@ class _StubRng:
         return np.full(shape, value, dtype=float)
 
 
-def nlos_model(**kwargs) -> ChannelModel:
-    """Pure-NLoS model (kappa = 0, omega = 1)."""
-    return ChannelModel(tiny_config(kappa=0.0, omega=1.0, **kwargs))
+@pytest.fixture
+def pure_nlos(monkeypatch):
+    """Pure-NLoS links: Rician factor 0, unit gain."""
+    monkeypatch.setattr(channel, "KAPPA", 0.0)
+    monkeypatch.setattr(channel, "OMEGA", 1.0)
 
 
+@pytest.mark.usefixtures("pure_nlos")
 class TestNlosSample:
     def test_single_scatterer_rank_one(self):
-        model = nlos_model(num_scatterers=1, n_t=3, a1_v=2, a1_h=2)
+        model = ChannelModel(tiny_config(num_scatterers=1, n_t=3, a1_v=2, a1_h=2))
         u1 = model.sample_batch(20, np.random.default_rng(4)).u1
         sv = np.linalg.svd(u1, compute_uv=False)
         assert np.all(sv[:, 1] < 1e-10)
 
     def test_second_moment_identity_correlations(self):
-        model = nlos_model(n_t=4, a1_v=1, a1_h=3, num_scatterers=5)
+        model = ChannelModel(tiny_config(n_t=4, a1_v=1, a1_h=3, num_scatterers=5))
         model._f = {key: np.eye(f.shape[0]) for key, f in model._f.items()}
         u1 = model.sample_batch(10_000, np.random.default_rng(5)).u1
         mean_sq = np.mean(np.sum(np.abs(u1) ** 2, axis=(1, 2)))
@@ -238,7 +243,7 @@ class TestNlosSample:
     def test_fixed_draws_match_hand_product(self):
         # every link draws Q re, Q im, P re, P im: Q filled with
         # (1 + 2j)/sqrt(2), P with (3 + 4j)/sqrt(2)
-        model = nlos_model(n_t=2, a1_v=1, a1_h=2, num_scatterers=2)
+        model = ChannelModel(tiny_config(n_t=2, a1_v=1, a1_h=2, num_scatterers=2))
         model._f["ris1"] = np.diag([2.0, 1.0])
         model._f["sc"] = np.eye(2)
         model._f["enc"] = np.diag([3.0, 1.0])
@@ -250,15 +255,17 @@ class TestNlosSample:
 
 
 class TestLinkSample:
-    def test_pure_los_limit(self):
+    def test_pure_los_limit(self, monkeypatch):
         # u1 is the first link, so a fresh generator replays its LoS angles
-        model = ChannelModel(tiny_config(kappa=1e12))
+        monkeypatch.setattr(channel, "KAPPA", 1e12)
+        model = ChannelModel(tiny_config())
         out = model.sample_batch(1, np.random.default_rng(6)).u1
         los = model._los_batch("u1", 1, np.random.default_rng(6))
         assert np.linalg.norm(out - los) / np.linalg.norm(los) < 1e-5
 
+    @pytest.mark.usefixtures("pure_nlos")
     def test_pure_nlos_limit(self):
-        model = nlos_model()
+        model = ChannelModel(tiny_config())
         out = model.sample_batch(1, np.random.default_rng(7)).u1
         replay = np.random.default_rng(7)
         replay.uniform(size=4)  # the LoS azimuth and elevation pairs
@@ -271,7 +278,7 @@ class TestLinkSample:
 
     def test_second_moment(self):
         # unit-modulus LoS and unit-diagonal correlations: E||H||^2 = N1 N2
-        cfg = tiny_config(kappa=0.2, n_t=4, a1_v=1, a1_h=3, num_scatterers=4)
+        cfg = tiny_config(n_t=4, a1_v=1, a1_h=3, num_scatterers=4)
         u1 = ChannelModel(cfg).sample_batch(10_000, np.random.default_rng(8)).u1
         mean_sq = np.mean(np.sum(np.abs(u1) ** 2, axis=(1, 2)))
         assert mean_sq == pytest.approx(cfg.a1 * cfg.n_t, rel=0.05)
@@ -291,7 +298,8 @@ class TestRealizationSample:
         assert real.ep.shape == (1, 32, 32)
 
     def test_primed_shapes_follow_adversary_antennas(self):
-        cfg = tiny_config(n_adv=3)
+        # the adversary has as many antennas as the encoder
+        cfg = tiny_config(n_t=3)
         real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(10))
         assert real.u1p.shape == (1, 2, 3)
         assert real.u2p.shape == (1, 2, 3)
@@ -305,8 +313,9 @@ class TestRealizationSample:
         for name in LINK_ENDS:
             assert np.array_equal(getattr(r1, name), getattr(r2, name))
 
-    def test_zero_large_scale_gain(self):
-        real = ChannelModel(tiny_config(omega=0.0)).sample_batch(1, np.random.default_rng(12))
+    def test_zero_large_scale_gain(self, monkeypatch):
+        monkeypatch.setattr(channel, "OMEGA", 0.0)
+        real = ChannelModel(tiny_config()).sample_batch(1, np.random.default_rng(12))
         assert np.allclose(real.u1, 0.0)
         assert np.allclose(real.ep, 0.0)
 
@@ -390,7 +399,7 @@ class TestCascadedMatrix:
             assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_adversary_ordering(self):
-        cfg = tiny_config(n_adv=3)
+        cfg = tiny_config(n_t=3)
         chan = ChannelModel(cfg).sample_batch(1, np.random.default_rng(20))
         rng = np.random.default_rng(21)
         d1 = unit_phases(rng, cfg.a1)
@@ -444,7 +453,7 @@ class TestNonSquareCascades:
     def test_adversary_aggregate_per_symbol(self):
         cfg = self.cfg
         g = adversary_cascade_set(self.chan, self.c1, self.c2)
-        assert g.shape == (3, cfg.block_len, cfg.n_r, cfg.n_adv)
+        assert g.shape == (3, cfg.block_len, cfg.n_r, cfg.n_t)
         for b, i, d1, d2, c in self.per_symbol():
             expected = (c["y1p"] @ d1 @ c["ep"] @ d2 @ c["u2p"]
                         + c["y1p"] @ d1 @ c["u1p"]
@@ -453,7 +462,7 @@ class TestNonSquareCascades:
 
     def test_double_channel_perturbation_per_symbol(self):
         cfg = self.cfg
-        p_adv = crand(np.random.default_rng(41), cfg.n_adv)
+        p_adv = crand(np.random.default_rng(41), cfg.n_t)
         attack = AttackApplication("double", p_adv=p_adv)
         got = attack.received_perturbation(cfg, self.chan, self.c1, self.c2, None)
         assert got.shape == (3, cfg.n_r, cfg.block_len)
@@ -469,10 +478,11 @@ class TestStatisticalInvariants:
         los = model._los_batch("u1", 50, np.random.default_rng(24))
         assert np.allclose(np.abs(los), 1.0, atol=1e-12)
 
+    @pytest.mark.usefixtures("pure_nlos")
     def test_nlos_second_moment_through_model(self):
-        # kappa = 0 isolates the NLoS part; correlations give unit diagonal so
+        # KAPPA = 0 isolates the NLoS part; correlations give unit diagonal so
         # the Frobenius second moment stays N1 * N2.
-        cfg = tiny_config(kappa=0.0)
+        cfg = tiny_config()
         model = ChannelModel(cfg)
         batch = model.sample_batch(10_000, np.random.default_rng(25))
         mean_sq = np.mean(np.abs(batch.u1) ** 2 * batch.u1.shape[1] * batch.u1.shape[2],)

@@ -58,7 +58,6 @@ def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
         scatterers=[3],
         seed=seed,
     )
-    cfg.validate()
     return cfg
 
 
@@ -75,11 +74,22 @@ WRONG_TYPES = [(section, name, wrong) for section, cls in SECTIONS
 # per section, a bounded field and a value outside its bound
 OUT_OF_BOUND = {"system": ("n_t", 0), "train": ("epochs", 0), "eval": ("test_blocks", 0),
                 "attack": ("n_p", 0)}
-# per SystemConfig field, a value of its type outside its bound
-SYSTEM_OUT_OF_BOUND = {"n_t": 0, "n_r": 0, "a1_v": 0, "a1_h": 0, "a2_v": 0, "a2_h": 0,
-                       "m": 1, "block_len": 0, "power": 0.0, "sigma2": 0.0, "kappa": -0.5,
-                       "omega": -0.5, "n_adv": 0, "num_scatterers": 0, "hidden_width": 0,
-                       "loss": "mse"}
+# per (section, field), a value the field refuses: one of its type outside its
+# bound, or of the wrong type where it has no bound
+REFUSED = {
+    ("system", "n_t"): 0, ("system", "n_r"): 0, ("system", "a1_v"): 0, ("system", "a1_h"): 0,
+    ("system", "a2_v"): 0, ("system", "a2_h"): 0, ("system", "m"): 1,
+    ("system", "block_len"): 0, ("system", "power"): 0.0, ("system", "sigma2"): 0.0,
+    ("system", "num_scatterers"): 0, ("system", "hidden_width"): 0, ("system", "loss"): "mse",
+    ("train", "snr_db"): 300.5, ("train", "epochs"): 0, ("train", "learning_rate"): 0.0,
+    ("train", "batch_blocks"): 0, ("train", "train_symbols"): 0,
+    ("eval", "snr_sweep_db"): (4.0, 0.0), ("eval", "test_blocks"): 0,
+    ("attack", "psr_db"): -300.5, ("attack", "n_p"): 0, ("attack", "n_s"): 0,
+    ("attack", "channel_mode"): "bogus",
+    ("", "system"): 5, ("", "train"): {}, ("", "eval"): None, ("", "attack"): "attack",
+    ("", "attacks"): ("secured", "secured"), ("", "scatterers"): (0,), ("", "seed"): 7.0,
+    ("", "preset"): 7,
+}
 
 
 class TestConfig:
@@ -95,7 +105,7 @@ class TestConfig:
         path = tmp_path / "config.json"
         save_config(cfg, path)
         loaded = load_config(path)
-        assert loaded.to_dict() == cfg.to_dict()
+        assert dataclasses.asdict(loaded) == dataclasses.asdict(cfg)
 
     def test_invalid_field_names_path(self):
         with pytest.raises(ConfigInvalid) as err:
@@ -146,7 +156,8 @@ class TestConfig:
                 config_from_dict({"eval": {"snr_sweep_db": grid}})
             assert err.value.field_path == "eval.snr_sweep_db"
         else:
-            assert config_from_dict({"eval": {"snr_sweep_db": grid}}).eval.snr_sweep_db == grid
+            cfg = config_from_dict({"eval": {"snr_sweep_db": grid}})
+            assert cfg.eval.snr_sweep_db == tuple(grid)
 
     def test_present_but_invalid_is_never_defaulted(self):
         with pytest.raises(ConfigInvalid):
@@ -175,17 +186,40 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             SystemConfig().sigma2 = 2.0
 
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SystemConfig)])
-    def test_system_field_checked_however_built(self, name):
+    @pytest.mark.parametrize("section, name", FIELDS, ids=lambda v: v or "top")
+    def test_field_checked_however_built(self, section, name):
         # a bare constructor and replace() check every field, not only the
-        # ones a config file sets; every field has an out-of-bound case
-        bad = SYSTEM_OUT_OF_BOUND[name]
-        for build in (lambda: SystemConfig(**{name: bad}),
-                      lambda: SystemConfig().replace(**{name: bad})):
+        # ones a config file sets, and so does an assignment into a mutable
+        # section, which keeps the old value; every field has a refused case
+        cls = dict(SECTIONS)[section]
+        bad = REFUSED[section, name]
+        where = f"{section}.{name}" if section else name
+        attempts = [lambda: cls(**{name: bad}), lambda: dataclasses.replace(cls(), **{name: bad})]
+        if cls is not SystemConfig:
+            obj = cls()
+            old = getattr(obj, name)
+            attempts.append(lambda: setattr(obj, name, bad))
+        for attempt in attempts:
             with pytest.raises(ConfigInvalid) as err:
-                build()
-            assert err.value.field_path == f"system.{name}"
+                attempt()
+            assert err.value.field_path == where
+            assert str(err.value).startswith(f"{where}: ")
             assert str(err.value).endswith(f"got {bad!r}")
+        if cls is not SystemConfig:
+            assert getattr(obj, name) is old
+
+    def test_assignment_stores_the_checked_value(self):
+        # an int where a float is declared is stored as a float, and a
+        # sequence as a tuple, which cannot be changed in place past the check
+        train = TrainSettings()
+        train.snr_db = 8
+        assert type(train.snr_db) is float and train.snr_db == 8.0
+        assert type(SystemConfig(power=2).power) is float
+        cfg = ExperimentConfig()
+        cfg.attacks = ["secured"]
+        assert cfg.attacks == ("secured",)
+        assert not hasattr(cfg.attacks, "append")
+        assert not hasattr(EvalSettings().snr_sweep_db, "append")
 
     @pytest.mark.parametrize("preset", [desk_preset, paper_preset])
     def test_presets_round_trip_through_save_and_load(self, tmp_path, preset):
@@ -202,7 +236,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("section, name", FIELDS, ids=lambda v: v or "top")
     def test_absent_field_takes_its_default(self, section, name):
-        data = paper_preset().to_dict()
+        data = dataclasses.asdict(paper_preset())
         del (data[section] if section else data)[name]
         cfg = config_from_dict(data)
         owner = getattr(cfg, section) if section else cfg
@@ -347,7 +381,6 @@ class TestTrainAndSweep:
         wide.eval.test_blocks = 6
         wide.attacks = ["secured", "jamming", "rmaef", "rmaep"]
         wide.attack.n_p = 1
-        wide.validate()
         rows = run_sweep(wide, nets)
         assert len(rows) == 20
 
@@ -356,7 +389,6 @@ class TestTrainAndSweep:
         wide = tiny_experiment()
         wide.scatterers = [2, 3]
         wide.eval.test_blocks = 6
-        wide.validate()
         seen = []
         estimate = harness.estimate_received_power
 
@@ -387,7 +419,6 @@ class TestTrainAndSweep:
         grid.eval.test_blocks = 6
         grid.attacks = ["secured", "jamming", "rmaef", "rmaep"]
         grid.attack.n_p = 1
-        grid.validate()
         return grid
 
     def test_pooled_sweep_matches_serial_cells(self, trained_tiny, capsys):
@@ -534,7 +565,7 @@ class TestCli:
     def test_exit_code_on_out_of_bound_field(self, tmp_path, capsys, section, name, value):
         # psr_db 4000 overflowed the jamming budget, -4000 made rmaef's budget
         # 0; an SNR of -4000 dB overflowed snr_to_sigma2 in training and sweeps
-        data = tiny_experiment().to_dict()
+        data = dataclasses.asdict(tiny_experiment())
         data[section][name] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -544,12 +575,15 @@ class TestCli:
 
     @pytest.mark.parametrize("name", ["spread_tx", "spread_ris", "spread_sc", "spacing_tx",
                                       "spacing_ris_v", "spacing_ris_h", "spacing_sc",
-                                      "kernel_size", "bn_eps", "bn_momentum"])
+                                      "kernel_size", "bn_eps", "bn_momentum",
+                                      "kappa", "omega", "n_adv"])
     def test_exit_code_on_removed_geometry_key(self, tmp_path, capsys, name):
-        # element spacing and angular spread are constants of the channel
-        # model, the kernel size and BatchNorm's eps and momentum constants of
-        # risae.neural; a config file that still sets one is refused, not ignored
-        data = tiny_experiment().to_dict()
+        # element spacing, angular spread, the Rician factor and the link
+        # gain are constants of the channel model, and the adversary has n_t
+        # antennas; the kernel size and BatchNorm's eps and momentum are
+        # constants of risae.neural; a config file that still sets one is
+        # refused, not ignored
+        data = dataclasses.asdict(tiny_experiment())
         data["system"][name] = 0.5
         old = tmp_path / "old.json"
         old.write_text(json.dumps(data))
@@ -563,7 +597,7 @@ class TestCli:
         ("train", "snr_db", lambda v: v)], ids=["psr_db", "snr_sweep_db", "snr_db"])
     def test_exit_code_on_non_finite_number(self, tmp_path, capsys, section, name, wrap,
                                             value):
-        data = tiny_experiment().to_dict()
+        data = dataclasses.asdict(tiny_experiment())
         data[section][name] = wrap(value)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))  # NaN, Infinity or 400 digits, which json reads back
@@ -593,7 +627,7 @@ class TestCli:
     def test_exit_code_on_repeated_grid_entry(self, trained_tiny, tmp_path, capsys, name):
         # a repeated entry ran the same cells again and wrote their rows twice
         cfg, _, ckpt = trained_tiny
-        data = cfg.to_dict()
+        data = dataclasses.asdict(cfg)
         data[name] = data[name][:1] * 2
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -611,7 +645,7 @@ class TestCli:
                          "--out", str(out)]) == 0
         vector, meta = load_perturbation(out)
         assert meta["channel_mode"] == "double"
-        assert vector.values.shape == (cfg.system.adversary_antennas,)
+        assert vector.values.shape == (cfg.system.n_t,)
         assert vector.power == pytest.approx(meta["budget"], rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["ideal", "double"])
@@ -640,6 +674,15 @@ class TestCli:
                                      scatterer_budget(cell_cfg, nets, sc, [kind]))
         assert np.array_equal(load_perturbation(out)[0].values, source.p_adv)
 
+    def test_exit_code_on_blocks_option_past_its_bound(self, trained_tiny, tmp_path, capsys):
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--snr-db", "4", "--blocks", "0"]) == 2
+        assert ("config error: eval.test_blocks: must be >= 1, got 0"
+                in capsys.readouterr().err)
+
     def test_exit_code_on_missing_checkpoint(self, tmp_path):
         code = cli_main(["eval", "--preset", "desk", "--checkpoint",
                          str(tmp_path / "none.ckpt"), "--snr-db", "0"])
@@ -654,7 +697,7 @@ class TestCli:
     def test_exit_code_on_bad_attack_settings(self, trained_tiny, tmp_path, capsys,
                                               command, attack, message):
         cfg, _, ckpt = trained_tiny
-        data = cfg.to_dict()
+        data = dataclasses.asdict(cfg)
         data["attack"].update(attack)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
