@@ -36,7 +36,7 @@ from .autoencoder import (
 from .channel import ChannelModel
 from .config import COUNT, DECIBELS, Section, SystemConfig, one_of, setting
 from .errors import AllTargetsFailed, InvariantViolation, NoProgress
-from .linalg import default_ridge, ls_solve
+from .linalg import ls_solve
 from .neural import Network
 
 BUDGET_TOL = 1e-9
@@ -169,15 +169,15 @@ def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray) -> np.nda
 
     The columns of ptilde (n_r, L) are averaged across the block (one
     time-invariant vector must serve every symbol), then the block aggregate
-    - the symbol mean of g_set (L, n_r, n_t) - is inverted by regularized
-    least squares with the trace-scaled ``default_ridge``. g_set=None stands
-    for the identity attack channel and returns the average directly.
+    - the symbol mean of g_set (L, n_r, n_t) - is inverted by ``ls_solve``'s
+    ridge-regularized least squares. g_set=None stands for the identity
+    attack channel and returns the average directly.
     """
     pbar = np.asarray(ptilde, dtype=np.complex128).mean(axis=1)
     if g_set is None:
         return pbar
     gbar = np.asarray(g_set, dtype=np.complex128).mean(axis=0)
-    return ls_solve(gbar, pbar, ridge=default_ridge(gbar))
+    return ls_solve(gbar, pbar)
 
 
 # ---------------------------------------------------------------------------

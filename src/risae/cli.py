@@ -1,7 +1,8 @@
 """Command-line entry points: train, attack, eval, sweep.
 
 Exit codes: 0 on success, 2 on configuration errors (with the offending
-field path), 3 on I/O errors, including unreadable checkpoints.
+field path), 3 on I/O errors, including unreadable checkpoints, 4 when the
+numerics fail at run time (a degenerate input or a diverged training loss).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 from .attack import PerturbationVector, export_perturbation, rmaef, rmaep
 from .autoencoder import CHANNEL_MODES, attack_dimension, jamming
 from .config import DECIBELS
-from .errors import ConfigInvalid, CorruptCheckpoint, MissingCheckpoint
+from .errors import ConfigInvalid, CorruptCheckpoint, DegenerateInput, Diverged, MissingCheckpoint
 from .harness import (
     ATTACK_KINDS,
     PRESETS,
@@ -24,7 +25,6 @@ from .harness import (
     rerun_from_manifest,
     run_cell,
     save_config,
-    scatterer_budget,
     snr_to_sigma2,
     sweep_to_directory,
     train_system,
@@ -34,6 +34,7 @@ from .harness import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_RUN = 4
 
 
 def _resolve_config(args):
@@ -97,9 +98,8 @@ def cmd_eval(args) -> int:
     if args.blocks is not None:
         cfg.eval.test_blocks = args.blocks
     nets = load_system(args.checkpoint, cfg)
-    sc = cfg.system.num_scatterers
-    row = run_cell(cfg, nets, sc, args.snr_db, args.attack,
-                   scatterer_budget(cfg, nets, sc, [args.attack]))
+    budget = make_budget(cfg, cfg.system, nets, cfg.attack.channel_mode)
+    row = run_cell(cfg, nets, cfg.system.num_scatterers, args.snr_db, args.attack, budget)
     print(format_rows([row]), end="")
     return EXIT_OK
 
@@ -177,6 +177,9 @@ def main(argv=None) -> int:
             IsADirectoryError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (DegenerateInput, Diverged) as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return EXIT_RUN
 
 
 if __name__ == "__main__":

@@ -5,10 +5,6 @@ class NotPSD(ValueError):
     """A matrix expected to be positive semidefinite has a negative eigenvalue."""
 
 
-class SingularSystem(ValueError):
-    """A linear system is numerically singular and no ridge was requested."""
-
-
 class ShapeMismatch(ValueError):
     """An operand does not have the shape a function, layer or pipeline stage
     expects (matrix operands that are not conformable included)."""

@@ -81,7 +81,7 @@ class ExperimentConfig(Section):
     scatterers: tuple[int, ...] = setting(
         (9,), ((lambda v: len(v) > 0 and min(v) >= 1 and len(set(v)) == len(v)),
                "must be a non-empty list of positive counts, none repeated"))
-    seed: int = 20240810
+    seed: int = setting(20240810, ((lambda v: 0 <= v < 2 ** 64), "must lie in [0, 2**64)"))
     preset: str = "custom"
 
 
@@ -158,7 +158,7 @@ def _tag_int(tag) -> int:
 
 def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     """Independent generator for one labelled task under the master seed."""
-    entropy = [master_seed & 0xFFFFFFFFFFFFFFFF] + [_tag_int(t) for t in tags]
+    entropy = [master_seed] + [_tag_int(t) for t in tags]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -181,7 +181,7 @@ def train_system(cfg: ExperimentConfig, out_dir) -> tuple[AutoencoderNets, Path]
                    batch_blocks=cfg.train.batch_blocks)
     ckpt_path = out_dir / "weights.ckpt"
     save_checkpoint(ckpt_path, nets.as_dict(),
-                    meta={"system": asdict(cfg.system), "seed": cfg.seed,
+                    meta={"system": asdict(sys_cfg), "seed": cfg.seed,
                           "train": asdict(cfg.train), "preset": cfg.preset})
     log_path = out_dir / "training_log.csv"
     with open(log_path, "w", encoding="utf-8") as fh:
@@ -265,20 +265,6 @@ def make_budget(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderN
     return AttackBudget(psr_db=cfg.attack.psr_db, reference_power=reference_power)
 
 
-def scatterer_budget(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
-                     kinds: list[str]) -> AttackBudget | None:
-    """The budget shared by every SNR cell at one scatterer count.
-
-    The reference power never depends on the SNR: its seed tag holds only the
-    scatterer count and the received estimate runs noiseless. None when
-    every kind is 'secured', which needs no budget.
-    """
-    if all(kind == "secured" for kind in kinds):
-        return None
-    return make_budget(cfg, cfg.system.replace(num_scatterers=scatterers), nets,
-                       cfg.attack.channel_mode)
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -321,8 +307,9 @@ def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
 
 
 def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
-             snr_db: float, kind: str, budget: AttackBudget | None) -> ResultRow:
-    """One sweep cell; ``budget`` comes from ``scatterer_budget`` (None for 'secured')."""
+             snr_db: float, kind: str, budget: AttackBudget) -> ResultRow:
+    """One sweep cell; ``budget`` is ``make_budget``'s at this scatterer
+    count, which the 'secured' cell ignores."""
     sys_cfg = cfg.system.replace(num_scatterers=scatterers,
                                  sigma2=snr_to_sigma2(cfg.system.power, snr_db))
     source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db, budget)
@@ -384,7 +371,7 @@ def _init_sweep_worker(cfg: ExperimentConfig, nets: AutoencoderNets) -> None:
 
 
 def _sweep_cell(scatterers: int, snr_db: float, kind: str,
-                budget: AttackBudget | None) -> tuple[ResultRow, float]:
+                budget: AttackBudget) -> tuple[ResultRow, float]:
     """One cell in a sweep worker, with its wall time in seconds."""
     cfg, nets = _sweep_state
     started = time.perf_counter()
@@ -398,7 +385,9 @@ def run_sweep(cfg: ExperimentConfig, nets: AutoencoderNets,
 
     Cells derive independent generators from the master seed, so results do
     not depend on evaluation order; rows come back sorted. The budgets are
-    computed here, once per scatterer count; the cells run in forked worker
+    computed here, once per scatterer count: the reference power never
+    depends on the SNR, because its seed tag holds only the scatterer count
+    and the received estimate runs noiseless. The cells run in forked worker
     processes, one per available CPU (at most one per cell), with one BLAS
     thread each. Progress lines appear in completion order.
     """
@@ -406,7 +395,8 @@ def run_sweep(cfg: ExperimentConfig, nets: AutoencoderNets,
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    budgets = {sc: scatterer_budget(cfg, nets, sc, cfg.attacks) for sc in cfg.scatterers}
+    budgets = {sc: make_budget(cfg, cfg.system.replace(num_scatterers=sc), nets,
+                               cfg.attack.channel_mode) for sc in cfg.scatterers}
     cells = [(sc, snr_db, kind) for sc in cfg.scatterers
              for snr_db in cfg.eval.snr_sweep_db for kind in cfg.attacks]
     cells.sort(key=lambda cell: _KIND_RANK[cell[2]])
@@ -430,7 +420,7 @@ def run_sweep(cfg: ExperimentConfig, nets: AutoencoderNets,
 
 
 # ---------------------------------------------------------------------------
-# persistence: CSV, plot script, manifest
+# persistence: CSV, manifest
 # ---------------------------------------------------------------------------
 
 def format_rows(rows: list[ResultRow]) -> str:
@@ -454,50 +444,8 @@ def parse_rows(text: str) -> list[ResultRow]:
     return rows
 
 
-_PLOT_SCRIPT = '''"""Plot symbol error rate against SNR, one series per benchmark.
-
-Reads {csv_name} from this directory and shows/saves a semilog-y figure.
-"""
-
-import csv
-from collections import defaultdict
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-HERE = Path(__file__).resolve().parent
-SERIES_ORDER = ["secured", "jamming", "rmaef", "rmaep"]
-MARKERS = {{"secured": "o", "jamming": "s", "rmaef": "^", "rmaep": "v"}}
-
-series = defaultdict(list)
-with open(HERE / "{csv_name}", newline="") as fh:
-    for row in csv.DictReader(fh):
-        label = f"{{row['attack']}} (sc={{row['scatterers']}}, {{row['attack_channel']}})"
-        series[(row["attack"], label)].append(
-            (float(row["snr_db"]), float(row["ser"]), float(row["ci_halfwidth"])))
-
-plt.figure(figsize=(6, 4.5))
-floor = 1e-6
-for (attack, label), points in sorted(
-        series.items(), key=lambda kv: SERIES_ORDER.index(kv[0][0]) if kv[0][0] in SERIES_ORDER else 99):
-    points.sort()
-    snr = [p[0] for p in points]
-    ser = [max(p[1], floor) for p in points]
-    err = [p[2] for p in points]
-    plt.errorbar(snr, ser, yerr=err, marker=MARKERS.get(attack, "x"), label=label)
-plt.yscale("log")
-plt.xlabel("SNR [dB]")
-plt.ylabel("SER")
-plt.grid(True, which="both", alpha=0.3)
-plt.legend(fontsize=8)
-plt.tight_layout()
-plt.savefig(HERE / "{stem}.png", dpi=150)
-print(f"wrote {{HERE / '{stem}.png'}}")
-'''
-
-
-def export_results(rows: list[ResultRow], csv_path) -> tuple[Path, Path]:
-    """Write the results CSV plus a companion matplotlib script."""
+def export_results(rows: list[ResultRow], csv_path) -> Path:
+    """Write the results CSV."""
     csv_path = Path(csv_path)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     text = format_rows(rows)
@@ -505,10 +453,7 @@ def export_results(rows: list[ResultRow], csv_path) -> tuple[Path, Path]:
         raise InvariantViolation(f"results for {csv_path} do not survive a parse/format round trip")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    plot_path = csv_path.with_name(csv_path.stem + "_plot.py")
-    with open(plot_path, "w", encoding="utf-8") as fh:
-        fh.write(_PLOT_SCRIPT.format(csv_name=csv_path.name, stem=csv_path.stem))
-    return csv_path, plot_path
+    return csv_path
 
 
 MANIFEST_VERSION = 1
@@ -529,8 +474,8 @@ def write_manifest(path, cfg: ExperimentConfig, ckpt_path, csv_name: str) -> Non
 
 def sweep_to_directory(cfg: ExperimentConfig, nets: AutoencoderNets, ckpt_path,
                        out_dir, progress: bool = False) -> Path:
-    """Run the full grid and persist CSV, plot script, manifest and a copy of
-    the checkpoint, making the output directory self-contained."""
+    """Run the full grid and persist CSV, manifest and a copy of the
+    checkpoint, making the output directory self-contained."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = Path(ckpt_path)
@@ -538,7 +483,7 @@ def sweep_to_directory(cfg: ExperimentConfig, nets: AutoencoderNets, ckpt_path,
     if local_ckpt.resolve() != ckpt_path.resolve():
         shutil.copy2(ckpt_path, local_ckpt)
     rows = run_sweep(cfg, nets, progress=progress)
-    csv_path, _ = export_results(rows, out_dir / "results.csv")
+    csv_path = export_results(rows, out_dir / "results.csv")
     write_manifest(out_dir / "manifest.json", cfg, local_ckpt, csv_path.name)
     return csv_path
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPSD, ShapeMismatch, SingularSystem
+from .errors import NotPSD, ShapeMismatch
 
 PSD_EIG_FLOOR = -1e-10
 
@@ -43,29 +43,17 @@ def hermitian_sqrt(h: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def ls_solve(g: np.ndarray, v: np.ndarray, ridge: float = 0.0) -> np.ndarray:
+def ls_solve(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Ridge-regularized least squares: argmin_p ||g p - v||^2 + ridge ||p||^2.
 
-    Solves the normal equations (g^H g + ridge I) p = g^H v. Raises
-    SingularSystem when the regularized normal matrix is not positive
-    definite (ridge = 0 and rank-deficient g).
+    Solves the normal equations (g^H g + ridge I) p = g^H v with the
+    trace-scaled ridge 1e-8 tr(g^H g)/dim, which keeps a rank-deficient g
+    solvable at a relative bias of about 1e-8.
     """
     g = as_matrix(g, "g")
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (g.shape[0],):
         raise ShapeMismatch(f"v must have length {g.shape[0]}, got shape {v.shape}")
-    if ridge < 0.0:
-        raise ValueError("ridge must be nonnegative")
-    a = g.conj().T @ g + ridge * np.eye(g.shape[1])
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem("normal matrix is numerically singular; use ridge > 0") from exc
-    return np.linalg.solve(a, g.conj().T @ v)
-
-
-def default_ridge(g: np.ndarray) -> float:
-    """Default regularizer for ill-conditioned normal matrices: 1e-8 tr(G^H G)/dim."""
-    g = np.asarray(g, dtype=np.complex128)
     dim = g.shape[1]
-    return 1e-8 * float(np.einsum("ij,ij->", g.conj(), g).real) / dim
+    ridge = 1e-8 * float(np.einsum("ij,ij->", g.conj(), g).real) / dim
+    return np.linalg.solve(g.conj().T @ g + ridge * np.eye(dim), g.conj().T @ v)

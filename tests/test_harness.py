@@ -14,7 +14,8 @@ import pytest
 from risae.config import SystemConfig
 from risae import autoencoder, harness
 from risae.autoencoder import estimate_received_power
-from risae.errors import ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint
+from risae.errors import (ConfigInvalid, CorruptCheckpoint, Diverged, InvariantViolation,
+                          MissingCheckpoint)
 from risae.harness import (
     AttackSettings,
     EvalSettings,
@@ -35,13 +36,13 @@ from risae.harness import (
     rerun_from_manifest,
     run_sweep,
     save_config,
-    scatterer_budget,
     snr_to_sigma2,
     sweep_to_directory,
     train_system,
 )
 from risae.attack import load_perturbation
 from risae.cli import main as cli_main
+from risae.neural import load_checkpoint
 
 
 def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
@@ -87,7 +88,7 @@ REFUSED = {
     ("attack", "psr_db"): -300.5, ("attack", "n_p"): 0, ("attack", "n_s"): 0,
     ("attack", "channel_mode"): "bogus",
     ("", "system"): 5, ("", "train"): {}, ("", "eval"): None, ("", "attack"): "attack",
-    ("", "attacks"): ("secured", "secured"), ("", "scatterers"): (0,), ("", "seed"): 7.0,
+    ("", "attacks"): ("secured", "secured"), ("", "scatterers"): (0,), ("", "seed"): -1,
     ("", "preset"): 7,
 }
 
@@ -259,6 +260,16 @@ class TestSeeding:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_seed_is_one_64_bit_word(self):
+        # the master seed enters the seed sequence as one word, so a seed
+        # outside [0, 2**64) would alias one inside it or fail there
+        for seed in (0, 2 ** 64 - 1):
+            assert config_from_dict({"seed": seed}).seed == seed
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ConfigInvalid) as err:
+                config_from_dict({"seed": seed})
+            assert err.value.field_path == "seed"
+
 
 class TestResultRows:
     def test_row_validation(self):
@@ -402,15 +413,17 @@ class TestTrainAndSweep:
         # The estimate runs noiseless, so the budget a cell at any SNR would
         # compute for itself is the shared one.
         for sc in wide.scatterers:
-            shared = scatterer_budget(wide, nets, sc, ["jamming"])
+            shared = make_budget(wide, wide.system.replace(num_scatterers=sc), nets, "ideal")
             for snr_db in wide.eval.snr_sweep_db:
                 sys_cfg = wide.system.replace(num_scatterers=sc,
                                               sigma2=snr_to_sigma2(wide.system.power, snr_db))
                 assert make_budget(wide, sys_cfg, nets, "ideal") == shared
+        # a secured cell ignores its budget, but a sweep of only secured
+        # cells still builds one per count
         seen.clear()
         wide.attacks = ["secured"]
         run_sweep(wide, nets)
-        assert seen == []
+        assert seen == [2, 3]
 
     @staticmethod
     def _pool_grid():
@@ -426,7 +439,8 @@ class TestTrainAndSweep:
         grid = self._pool_grid()
         serial = []
         for sc in grid.scatterers:
-            budget = scatterer_budget(grid, nets, sc, grid.attacks)
+            budget = make_budget(grid, grid.system.replace(num_scatterers=sc), nets,
+                                 grid.attack.channel_mode)
             for snr_db in grid.eval.snr_sweep_db:
                 for kind in grid.attacks:
                     serial.append(harness.run_cell(grid, nets, sc, snr_db, kind, budget))
@@ -464,15 +478,14 @@ class TestTrainAndSweep:
 
 
 class TestPersistence:
-    def test_export_writes_csv_and_plot_script(self, trained_tiny, tmp_path):
-        cfg, nets, _ = trained_tiny
-        rows = run_sweep(cfg, nets)
-        csv_path, plot_path = export_results(rows, tmp_path / "results.csv")
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
-        assert len(lines) == len(rows) + 1
-        script = plot_path.read_text()
-        assert "results.csv" in script and "matplotlib" in script
+    def test_checkpoint_records_the_training_noise_level(self, trained_tiny):
+        # training runs at the noise level of train.snr_db; the configured
+        # sigma2, which every command overrides, is not what it used
+        cfg, _, ckpt = trained_tiny
+        _, meta = load_checkpoint(ckpt)
+        trained = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, cfg.train.snr_db))
+        assert meta["system"] == dataclasses.asdict(trained)
+        assert meta["system"]["sigma2"] != cfg.system.sigma2
 
     def test_manifest_rerun_is_byte_identical(self, trained_tiny, tmp_path):
         cfg, nets, ckpt = trained_tiny
@@ -671,7 +684,7 @@ class TestCli:
         sys_cfg = cfg.system.replace(num_scatterers=sc,
                                      sigma2=snr_to_sigma2(cfg.system.power, snr_db))
         source = build_attack_source(cell_cfg, sys_cfg, nets, kind, snr_db,
-                                     scatterer_budget(cell_cfg, nets, sc, [kind]))
+                                     make_budget(cell_cfg, sys_cfg, nets, mode))
         assert np.array_equal(load_perturbation(out)[0].values, source.p_adv)
 
     def test_exit_code_on_blocks_option_past_its_bound(self, trained_tiny, tmp_path, capsys):
@@ -801,9 +814,47 @@ class TestCli:
         sweep_dir = tmp_path / "sweep"
         assert cli_main(["sweep", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                          "--out", str(sweep_dir)]) == 0
-        assert (sweep_dir / "results.csv").exists()
-        assert (sweep_dir / "manifest.json").exists()
-        assert (sweep_dir / "results_plot.py").exists()
+        assert sorted(p.name for p in sweep_dir.iterdir()) == [
+            "manifest.json", "results.csv", "weights.ckpt"]
+        lines = (sweep_dir / "results.csv").read_text().strip().splitlines()
+        assert lines[0] == "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
+        cells = len(cfg.scatterers) * len(cfg.eval.snr_sweep_db) * len(cfg.attacks)
+        assert len(lines) == 1 + cells
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["minus-one", "two-to-the-64"])
+    def test_exit_code_on_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        # -1 drew the streams of 2**64 - 1, and training started
+        code = cli_main(["train", "--seed", str(seed), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"config error: seed: must lie in [0, 2**64), got {seed}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_exit_code_on_degenerate_training(self, tmp_path):
+        # with one hidden channel, a block whose ReLU output is all zero
+        # reaches PowerNorm with zero power; this ended in a traceback and exit 1
+        cfg_path = tmp_path / "degenerate.json"
+        cfg_path.write_text(json.dumps({
+            "system": {"n_t": 1, "n_r": 1, "a1_v": 1, "a1_h": 1, "a2_v": 1, "a2_h": 1,
+                       "m": 2, "block_len": 1, "hidden_width": 1},
+            "train": {"epochs": 1, "train_symbols": 64}, "seed": 7}))
+        result = subprocess.run([sys.executable, "-m", "risae.cli", "train", "--config",
+                                 str(cfg_path), "--out", str(tmp_path / "o")],
+                                capture_output=True, text=True)
+        assert result.returncode == 4
+        assert "Traceback" not in result.stderr
+        assert result.stderr.splitlines() == [
+            "run error: block power below 1e-30; cannot normalize"]
+
+    def test_exit_code_on_diverged_training(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise Diverged("loss became non-finite at epoch 0")
+
+        monkeypatch.setattr(harness, "train", diverge)
+        cfg_path = tmp_path / "config.json"
+        save_config(tiny_experiment(), cfg_path)
+        assert cli_main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err == "run error: loss became non-finite at epoch 0\n"
 
     def test_module_invocation(self):
         result = subprocess.run([sys.executable, "-m", "risae.cli", "--help"],

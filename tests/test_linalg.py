@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from risae.errors import NotPSD, ShapeMismatch, SingularSystem
-from risae.linalg import as_matrix, default_ridge, hermitian_sqrt, ls_solve
+from risae.errors import NotPSD, ShapeMismatch
+from risae.linalg import as_matrix, hermitian_sqrt, ls_solve
 
 
 def crand(rng, *shape):
@@ -76,35 +76,33 @@ class TestLsSolve:
         assert np.allclose(ls_solve(2.0 * np.eye(4), v), v / 2.0)
 
     def test_normal_equation_residual(self):
+        # the ridged normal equation g^H (g p - v) = -ridge p, with the
+        # ridge 1e-8 tr(g^H g)/dim
         rng = np.random.default_rng(7)
         for _ in range(100):
             g = crand(rng, 8, 4)
             v = crand(rng, 8)
             p = ls_solve(g, v)
-            residual = np.linalg.norm(g.conj().T @ (g @ p - v))
+            ridge = 1e-8 * np.linalg.norm(g) ** 2 / g.shape[1]
+            residual = np.linalg.norm(g.conj().T @ (g @ p - v) + ridge * p)
             assert residual < 1e-9
 
     def test_ridge_keeps_rank_deficient_finite(self):
         rng = np.random.default_rng(8)
         col = crand(rng, 6, 1)
         g = np.hstack([col, col])  # rank 1
-        p = ls_solve(g, crand(rng, 6), ridge=1e-6)
+        p = ls_solve(g, crand(rng, 6))
         assert np.all(np.isfinite(p))
-
-    def test_singular_without_ridge(self):
-        rng = np.random.default_rng(9)
-        col = crand(rng, 6, 1)
-        g = np.hstack([col, col])
-        with pytest.raises(SingularSystem):
-            ls_solve(g, crand(rng, 6), ridge=0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeMismatch):
             ls_solve(np.eye(3), np.zeros(4))
 
-    def test_default_ridge_scale(self):
-        g = 3.0 * np.eye(5)
-        assert default_ridge(g) == pytest.approx(1e-8 * 9.0)
+    def test_ridge_scale(self):
+        # g = 3 I_5: tr(g^H g)/dim = 9, so (9 + 9e-8) p = 3 v
+        v = np.arange(1.0, 6.0) + 0j
+        np.testing.assert_allclose(ls_solve(3.0 * np.eye(5), v), 3.0 * v / (9.0 + 9e-8),
+                                   rtol=1e-14)
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))
@@ -120,8 +118,8 @@ class TestNonContiguousInputs:
         rng = np.random.default_rng(10)
         g = self._view(layout, crand(rng, 6, 3))
         v = crand(rng, 6)
-        p = ls_solve(g, v, ridge=1e-6)
-        np.testing.assert_allclose(p, ls_solve(np.ascontiguousarray(g), v, ridge=1e-6),
+        p = ls_solve(g, v)
+        np.testing.assert_allclose(p, ls_solve(np.ascontiguousarray(g), v),
                                    rtol=1e-12, atol=1e-14)
 
     def test_hermitian_sqrt(self, layout):

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from risae.autoencoder import wilson_interval
-from risae.harness import desk_preset, load_system, parse_rows, run_cell, scatterer_budget
+from risae.harness import desk_preset, load_system, make_budget, parse_rows, run_cell
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 SEED = 7
@@ -34,8 +34,8 @@ def test_cell_matches_benchmark_reference(reference_system, kind):
     cfg, nets = reference_system
     rows = parse_rows((REFERENCE / "results.csv").read_text(encoding="utf-8"))
     want = next(r for r in rows if r.snr_db == SNR_DB and r.attack == kind)
-    sc = cfg.system.num_scatterers
-    got = run_cell(cfg, nets, sc, SNR_DB, kind, scatterer_budget(cfg, nets, sc, [kind]))
+    budget = make_budget(cfg, cfg.system, nets, cfg.attack.channel_mode)
+    got = run_cell(cfg, nets, cfg.system.num_scatterers, SNR_DB, kind, budget)
     low, high = wilson_interval(round(want.ser * want.trials), want.trials)
     assert got.trials == want.trials == cfg.eval.test_blocks * cfg.system.block_len
     assert (got.scatterers, got.attack_channel) == (want.scatterers, want.attack_channel)
