@@ -17,6 +17,7 @@ contributes dL/dg = Im(conj(c) G_c).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -222,13 +223,17 @@ class TransmitRecord:
 
 @dataclass
 class PipelineRecord(TransmitRecord):
-    """Everything the backward pass and the attacks need from one forward."""
+    """Everything the backward pass and the attacks need from one forward.
 
-    m: np.ndarray  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
-    k: np.ndarray
+    A training record is consumed by its backward: it holds neither ``k`` nor
+    ``d_input``, which the backward does not read, and ``pipeline_backward``
+    sets the activation records and ``m`` to None once it has read them."""
+
+    m: np.ndarray | None  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
+    k: np.ndarray | None
     noise: np.ndarray
     ptilde: np.ndarray | None
-    d_input: np.ndarray
+    d_input: np.ndarray | None
     dec_rec: list | None
     probs: np.ndarray
     decisions: np.ndarray
@@ -271,8 +276,9 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
 
     Noise is drawn from rng as CN(0, sigma2 I), before anything else the
     pass draws. Only a training pass, the one pipeline_backward
-    differentiates, keeps the networks' activation records; any other pass
-    runs the folded networks.
+    differentiates, keeps the networks' activation records, and it keeps
+    neither the aggregates K nor the decoder input; any other pass runs the
+    folded networks.
     """
     tx = transmit_forward(nets, cfg, blocks, chan, train)
     k, m = cascade_set(chan, tx.c1, tx.c2)
@@ -288,6 +294,8 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     probs, dec_rec = nets.decoder.forward(d_input, record=train)
     decisions = probs.argmax(axis=1)
 
+    if train:
+        k = d_input = None
     return PipelineRecord(**vars(tx), m=m, k=k, noise=noise, ptilde=ptilde, d_input=d_input,
                           dec_rec=dec_rec, probs=probs, decisions=decisions,
                           loss_kind=cfg.loss)
@@ -305,6 +313,11 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     Channels and noise are constants. The received signal pulls back through
     the surface fields, the aggregates through one shared H = Y2^H G_K, and
     everything then back to the encoder output.
+
+    The backward consumes the record: each activation record and ``m`` is
+    set to None after its last read, so its memory is freed while the rest
+    of the pass runs, and a second backward on the record raises
+    MissingRecord.
     """
     if rec.ptilde is not None:
         raise ValueError("cannot backpropagate through an attacked forward pass")
@@ -312,6 +325,7 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     loss, g_probs = pipeline_loss(rec)
 
     dec_grads, g_input = nets.decoder.backward(rec.dec_rec, g_probs)
+    rec.dec_rec = None
     b, n_r, length = rec.z.shape
     n_t = rec.o.shape[1]
     g_r, g_k = unpack_received_gradient(g_input, n_r, n_t)
@@ -326,6 +340,7 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     # K = Y1 X1 + Y2 (c2 o M), X1 = c1 o U1, M = E X1 + U2: adjoint through H = Y2^H G_K
     h = (y2h @ g_k).reshape(rec.m.shape)
     g_c2 += np.einsum("bqln,bqln->bql", h, np.conj(rec.m))
+    rec.m = None
     h *= np.conj(rec.c2)[..., None]
     g_x1 = eh @ h.reshape(b, -1, length * n_t)
     del h
@@ -335,6 +350,7 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     g_gamma2 = np.imag(np.conj(rec.c2) * g_c2)
 
     r2_grads, gs2 = nets.ris2.backward(rec.r2_rec, g_gamma2)
+    rec.r2_rec = None
     g_b2 = channels_to_complex(gs2) + np.conj(rec.c2) * h_r
     g_o = u2h @ g_b2
     g_m1_field += eh @ g_b2
@@ -343,10 +359,12 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     g_gamma1 = np.imag(np.conj(rec.c1) * g_c1) + np.imag(np.conj(rec.m1_field) * g_m1_field)
 
     r1_grads, gs1 = nets.ris1.backward(rec.r1_rec, g_gamma1)
+    rec.r1_rec = None
     g_a1 = channels_to_complex(gs1) + np.conj(rec.c1) * g_m1_field
     g_o += u1h @ g_a1
 
     enc_grads, _ = nets.encoder.backward(rec.enc_rec, complex_to_channels(g_o))
+    rec.enc_rec = None
     return loss, {"encoder": enc_grads, "ris1": r1_grads, "ris2": r2_grads,
                   "decoder": dec_grads}
 
@@ -391,6 +409,28 @@ def random_message_blocks(cfg: SystemConfig, n_blocks: int, rng: np.random.Gener
 # training
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def set_heap_policy() -> None:
+    """Let the heap keep freed blocks, once per process.
+
+    By default glibc serves each multi-MB activation from a fresh mmap, or
+    trims it off the heap, and gives it back on free, so every step faults
+    its pages in again. Here blocks up to 32 MiB (the ceiling of glibc's own
+    dynamic mmap threshold on 64-bit) come from the heap, and the heap is
+    trimmed only above 256 MiB free; setting the trim threshold alone would
+    pin the mmap threshold at its 128 KiB default. Without glibc's mallopt
+    nothing changes.
+    """
+    import ctypes  # imported here: only training and sweep workers need it
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
+
+
 @dataclass
 class TrainResult:
     loss_history: list[float]
@@ -407,8 +447,10 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
     once; channel realizations are resampled for every batch and noise is
     redrawn every forward pass. Raises Diverged when the loss leaves the
     finite range, and InvariantViolation when a predicted reflection of the
-    epoch's last batch is not unit modulus.
+    epoch's last batch is not unit modulus. Sets the process's heap policy
+    (``set_heap_policy``).
     """
+    set_heap_policy()
     model = channel_model or ChannelModel(cfg)
     n_blocks = max(1, int(np.ceil(num_symbols / cfg.block_len)))
     dataset, _ = random_message_blocks(cfg, n_blocks, rng)
@@ -424,20 +466,22 @@ def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: in
         order = rng.permutation(n_blocks)
         epoch_loss = 0.0
         n_batches = 0
-        last_rec = None
         for start in range(0, n_blocks, batch_blocks):
             batch = dataset[order[start:start + batch_blocks]]
             chan = model.sample_batch(batch.shape[0], rng)
             rec = pipeline_forward(nets, cfg, batch, chan, cfg.sigma2, rng=rng, train=True)
             loss, grads = pipeline_backward(nets, rec)
+            # the backward consumed the activation records; drop the rest, so
+            # that no part of this batch but its reflections outlives the step
+            c1, c2 = rec.c1, rec.c2
+            del rec
             if not np.isfinite(loss):
                 raise Diverged(f"loss became non-finite at epoch {_epoch}")
             adam_step(params, {f"{net_name}/{key}": g for net_name, net_grads in grads.items()
                                for key, g in net_grads.items()}, adam)
             epoch_loss += loss
             n_batches += 1
-            last_rec = rec
-        for name, c in (("surface 1", last_rec.c1), ("surface 2", last_rec.c2)):
+        for name, c in (("surface 1", c1), ("surface 2", c2)):
             deviation = float(np.max(np.abs(np.abs(c) - 1.0)))
             if not deviation < 1e-12:
                 raise InvariantViolation(f"{name} reflection modulus deviates from 1 "

@@ -29,6 +29,7 @@ from .autoencoder import (
     build_autoencoder,
     estimate_received_power,
     evaluate_ser,
+    set_heap_policy,
     train,
 )
 from .config import COUNT, DECIBELS, POSITIVE, Section, SystemConfig, from_json, setting
@@ -324,41 +325,21 @@ def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
 # is not left alone with an rmaep cell at the end of the sweep.
 _KIND_RANK = {"rmaep": 0, "rmaef": 1, "jamming": 2, "secured": 3}
 
-# glibc mallopt parameters (malloc.h) and the values a sweep worker sets:
-# blocks up to 32 MiB (the ceiling of glibc's own dynamic mmap threshold on
-# 64-bit) come from the heap, and the heap is trimmed only above 256 MiB free.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 << 20
-_TRIM_THRESHOLD_BYTES = 256 << 20
-
 # (cfg, nets) of the sweep a worker process serves; set by _init_sweep_worker
 # in the worker only, which inherits both from the parent through fork.
 _sweep_state = None
 
 
 def _init_sweep_worker(cfg: ExperimentConfig, nets: AutoencoderNets) -> None:
-    """Give a sweep worker its state, one OpenBLAS thread and a heap that
-    keeps freed memory.
-
-    The workers already keep every core busy, so BLAS threads would only
-    compete with them. The setter is looked up in the libraries numpy's
-    linear algebra module was linked against; without OpenBLAS nothing changes.
-    By default glibc serves each multi-MB activation from a fresh mmap, or
-    trims it off the heap, and gives it back on free, so every forward faults
-    its pages in again; raising both thresholds lets the heap keep them
-    (setting the trim threshold alone would pin the mmap threshold at its
-    128 KiB default). Without glibc's mallopt nothing changes.
-    """
+    """Give a sweep worker its state, the heap policy of ``set_heap_policy``
+    and one OpenBLAS thread: the workers already keep every core busy. The
+    thread setter is looked up in the libraries numpy's linear algebra module
+    was linked against; without OpenBLAS the thread count stays."""
     import ctypes
 
     global _sweep_state
     _sweep_state = (cfg, nets)
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
-        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    set_heap_policy()
     blas = ctypes.CDLL(_umath_linalg.__file__)
     for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
                    "openblas_set_num_threads"):

@@ -1,5 +1,8 @@
 """End-to-end pipeline tests: composition, gradients, training, evaluation."""
 
+import ctypes
+import resource
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +31,8 @@ from risae.autoencoder import (
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
-from risae.harness import desk_preset, load_system
-from risae.neural import BN_EPS, BatchNorm, Conv1D, Network, Softmax, log_loss
+from risae.harness import derive_rng, desk_preset, load_system, snr_to_sigma2
+from risae.neural import BN_EPS, AdamState, BatchNorm, Conv1D, Network, Softmax, log_loss
 
 REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
@@ -325,6 +328,18 @@ class TestPipelineGradients:
         fd = channels_to_complex(fd)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-6
 
+    def test_backward_consumes_its_record(self):
+        cfg, nets = make_system(seed=44)
+        rng = np.random.default_rng(45)
+        chan = ChannelModel(cfg).sample_batch(2, rng)
+        blocks, _ = random_message_blocks(cfg, 2, rng)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=True)
+        pipeline_backward(nets, rec)
+        for name in ("enc_rec", "r1_rec", "r2_rec", "dec_rec", "m"):
+            assert getattr(rec, name) is None, name
+        with pytest.raises(MissingRecord):
+            pipeline_backward(nets, rec)
+
     def test_backward_refuses_attacked_record(self):
         cfg, nets = make_system(seed=16)
         rng = np.random.default_rng(17)
@@ -404,6 +419,53 @@ class TestTrain:
             train(nets, cfg, num_symbols=8, epochs=1, lr=1e-3,
                   rng=np.random.default_rng(27), batch_blocks=4)
 
+    def test_no_earlier_batch_outlives_its_step(self, monkeypatch):
+        # when a batch's forward starts, every array of the earlier batches'
+        # decoder records must be freed: the softmax output among them is
+        # also the record's probabilities, so a kept record keeps it alive
+        cfg, nets = make_system(seed=46)
+        forward = autoencoder.pipeline_forward
+        earlier = []
+        alive_at_forward = []
+
+        def watched(*args, **kwargs):
+            alive_at_forward.append(sum(ref() is not None for ref in earlier))
+            rec = forward(*args, **kwargs)
+            earlier.extend(weakref.ref(array) for cache in rec.dec_rec
+                           for array in cache.values() if isinstance(array, np.ndarray))
+            return rec
+
+        monkeypatch.setattr(autoencoder, "pipeline_forward", watched)
+        train(nets, cfg, num_symbols=3 * 4 * cfg.block_len, epochs=1, lr=1e-3,
+              rng=np.random.default_rng(47), batch_blocks=4)
+        assert len(earlier) > 0
+        assert alive_at_forward == [0, 0, 0]
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+    def test_warm_desk_step_faults_in_no_pages(self):
+        # train keeps freed blocks in the heap, so once two steps have grown
+        # it, a desk step reuses its pages; a step that maps its multi-MB
+        # activations afresh takes about 1,000 minor faults
+        cfg = desk_preset(7)
+        sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, cfg.train.snr_db))
+        nets = build_autoencoder(sys_cfg, derive_rng(cfg.seed, "init"))
+        model = ChannelModel(sys_cfg)
+        adam = AdamState(lr=cfg.train.learning_rate)
+        rng = derive_rng(cfg.seed, "train")
+        batch = cfg.train.batch_blocks
+
+        def step():
+            train(nets, sys_cfg, batch * sys_cfg.block_len, 1, cfg.train.learning_rate, rng,
+                  batch_blocks=batch, channel_model=model, adam=adam)
+
+        step()
+        step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 5 < 100, f"{faults / 5:.0f} minor faults per warm step"
+
 
 def replace_decisions(monkeypatch, decide):
     """Make evaluate_ser count decide(rec) in place of the decoder's decisions."""
@@ -469,12 +531,16 @@ class TestEvaluate:
         names = ("enc_rec", "r1_rec", "r2_rec", "dec_rec")
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=np.random.default_rng(41))
         assert all(getattr(rec, name) is None for name in names)
+        # the attacks read the aggregates and the decoder input of such a pass
+        assert rec.k is not None and rec.d_input is not None
         with pytest.raises(MissingRecord):
             pipeline_backward(nets, rec)
         trained = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                    rng=np.random.default_rng(41), train=True)
         assert all(len(getattr(trained, name)) == len(getattr(nets, net).layers)
                    for name, net in zip(names, ("encoder", "ris1", "ris2", "decoder")))
+        # the backward reads neither
+        assert trained.k is None and trained.d_input is None
 
 
 @pytest.fixture(scope="module", params=["reference", "non_square"])
