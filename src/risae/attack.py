@@ -39,7 +39,7 @@ from .errors import AllTargetsFailed, InvariantViolation, NoProgress
 from .linalg import ls_solve
 from .neural import Network
 
-BUDGET_TOL = 1e-9
+BUDGET_RTOL = 1e-12  # a rescale onto the budget sphere rounds past it by less
 # Bisection probes of the minimal-flip search over the radius 2 ||w||: ten
 # halvings narrow it to under 1e-3 of itself (ceil(log2 1000) = 10).
 SEARCH_PROBES = 10
@@ -84,7 +84,7 @@ class PerturbationVector:
             raise ValueError("perturbation must be a vector")
         if not 0.0 < self.budget < np.inf:
             raise ValueError("budget must be finite and > 0")
-        if not self.power <= self.budget + BUDGET_TOL:
+        if not self.power <= self.budget * (1.0 + BUDGET_RTOL):
             raise InvariantViolation(f"perturbation power {self.power:.6e} exceeds "
                                      f"budget {self.budget:.6e}")
 

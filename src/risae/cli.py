@@ -11,13 +11,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from .attack import PerturbationVector, export_perturbation, rmaef, rmaep
-from .autoencoder import CHANNEL_MODES, attack_dimension, jamming
+# rmaef, rmaep: only perfbench/tests/test_tracing.py reads them here (ROADMAP item 8)
+from .attack import export_perturbation, rmaef, rmaep  # noqa: F401
+from .autoencoder import set_heap_policy
 from .config import DECIBELS
 from .errors import ConfigInvalid, CorruptCheckpoint, DegenerateInput, Diverged, MissingCheckpoint
 from .harness import (
     ATTACK_KINDS,
     PRESETS,
+    attack_vector,
     format_rows,
     load_config,
     load_system,
@@ -28,7 +30,6 @@ from .harness import (
     snr_to_sigma2,
     sweep_to_directory,
     train_system,
-    derive_rng,
 )
 
 EXIT_OK = 0
@@ -63,29 +64,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    out_dir = Path(args.out)
     print(f"[train] preset={cfg.preset} seed={cfg.seed} epochs={cfg.train.epochs}")
-    nets, ckpt = train_system(cfg, out_dir)
-    save_config(cfg, out_dir / "config.json")
+    nets, ckpt = train_system(cfg, args.out)
+    save_config(cfg, args.out / "config.json")
     print(f"[train] checkpoint written to {ckpt}")
     return EXIT_OK
 
 
 def cmd_attack(args) -> int:
     cfg = _resolve_config(args)
-    if args.mode:
-        cfg.attack.channel_mode = args.mode
+    set_heap_policy()
     sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, args.snr_db))
     nets = load_system(args.checkpoint, cfg)
     mode = cfg.attack.channel_mode
     budget = make_budget(cfg, sys_cfg, nets, mode)
-    rng = derive_rng(cfg.seed, "attack", args.kind, mode, sys_cfg.num_scatterers, args.snr_db)
-    if args.kind == "jamming":
-        values = jamming(budget.linear, 1, attack_dimension(sys_cfg, mode), rng)[0]
-        vector = PerturbationVector(values=values, budget=budget.linear)
-    else:
-        builder = {"rmaep": rmaep, "rmaef": rmaef}[args.kind]
-        vector = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode).perturbation
+    vector = attack_vector(cfg, sys_cfg, nets, args.kind, args.snr_db, budget)
     export_perturbation(args.out, vector, mode, psr_db=cfg.attack.psr_db)
     print(f"[attack] {args.kind} ({mode}) at {args.snr_db:+.1f} dB; "
           f"power {vector.power:.4e} <= budget {budget.linear:.4e}; "
@@ -95,8 +88,7 @@ def cmd_attack(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    if args.blocks is not None:
-        cfg.eval.test_blocks = args.blocks
+    set_heap_policy()
     nets = load_system(args.checkpoint, cfg)
     budget = make_budget(cfg, cfg.system, nets, cfg.attack.channel_mode)
     row = run_cell(cfg, nets, cfg.system.num_scatterers, args.snr_db, args.attack, budget)
@@ -105,19 +97,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    out_dir = Path(args.out)
     if args.from_manifest:
-        csv_path = rerun_from_manifest(args.from_manifest, out_dir, progress=args.progress)
+        csv_path = rerun_from_manifest(args.from_manifest, args.out, progress=args.progress)
         print(f"[sweep] reproduced {csv_path}")
         return EXIT_OK
     cfg = _resolve_config(args)
-    if args.checkpoint:
-        ckpt = Path(args.checkpoint)
-        nets = load_system(ckpt, cfg)
-    else:
-        print("[sweep] no checkpoint given; training first")
-        nets, ckpt = train_system(cfg, out_dir)
-    csv_path = sweep_to_directory(cfg, nets, ckpt, out_dir, progress=args.progress)
+    nets = load_system(args.checkpoint, cfg)
+    csv_path = sweep_to_directory(cfg, nets, args.checkpoint, args.out, progress=args.progress)
     print(f"[sweep] wrote {csv_path}")
     return EXIT_OK
 
@@ -140,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--kind", choices=[k for k in ATTACK_KINDS if k != "secured"],
                           required=True)
     p_attack.add_argument("--snr-db", type=snr_db, required=True)
-    p_attack.add_argument("--mode", choices=CHANNEL_MODES, default=None,
-                          help="attack channel mode override")
     p_attack.add_argument("--out", type=Path, required=True, help="perturbation CSV path")
     p_attack.set_defaults(func=cmd_attack)
 
@@ -150,16 +134,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--attack", choices=ATTACK_KINDS, default="secured")
     p_eval.add_argument("--snr-db", type=snr_db, required=True)
-    p_eval.add_argument("--blocks", type=int, default=None, help="test blocks override")
     p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="run the full SNR x benchmark grid")
     _add_common(p_sweep)
-    p_sweep.add_argument("--checkpoint", type=Path, default=None,
-                         help="trained weights; trains first when omitted")
     p_sweep.add_argument("--out", type=Path, required=True, help="output directory")
-    p_sweep.add_argument("--from-manifest", type=Path, default=None,
-                         help="reproduce a previous sweep from its manifest")
+    nets_from = p_sweep.add_mutually_exclusive_group(required=True)
+    nets_from.add_argument("--checkpoint", type=Path,
+                           help="trained weights, as `risae train` writes them")
+    nets_from.add_argument("--from-manifest", type=Path,
+                           help="reproduce a previous sweep from its manifest")
     p_sweep.add_argument("--progress", action="store_true", help="print per-cell progress")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -22,13 +22,15 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .attack import AttackBudget, AttackSettings, rmaef, rmaep
+from .attack import AttackBudget, AttackSettings, PerturbationVector, rmaef, rmaep
 from .autoencoder import (
     AttackApplication,
     AutoencoderNets,
+    attack_dimension,
     build_autoencoder,
     estimate_received_power,
     evaluate_ser,
+    jamming,
     set_heap_policy,
     train,
 )
@@ -292,6 +294,19 @@ class ResultRow:
         return (self.scatterers, self.snr_db, self.attack, self.attack_channel)
 
 
+def attack_vector(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderNets,
+                  kind: str, snr_db: float, budget: AttackBudget) -> PerturbationVector:
+    """One vector of an attack kind from its cell's stream: a jamming draw, or
+    an rmaef or rmaep construction. ``risae attack`` exports it."""
+    mode = cfg.attack.channel_mode
+    rng = derive_rng(cfg.seed, "attack", kind, mode, sys_cfg.num_scatterers, snr_db)
+    if kind == "jamming":
+        values = jamming(budget.linear, 1, attack_dimension(sys_cfg, mode), rng)[0]
+        return PerturbationVector(values=values, budget=budget.linear)
+    builder = {"rmaep": rmaep, "rmaef": rmaef}[kind]
+    return builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode).perturbation
+
+
 def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
                         nets: AutoencoderNets, kind: str, snr_db: float,
                         budget: AttackBudget) -> AttackApplication | None:
@@ -301,10 +316,8 @@ def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
         return None
     if kind == "jamming":
         return AttackApplication(channel_mode=mode, jam_budget=budget.linear)
-    rng = derive_rng(cfg.seed, "attack", kind, mode, sys_cfg.num_scatterers, snr_db)
-    builder = {"rmaep": rmaep, "rmaef": rmaef}[kind]
-    result = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode)
-    return AttackApplication(channel_mode=mode, p_adv=result.perturbation.values)
+    vector = attack_vector(cfg, sys_cfg, nets, kind, snr_db, budget)
+    return AttackApplication(channel_mode=mode, p_adv=vector.values)
 
 
 def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,

@@ -74,6 +74,17 @@ class TestPerturbationVector:
         with pytest.raises(InvariantViolation):
             PerturbationVector(np.array([complex(np.nan, 0.0), 0.0]), budget=0.1)
 
+    @pytest.mark.parametrize("budget", np.logspace(-12, 30, 22))
+    def test_budget_checked_relative_to_its_size(self, budget):
+        # an absolute tolerance of 1e-9 refused draws rescaled onto a budget
+        # of 4e7 (psr_db = 45) by rounding, and accepted 100 times a budget
+        # of 1e-12
+        draws = jamming(budget, 64, 8, np.random.default_rng(3))
+        for values in draws:
+            PerturbationVector(values, budget=budget)
+            with pytest.raises(InvariantViolation):
+                PerturbationVector(values * np.sqrt(1.0 + 1e-6), budget=budget)
+
     @pytest.mark.parametrize("budget", [np.nan, np.inf], ids=["nan", "inf"])
     def test_rejects_non_finite_budget(self, budget):
         with pytest.raises(ValueError, match="budget must be finite"):

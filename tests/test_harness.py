@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from risae.config import SystemConfig
-from risae import autoencoder, harness
+from risae import autoencoder, cli, harness
 from risae.autoencoder import estimate_received_power
 from risae.errors import (ConfigInvalid, CorruptCheckpoint, Diverged, InvariantViolation,
                           MissingCheckpoint)
@@ -650,12 +650,13 @@ class TestCli:
 
     def test_attack_exports_jamming(self, trained_tiny, tmp_path):
         cfg, _, ckpt = trained_tiny
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
+                                                                  channel_mode="double"))
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
         out = tmp_path / "jam.csv"
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                         "--kind", "jamming", "--snr-db", "4", "--mode", "double",
-                         "--out", str(out)]) == 0
+                         "--kind", "jamming", "--snr-db", "4", "--out", str(out)]) == 0
         vector, meta = load_perturbation(out)
         assert meta["channel_mode"] == "double"
         assert vector.values.shape == (cfg.system.n_t,)
@@ -670,31 +671,56 @@ class TestCli:
         # rmaep on the double channel finds no flip on this tiny system, so
         # that case compares two zero vectors
         cfg, _, ckpt = trained_tiny
+        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, channel_mode=mode))
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
         out = tmp_path / "p.csv"
         snr_db = cfg.eval.snr_sweep_db[-1]
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                         "--kind", kind, "--mode", mode, "--snr-db", str(snr_db),
-                         "--out", str(out)]) == 0
-        cell_cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
-                                                                       channel_mode=mode))
-        nets = load_system(ckpt, cell_cfg)
-        sc = cfg.system.num_scatterers
-        sys_cfg = cfg.system.replace(num_scatterers=sc,
-                                     sigma2=snr_to_sigma2(cfg.system.power, snr_db))
-        source = build_attack_source(cell_cfg, sys_cfg, nets, kind, snr_db,
-                                     make_budget(cell_cfg, sys_cfg, nets, mode))
+                         "--kind", kind, "--snr-db", str(snr_db), "--out", str(out)]) == 0
+        nets = load_system(ckpt, cfg)
+        sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, snr_db))
+        source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db,
+                                     make_budget(cfg, sys_cfg, nets, mode))
         assert np.array_equal(load_perturbation(out)[0].values, source.p_adv)
 
-    def test_exit_code_on_blocks_option_past_its_bound(self, trained_tiny, tmp_path, capsys):
+    @pytest.mark.parametrize("command, option", [("attack", "--mode=double"),
+                                                 ("eval", "--blocks=10")])
+    def test_settings_come_only_from_the_config(self, tmp_path, capsys, command, option):
+        # attack.channel_mode and eval.test_blocks had a second source in
+        # these options
+        argv = [command, "--checkpoint", str(tmp_path / "none.ckpt"), "--snr-db", "4", option]
+        if command == "attack":
+            argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sources", [[], ["--checkpoint", "w.ckpt", "--from-manifest", "m"]],
+                             ids=["neither", "both"])
+    def test_sweep_takes_its_networks_from_one_source(self, tmp_path, capsys, sources):
+        # without either the sweep trained first; given both, it ignored the
+        # checkpoint
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["sweep", "--out", str(tmp_path / "o"), *sources])
+        assert exit_.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "attack"])
+    def test_command_sets_the_heap_policy(self, trained_tiny, tmp_path, monkeypatch, command):
+        # eval and attack ran with glibc's default mmap and trim thresholds
         cfg, _, ckpt = trained_tiny
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
-        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                         "--snr-db", "4", "--blocks", "0"]) == 2
-        assert ("config error: eval.test_blocks: must be >= 1, got 0"
-                in capsys.readouterr().err)
+        calls = []
+        monkeypatch.setattr(cli, "set_heap_policy", lambda: calls.append(command))
+        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt), "--snr-db", "4"]
+        if command == "attack":
+            argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
+        assert cli_main(argv) == 0
+        assert calls == [command]
 
     def test_exit_code_on_missing_checkpoint(self, tmp_path):
         code = cli_main(["eval", "--preset", "desk", "--checkpoint",
@@ -772,7 +798,8 @@ class TestCli:
     def test_exit_code_on_config_file_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "config.json"
         bad.write_bytes(b"\xff\xfe{\x00}\x00")
-        assert cli_main(["sweep", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert cli_main(["sweep", "--config", str(bad), "--checkpoint", str(tmp_path / "w.ckpt"),
+                         "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: <file>: not valid UTF-8")
 
     def test_exit_code_on_config_error_in_sweep_worker(self, trained_tiny, tmp_path,
@@ -794,6 +821,7 @@ class TestCli:
 
     def test_train_eval_attack_sweep_flow(self, tmp_path, capsys):
         cfg = tiny_experiment()
+        cfg.eval.test_blocks = 10
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
         out = tmp_path / "run"
@@ -802,7 +830,7 @@ class TestCli:
         assert ckpt.exists()
 
         assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                         "--attack", "secured", "--snr-db", "4", "--blocks", "10"]) == 0
+                         "--attack", "secured", "--snr-db", "4"]) == 0
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed[-2] == "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 
