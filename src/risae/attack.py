@@ -311,10 +311,9 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         if not np.array_equal(rec.decisions[0], indices[0]):
             broken += 1
             continue
-        w_adv = (rec.z + rec.noise + rec.ptilde)[0]
         g_set = None if channel_mode == "ideal" else adversary_cascade_set(chan, rec.c1, rec.c2)[0]
         try:
-            outcome = pgd_minimal_perturbation(nets.decoder, cfg, w_adv, rec.k[0], pgd)
+            outcome = pgd_minimal_perturbation(nets.decoder, cfg, rec.r[0], rec.k[0], pgd)
         except AllTargetsFailed as exc:
             grad_evals += exc.grad_evals
             skipped += 1
@@ -351,7 +350,8 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         blocks, _ = random_message_blocks(cfg, 1, rng)
         chan = model.sample_batch(1, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
-        g_r = decoder_input_gradient(nets.decoder, cfg, rec.d_input, blocks)[1][0]
+        g_r = decoder_input_gradient(nets.decoder, cfg, pack_decoder_input(rec.r, rec.k),
+                                     blocks)[1][0]
         grad_evals += 1
         norm = np.linalg.norm(g_r)
         if norm == 0.0:

@@ -35,8 +35,6 @@ from .neural import (
     bce_loss,
     bce_loss_per_sample,
     conv_stack,
-    cross_entropy_loss,
-    log_loss,
 )
 
 Z_95 = 1.959963984540054
@@ -225,19 +223,17 @@ class TransmitRecord:
 class PipelineRecord(TransmitRecord):
     """Everything the backward pass and the attacks need from one forward.
 
-    A training record is consumed by its backward: it holds neither ``k`` nor
-    ``d_input``, which the backward does not read, and ``pipeline_backward``
-    sets the activation records and ``m`` to None once it has read them."""
+    ``r`` is the received signal the decoder read, z + noise plus any
+    perturbation. A training record is consumed by its backward: it holds no
+    ``k``, which the backward does not read, and ``pipeline_backward`` sets
+    the activation records and ``m`` to None once it has read them."""
 
     m: np.ndarray | None  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
     k: np.ndarray | None
-    noise: np.ndarray
-    ptilde: np.ndarray | None
-    d_input: np.ndarray | None
+    r: np.ndarray
     dec_rec: list | None
     probs: np.ndarray
     decisions: np.ndarray
-    loss_kind: str
 
 
 def transmit_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarray,
@@ -276,35 +272,21 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
 
     Noise is drawn from rng as CN(0, sigma2 I), before anything else the
     pass draws. Only a training pass, the one pipeline_backward
-    differentiates, keeps the networks' activation records, and it keeps
-    neither the aggregates K nor the decoder input; any other pass runs the
+    differentiates, keeps the networks' activation records, and it keeps no
+    aggregates K; it cannot be attacked (ValueError). Any other pass runs the
     folded networks.
     """
+    if train and attack is not None:
+        raise ValueError("a training pass cannot be attacked")
     tx = transmit_forward(nets, cfg, blocks, chan, train)
     k, m = cascade_set(chan, tx.c1, tx.c2)
-    noise = np.sqrt(sigma2) * crandn(rng, tx.z.shape)
-    r = tx.z + noise
-
-    ptilde = None
+    r = tx.z + np.sqrt(sigma2) * crandn(rng, tx.z.shape)
     if attack is not None:
-        ptilde = attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
-        r = r + ptilde
+        r = r + attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
 
-    d_input = pack_decoder_input(r, k)
-    probs, dec_rec = nets.decoder.forward(d_input, record=train)
-    decisions = probs.argmax(axis=1)
-
-    if train:
-        k = d_input = None
-    return PipelineRecord(**vars(tx), m=m, k=k, noise=noise, ptilde=ptilde, d_input=d_input,
-                          dec_rec=dec_rec, probs=probs, decisions=decisions,
-                          loss_kind=cfg.loss)
-
-
-def pipeline_loss(rec: PipelineRecord):
-    if rec.loss_kind == "ce":
-        return cross_entropy_loss(rec.probs, rec.blocks)
-    return bce_loss(rec.probs, rec.blocks)
+    probs, dec_rec = nets.decoder.forward(pack_decoder_input(r, k), record=train)
+    return PipelineRecord(**vars(tx), m=m, k=None if train else k, r=r, dec_rec=dec_rec,
+                          probs=probs, decisions=probs.argmax(axis=1))
 
 
 def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
@@ -319,10 +301,8 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     of the pass runs, and a second backward on the record raises
     MissingRecord.
     """
-    if rec.ptilde is not None:
-        raise ValueError("cannot backpropagate through an attacked forward pass")
     chan = rec.chan
-    loss, g_probs = pipeline_loss(rec)
+    loss, g_probs = bce_loss(rec.probs, rec.blocks)
 
     dec_grads, g_input = nets.decoder.backward(rec.dec_rec, g_probs)
     rec.dec_rec = None
@@ -372,17 +352,14 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
 def decoder_input_gradient(decoder: Network, cfg: SystemConfig, d_input: np.ndarray,
                            target: np.ndarray):
     """Probabilities of the folded decoder and the complex gradient G_r (B, n_r, L)
-    of its loss with respect to the received signal.
+    of its BCE loss with respect to the received signal.
 
     Each batch element gets the gradient of its own mean loss, so a batch of
     candidate target classes can be processed in one pass.
     """
     decoder = decoder.folded()
     probs, rec = decoder.forward(d_input, record=True)
-    if cfg.loss == "ce":
-        g_probs = log_loss(probs, target, "ce")[1] / probs.shape[2]  # mean over the columns
-    else:
-        g_probs = bce_loss_per_sample(probs, target)[1]
+    g_probs = bce_loss_per_sample(probs, target)[1]
     _, g_input = decoder.backward(rec, g_probs, params=False)
     return probs, channels_to_complex(g_input[:, :2 * cfg.n_r])
 

@@ -39,7 +39,7 @@ EXIT_RUN = 4
 
 
 def _resolve_config(args):
-    cfg = load_config(args.config) if args.config else PRESETS[args.preset]()
+    cfg = load_config(args.config) if args.config else PRESETS[args.preset or "desk"]()
     if args.seed is not None:
         cfg.seed = args.seed  # checked, like every config field, when assigned
     return cfg
@@ -55,10 +55,10 @@ def snr_db(text: str) -> float:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON experiment config; overrides the preset")
-    parser.add_argument("--preset", choices=sorted(PRESETS), default="desk",
-                        help="built-in configuration when no --config is given")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", type=Path, help="JSON experiment config")
+    source.add_argument("--preset", choices=sorted(PRESETS),
+                        help="built-in configuration (default: desk, when no --config is given)")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
 
 
@@ -98,6 +98,11 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.from_manifest:
+        for name in ("config", "preset", "seed"):
+            if getattr(args, name) is not None:  # the manifest holds the config and seed
+                print(f"risae sweep: error: argument --{name}: not allowed with argument "
+                      "--from-manifest", file=sys.stderr)
+                return EXIT_CONFIG
         csv_path = rerun_from_manifest(args.from_manifest, args.out, progress=args.progress)
         print(f"[sweep] reproduced {csv_path}")
         return EXIT_OK

@@ -144,7 +144,6 @@ class SystemConfig(Section):
     sigma2: float = setting(1.0, POSITIVE)
     num_scatterers: int = setting(9, COUNT)
     hidden_width: int = setting(128, COUNT, network=True)
-    loss: str = setting("bce", one_of(("bce", "ce")))  # binary or categorical cross entropy
 
     @property
     def a1(self) -> int:

@@ -311,7 +311,7 @@ class TestPgdMinimalPerturbation:
         chan = ChannelModel(cfg).sample_batch(1, rng)
         blocks, _ = random_message_blocks(cfg, 1, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
-        w = (rec.z + rec.noise)[0]
+        w = rec.r[0]
         pgd = AttackSettings(n_p=1, n_s=2)
         try:
             out = pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd)
@@ -476,7 +476,7 @@ class TestUniversalAttacks:
             blocks, _ = random_message_blocks(cfg, 1, rng)
             rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
             try:
-                pgd_minimal_perturbation(nets.decoder, cfg, (rec.z + rec.noise)[0], rec.k[0],
+                pgd_minimal_perturbation(nets.decoder, cfg, rec.r[0], rec.k[0],
                                          AttackSettings(n_s=2))
             except AllTargetsFailed:
                 pass

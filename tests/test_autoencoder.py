@@ -22,7 +22,6 @@ from risae.autoencoder import (
     pack_decoder_input,
     pipeline_backward,
     pipeline_forward,
-    pipeline_loss,
     random_message_blocks,
     train,
     transmit_forward,
@@ -32,7 +31,7 @@ from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
 from risae.harness import derive_rng, desk_preset, load_system, snr_to_sigma2
-from risae.neural import BN_EPS, AdamState, BatchNorm, Conv1D, Network, Softmax, log_loss
+from risae.neural import BN_EPS, AdamState, BatchNorm, Conv1D, Network, Softmax, bce_loss, log_loss
 
 REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
@@ -150,7 +149,7 @@ class TestTransmit:
         blocks, _ = random_message_blocks(cfg, n_blocks, rng)
         sigma2 = 0.37
         rec = pipeline_forward(nets, cfg, blocks, chan, sigma2, rng=rng)
-        assert np.mean(np.abs(rec.noise) ** 2) == pytest.approx(sigma2, rel=0.05)
+        assert np.mean(np.abs(rec.r - rec.z) ** 2) == pytest.approx(sigma2, rel=0.05)
 
     def test_superposition(self):
         # the decoder receives the noiseless block plus the noise draw
@@ -162,10 +161,22 @@ class TestTransmit:
         clean = transmit_forward(nets, cfg, blocks, chan, train=False)
         noisy = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                  rng=np.random.default_rng(60))
-        assert np.array_equal(noisy.noise, noise)
         assert np.array_equal(noisy.z, clean.z)
-        received = noisy.d_input[:, :cfg.n_r] + 1j * noisy.d_input[:, cfg.n_r:2 * cfg.n_r]
-        assert np.allclose(received, clean.z + noise, atol=1e-12)
+        assert np.array_equal(noisy.r, clean.z + noise)
+
+    @pytest.mark.parametrize("mode", ["ideal", "double"])
+    def test_record_holds_the_signal_the_decoder_read(self, mode):
+        # the attacks rebuild the decoder input of an attacked pass from r and K
+        cfg, nets = make_system(seed=61)
+        nets = nets.folded()
+        rng = np.random.default_rng(62)
+        chan = ChannelModel(cfg).sample_batch(3, rng)
+        blocks, _ = random_message_blocks(cfg, 3, rng)
+        p_adv = crandn(rng, (cfg.n_r if mode == "ideal" else cfg.n_t,))
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
+                               attack=AttackApplication(channel_mode=mode, p_adv=p_adv))
+        probs, _ = nets.decoder.forward(pack_decoder_input(rec.r, rec.k))
+        assert np.array_equal(probs, rec.probs)
 
 
 class TestDecode:
@@ -254,11 +265,9 @@ class TestForwardPipeline:
 
 
 class TestPipelineGradients:
-    @pytest.mark.parametrize("loss, dims", [("bce", {}), ("ce", {}),
-                                            ("bce", NON_SQUARE), ("ce", NON_SQUARE)],
-                             ids=["bce", "ce", "non_square-bce", "non_square-ce"])
-    def test_full_pipeline_matches_finite_differences(self, loss, dims):
-        cfg, nets = make_system(seed=14, loss=loss, **dims)
+    @pytest.mark.parametrize("dims", [{}, NON_SQUARE], ids=["bce", "non_square-bce"])
+    def test_full_pipeline_matches_finite_differences(self, dims):
+        cfg, nets = make_system(seed=14, **dims)
         rng = np.random.default_rng(15)
         model = ChannelModel(cfg)
         chan = model.sample_batch(2, rng)
@@ -270,7 +279,8 @@ class TestPipelineGradients:
                                     rng=np.random.default_rng(150), train=True)
 
         def loss_value():
-            return pipeline_loss(forward())[0]
+            rec = forward()
+            return bce_loss(rec.probs, rec.blocks)[0]
 
         rec = forward()
         _, grads = pipeline_backward(nets, rec)
@@ -296,12 +306,12 @@ class TestPipelineGradients:
                 assert rel < 1e-3, f"{net_name}/{key}: rel err {rel:.2e}"
         assert worst < 1e-3
 
-    @pytest.mark.parametrize("loss", ["bce", "ce"])
-    def test_decoder_input_gradient_is_per_sample(self, loss):
+    @pytest.mark.parametrize("dims", [{}, NON_SQUARE], ids=["bce", "non_square-bce"])
+    def test_decoder_input_gradient_is_per_sample(self, dims):
         # every rmaep and rmaef gradient comes from this: row b must be the
         # received-signal gradient of sample b's own mean loss, which a
         # weighted sum of the per-sample losses checks, weights and all
-        cfg, nets = make_system(seed=35, loss=loss)
+        cfg, nets = make_system(seed=35, **dims)
         rng = np.random.default_rng(36)
         d_input = rng.standard_normal((3, cfg.decoder_channels, cfg.block_len))
         target, _ = random_message_blocks(cfg, 3, rng)
@@ -310,10 +320,8 @@ class TestPipelineGradients:
         assert g_r.shape == (3, cfg.n_r, cfg.block_len)
 
         def weighted_loss(x):
-            terms = log_loss(nets.decoder.forward(x)[0], target, loss)[0]
-            # a column's loss: BCE averages over the classes, CE sums them
-            columns = terms.sum(axis=1) if loss == "ce" else terms.mean(axis=1)
-            return float(weights @ columns.mean(axis=1))
+            terms = log_loss(nets.decoder.forward(x)[0], target, "bce")[0]
+            return float(weights @ terms.mean(axis=(1, 2)))
 
         # Re r and Im r are the first 2 n_r decoder channels
         step = 1e-6
@@ -340,15 +348,22 @@ class TestPipelineGradients:
         with pytest.raises(MissingRecord):
             pipeline_backward(nets, rec)
 
-    def test_backward_refuses_attacked_record(self):
+    def test_training_pass_refuses_an_attack(self):
+        # the backward treats the received signal as z + noise; the pass
+        # refuses before it draws or updates a BatchNorm statistic
         cfg, nets = make_system(seed=16)
         rng = np.random.default_rng(17)
         chan = ChannelModel(cfg).sample_batch(1, rng)
         blocks, _ = random_message_blocks(cfg, 1, rng)
         attack = AttackApplication(channel_mode="ideal", p_adv=np.ones(cfg.n_r, dtype=complex))
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=attack)
-        with pytest.raises(ValueError):
-            pipeline_backward(nets, rec)
+        state = rng.bit_generator.state
+        before = {key: value.copy() for key, value in nets.encoder.params().items()}
+        with pytest.raises(ValueError, match="training pass cannot be attacked"):
+            pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=attack,
+                             train=True)
+        assert rng.bit_generator.state == state
+        assert all(np.array_equal(value, before[key])
+                   for key, value in nets.encoder.params().items())
 
     def test_shape_validation(self):
         cfg, nets = make_system(seed=18)
@@ -531,16 +546,17 @@ class TestEvaluate:
         names = ("enc_rec", "r1_rec", "r2_rec", "dec_rec")
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=np.random.default_rng(41))
         assert all(getattr(rec, name) is None for name in names)
-        # the attacks read the aggregates and the decoder input of such a pass
-        assert rec.k is not None and rec.d_input is not None
+        # the attacks read the aggregates of such a pass; no record keeps
+        # the decoder input, which r and k rebuild
+        assert rec.k is not None and not hasattr(rec, "d_input")
         with pytest.raises(MissingRecord):
             pipeline_backward(nets, rec)
         trained = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                    rng=np.random.default_rng(41), train=True)
         assert all(len(getattr(trained, name)) == len(getattr(nets, net).layers)
                    for name, net in zip(names, ("encoder", "ris1", "ris2", "decoder")))
-        # the backward reads neither
-        assert trained.k is None and trained.d_input is None
+        # the backward does not read the aggregates
+        assert trained.k is None and not hasattr(trained, "d_input")
 
 
 @pytest.fixture(scope="module", params=["reference", "non_square"])

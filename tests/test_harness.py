@@ -81,7 +81,7 @@ REFUSED = {
     ("system", "n_t"): 0, ("system", "n_r"): 0, ("system", "a1_v"): 0, ("system", "a1_h"): 0,
     ("system", "a2_v"): 0, ("system", "a2_h"): 0, ("system", "m"): 1,
     ("system", "block_len"): 0, ("system", "power"): 0.0, ("system", "sigma2"): 0.0,
-    ("system", "num_scatterers"): 0, ("system", "hidden_width"): 0, ("system", "loss"): "mse",
+    ("system", "num_scatterers"): 0, ("system", "hidden_width"): 0,
     ("train", "snr_db"): 300.5, ("train", "epochs"): 0, ("train", "learning_rate"): 0.0,
     ("train", "batch_blocks"): 0, ("train", "train_symbols"): 0,
     ("eval", "snr_sweep_db"): (4.0, 0.0), ("eval", "test_blocks"): 0,
@@ -707,6 +707,36 @@ class TestCli:
         assert exit_.value.code == 2
         assert "--checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("option", [["--config", "c.json"], ["--preset", "paper"],
+                                        ["--seed", "3"]], ids=["config", "preset", "seed"])
+    def test_manifest_rerun_refuses_what_it_would_ignore(self, trained_tiny, tmp_path, capsys,
+                                                         option):
+        # the rerun takes its config and seed from the manifest; given one of
+        # these, it exited 0 with the manifest's results
+        cfg, nets, ckpt = trained_tiny
+        sweep_to_directory(cfg, nets, ckpt, tmp_path / "first")
+        assert cli_main(["sweep", "--from-manifest", str(tmp_path / "first" / "manifest.json"),
+                         *option, "--out", str(tmp_path / "o")]) == 2
+        assert (f"argument {option[0]}: not allowed with argument --from-manifest"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, rest", [
+        ("train", ["--out", "o"]),
+        ("eval", ["--checkpoint", "w.ckpt", "--snr-db", "4"]),
+        ("attack", ["--checkpoint", "w.ckpt", "--kind", "jamming", "--snr-db", "4",
+                    "--out", "p.csv"]),
+        ("sweep", ["--checkpoint", "w.ckpt", "--out", "o"])],
+        ids=["train", "eval", "attack", "sweep"])
+    def test_config_and_preset_exclude_each_other(self, tmp_path, capsys, monkeypatch,
+                                                  command, rest):
+        # the preset was ignored next to a config file
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            cli_main([command, "--config", "c.json", "--preset", "paper", *rest])
+        assert exit_.value.code == 2
+        assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "attack"])
     def test_command_sets_the_heap_policy(self, trained_tiny, tmp_path, monkeypatch, command):
