@@ -188,14 +188,12 @@ def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray) -> np.nda
 class PgdOutcome:
     """Result of the minimal-perturbation search on one decoder input.
 
-    p_add is eps_star times the unit clean-signal gradient toward the chosen
-    target; subtracting it from the received block (the descent direction of
-    the walk) realizes the flip.
+    p_add is the smallest flipping radius times the unit clean-signal
+    gradient toward the class it flips to; subtracting it from the received
+    block (the descent direction of the walk) realizes the flip.
     """
 
     p_add: np.ndarray
-    target: int
-    eps_star: float
     grad_evals: int
 
 
@@ -274,8 +272,7 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     per_class_eps = np.where(success, hi, np.inf)
     target = int(np.argmin(per_class_eps))
     eps_star = float(per_class_eps[target])
-    return PgdOutcome(p_add=eps_star * g_clean[target], target=target, eps_star=eps_star,
-                      grad_evals=grad_evals)
+    return PgdOutcome(p_add=eps_star * g_clean[target], grad_evals=grad_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +321,8 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         p_adv = enforce_power(p_adv + delta, linear_budget)
         flips += 1
 
-    if flips == 0 and broken == 0:
-        warnings.warn(NoProgress("no probe produced a successful flip or break"))
+    if flips == 0:
+        warnings.warn(NoProgress("no probe produced a flip, so the vector is zero"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
                         iterations=pgd.n_p, flips_found=flips, already_broken=broken,
                         skipped=skipped, grad_evals=grad_evals)

@@ -492,7 +492,6 @@ class SerEstimate:
 
     ser: float
     ci_halfwidth: float
-    errors: int
     symbols: int
 
 
@@ -520,8 +519,7 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
         errors += int((decisions != indices).sum())
         total += n * cfg.block_len
     low, high = wilson_interval(errors, total)
-    return SerEstimate(ser=errors / total, ci_halfwidth=(high - low) / 2.0,
-                       errors=errors, symbols=total)
+    return SerEstimate(ser=errors / total, ci_halfwidth=(high - low) / 2.0, symbols=total)
 
 
 def estimate_received_power(nets: AutoencoderNets, cfg: SystemConfig, num_blocks: int,

@@ -64,7 +64,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    print(f"[train] preset={cfg.preset} seed={cfg.seed} epochs={cfg.train.epochs}")
+    print(f"[train] seed={cfg.seed} epochs={cfg.train.epochs}")
     nets, ckpt = train_system(cfg, args.out)
     save_config(cfg, args.out / "config.json")
     print(f"[train] checkpoint written to {ckpt}")
@@ -78,10 +78,13 @@ def cmd_attack(args) -> int:
     nets = load_system(args.checkpoint, cfg)
     mode = cfg.attack.channel_mode
     budget = make_budget(cfg, sys_cfg, nets, mode)
-    vector = attack_vector(cfg, sys_cfg, nets, args.kind, args.snr_db, budget)
-    export_perturbation(args.out, vector, mode, psr_db=cfg.attack.psr_db)
+    result = attack_vector(cfg, sys_cfg, nets, args.kind, args.snr_db, budget)
+    export_perturbation(args.out, result.perturbation, mode, psr_db=cfg.attack.psr_db)
     print(f"[attack] {args.kind} ({mode}) at {args.snr_db:+.1f} dB; "
-          f"power {vector.power:.4e} <= budget {budget.linear:.4e}; "
+          f"{result.iterations} probes: {result.flips_found} refined the vector, "
+          f"{result.already_broken} already broken, {result.skipped} skipped; "
+          f"{result.grad_evals} decoder gradients; "
+          f"power {result.perturbation.power:.4e} <= budget {budget.linear:.4e}; "
           f"wrote {args.out}")
     return EXIT_OK
 
@@ -128,8 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack = sub.add_parser("attack", help="construct a perturbation and export it")
     _add_common(p_attack)
     p_attack.add_argument("--checkpoint", type=Path, required=True)
-    p_attack.add_argument("--kind", choices=[k for k in ATTACK_KINDS if k != "secured"],
-                          required=True)
+    p_attack.add_argument("--kind", choices=["rmaef", "rmaep"], required=True)
     p_attack.add_argument("--snr-db", type=snr_db, required=True)
     p_attack.add_argument("--out", type=Path, required=True, help="perturbation CSV path")
     p_attack.set_defaults(func=cmd_attack)

@@ -22,15 +22,13 @@ from pathlib import Path
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .attack import AttackBudget, AttackSettings, PerturbationVector, rmaef, rmaep
+from .attack import AttackBudget, AttackResult, AttackSettings, rmaef, rmaep
 from .autoencoder import (
     AttackApplication,
     AutoencoderNets,
-    attack_dimension,
     build_autoencoder,
     estimate_received_power,
     evaluate_ser,
-    jamming,
     set_heap_policy,
     train,
 )
@@ -85,7 +83,6 @@ class ExperimentConfig(Section):
         (9,), ((lambda v: len(v) > 0 and min(v) >= 1 and len(set(v)) == len(v)),
                "must be a non-empty list of positive counts, none repeated"))
     seed: int = setting(20240810, ((lambda v: 0 <= v < 2 ** 64), "must lie in [0, 2**64)"))
-    preset: str = "custom"
 
 
 # -- presets and the JSON round trip ----------------------------------------
@@ -99,7 +96,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def desk_preset(seed: int = ExperimentConfig.seed) -> ExperimentConfig:
     """The declared defaults: a uniformly scaled-down system that trains in
     minutes on a CPU."""
-    return config_from_dict({"seed": seed, "preset": "desk"})
+    return config_from_dict({"seed": seed})
 
 
 def paper_preset(seed: int = ExperimentConfig.seed) -> ExperimentConfig:
@@ -111,7 +108,6 @@ def paper_preset(seed: int = ExperimentConfig.seed) -> ExperimentConfig:
         "train": {"epochs": 1000, "train_symbols": 100_000},
         "eval": {"snr_sweep_db": [-8.0, -4.0, 0.0, 4.0, 8.0], "test_blocks": 10_000},
         "seed": seed,
-        "preset": "paper",
     })
 
 
@@ -184,8 +180,7 @@ def train_system(cfg: ExperimentConfig, out_dir) -> tuple[AutoencoderNets, Path]
                    batch_blocks=cfg.train.batch_blocks)
     ckpt_path = out_dir / "weights.ckpt"
     save_checkpoint(ckpt_path, nets.as_dict(),
-                    meta={"system": asdict(sys_cfg), "seed": cfg.seed,
-                          "train": asdict(cfg.train), "preset": cfg.preset})
+                    meta={"system": asdict(sys_cfg), "seed": cfg.seed, "train": asdict(cfg.train)})
     log_path = out_dir / "training_log.csv"
     with open(log_path, "w", encoding="utf-8") as fh:
         fh.write("epoch,loss,wall_seconds\n")
@@ -295,16 +290,13 @@ class ResultRow:
 
 
 def attack_vector(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderNets,
-                  kind: str, snr_db: float, budget: AttackBudget) -> PerturbationVector:
-    """One vector of an attack kind from its cell's stream: a jamming draw, or
-    an rmaef or rmaep construction. ``risae attack`` exports it."""
+                  kind: str, snr_db: float, budget: AttackBudget) -> AttackResult:
+    """The rmaef or rmaep construction of a cell, from its stream; ``risae
+    attack`` exports its vector."""
     mode = cfg.attack.channel_mode
     rng = derive_rng(cfg.seed, "attack", kind, mode, sys_cfg.num_scatterers, snr_db)
-    if kind == "jamming":
-        values = jamming(budget.linear, 1, attack_dimension(sys_cfg, mode), rng)[0]
-        return PerturbationVector(values=values, budget=budget.linear)
     builder = {"rmaep": rmaep, "rmaef": rmaef}[kind]
-    return builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode).perturbation
+    return builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode)
 
 
 def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
@@ -316,8 +308,8 @@ def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
         return None
     if kind == "jamming":
         return AttackApplication(channel_mode=mode, jam_budget=budget.linear)
-    vector = attack_vector(cfg, sys_cfg, nets, kind, snr_db, budget)
-    return AttackApplication(channel_mode=mode, p_adv=vector.values)
+    result = attack_vector(cfg, sys_cfg, nets, kind, snr_db, budget)
+    return AttackApplication(channel_mode=mode, p_adv=result.perturbation.values)
 
 
 def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,

@@ -412,13 +412,8 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> None:
-    """Standard Adam update with bias correction; updates params in place.
-
-    Each parameter is updated in place through two scratch buffers, with the
-    operations of the textbook expression in its order:
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g,
-    p -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps).
-    """
+    """Standard Adam update with bias correction; updates params and both
+    moments in place."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
@@ -429,20 +424,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if key not in state.m:  # both moments start at zero
             state.m[key], state.v[key] = np.zeros_like(p), np.zeros_like(p)
         m, v = state.m[key], state.v[key]
-        update = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += update
-        denom = np.multiply(g, 1.0 - b2)
-        denom *= g
+        m += (1.0 - b1) * g
         v *= b2
-        v += denom
-        np.divide(v, 1.0 - b2 ** t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, 1.0 - b1 ** t, out=update)
-        update *= state.lr
-        update /= denom
-        p -= update
+        v += (1.0 - b2) * g * g
+        p -= state.lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

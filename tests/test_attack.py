@@ -32,7 +32,7 @@ from risae.autoencoder import (
 )
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
-from risae.errors import AllTargetsFailed, InvariantViolation
+from risae.errors import AllTargetsFailed, InvariantViolation, NoProgress
 from risae.neural import BatchNorm, Conv1D, Network, PowerNorm, ReLU, Softmax
 
 
@@ -250,16 +250,16 @@ def linear_toy_decoder(bias=0.0):
     return Network([conv, Softmax()])
 
 
-def ray_flips_to_target(decoder, w, k_set, out):
-    """Whether w - p_add decodes to a changed decision whose majority is the
-    reported target, on a one-symbol toy block."""
+def ray_flips_to_target(decoder, w, k_set, out, target):
+    """Whether w - p_add decodes to a changed decision whose majority is
+    target, on a one-symbol toy block."""
     def decide(r):
         d_in = np.array([r[0, 0].real, r[0, 0].imag,
                          k_set[0, 0, 0].real, k_set[0, 0, 0].imag]).reshape(1, 4, 1)
         return decoder.forward(d_in)[0][0].argmax(axis=0)
 
     flipped = decide(w - out.p_add)
-    return (flipped == out.target).sum() * 2 > flipped.size and (flipped != decide(w)).any()
+    return (flipped == target).sum() * 2 > flipped.size and (flipped != decide(w)).any()
 
 
 def toy_cfg():
@@ -275,9 +275,9 @@ class TestPgdMinimalPerturbation:
         k_set = np.array([[[0.7 + 0.2j]]])
         pgd = AttackSettings(n_p=1, n_s=1)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
-        assert out.target == 1
-        assert abs(out.eps_star - 1.3) <= 2e-3
-        assert ray_flips_to_target(decoder, w, k_set, out)
+        # p_add is the flipping radius along a unit gradient
+        assert abs(np.linalg.norm(out.p_add) - 1.3) <= 2e-3
+        assert ray_flips_to_target(decoder, w, k_set, out, target=1)
 
     def test_flip_contract_and_probe_count(self):
         decoder = linear_toy_decoder()
@@ -287,9 +287,9 @@ class TestPgdMinimalPerturbation:
         pgd = AttackSettings(n_p=1, n_s=1)
         out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
-        assert out.eps_star <= 2.0 * np.abs(w).item()
-        # w - p_add flips the decision to the reported target
-        assert ray_flips_to_target(decoder, w, k_set, out)
+        assert np.linalg.norm(out.p_add) <= 2.0 * np.abs(w).item()
+        # w - p_add flips the decision to the other class
+        assert ray_flips_to_target(decoder, w, k_set, out, target=1)
 
     def test_all_targets_failed(self):
         # the boundary Re(r) = -2.5 lies 3.8 from w, past the radius 2 ||w|| = 2.6
@@ -331,13 +331,15 @@ class TestPgdMinimalPerturbation:
                             lambda x, record=False: forwards.append(len(x)) or original(x, record))
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.4j]])
+        k_set = np.array([[[0.7 + 0.2j]]])
         pgd = AttackSettings(n_p=1, n_s=n_s)
         try:
-            out = pgd_minimal_perturbation(decoder, cfg, w, np.array([[[0.7 + 0.2j]]]), pgd)
-            assert bias == 0.0 and out.target == 1
+            out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         except AllTargetsFailed:
-            assert bias > 0.0
+            out = None
         assert forwards == [cfg.m] * (1 + SEARCH_PROBES * n_s)
+        assert (out is None) == (bias > 0.0)
+        assert out is None or ray_flips_to_target(decoder, w, k_set, out, target=1)
 
     def test_binary_search_interval_width(self):
         decoder = linear_toy_decoder()
@@ -351,7 +353,7 @@ class TestPgdMinimalPerturbation:
         # 1e-3 of the radius, and holds the 0.6 margin from above
         radius = 2.0 * np.abs(w).item()
         assert 2.0 ** -SEARCH_PROBES <= 1e-3
-        assert 0.6 < out.eps_star <= 0.6 + radius / 2 ** SEARCH_PROBES
+        assert 0.6 < np.linalg.norm(out.p_add) <= 0.6 + radius / 2 ** SEARCH_PROBES
 
 
 class TestUniversalAttacks:
@@ -406,6 +408,17 @@ class TestUniversalAttacks:
         assert result.skipped == len(searches) >= 1 and result.flips_found == 0
         assert result.skipped + result.already_broken == pgd.n_p
         assert result.grad_evals == 7 * len(searches)
+        assert not result.perturbation.values.any()
+
+    def test_rmaep_warns_when_every_probe_is_already_broken(self):
+        # an untrained system decodes no probe cleanly, so no search runs and
+        # the vector stays zero, which the caller must hear about
+        cfg, nets = self._system()
+        pgd = AttackSettings(n_p=4, n_s=1, channel_mode="ideal")
+        with pytest.warns(NoProgress):
+            result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
+                           np.random.default_rng(15), channel_mode="ideal")
+        assert result.already_broken == pgd.n_p
         assert not result.perturbation.values.any()
 
     def test_result_accounts_for_every_probe(self):

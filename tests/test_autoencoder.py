@@ -499,8 +499,7 @@ class TestEvaluate:
         cfg, nets = make_system(seed=28)
         replace_decisions(monkeypatch, lambda rec: rec.blocks.argmax(axis=1))
         est = evaluate_ser(nets, cfg, None, num_blocks=50, rng=np.random.default_rng(29))
-        assert est.ser == 0.0
-        assert est.errors == 0
+        assert est.ser == 0
 
     def test_uniform_random_decider(self, monkeypatch):
         cfg, nets = make_system(seed=30)

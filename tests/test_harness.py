@@ -22,6 +22,7 @@ from risae.harness import (
     ExperimentConfig,
     ResultRow,
     TrainSettings,
+    attack_vector,
     build_attack_source,
     config_from_dict,
     derive_rng,
@@ -89,7 +90,6 @@ REFUSED = {
     ("attack", "channel_mode"): "bogus",
     ("", "system"): 5, ("", "train"): {}, ("", "eval"): None, ("", "attack"): "attack",
     ("", "attacks"): ("secured", "secured"), ("", "scatterers"): (0,), ("", "seed"): -1,
-    ("", "preset"): 7,
 }
 
 
@@ -603,6 +603,16 @@ class TestCli:
         assert cli_main(["train", "--config", str(old), "--out", str(tmp_path / "o")]) == 2
         assert f"config error: system.{name}: unknown field" in capsys.readouterr().err
 
+    def test_exit_code_on_preset_key(self, tmp_path, capsys):
+        # the field selected nothing: {"preset": "paper"} trained the system
+        # the file declared and recorded it as "paper"; --preset selects one
+        data = dataclasses.asdict(tiny_experiment())
+        data["preset"] = "paper"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        assert cli_main(["train", "--config", str(old), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: preset: unknown field" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
                              ids=["nan", "inf", "huge-int"])
     @pytest.mark.parametrize("section, name, wrap", [
@@ -629,7 +639,7 @@ class TestCli:
         argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
                 f"--snr-db={value}"]
         if command == "attack":
-            argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
+            argv += ["--kind", "rmaef", "--out", str(tmp_path / "p.csv")]
         with pytest.raises(SystemExit) as exit_:
             cli_main(argv)
         assert exit_.value.code == 2
@@ -648,19 +658,30 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 2
         assert f"config error: {name}: " in capsys.readouterr().err
 
-    def test_attack_exports_jamming(self, trained_tiny, tmp_path):
+    def test_attack_refuses_jamming(self, tmp_path, capsys):
+        # the exported jamming draw was a vector no sweep cell evaluates: the
+        # jamming cell draws a fresh vector per block
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["attack", "--checkpoint", str(tmp_path / "none.ckpt"), "--kind", "jamming",
+                      "--snr-db", "4", "--out", str(tmp_path / "p.csv")])
+        assert exit_.value.code == 2
+        assert "argument --kind: invalid choice: 'jamming'" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_attack_line_reports_the_counts(self, trained_tiny, tmp_path, capsys):
+        # the construction's counts were dropped on the way to the export
         cfg, _, ckpt = trained_tiny
-        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack,
-                                                                  channel_mode="double"))
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
-        out = tmp_path / "jam.csv"
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                         "--kind", "jamming", "--snr-db", "4", "--out", str(out)]) == 0
-        vector, meta = load_perturbation(out)
-        assert meta["channel_mode"] == "double"
-        assert vector.values.shape == (cfg.system.n_t,)
-        assert vector.power == pytest.approx(meta["budget"], rel=1e-12)
+                         "--kind", "rmaep", "--snr-db", "4", "--out", str(tmp_path / "p.csv")]) == 0
+        nets = load_system(ckpt, cfg)
+        sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, 4.0))
+        r = attack_vector(cfg, sys_cfg, nets, "rmaep", 4.0,
+                          make_budget(cfg, sys_cfg, nets, cfg.attack.channel_mode))
+        assert (f"; {r.iterations} probes: {r.flips_found} refined the vector, "
+                f"{r.already_broken} already broken, {r.skipped} skipped; "
+                f"{r.grad_evals} decoder gradients; " in capsys.readouterr().out)
 
     @pytest.mark.parametrize("mode", ["ideal", "double"])
     @pytest.mark.parametrize("kind", ["rmaep", "rmaef"])
@@ -691,7 +712,7 @@ class TestCli:
         # these options
         argv = [command, "--checkpoint", str(tmp_path / "none.ckpt"), "--snr-db", "4", option]
         if command == "attack":
-            argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
+            argv += ["--kind", "rmaef", "--out", str(tmp_path / "p.csv")]
         with pytest.raises(SystemExit) as exit_:
             cli_main(argv)
         assert exit_.value.code == 2
@@ -725,7 +746,7 @@ class TestCli:
     @pytest.mark.parametrize("command, rest", [
         ("train", ["--out", "o"]),
         ("eval", ["--checkpoint", "w.ckpt", "--snr-db", "4"]),
-        ("attack", ["--checkpoint", "w.ckpt", "--kind", "jamming", "--snr-db", "4",
+        ("attack", ["--checkpoint", "w.ckpt", "--kind", "rmaef", "--snr-db", "4",
                     "--out", "p.csv"]),
         ("sweep", ["--checkpoint", "w.ckpt", "--out", "o"])],
         ids=["train", "eval", "attack", "sweep"])
@@ -748,7 +769,7 @@ class TestCli:
         monkeypatch.setattr(cli, "set_heap_policy", lambda: calls.append(command))
         argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt), "--snr-db", "4"]
         if command == "attack":
-            argv += ["--kind", "jamming", "--out", str(tmp_path / "p.csv")]
+            argv += ["--kind", "rmaef", "--out", str(tmp_path / "p.csv")]
         assert cli_main(argv) == 0
         assert calls == [command]
 

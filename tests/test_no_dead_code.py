@@ -5,9 +5,10 @@ or property of one of its classes, counts as used when its name is loaded or
 imported anywhere in ``src/risae/`` or ``perfbench/``, or spelled as a string
 constant in ``src/risae/``. Strings in ``perfbench/`` do not count: the
 benchmark wraps functions by name, and a function that only its wrap table
-names is still one nothing calls. A config field counts as used when it is
-read as an attribute in either place, and a parameter of a function or
-method when its body reads it. Tests do not count: nothing in ``src/``
+names is still one nothing calls. A config field, and any other dataclass
+field, counts as used when it is read as an attribute in either place,
+outside its class's ``__post_init__`` check, and a parameter of a function
+or method when its body reads it. Tests do not count: nothing in ``src/``
 should exist only so that a test can call it.
 """
 
@@ -118,10 +119,21 @@ def config_fields(cls, path: str = "") -> list[str]:
 
 
 def attributes_read() -> set[str]:
+    """Attribute names loaded in src/risae or perfbench, not counting the
+    loads in a ``__post_init__``: a field only its own class's check reads
+    carries nothing to a reader."""
     read = set()
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
     for path in PROGRAM_FILES:
-        read |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        visit(ast.parse(path.read_text(encoding="utf-8")))
     return read
 
 
@@ -131,6 +143,30 @@ def test_every_config_field_is_read_by_the_program():
     unread = [where for where in config_fields(ExperimentConfig)
               if where.rsplit(".", 1)[-1] not in read]
     assert not unread, f"config fields no code in src/risae or perfbench reads: {unread}"
+
+
+# -- dataclass fields ---------------------------------------------------------
+
+def dataclass_fields(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, field) of every annotated field of the module's dataclasses."""
+    out = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            out.extend((cls.name, node.target.id) for node in cls.body
+                       if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name))
+    return out
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    # a result field that only tests read is bookkeeping no run reports
+    read = attributes_read()
+    unread = [f"{path.stem}.{cls}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+              for cls, name in dataclass_fields(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in read]
+    assert not unread, f"dataclass fields no code in src/risae or perfbench reads: {unread}"
 
 
 # -- parameters ---------------------------------------------------------------
