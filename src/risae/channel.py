@@ -13,6 +13,7 @@ realizations can be produced concurrently from independent streams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,30 +135,34 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
 # per-block realizations
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ChannelBatch:
     """A batch of independent coherence-block realizations.
 
-    Each field holds a (batch, rows, cols) array; links are static within a
-    block, so one matrix per block serves every symbol of it.
-    Legitimate links: u1 (A1 x N_t), u2 (A2 x N_t), y1 (N_r x A1),
+    Each link of LINK_ENDS reads as a (batch, rows, cols) array; links are
+    static within a block, so one matrix per block serves every symbol of
+    it. Legitimate links: u1 (A1 x N_t), u2 (A2 x N_t), y1 (N_r x A1),
     y2 (N_r x A2), e (A2 x A1). Adversary links carry a 'p' suffix; note
-    ep is A1 x A2 (the reverse inter-surface direction).
+    ep is A1 x A2 (the reverse inter-surface direction). Each link is given
+    as a function of no arguments that builds it on its first read, so the
+    adversary links, which only the double attack channel reads, are
+    otherwise never built.
     """
 
-    u1: np.ndarray
-    u2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    e: np.ndarray
-    u1p: np.ndarray
-    u2p: np.ndarray
-    y1p: np.ndarray
-    y2p: np.ndarray
-    ep: np.ndarray
+    def __init__(self, **builders):
+        if builders.keys() != LINK_ENDS.keys():
+            raise TypeError(f"a channel batch takes the links {list(LINK_ENDS)}, got {list(builders)}")
+        self._builders = builders
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        builder = self.__dict__.get("_builders", {}).pop(name, None)
+        if builder is None:
+            raise AttributeError(name)
+        link = builder()
+        setattr(self, name, link)
+        return link
 
     def __len__(self) -> int:
-        return self.u1.shape[0]
+        return len(self.u1)
 
 
 class ChannelModel:
@@ -182,20 +187,29 @@ class ChannelModel:
 
     # -- LoS -----------------------------------------------------------------
 
-    def _los_batch(self, name: str, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Batch of rank-one LoS matrices with fresh uniform angles per block.
-
-        Azimuths are uniform on [-pi, pi), elevations on [-pi/2, pi/2]; each
-        link draws its own arrival (row) and departure (column) angle set.
-        """
+    def _los_batch(self, name: str, az: np.ndarray, el: np.ndarray) -> np.ndarray:
+        """Batch of rank-one LoS matrices, one per row of the (n, 2) azimuths
+        and elevations: column 0 holds the link's arrival (row array) angles,
+        column 1 its departure (column array) angles."""
         rows, cols = LINK_ENDS[name]
-        az = rng.uniform(-np.pi, np.pi, size=(n, 2))
-        el = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, 2))
         rx = steering_upa(self._geom[rows], az[:, 0], el[:, 0])
         tx = steering_upa(self._geom[cols], az[:, 1], el[:, 1])
         return rx[:, :, None] * tx[:, None, :]
 
     # -- sampling ------------------------------------------------------------
+
+    def _link(self, name: str, az: np.ndarray, el: np.ndarray, q: np.ndarray,
+              p: np.ndarray) -> np.ndarray:
+        """One link of a batch from the draws ``sample_batch`` took for it."""
+        rows, cols = LINK_ENDS[name]
+        n, sc = len(az), self.cfg.num_scatterers
+        w_los = np.sqrt(OMEGA) * np.sqrt(KAPPA / (KAPPA + 1.0))
+        w_nlos = np.sqrt(OMEGA) * np.sqrt(1.0 / (KAPPA + 1.0))
+        # Q R_sc^0.5 and P R_tx^0.5 as one GEMM each over the stacked blocks
+        q = (q @ self._f["sc"]).reshape(n, -1, sc)
+        p = (p @ self._f[cols]).reshape(n, sc, -1)
+        nlos = self._f[rows] @ q @ p / np.sqrt(sc)
+        return w_los * self._los_batch(name, az, el) + w_nlos * nlos
 
     def sample_batch(self, n: int, rng: np.random.Generator) -> ChannelBatch:
         """Draw n independent coherence-block realizations.
@@ -205,24 +219,17 @@ class ChannelModel:
         SC^-0.5 R_rx^0.5 Q R_sc^0.5 P R_tx^0.5,
         where R_rx belongs to the link's row (receive) array and R_tx to its
         column (transmit) array, and Q (N_rx x SC) and P (SC x N_tx) hold
-        i.i.d. CN(0, 1) entries, so the NLoS part has rank at most SC. Per link
-        (in LINK_ENDS order): LoS angles first, then Q, then P.
+        i.i.d. CN(0, 1) entries, so the NLoS part has rank at most SC. Every
+        draw is taken here, per link (in LINK_ENDS order): LoS azimuths,
+        uniform on [-pi, pi), and elevations, on [-pi/2, pi/2], first, then
+        Q, then P. A link is built from its draws on its first read.
         """
-        cfg = self.cfg
-        sc = cfg.num_scatterers
-        k = KAPPA
-        w_los = np.sqrt(OMEGA) * np.sqrt(k / (k + 1.0))
-        w_nlos = np.sqrt(OMEGA) * np.sqrt(1.0 / (k + 1.0))
-        f_sc = self._f["sc"]
-        links = {}
+        sc = self.cfg.num_scatterers
+        builders = {}
         for name, (rows, cols) in LINK_ENDS.items():
-            los = self._los_batch(name, n, rng)
-            f_rx = self._f[rows]
-            f_tx = self._f[cols]
-            # Q R_sc^0.5 and P R_tx^0.5 as one GEMM each over the stacked blocks
-            q = (crandn(rng, (n * f_rx.shape[0], sc)) @ f_sc).reshape(n, -1, sc)
-            p = (crandn(rng, (n * sc, f_tx.shape[0])) @ f_tx).reshape(n, sc, -1)
-            nlos = f_rx @ q @ p / np.sqrt(sc)
-            links[name] = w_los * los + w_nlos * nlos
-        return ChannelBatch(**links)
-
+            az = rng.uniform(-np.pi, np.pi, size=(n, 2))
+            el = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, 2))
+            q = crandn(rng, (n * self._f[rows].shape[0], sc))
+            p = crandn(rng, (n * sc, self._f[cols].shape[0]))
+            builders[name] = functools.partial(self._link, name, az, el, q, p)
+        return ChannelBatch(**builders)

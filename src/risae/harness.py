@@ -15,6 +15,7 @@ import json
 import os
 import shutil
 import time
+import warnings
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -358,10 +359,16 @@ def _init_sweep_worker(cfg: ExperimentConfig, nets: AutoencoderNets) -> None:
 
 def _sweep_cell(scatterers: int, snr_db: float, kind: str,
                 budget: AttackBudget) -> tuple[ResultRow, float]:
-    """One cell in a sweep worker, with its wall time in seconds."""
+    """One cell in a sweep worker, with its wall time in seconds. A warning of
+    the cell is raised again naming it, which a worker's stderr does not."""
     cfg, nets = _sweep_state
     started = time.perf_counter()
-    row = run_cell(cfg, nets, scatterers, snr_db, kind, budget)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = run_cell(cfg, nets, scatterers, snr_db, kind, budget)
+    for w in caught:
+        warnings.warn(f"sc={scatterers} snr={snr_db:+.1f} dB {kind} "
+                      f"({cfg.attack.channel_mode} attack channel): {w.message}", w.category)
     return row, time.perf_counter() - started
 
 

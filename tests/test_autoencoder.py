@@ -31,7 +31,8 @@ from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
 from risae.harness import derive_rng, desk_preset, load_system, snr_to_sigma2
-from risae.neural import BN_EPS, AdamState, BatchNorm, Conv1D, Network, Softmax, bce_loss, log_loss
+from risae.neural import (BN_EPS, INFERENCE_ROWS, AdamState, BatchNorm, Conv1D, Layer, Network,
+                          Softmax, bce_loss, log_loss)
 
 REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
@@ -578,7 +579,7 @@ def system(request):
     return cfg, nets
 
 
-class AffineBatchNorm:
+class AffineBatchNorm(Layer):
     """A BatchNorm at inference, unfolded: γ(x − μ)/sqrt(σ² + eps) + β with
     the running estimates μ and σ², and its input gradient."""
 
@@ -651,6 +652,58 @@ class TestFolded:
                 assert np.shares_memory(conv._weight_matrix(), conv.weight)
                 assert not any(np.shares_memory(conv.weight, p) or np.shares_memory(conv.bias, p)
                                for p in params.values())
+
+
+def one_pass(net, x):
+    """The folded layers of net over the whole batch at once."""
+    for layer in net.folded().layers:
+        x, _ = layer.forward(x)
+    return x
+
+
+def layout(a):
+    """Whether a is C-ordered, and whether it is channels-last: the transpose
+    of a C-ordered (batch, length, channels) array."""
+    return a.flags.c_contiguous, a.transpose(0, 2, 1).flags.c_contiguous
+
+
+# batch sizes in blocks, as functions of the blocks in one inference slice
+SLICED_BATCHES = {"one_block": lambda step: 1, "slice_minus_one": lambda step: step - 1,
+                  "one_slice": lambda step: step, "slice_plus_one": lambda step: step + 1,
+                  "two_and_a_half_slices": lambda step: 5 * step // 2}
+
+
+class TestSlicedInference:
+    """A forward without a record runs the folded layers slice by slice."""
+
+    @pytest.mark.parametrize("batch", list(SLICED_BATCHES))
+    def test_unrecorded_forward_equals_one_pass(self, system, batch):
+        cfg, nets = system
+        rng = np.random.default_rng(48)
+        n = SLICED_BATCHES[batch](INFERENCE_ROWS // cfg.block_len)
+        for name, net in nets.as_dict().items():
+            x = rng.standard_normal((n, net.layers[0].in_channels, cfg.block_len))
+            got, rec = net.forward(x)
+            want = one_pass(net, x)
+            assert rec is None
+            assert np.array_equal(got, want), name
+            assert layout(got) == layout(want), name
+
+    @pytest.mark.parametrize("mode", ["none", "ideal", "double", "training"])
+    def test_only_the_double_attack_channel_builds_adversary_links(self, monkeypatch, mode):
+        cfg, nets = make_system(seed=49)
+        built = []
+        link = ChannelModel._link
+        monkeypatch.setattr(ChannelModel, "_link",
+                            lambda model, name, *draws: built.append(name) or link(model, name,
+                                                                                    *draws))
+        attack = None
+        if mode in ("ideal", "double"):
+            attack = AttackApplication(channel_mode=mode, jam_budget=1.0)
+        one_block(cfg, nets, np.random.default_rng(50), attack=attack, train=mode == "training")
+        legitimate = ["u1", "u2", "e", "y1", "y2"]
+        adversary = ["u1p", "u2p", "ep", "y1p", "y2p"] if mode == "double" else []
+        assert sorted(built) == sorted(legitimate + adversary)
 
 
 def batchnorm_arrays(nets):

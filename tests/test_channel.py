@@ -74,40 +74,40 @@ class TestSteering:
             assert np.allclose(steering_upa(geom, az, el), np.kron(a_v, a_h), atol=1e-13)
 
 
-class _FixedAngles:
-    """Generator stand-in whose uniform draws return fixed LoS angles."""
+def los_angles(n, rng):
+    """One link's LoS azimuths and elevations for n blocks, drawn as
+    sample_batch draws them."""
+    return (rng.uniform(-np.pi, np.pi, size=(n, 2)),
+            rng.uniform(-np.pi / 2, np.pi / 2, size=(n, 2)))
 
-    def __init__(self, azimuths, elevations):
-        self.draws = [np.array([azimuths], dtype=float), np.array([elevations], dtype=float)]
 
-    def uniform(self, low, high, size):
-        out = self.draws.pop(0)
-        assert out.shape == size and np.all((low <= out) & (out <= high))
-        return out
+def fixed_angles(azimuths, elevations):
+    """One block's (arrival, departure) azimuths and elevations."""
+    return np.array([azimuths], dtype=float), np.array([elevations], dtype=float)
 
 
 class TestLosMatrix:
     def test_all_ones(self):
         model = ChannelModel(tiny_config(n_t=2, a1_v=1, a1_h=3))
-        los = model._los_batch("u1", 1, _FixedAngles([0.0, 0.0], [0.0, 0.0]))
+        los = model._los_batch("u1", *fixed_angles([0.0, 0.0], [0.0, 0.0]))
         assert np.allclose(los, np.ones((1, 3, 2)))
 
     def test_vector_case(self):
         # decoder ULA at broadside alternates sign; a one-element surface is [1]
         model = ChannelModel(tiny_config(n_r=2, a1_v=1, a1_h=1))
-        los = model._los_batch("y1", 1, _FixedAngles([np.pi / 2, 0.0], [0.0, 0.0]))
+        los = model._los_batch("y1", *fixed_angles([np.pi / 2, 0.0], [0.0, 0.0]))
         assert np.allclose(los, [[[1.0], [-1.0]]], atol=1e-12)
 
     def test_rank_one(self):
         model = ChannelModel(tiny_config(n_r=6, a1_v=2, a1_h=2))
-        los = model._los_batch("y1", 20, np.random.default_rng(2))
+        los = model._los_batch("y1", *los_angles(20, np.random.default_rng(2)))
         sv = np.linalg.svd(los, compute_uv=False)
         assert np.all(sv[:, 1] < 1e-10)
 
     def test_uses_transpose_not_conjugate(self):
         # sin(pi/6) = 1/2 makes both two-element responses [1, j]
         model = ChannelModel(tiny_config(n_t=2, a1_v=1, a1_h=2))
-        los = model._los_batch("u1", 1, _FixedAngles([np.pi / 6, np.pi / 6], [0.0, 0.0]))
+        los = model._los_batch("u1", *fixed_angles([np.pi / 6, np.pi / 6], [0.0, 0.0]))
         assert np.allclose(los, [[[1.0, 1j], [1j, -1.0]]], atol=1e-12)
 
 
@@ -260,7 +260,7 @@ class TestLinkSample:
         monkeypatch.setattr(channel, "KAPPA", 1e12)
         model = ChannelModel(tiny_config())
         out = model.sample_batch(1, np.random.default_rng(6)).u1
-        los = model._los_batch("u1", 1, np.random.default_rng(6))
+        los = model._los_batch("u1", *los_angles(1, np.random.default_rng(6)))
         assert np.linalg.norm(out - los) / np.linalg.norm(los) < 1e-5
 
     @pytest.mark.usefixtures("pure_nlos")
@@ -325,6 +325,61 @@ class TestRealizationSample:
         assert all(getattr(batch, name).shape[0] == 3 for name in LINK_ENDS)
 
 
+def eager_sample(model, n, rng):
+    """Every link built as soon as it is drawn, in sample_batch's draw order:
+    per link its LoS angles, then Q, then P."""
+    sc = model.cfg.num_scatterers
+    k = channel.KAPPA
+    w_los = np.sqrt(channel.OMEGA) * np.sqrt(k / (k + 1.0))
+    w_nlos = np.sqrt(channel.OMEGA) * np.sqrt(1.0 / (k + 1.0))
+    links = {}
+    for name, (rows, cols) in LINK_ENDS.items():
+        az, el = los_angles(n, rng)
+        los = (steering_upa(model._geom[rows], az[:, 0], el[:, 0])[:, :, None]
+               * steering_upa(model._geom[cols], az[:, 1], el[:, 1])[:, None, :])
+        f_rx, f_tx = model._f[rows], model._f[cols]
+        q = (crandn(rng, (n * f_rx.shape[0], sc)) @ model._f["sc"]).reshape(n, -1, sc)
+        p = (crandn(rng, (n * sc, f_tx.shape[0])) @ f_tx).reshape(n, sc, -1)
+        links[name] = w_los * los + w_nlos * (f_rx @ q @ p / np.sqrt(sc))
+    return links
+
+
+LEGITIMATE = [name for name in LINK_ENDS if not name.endswith("p")]
+
+
+class TestLinksBuiltOnRead:
+    @pytest.mark.parametrize("dims", [{}, NON_SQUARE], ids=["square", "non_square"])
+    def test_adversary_links_once_read_equal_eager_construction(self, dims):
+        model = ChannelModel(tiny_config(**dims))
+        batch = model.sample_batch(5, np.random.default_rng(30))
+        want = eager_sample(model, 5, np.random.default_rng(30))
+        # the adversary links first, in reverse, so no read order is assumed
+        for name in reversed(LINK_ENDS):
+            assert np.array_equal(getattr(batch, name), want[name]), name
+
+    def test_reading_only_legitimate_links_leaves_the_same_generator_state(self):
+        model = ChannelModel(tiny_config(**NON_SQUARE))
+        rngs = [np.random.default_rng(31) for _ in range(3)]
+        some = model.sample_batch(4, rngs[0])
+        every = model.sample_batch(4, rngs[1])
+        eager_sample(model, 4, rngs[2])
+        assert all(np.array_equal(getattr(some, name), getattr(every, name))
+                   for name in LEGITIMATE)
+        assert all(getattr(every, name).shape[0] == 4 for name in LINK_ENDS)
+        states = [rng.bit_generator.state for rng in rngs]
+        assert states[0] == states[1] == states[2]
+
+    def test_a_link_is_built_once(self):
+        batch = ChannelModel(tiny_config()).sample_batch(2, np.random.default_rng(32))
+        assert batch.ep is batch.ep
+
+    def test_batch_takes_exactly_the_links(self):
+        with pytest.raises(TypeError, match="links"):
+            ChannelBatch(**{name: lambda: None for name in LEGITIMATE})
+        with pytest.raises(AttributeError):
+            ChannelModel(tiny_config()).sample_batch(1, np.random.default_rng(33)).q
+
+
 def cascade_oracle(y2, e, y1, u1, u2, d1, d2):
     return (y2 @ np.diag(d2) @ e @ np.diag(d1) @ u1
             + y1 @ np.diag(d1) @ u1
@@ -333,9 +388,9 @@ def cascade_oracle(y2, e, y1, u1, u2, d1, d2):
 
 def one_block(**links) -> ChannelBatch:
     """A batch of one block from 2-D link matrices; absent links are 1 x 1 zeros."""
-    return ChannelBatch(**{name: np.asarray(links.get(name, np.zeros((1, 1))),
-                                            dtype=np.complex128)[None]
-                           for name in LINK_ENDS})
+    arrays = {name: np.asarray(links.get(name, np.zeros((1, 1))), dtype=np.complex128)[None]
+              for name in LINK_ENDS}
+    return ChannelBatch(**{name: lambda link=link: link for name, link in arrays.items()})
 
 
 def legitimate(y2, e, y1, u1, u2, d1, d2):
@@ -475,7 +530,7 @@ class TestStatisticalInvariants:
     def test_steering_modulus_via_model(self):
         cfg = tiny_config()
         model = ChannelModel(cfg)
-        los = model._los_batch("u1", 50, np.random.default_rng(24))
+        los = model._los_batch("u1", *los_angles(50, np.random.default_rng(24)))
         assert np.allclose(np.abs(los), 1.0, atol=1e-12)
 
     @pytest.mark.usefixtures("pure_nlos")

@@ -13,9 +13,9 @@ import pytest
 
 from risae.config import SystemConfig
 from risae import autoencoder, cli, harness
-from risae.autoencoder import estimate_received_power
+from risae.autoencoder import build_autoencoder, estimate_received_power
 from risae.errors import (ConfigInvalid, CorruptCheckpoint, Diverged, InvariantViolation,
-                          MissingCheckpoint)
+                          MissingCheckpoint, NoProgress)
 from risae.harness import (
     AttackSettings,
     EvalSettings,
@@ -458,6 +458,21 @@ class TestTrainAndSweep:
         two = format_rows(run_sweep(grid, nets))
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
         assert format_rows(run_sweep(grid, nets)) == two
+
+    def test_sweep_cell_warning_names_its_cell(self, monkeypatch):
+        # an untrained system at -20 dB decodes no probe cleanly, so the rmaep
+        # cell's vector is zero; a worker's stderr must say which cell warned
+        cfg = tiny_experiment()
+        nets = build_autoencoder(cfg.system, derive_rng(cfg.seed, "init"))
+        monkeypatch.setattr(harness, "_sweep_state", (cfg, nets))
+        budget = make_budget(cfg, cfg.system, nets, "ideal")
+        with pytest.warns(NoProgress) as caught:
+            row, _ = harness._sweep_cell(3, -20.0, "rmaep", budget)
+        assert [str(w.message) for w in caught] == [
+            "sc=3 snr=-20.0 dB rmaep (ideal attack channel): "
+            "no probe produced a flip, so the vector is zero"]
+        with pytest.warns(NoProgress, match="^no probe"):  # the cell's row is unchanged
+            assert row == harness.run_cell(cfg, nets, 3, -20.0, "rmaep", budget)
 
     def test_sweep_deterministic_under_seed(self, trained_tiny):
         cfg, nets, _ = trained_tiny

@@ -331,6 +331,17 @@ class TestReLUSoftmax:
         x[np.abs(x) < 0.1] += 0.2
         check_layer_gradients(ReLU(), x)
 
+    def test_relu_backward_is_gy_where_the_input_is_positive(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((3, 4, 5))
+        x[0, 0, :3] = [0.0, -0.0, np.finfo(float).tiny]
+        y, cache = ReLU().forward(x)
+        gy = rng.standard_normal(x.shape)
+        gx, grads = ReLU().backward(cache, gy)
+        assert np.array_equal(gx, gy * (x > 0)) and grads == {}
+        # a pass that keeps no record infers the same output without a mask
+        assert np.array_equal(ReLU().infer(x), y)
+
     def test_softmax_uniform_on_zeros(self):
         y, _ = Softmax().forward(np.zeros((1, 5, 2)))
         assert np.allclose(y, 0.2)
