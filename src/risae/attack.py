@@ -287,8 +287,9 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     Each of the n_p probes draws a block, realization and noise, applies the
     perturbation built so far, and only refines on probes the system still
     decodes perfectly. The receiver-domain flip (the negated search output)
-    is mapped to the transmit domain and added under the power budget. Every
-    forward and gradient runs on the folded networks.
+    is mapped to the transmit domain, through the probe's own adversary
+    aggregates on 'double', and added under the power budget. Every forward
+    and gradient runs on the folded networks.
     """
     nets = nets.folded()
     dim = attack_dimension(cfg, channel_mode)
@@ -308,7 +309,6 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         if not np.array_equal(rec.decisions[0], indices[0]):
             broken += 1
             continue
-        g_set = None if channel_mode == "ideal" else adversary_cascade_set(chan, rec.c1, rec.c2)[0]
         try:
             outcome = pgd_minimal_perturbation(nets.decoder, cfg, rec.r[0], rec.k[0], pgd)
         except AllTargetsFailed as exc:
@@ -317,7 +317,7 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
             continue
         grad_evals += outcome.grad_evals
         # the walk descends along the gradient, so the additive flip is -p_add
-        delta = receiver_to_transmit(g_set, -outcome.p_add)
+        delta = receiver_to_transmit(None if rec.g is None else rec.g[0], -outcome.p_add)
         p_adv = enforce_power(p_adv + delta, linear_budget)
         flips += 1
 

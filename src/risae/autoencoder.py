@@ -184,17 +184,18 @@ class AttackApplication:
             raise ValueError("set exactly one of p_adv or jam_budget")
 
     def received_perturbation(self, cfg: SystemConfig, chan: ChannelBatch,
-                              c1: np.ndarray, c2: np.ndarray,
-                              rng: np.random.Generator) -> np.ndarray:
+                              c1: np.ndarray, c2: np.ndarray, rng: np.random.Generator):
+        """The perturbation (B, n_r, L) the receiver adds and the aggregates G it went through."""
         n = len(chan)
         if self.p_adv is not None:
             vectors = np.broadcast_to(self.p_adv, (n, self.p_adv.shape[0]))
         else:
             vectors = jamming(self.jam_budget, n, attack_dimension(cfg, self.channel_mode), rng)
         if self.channel_mode == "ideal":
-            return np.repeat(vectors[:, :, None], cfg.block_len, axis=2)
-        g = adversary_cascade_set(chan, c1, c2).transpose(0, 2, 1, 3)  # (B, n_r, L, n_t)
-        return (g.reshape(n, -1, g.shape[3]) @ vectors[:, :, None]).reshape(g.shape[:3])
+            return np.repeat(vectors[:, :, None], cfg.block_len, axis=2), None
+        g = adversary_cascade_set(chan, c1, c2)
+        gt = g.transpose(0, 2, 1, 3)  # (B, n_r, L, n_t)
+        return (gt.reshape(n, -1, gt.shape[3]) @ vectors[:, :, None]).reshape(gt.shape[:3]), g
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +225,16 @@ class PipelineRecord(TransmitRecord):
     """Everything the backward pass and the attacks need from one forward.
 
     ``r`` is the received signal the decoder read, z + noise plus any
-    perturbation. A training record is consumed by its backward: it holds no
-    ``k``, which the backward does not read, and ``pipeline_backward`` sets
-    the activation records and ``m`` to None once it has read them."""
+    perturbation, and ``g`` the adversary aggregates G (B, L, n_r, n_t) that
+    perturbation went through, None on 'ideal' or without an attack. A
+    training record is consumed by its backward: it holds no ``k``, which the
+    backward does not read, and ``pipeline_backward`` sets the activation
+    records and ``m`` to None once it has read them."""
 
     m: np.ndarray | None  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
     k: np.ndarray | None
     r: np.ndarray
+    g: np.ndarray | None
     dec_rec: list | None
     probs: np.ndarray
     decisions: np.ndarray
@@ -281,11 +285,13 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
     tx = transmit_forward(nets, cfg, blocks, chan, train)
     k, m = cascade_set(chan, tx.c1, tx.c2)
     r = tx.z + np.sqrt(sigma2) * crandn(rng, tx.z.shape)
+    g = None
     if attack is not None:
-        r = r + attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
+        p, g = attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
+        r = r + p
 
     probs, dec_rec = nets.decoder.forward(pack_decoder_input(r, k), record=train)
-    return PipelineRecord(**vars(tx), m=m, k=None if train else k, r=r, dec_rec=dec_rec,
+    return PipelineRecord(**vars(tx), m=m, k=None if train else k, r=r, g=g, dec_rec=dec_rec,
                           probs=probs, decisions=probs.argmax(axis=1))
 
 

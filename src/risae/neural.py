@@ -87,15 +87,8 @@ class Conv1D(Layer):
         x = _check_input(x)
         if x.shape[1] != self.in_channels:
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
-        batch, channels, length = x.shape
-        pad = self.kernel_size // 2
-        xp = np.empty((batch, length + 2 * pad, channels))
-        xp[:, :pad] = 0.0
-        xp[:, pad + length:] = 0.0
-        xp[:, pad:pad + length] = x.transpose(0, 2, 1)
-        # (B, C, L, K) view of the padded buffer; the backward pass rebuilds
-        # the im2col matrix from it instead of caching the K-times larger copy.
-        cols = sliding_window_view(xp, self.kernel_size, axis=1).transpose(0, 2, 1, 3)
+        batch, _, length = x.shape
+        cols = _windows(x, self.kernel_size)  # backward rebuilds the K-times larger im2col of it
         y = _im2col(cols) @ self._weight_matrix()
         y += self.bias
         # Channels-last (B, O, L) view: BatchNorm's reductions over axes
@@ -103,31 +96,31 @@ class Conv1D(Layer):
         return y.reshape(batch, length, -1).transpose(0, 2, 1), {"cols": cols}
 
     def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
-        cols = cache["cols"]
-        batch, channels, length, k_size = cols.shape
-        pad = k_size // 2
-        g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
+        batch, channels, length, k_size = cache["cols"].shape
+        grads = {}
         if params:
-            # the im2col rebuild and the GEMM result are freed before col2im allocates
-            g_w = (g2.T @ _im2col(cols)).reshape(self.out_channels, k_size, channels)
+            g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
+            g_w = (g2.T @ _im2col(cache["cols"])).reshape(self.out_channels, k_size, channels)
             g_w = np.asfortranarray(g_w.transpose(0, 2, 1))  # the weight's layout
-            g_b = g2.sum(axis=0)
-            grads = {"weight": g_w, "bias": g_b}
-        else:
-            grads = {}
-        # col2im: output position l read input position l + k - pad through
-        # tap k, so the K column blocks scatter back as K shifted slices,
-        # taken in tap order. Positions no earlier tap reached are assigned,
-        # the rest added to: the same sums as adding onto zeros.
-        gx_cols = (g2 @ self._weight_matrix().T).reshape(batch, length, k_size, channels)
-        gx = np.empty((batch, length, channels))
-        reached = 0
-        for k in range(k_size):
-            lo, hi = (min(max(j, 0), length) for j in (k - pad, length + k - pad))
-            gx[:, lo:reached] += gx_cols[:, lo - k + pad:reached - k + pad, k]
-            gx[:, reached:hi] = gx_cols[:, reached - k + pad:hi - k + pad, k]
-            reached = hi
-        return gx.transpose(0, 2, 1), grads
+            grads = {"weight": g_w, "bias": g2.sum(axis=0)}
+        # The adjoint of a same-padded correlation is the same correlation of
+        # the padded upstream gradient with the flipped kernel: window t, tap
+        # j reads output t + j - pad, so row j·O + o holds weight[o, :, K-1-j].
+        flipped = self.weight[:, :, ::-1].transpose(2, 0, 1).reshape(-1, channels)
+        gx = _im2col(_windows(gy, k_size)) @ flipped
+        return gx.reshape(batch, length, channels).transpose(0, 2, 1), grads
+
+
+def _windows(x: np.ndarray, k_size: int) -> np.ndarray:
+    """(B, C, L, K) window view of a (B, C, L) array zero-padded by K // 2 at both
+    ends, built channels-last: window l holds the K positions output l reads."""
+    batch, channels, length = x.shape
+    pad = k_size // 2
+    xp = np.empty((batch, length + 2 * pad, channels))
+    xp[:, :pad] = 0.0
+    xp[:, pad + length:] = 0.0
+    xp[:, pad:pad + length] = x.transpose(0, 2, 1)
+    return sliding_window_view(xp, k_size, axis=1).transpose(0, 2, 1, 3)
 
 
 def _im2col(cols: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Projection, mapping and search-contract tests for the attack module."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import risae.attack
+import risae.autoencoder
 import risae.neural
 from risae.attack import (
     SEARCH_PROBES,
@@ -28,12 +30,14 @@ from risae.autoencoder import (
     jamming,
     pipeline_forward,
     random_message_blocks,
-    train,
 )
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import AllTargetsFailed, InvariantViolation, NoProgress
+from risae.harness import attack_vector, desk_preset, load_system, make_budget, snr_to_sigma2
 from risae.neural import BatchNorm, Conv1D, Network, PowerNorm, ReLU, Softmax
+
+REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
 
 def tiny_config(**kwargs) -> SystemConfig:
@@ -363,32 +367,64 @@ class TestUniversalAttacks:
         return cfg, nets
 
     @pytest.mark.parametrize("mode", ["double", "ideal"])
-    def test_rmaep_budget_and_bookkeeping(self, mode):
-        cfg, nets = self._system()
+    def test_rmaep_budget_and_bookkeeping(self, attackable_tiny, mode):
+        cfg, nets = attackable_tiny[0].system, attackable_tiny[1]
         budget = AttackBudget(-7.0, reference_power=cfg.power)
         pgd = AttackSettings(n_p=4, n_s=2, channel_mode=mode)
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(15), channel_mode=mode)
-        assert result.perturbation.power <= budget.linear + 1e-9
+        assert result.flips_found >= 1
+        assert 0.0 < result.perturbation.power <= budget.linear + 1e-9
         assert result.iterations == 4
         assert result.flips_found + result.already_broken <= result.iterations
         expected_dim = cfg.n_r if mode == "ideal" else cfg.n_t
         assert result.perturbation.values.shape == (expected_dim,)
 
-    def test_rmaep_double_maps_flips_to_transmit_domain(self):
+    def test_rmaep_double_maps_flips_to_transmit_domain(self, attackable_tiny, monkeypatch):
         """On a briefly trained system the probes decode cleanly, so rmaep
         reaches the search and maps each flip back through the double-RIS
         adversary channel. Before as_matrix accepted non-contiguous matrices
         this raised ValueError in receiver_to_transmit; an untrained network
-        breaks every probe and never gets that far."""
-        cfg = tiny_config(m=2, sigma2=0.01)
-        nets = build_autoencoder(cfg, np.random.default_rng(30))
-        train(nets, cfg, num_symbols=768, epochs=30, lr=1e-2, rng=np.random.default_rng(31))
+        breaks every probe and never gets that far. The mapping reads the
+        aggregates the probe's forward applied, which must give the vector
+        that aggregates built again for the mapping give."""
+        cfg, nets = attackable_tiny[0].system, attackable_tiny[1]
         budget = AttackBudget(-7.0, reference_power=cfg.power)
         pgd = AttackSettings(n_p=8, n_s=2, channel_mode="double")
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(32), channel_mode="double")
         assert result.flips_found >= 1
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.perturbation.values.shape == (cfg.n_t,)
+
+        forward = risae.attack.pipeline_forward
+
+        def rebuilding(*args, **kwargs):
+            rec = forward(*args, **kwargs)
+            rec.g = adversary_cascade_set(rec.chan, rec.c1, rec.c2)
+            return rec
+
+        monkeypatch.setattr(risae.attack, "pipeline_forward", rebuilding)
+        again = rmaep(nets, cfg, budget, pgd, np.random.default_rng(32), channel_mode="double")
+        assert np.array_equal(again.perturbation.values, result.perturbation.values)
+
+    def test_rmaep_builds_one_adversary_aggregate_per_probe(self, monkeypatch):
+        # The desk construction on the double channel (reference checkpoint,
+        # master seed 7, 8 dB): 6 of its 50 probes reach the search, and
+        # each used to build the aggregate its forward had built once more.
+        # Every search fails there, so the vector is zero.
+        cfg = desk_preset(7)
+        cfg.attack.channel_mode = "double"
+        nets = load_system(REFERENCE_CKPT, cfg)
+        sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, 8.0))
+        budget = make_budget(cfg, sys_cfg, nets, "double")
+        calls = []
+        for module in (risae.autoencoder, risae.attack):
+            build = module.adversary_cascade_set
+            monkeypatch.setattr(module, "adversary_cascade_set",
+                                lambda *args, _build=build: calls.append(1) or _build(*args))
+        with pytest.warns(NoProgress):
+            result = attack_vector(cfg, sys_cfg, nets, "rmaep", 8.0, budget)
+        assert result.skipped == 6
+        assert len(calls) == result.iterations == 50
 
     def test_rmaep_counts_gradients_of_failed_searches(self, monkeypatch):
         # an untrained m=2, block_len=1 system decodes about half the probes;
@@ -403,8 +439,9 @@ class TestUniversalAttacks:
 
         monkeypatch.setattr(risae.attack, "pgd_minimal_perturbation", failing)
         pgd = AttackSettings(n_p=8, n_s=2, channel_mode="ideal")
-        result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
-                       np.random.default_rng(41), channel_mode="ideal")
+        with pytest.warns(NoProgress):
+            result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
+                           np.random.default_rng(41), channel_mode="ideal")
         assert result.skipped == len(searches) >= 1 and result.flips_found == 0
         assert result.skipped + result.already_broken == pgd.n_p
         assert result.grad_evals == 7 * len(searches)
@@ -430,18 +467,20 @@ class TestUniversalAttacks:
             AttackResult(vector, iterations=5, flips_found=2, already_broken=1,
                          skipped=1, grad_evals=0)
 
-    def test_rmaep_grad_eval_bound(self):
-        cfg, nets = self._system(seed=16)
+    def test_rmaep_grad_eval_bound(self, attackable_tiny):
+        cfg, nets = attackable_tiny[0].system, attackable_tiny[1]
         budget = AttackBudget(-7.0, reference_power=cfg.power)
         pgd = AttackSettings(n_p=3, n_s=2, channel_mode="ideal")
         result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(17), channel_mode="ideal")
+        assert result.flips_found >= 1
         assert result.grad_evals <= pgd.n_p * cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
 
     def test_rmaep_vanishing_budget(self):
         cfg, nets = self._system(seed=18)
         budget = AttackBudget(-200.0, reference_power=cfg.power)
         pgd = AttackSettings(n_p=2, n_s=1, channel_mode="ideal")
-        result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(19), channel_mode="ideal")
+        with pytest.warns(NoProgress):
+            result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(19), channel_mode="ideal")
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.perturbation.power < 1e-19
 
@@ -458,12 +497,15 @@ class TestUniversalAttacks:
     def test_attack_gradients_compute_no_weight_gradients(self, construction, monkeypatch):
         # The attacks descend on the decoder's input gradient only: no layer
         # returns a parameter gradient, and Conv1D rebuilds no im2col matrix
-        # for a weight gradient (every _im2col call is a forward's).
-        counts = {"backward": 0, "param_grads": 0, "im2col": 0, "conv_forward": 0}
+        # for a weight gradient: every _im2col call is a forward's, or the
+        # one of an input gradient.
+        counts = {"backward": 0, "param_grads": 0, "im2col": 0, "conv_forward": 0,
+                  "conv_backward": 0}
         for cls in (Conv1D, BatchNorm, ReLU, Softmax, PowerNorm):
-            def counting(self, cache, gy, *args, _original=cls.backward, **kwargs):
+            def counting(self, cache, gy, *args, _original=cls.backward, _cls=cls, **kwargs):
                 gx, grads = _original(self, cache, gy, *args, **kwargs)
                 counts["backward"] += 1
+                counts["conv_backward"] += _cls is Conv1D
                 counts["param_grads"] += len(grads)
                 return gx, grads
             monkeypatch.setattr(cls, "backward", counting)
@@ -495,7 +537,8 @@ class TestUniversalAttacks:
                 pass
         assert counts["backward"] > 0
         assert counts["param_grads"] == 0
-        assert counts["im2col"] == counts["conv_forward"] > 0
+        assert counts["conv_forward"] > 0 and counts["conv_backward"] > 0
+        assert counts["im2col"] == counts["conv_forward"] + counts["conv_backward"]
 
     def test_export_round_trip(self, tmp_path):
         cfg, nets = self._system(seed=22)

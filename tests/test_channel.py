@@ -519,9 +519,10 @@ class TestNonSquareCascades:
         cfg = self.cfg
         p_adv = crand(np.random.default_rng(41), cfg.n_t)
         attack = AttackApplication("double", p_adv=p_adv)
-        got = attack.received_perturbation(cfg, self.chan, self.c1, self.c2, None)
+        got, applied = attack.received_perturbation(cfg, self.chan, self.c1, self.c2, None)
         assert got.shape == (3, cfg.n_r, cfg.block_len)
         g = adversary_cascade_set(self.chan, self.c1, self.c2)
+        assert np.array_equal(applied, g)  # the aggregates it went through
         for b, i, *_ in self.per_symbol():
             assert np.allclose(got[b, :, i], g[b, i] @ p_adv, atol=1e-12)
 

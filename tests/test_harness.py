@@ -1,5 +1,6 @@
 """Config validation, sweep orchestration, persistence and CLI tests."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -385,13 +386,12 @@ class TestTrainAndSweep:
         assert keys == sorted(keys)
         assert all(row.trials == 30 * cfg.system.block_len for row in rows)
 
-    def test_five_by_four_grid_yields_twenty_rows(self, trained_tiny):
-        cfg, nets, _ = trained_tiny
-        wide = tiny_experiment()
+    def test_five_by_four_grid_yields_twenty_rows(self, attackable_tiny):
+        cfg, nets, _ = attackable_tiny
+        wide = copy.deepcopy(cfg)
         wide.eval.snr_sweep_db = [-4.0, 0.0, 4.0, 8.0, 12.0]
         wide.eval.test_blocks = 6
         wide.attacks = ["secured", "jamming", "rmaef", "rmaep"]
-        wide.attack.n_p = 1
         rows = run_sweep(wide, nets)
         assert len(rows) == 20
 
@@ -426,17 +426,16 @@ class TestTrainAndSweep:
         assert seen == [2, 3]
 
     @staticmethod
-    def _pool_grid():
-        grid = tiny_experiment()
+    def _pool_grid(cfg):
+        grid = copy.deepcopy(cfg)
         grid.scatterers = [2, 3]
         grid.eval.test_blocks = 6
         grid.attacks = ["secured", "jamming", "rmaef", "rmaep"]
-        grid.attack.n_p = 1
         return grid
 
-    def test_pooled_sweep_matches_serial_cells(self, trained_tiny, capsys):
-        _, nets, _ = trained_tiny
-        grid = self._pool_grid()
+    def test_pooled_sweep_matches_serial_cells(self, attackable_tiny, capsys):
+        cfg, nets, _ = attackable_tiny
+        grid = self._pool_grid(cfg)
         serial = []
         for sc in grid.scatterers:
             budget = make_budget(grid, grid.system.replace(num_scatterers=sc), nets,
@@ -452,9 +451,9 @@ class TestTrainAndSweep:
         assert len(printed) == len(serial)
         assert all(line.startswith("[sweep] sc=") for line in printed)
 
-    def test_pooled_sweep_on_one_cpu(self, trained_tiny, monkeypatch):
-        _, nets, _ = trained_tiny
-        grid = self._pool_grid()
+    def test_pooled_sweep_on_one_cpu(self, attackable_tiny, monkeypatch):
+        cfg, nets, _ = attackable_tiny
+        grid = self._pool_grid(cfg)
         two = format_rows(run_sweep(grid, nets))
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
         assert format_rows(run_sweep(grid, nets)) == two
@@ -683,9 +682,9 @@ class TestCli:
         assert "argument --kind: invalid choice: 'jamming'" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists()
 
-    def test_attack_line_reports_the_counts(self, trained_tiny, tmp_path, capsys):
+    def test_attack_line_reports_the_counts(self, attackable_tiny, tmp_path, capsys):
         # the construction's counts were dropped on the way to the export
-        cfg, _, ckpt = trained_tiny
+        cfg, _, ckpt = attackable_tiny
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
@@ -694,19 +693,18 @@ class TestCli:
         sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, 4.0))
         r = attack_vector(cfg, sys_cfg, nets, "rmaep", 4.0,
                           make_budget(cfg, sys_cfg, nets, cfg.attack.channel_mode))
+        assert r.flips_found >= 1
         assert (f"; {r.iterations} probes: {r.flips_found} refined the vector, "
                 f"{r.already_broken} already broken, {r.skipped} skipped; "
                 f"{r.grad_evals} decoder gradients; " in capsys.readouterr().out)
 
     @pytest.mark.parametrize("mode", ["ideal", "double"])
     @pytest.mark.parametrize("kind", ["rmaep", "rmaef"])
-    def test_attack_exports_the_vector_the_sweep_cell_builds(self, trained_tiny, tmp_path,
+    def test_attack_exports_the_vector_the_sweep_cell_builds(self, attackable_tiny, tmp_path,
                                                              kind, mode):
         # replaying an exported perturbation stands for the sweep cell with
-        # the same seed, scatterer count and SNR only if both build one vector;
-        # rmaep on the double channel finds no flip on this tiny system, so
-        # that case compares two zero vectors
-        cfg, _, ckpt = trained_tiny
+        # the same seed, scatterer count and SNR only if both build one vector
+        cfg, _, ckpt = attackable_tiny
         cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, channel_mode=mode))
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
@@ -718,6 +716,7 @@ class TestCli:
         sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, snr_db))
         source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db,
                                      make_budget(cfg, sys_cfg, nets, mode))
+        assert source.p_adv.any()
         assert np.array_equal(load_perturbation(out)[0].values, source.p_adv)
 
     @pytest.mark.parametrize("command, option", [("attack", "--mode=double"),

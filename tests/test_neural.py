@@ -178,12 +178,15 @@ class TestConv1D:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("length", [1, 2, 8])
     @pytest.mark.parametrize("k_size", [1, 3, 5])
-    def test_matches_loop_oracle(self, k_size, length, batch, channels_last):
+    @pytest.mark.parametrize("channels, out_channels", [(3, 5), (6, 2)],
+                             ids=["widening", "narrowing"])
+    def test_matches_loop_oracle(self, channels, out_channels, k_size, length, batch,
+                                 channels_last):
         rng = np.random.default_rng(100 + 10 * k_size + length)
-        conv = Conv1D(3, 5, k_size, rng)
-        conv.bias = rng.standard_normal(5)
-        x = array_in_layout(rng, (batch, 3, length), channels_last)
-        gy = array_in_layout(rng, (batch, 5, length), channels_last)
+        conv = Conv1D(channels, out_channels, k_size, rng)
+        conv.bias = rng.standard_normal(out_channels)
+        x = array_in_layout(rng, (batch, channels, length), channels_last)
+        gy = array_in_layout(rng, (batch, out_channels, length), channels_last)
         y, cache = conv.forward(x)
         gx, grads = conv.backward(cache, gy)
         want_y, want_gx, want_gw, want_gb = conv_oracle(x, conv.weight, conv.bias, gy)
@@ -216,10 +219,11 @@ class TestConv1D:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 8])
     @pytest.mark.parametrize("k_size", [1, 3, 5])
-    def test_input_gradient_equals_padded_col2im(self, k_size, length):
-        # Textbook col2im: K shifted adds of the column blocks into a zeroed
-        # padded buffer, in tap order, then the unpadded middle. The layer
-        # scatters into an unpadded array and must give the same bits.
+    def test_input_gradient_equals_flipped_kernel_correlation(self, k_size, length):
+        # The input gradient is the same-padded correlation of the upstream
+        # gradient with the flipped kernel, channels swapped: row j·O + o of
+        # its (K·O, C) matrix holds weight[o, :, K-1-j]. Built here from K
+        # shifted slices of a zeroed padded buffer, it must give the same bits.
         rng = np.random.default_rng(200 + 10 * k_size + length)
         batch, channels, out_channels = 3, 4, 5
         conv = Conv1D(channels, out_channels, k_size, rng)
@@ -229,13 +233,15 @@ class TestConv1D:
         gx, grads = conv.backward(cache, gy)
 
         pad = k_size // 2
-        g2 = gy.transpose(0, 2, 1).reshape(batch * length, out_channels)
-        w2 = conv.weight.transpose(2, 1, 0).reshape(-1, out_channels)
-        gx_cols = (g2 @ w2.T).reshape(batch, length, k_size, channels)
-        gxp = np.zeros((batch, length + 2 * pad, channels))
-        for k in range(k_size):
-            gxp[:, k:k + length] += gx_cols[:, :, k]
-        assert np.array_equal(gx, gxp[:, pad:pad + length].transpose(0, 2, 1))
+        gyp = np.zeros((batch, length + 2 * pad, out_channels))
+        gyp[:, pad:pad + length] = gy.transpose(0, 2, 1)
+        rows = np.concatenate([gyp[:, j:j + length] for j in range(k_size)], axis=2)
+        flipped = np.empty((k_size * out_channels, channels))
+        for j in range(k_size):
+            for o in range(out_channels):
+                flipped[j * out_channels + o] = conv.weight[o, :, k_size - 1 - j]
+        want = rows.reshape(batch * length, -1) @ flipped
+        assert np.array_equal(gx, want.reshape(batch, length, channels).transpose(0, 2, 1))
         assert grads["weight"].shape == conv.weight.shape
         assert grads["weight"].flags.f_contiguous  # the weight's layout
 
@@ -604,7 +610,7 @@ class TestChannelsLastNetwork:
 
     def test_weight_matrix_is_a_view_when_built_stepped_and_loaded(self, tmp_path):
         # Conv1D keeps its weight as the view of a C-ordered (K, C, O) array,
-        # so every forward and backward reshapes it to the matrix for free
+        # so every forward reshapes it to the matrix for free
         def views(net):
             return [np.shares_memory(layer._weight_matrix(), layer.weight)
                     for layer in net.layers if isinstance(layer, Conv1D)]
