@@ -372,13 +372,14 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
 # perturbation replay files
 # ---------------------------------------------------------------------------
 
-def export_perturbation(path, p: PerturbationVector, channel_mode: str, psr_db: float) -> None:
+def export_perturbation(path, p: PerturbationVector, channel_mode: str, psr_db: float,
+                        scatterers: int) -> None:
     """CSV of interleaved real/imag components plus budget metadata, so an
     attack can be replayed against a checkpoint."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# risae perturbation v1\n")
-        fh.write(f"# psr_db={psr_db:.17g} budget={p.budget:.17g} "
-                 f"channel_mode={channel_mode} dimension={p.values.shape[0]}\n")
+        fh.write(f"# psr_db={psr_db:.17g} budget={p.budget:.17g} channel_mode={channel_mode} "
+                 f"scatterers={scatterers} dimension={p.values.shape[0]}\n")
         fh.write("re,im\n")
         for v in p.values:
             fh.write(f"{v.real:.17g},{v.imag:.17g}\n")

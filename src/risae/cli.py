@@ -16,21 +16,9 @@ from .attack import export_perturbation, rmaef, rmaep  # noqa: F401
 from .autoencoder import set_heap_policy
 from .config import DECIBELS
 from .errors import ConfigInvalid, CorruptCheckpoint, DegenerateInput, Diverged, MissingCheckpoint
-from .harness import (
-    ATTACK_KINDS,
-    PRESETS,
-    attack_vector,
-    format_rows,
-    load_config,
-    load_system,
-    make_budget,
-    rerun_from_manifest,
-    run_cell,
-    save_config,
-    snr_to_sigma2,
-    sweep_to_directory,
-    train_system,
-)
+from .harness import (ATTACK_KINDS, PRESETS, attack_vector, format_rows, load_config, load_system,
+                      make_budget, rerun_from_manifest, run_sweep, save_config, snr_to_sigma2,
+                      sweep_to_directory, train_system)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,28 +62,30 @@ def cmd_train(args) -> int:
 def cmd_attack(args) -> int:
     cfg = _resolve_config(args)
     set_heap_policy()
-    sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, args.snr_db))
     nets = load_system(args.checkpoint, cfg)
     mode = cfg.attack.channel_mode
-    budget = make_budget(cfg, sys_cfg, nets, mode)
-    result = attack_vector(cfg, sys_cfg, nets, args.kind, args.snr_db, budget)
-    export_perturbation(args.out, result.perturbation, mode, psr_db=cfg.attack.psr_db)
-    print(f"[attack] {args.kind} ({mode}) at {args.snr_db:+.1f} dB; "
-          f"{result.iterations} probes: {result.flips_found} refined the vector, "
-          f"{result.already_broken} already broken, {result.skipped} skipped; "
-          f"{result.grad_evals} decoder gradients; "
-          f"power {result.perturbation.power:.4e} <= budget {budget.linear:.4e}; "
-          f"wrote {args.out}")
+    args.out.mkdir(parents=True, exist_ok=True)
+    for sc in cfg.scatterers:  # the system, budget and stream of the sweep's cell
+        sys_cfg = cfg.system.replace(num_scatterers=sc,
+                                     sigma2=snr_to_sigma2(cfg.system.power, args.snr_db))
+        budget = make_budget(cfg, sys_cfg, nets, mode)
+        result = attack_vector(cfg, sys_cfg, nets, args.kind, args.snr_db, budget)
+        path = args.out / f"{args.kind}-sc{sc}.csv"
+        export_perturbation(path, result.perturbation, mode, cfg.attack.psr_db, sc)
+        print(f"[attack] {args.kind} ({mode}) at {args.snr_db:+.1f} dB, {sc} scatterers; "
+              f"{result.iterations} probes: {result.flips_found} refined the vector, "
+              f"{result.already_broken} already broken, {result.skipped} skipped; "
+              f"{result.grad_evals} decoder gradients; "
+              f"power {result.perturbation.power:.4e} <= budget {budget.linear:.4e}; wrote {path}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     cfg = _resolve_config(args)
-    set_heap_policy()
+    cfg.eval.snr_sweep_db = [args.snr_db]
+    cfg.attacks = [args.attack]
     nets = load_system(args.checkpoint, cfg)
-    budget = make_budget(cfg, cfg.system, nets, cfg.attack.channel_mode)
-    row = run_cell(cfg, nets, cfg.system.num_scatterers, args.snr_db, args.attack, budget)
-    print(format_rows([row]), end="")
+    print(format_rows(run_sweep(cfg, nets)), end="")
     return EXIT_OK
 
 
@@ -133,10 +123,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_attack.add_argument("--checkpoint", type=Path, required=True)
     p_attack.add_argument("--kind", choices=["rmaef", "rmaep"], required=True)
     p_attack.add_argument("--snr-db", type=snr_db, required=True)
-    p_attack.add_argument("--out", type=Path, required=True, help="perturbation CSV path")
+    p_attack.add_argument("--out", type=Path, required=True,
+                          help="output directory: one <kind>-sc<N>.csv per scatterer count")
     p_attack.set_defaults(func=cmd_attack)
 
-    p_eval = sub.add_parser("eval", help="evaluate one (SNR, benchmark) cell")
+    p_eval = sub.add_parser("eval", help="evaluate one (SNR, benchmark) cell per scatterer count")
     _add_common(p_eval)
     p_eval.add_argument("--checkpoint", type=Path, required=True)
     p_eval.add_argument("--attack", choices=ATTACK_KINDS, default="secured")

@@ -125,6 +125,8 @@ class SystemConfig(Section):
     is the transmit power P (linear), sigma2 the receiver noise variance
     (linear); every command derives sigma2 from its SNR (``train.snr_db``,
     the sweep grid or ``--snr-db``), overwriting a value from a config file.
+    num_scatterers is the count ``risae train`` draws its channels at; every
+    other command sets it to each entry of the top-level ``scatterers``.
     An instance is checked when it is built (ConfigInvalid naming
     ``system.<field>``), and it cannot be changed afterwards: ``replace``
     builds a checked copy.

@@ -163,7 +163,9 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
 
 
 def snr_to_sigma2(power: float, snr_db: float) -> float:
-    return power * 10.0 ** (-snr_db / 10.0)
+    """The noise variance at which snr_db is the per-antenna transmit SNR:
+    PowerNorm gives each transmit antenna a mean symbol energy of P^2."""
+    return power * power * 10.0 ** (-snr_db / 10.0)
 
 
 # ---------------------------------------------------------------------------

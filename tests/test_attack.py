@@ -546,11 +546,13 @@ class TestUniversalAttacks:
         result = rmaef(nets, cfg, budget, AttackSettings(n_p=3, n_s=1, channel_mode="double"),
                        np.random.default_rng(23), channel_mode="double")
         path = tmp_path / "perturbation.csv"
-        export_perturbation(path, result.perturbation, "double", psr_db=-7.0)
+        export_perturbation(path, result.perturbation, "double", psr_db=-7.0,
+                            scatterers=cfg.num_scatterers)
         loaded, meta = load_perturbation(path)
         assert np.array_equal(loaded.values, result.perturbation.values)
         assert meta["psr_db"] == -7.0
         assert meta["channel_mode"] == "double"
+        assert meta["scatterers"] == cfg.num_scatterers
 
     @pytest.mark.parametrize("text", [
         "",

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -250,7 +251,19 @@ class TestConfig:
     def test_snr_to_sigma2(self):
         assert snr_to_sigma2(1.0, 0.0) == pytest.approx(1.0)
         assert snr_to_sigma2(1.0, 10.0) == pytest.approx(0.1)
-        assert snr_to_sigma2(2.0, 3.0) == pytest.approx(2.0 * 10 ** -0.3)
+        assert snr_to_sigma2(2.0, 3.0) == pytest.approx(4.0 * 10 ** -0.3)
+
+    def test_snr_is_the_per_antenna_transmit_snr(self):
+        # at power 2 a labelled 10 dB ran at a transmit SNR of 13 dB: sigma2
+        # was P / snr, while PowerNorm gives each antenna a mean energy of P^2
+        cfg = SystemConfig(n_t=3, n_r=2, a1_v=1, a1_h=2, a2_v=1, a2_h=2, m=4, block_len=5,
+                           hidden_width=8, power=2.0)
+        nets = build_autoencoder(cfg, derive_rng(1, "init"))
+        blocks, _ = autoencoder.random_message_blocks(cfg, 64, np.random.default_rng(2))
+        o = autoencoder.channels_to_complex(nets.encoder.forward(blocks, record=False)[0])
+        energy = np.mean(np.abs(o) ** 2)  # per antenna and symbol
+        for snr_db in (-4.0, 10.0):
+            assert energy / snr_to_sigma2(cfg.power, snr_db) == pytest.approx(10 ** (snr_db / 10))
 
 
 class TestSeeding:
@@ -653,7 +666,7 @@ class TestCli:
         argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt),
                 f"--snr-db={value}"]
         if command == "attack":
-            argv += ["--kind", "rmaef", "--out", str(tmp_path / "p.csv")]
+            argv += ["--kind", "rmaef", "--out", str(tmp_path / "attack")]
         with pytest.raises(SystemExit) as exit_:
             cli_main(argv)
         assert exit_.value.code == 2
@@ -677,10 +690,10 @@ class TestCli:
         # jamming cell draws a fresh vector per block
         with pytest.raises(SystemExit) as exit_:
             cli_main(["attack", "--checkpoint", str(tmp_path / "none.ckpt"), "--kind", "jamming",
-                      "--snr-db", "4", "--out", str(tmp_path / "p.csv")])
+                      "--snr-db", "4", "--out", str(tmp_path / "attack")])
         assert exit_.value.code == 2
         assert "argument --kind: invalid choice: 'jamming'" in capsys.readouterr().err
-        assert not (tmp_path / "p.csv").exists()
+        assert not (tmp_path / "attack").exists()
 
     def test_attack_line_reports_the_counts(self, attackable_tiny, tmp_path, capsys):
         # the construction's counts were dropped on the way to the export
@@ -688,7 +701,8 @@ class TestCli:
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
-                         "--kind", "rmaep", "--snr-db", "4", "--out", str(tmp_path / "p.csv")]) == 0
+                         "--kind", "rmaep", "--snr-db", "4",
+                         "--out", str(tmp_path / "attack")]) == 0
         nets = load_system(ckpt, cfg)
         sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, 4.0))
         r = attack_vector(cfg, sys_cfg, nets, "rmaep", 4.0,
@@ -703,21 +717,30 @@ class TestCli:
     def test_attack_exports_the_vector_the_sweep_cell_builds(self, attackable_tiny, tmp_path,
                                                              kind, mode):
         # replaying an exported perturbation stands for the sweep cell with
-        # the same seed, scatterer count and SNR only if both build one vector
+        # the same seed, scatterer count and SNR only if both build one
+        # vector; attack built one, at system.num_scatterers (3), whatever
+        # the config's scatterers
         cfg, _, ckpt = attackable_tiny
-        cfg = dataclasses.replace(cfg, attack=dataclasses.replace(cfg.attack, channel_mode=mode))
+        cfg = copy.deepcopy(cfg)  # trained at system.num_scatterers 3
+        cfg.scatterers = [2, 3]
+        cfg.attack.channel_mode = mode
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
-        out = tmp_path / "p.csv"
+        out = tmp_path / "attack"
         snr_db = cfg.eval.snr_sweep_db[-1]
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                          "--kind", kind, "--snr-db", str(snr_db), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [f"{kind}-sc2.csv", f"{kind}-sc3.csv"]
         nets = load_system(ckpt, cfg)
-        sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, snr_db))
-        source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db,
-                                     make_budget(cfg, sys_cfg, nets, mode))
-        assert source.p_adv.any()
-        assert np.array_equal(load_perturbation(out)[0].values, source.p_adv)
+        for sc in cfg.scatterers:
+            sys_cfg = cfg.system.replace(num_scatterers=sc,
+                                         sigma2=snr_to_sigma2(cfg.system.power, snr_db))
+            source = build_attack_source(cfg, sys_cfg, nets, kind, snr_db,
+                                         make_budget(cfg, sys_cfg, nets, mode))
+            vector, meta = load_perturbation(out / f"{kind}-sc{sc}.csv")
+            assert meta["scatterers"] == sc
+            assert source.p_adv.any()
+            assert np.array_equal(vector.values, source.p_adv)
 
     @pytest.mark.parametrize("command, option", [("attack", "--mode=double"),
                                                  ("eval", "--blocks=10")])
@@ -726,7 +749,7 @@ class TestCli:
         # these options
         argv = [command, "--checkpoint", str(tmp_path / "none.ckpt"), "--snr-db", "4", option]
         if command == "attack":
-            argv += ["--kind", "rmaef", "--out", str(tmp_path / "p.csv")]
+            argv += ["--kind", "rmaef", "--out", str(tmp_path / "attack")]
         with pytest.raises(SystemExit) as exit_:
             cli_main(argv)
         assert exit_.value.code == 2
@@ -761,7 +784,7 @@ class TestCli:
         ("train", ["--out", "o"]),
         ("eval", ["--checkpoint", "w.ckpt", "--snr-db", "4"]),
         ("attack", ["--checkpoint", "w.ckpt", "--kind", "rmaef", "--snr-db", "4",
-                    "--out", "p.csv"]),
+                    "--out", "attack"]),
         ("sweep", ["--checkpoint", "w.ckpt", "--out", "o"])],
         ids=["train", "eval", "attack", "sweep"])
     def test_config_and_preset_exclude_each_other(self, tmp_path, capsys, monkeypatch,
@@ -773,19 +796,50 @@ class TestCli:
         assert exit_.value.code == 2
         assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "attack"])
-    def test_command_sets_the_heap_policy(self, trained_tiny, tmp_path, monkeypatch, command):
-        # eval and attack ran with glibc's default mmap and trim thresholds
+    def test_command_sets_the_heap_policy(self, trained_tiny, tmp_path, monkeypatch):
+        # attack ran with glibc's default mmap and trim thresholds
         cfg, _, ckpt = trained_tiny
         cfg_path = tmp_path / "config.json"
         save_config(cfg, cfg_path)
         calls = []
-        monkeypatch.setattr(cli, "set_heap_policy", lambda: calls.append(command))
-        argv = [command, "--config", str(cfg_path), "--checkpoint", str(ckpt), "--snr-db", "4"]
-        if command == "attack":
-            argv += ["--kind", "rmaef", "--out", str(tmp_path / "p.csv")]
-        assert cli_main(argv) == 0
-        assert calls == [command]
+        monkeypatch.setattr(cli, "set_heap_policy", lambda: calls.append("attack"))
+        assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--snr-db", "4", "--kind", "rmaef",
+                         "--out", str(tmp_path / "attack")]) == 0
+        assert calls == ["attack"]
+
+    def test_sweep_worker_sets_the_heap_policy(self, trained_tiny, tmp_path, monkeypatch):
+        # eval's cells run in forked sweep workers, and only a worker's
+        # initializer sets the policy for them
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        monkeypatch.setattr(harness, "set_heap_policy",
+                            lambda: (marks / str(os.getpid())).touch())
+        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--snr-db", "4"]) == 0
+        pids = {int(mark.name) for mark in marks.iterdir()}
+        assert pids and os.getpid() not in pids
+
+    def test_eval_prints_the_sweep_row_of_every_count(self, attackable_tiny, tmp_path, capsys):
+        # eval ran at system.num_scatterers whatever the config's scatterers,
+        # and labelled the row with it
+        cfg, nets, ckpt = attackable_tiny
+        cfg = copy.deepcopy(cfg)  # trained at system.num_scatterers 3
+        cfg.scatterers = [2, 3]
+        cfg.attacks = ["secured", "rmaef"]
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        snr_db = cfg.eval.snr_sweep_db[-1]
+        want = [row for row in run_sweep(cfg, nets)
+                if row.snr_db == snr_db and row.attack == "rmaef"]
+        assert [row.scatterers for row in want] == [2, 3]
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                         "--attack", "rmaef", "--snr-db", str(snr_db)]) == 0
+        assert capsys.readouterr().out == format_rows(want)
 
     def test_exit_code_on_missing_checkpoint(self, tmp_path):
         code = cli_main(["eval", "--preset", "desk", "--checkpoint",
@@ -809,7 +863,7 @@ class TestCli:
         if command == "eval":
             argv += ["--attack", "rmaep"]
         else:
-            argv += ["--kind", "rmaep", "--out", str(tmp_path / "p.csv")]
+            argv += ["--kind", "rmaep", "--out", str(tmp_path / "attack")]
         assert cli_main(argv) == 2
         assert f"config error: attack.{next(iter(attack))}: {message}" in capsys.readouterr().err
 
@@ -899,10 +953,10 @@ class TestCli:
         printed = capsys.readouterr().out.strip().splitlines()
         assert printed[-2] == "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 
-        pert = tmp_path / "pert.csv"
+        pert = tmp_path / "attack"
         assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                          "--kind", "rmaef", "--snr-db", "4", "--out", str(pert)]) == 0
-        assert pert.exists()
+        assert [p.name for p in pert.iterdir()] == ["rmaef-sc3.csv"]
 
         sweep_dir = tmp_path / "sweep"
         assert cli_main(["sweep", "--config", str(cfg_path), "--checkpoint", str(ckpt),

@@ -35,7 +35,7 @@ def test_cell_matches_benchmark_reference(reference_system, kind):
     rows = parse_rows((REFERENCE / "results.csv").read_text(encoding="utf-8"))
     want = next(r for r in rows if r.snr_db == SNR_DB and r.attack == kind)
     budget = make_budget(cfg, cfg.system, nets, cfg.attack.channel_mode)
-    got = run_cell(cfg, nets, cfg.system.num_scatterers, SNR_DB, kind, budget)
+    got = run_cell(cfg, nets, cfg.scatterers[0], SNR_DB, kind, budget)
     low, high = wilson_interval(round(want.ser * want.trials), want.trials)
     assert got.trials == want.trials == cfg.eval.test_blocks * cfg.system.block_len
     assert (got.scatterers, got.attack_channel) == (want.scatterers, want.attack_channel)
