@@ -17,7 +17,6 @@ and evaluated as one batch; the outer accumulation loop is sequential.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .autoencoder import (
     CHANNEL_MODES,
     AttackApplication,
     AutoencoderNets,
-    adversary_cascade_set,
     attack_dimension,
     decoder_input_gradient,
     pack_decoder_input,
@@ -35,7 +33,7 @@ from .autoencoder import (
 )
 from .channel import ChannelModel
 from .config import COUNT, DECIBELS, Section, SystemConfig, one_of, setting
-from .errors import AllTargetsFailed, InvariantViolation, NoProgress
+from .errors import AllTargetsFailed, InvariantViolation
 from .linalg import ls_solve
 from .neural import Network
 
@@ -321,8 +319,6 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         p_adv = enforce_power(p_adv + delta, linear_budget)
         flips += 1
 
-    if flips == 0:
-        warnings.warn(NoProgress("no probe produced a flip, so the vector is zero"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
                         iterations=pgd.n_p, flips_found=flips, already_broken=broken,
                         skipped=skipped, grad_evals=grad_evals)
@@ -332,12 +328,14 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
           pgd: AttackSettings, rng: np.random.Generator,
           channel_mode: str) -> AttackResult:
     """Fast-gradient baseline: accumulate single-step true-label ascent
-    directions, each mapped to the transmit domain, normalized to the budget
-    sphere and projected back under the budget. Every forward and gradient
-    runs on the folded networks."""
+    directions, each mapped to the transmit domain through the aggregates of
+    its forward (which applies a zero vector), normalized to the budget sphere
+    and projected back under the budget. Every forward and gradient runs on
+    the folded networks."""
     nets = nets.folded()
     dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
+    zero_attack = AttackApplication(channel_mode, p_adv=np.zeros(dim, dtype=np.complex128))
     model = ChannelModel(cfg)
     linear_budget = budget.linear
     grad_evals = 0
@@ -346,23 +344,20 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     for _it in range(pgd.n_p):
         blocks, _ = random_message_blocks(cfg, 1, rng)
         chan = model.sample_batch(1, rng)
-        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=zero_attack)
         g_r = decoder_input_gradient(nets.decoder, cfg, pack_decoder_input(rec.r, rec.k),
                                      blocks)[1][0]
         grad_evals += 1
         norm = np.linalg.norm(g_r)
         if norm == 0.0:
             continue
-        g_set = None if channel_mode == "ideal" else adversary_cascade_set(chan, rec.c1, rec.c2)[0]
-        delta = receiver_to_transmit(g_set, g_r / norm)
+        delta = receiver_to_transmit(None if rec.g is None else rec.g[0], g_r / norm)
         delta_norm = np.linalg.norm(delta)
         if delta_norm == 0.0:
             continue
         p_adv = enforce_power(p_adv + np.sqrt(linear_budget) * delta / delta_norm, linear_budget)
         steps += 1
 
-    if steps == 0:
-        warnings.warn(NoProgress("no probe produced a usable gradient step"))
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
                         iterations=pgd.n_p, flips_found=steps, already_broken=0,
                         skipped=pgd.n_p - steps, grad_evals=grad_evals)
@@ -392,8 +387,12 @@ def load_perturbation(path) -> tuple[PerturbationVector, dict]:
         raise ValueError("not a perturbation file")
     meta: dict = {}
     for token in lines[1].removeprefix("# ").split():
-        key, value = token.split("=", 1)
-        meta[key] = value if key == "channel_mode" else float(value)
+        try:
+            key, value = token.split("=", 1)
+            meta[key] = {"channel_mode": str, "scatterers": int, "dimension": int}.get(
+                key, float)(value)
+        except ValueError:
+            raise ValueError(f"not a perturbation file: cannot read {token!r}") from None
     rows = [line.split(",") for line in lines[3:] if line]
     if "budget" not in meta:
         raise ValueError("not a perturbation file: the header gives no budget")

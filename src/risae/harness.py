@@ -35,7 +35,7 @@ from .autoencoder import (
 )
 from .config import COUNT, DECIBELS, POSITIVE, Section, SystemConfig, from_json, setting
 from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint,
-                     ShapeMismatch)
+                     NoProgress, ShapeMismatch)
 from .neural import BN_EPS, BN_MOMENTUM, KERNEL_SIZE, load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
@@ -295,11 +295,18 @@ class ResultRow:
 def attack_vector(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: AutoencoderNets,
                   kind: str, snr_db: float, budget: AttackBudget) -> AttackResult:
     """The rmaef or rmaep construction of a cell, from its stream; ``risae
-    attack`` exports its vector."""
+    attack`` exports its vector. A zero vector warns NoProgress naming the
+    cell, which a sweep worker prints on its stderr."""
     mode = cfg.attack.channel_mode
     rng = derive_rng(cfg.seed, "attack", kind, mode, sys_cfg.num_scatterers, snr_db)
     builder = {"rmaep": rmaep, "rmaef": rmaef}[kind]
-    return builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode)
+    result = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode)
+    if result.flips_found == 0:
+        warnings.warn(NoProgress(
+            f"sc={sys_cfg.num_scatterers} snr={snr_db:+.1f} dB {kind} ({mode} attack channel): "
+            f"{result.iterations} probes, none refined the vector ({result.already_broken} "
+            f"already broken, {result.skipped} skipped), so the vector is zero"))
+    return result
 
 
 def build_attack_source(cfg: ExperimentConfig, sys_cfg: SystemConfig,
@@ -361,16 +368,9 @@ def _init_sweep_worker(cfg: ExperimentConfig, nets: AutoencoderNets) -> None:
 
 def _sweep_cell(scatterers: int, snr_db: float, kind: str,
                 budget: AttackBudget) -> tuple[ResultRow, float]:
-    """One cell in a sweep worker, with its wall time in seconds. A warning of
-    the cell is raised again naming it, which a worker's stderr does not."""
-    cfg, nets = _sweep_state
+    """One cell in a sweep worker, with its wall time in seconds."""
     started = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        row = run_cell(cfg, nets, scatterers, snr_db, kind, budget)
-    for w in caught:
-        warnings.warn(f"sc={scatterers} snr={snr_db:+.1f} dB {kind} "
-                      f"({cfg.attack.channel_mode} attack channel): {w.message}", w.category)
+    row = run_cell(*_sweep_state, scatterers, snr_db, kind, budget)
     return row, time.perf_counter() - started
 
 

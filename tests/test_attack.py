@@ -417,10 +417,9 @@ class TestUniversalAttacks:
         sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, 8.0))
         budget = make_budget(cfg, sys_cfg, nets, "double")
         calls = []
-        for module in (risae.autoencoder, risae.attack):
-            build = module.adversary_cascade_set
-            monkeypatch.setattr(module, "adversary_cascade_set",
-                                lambda *args, _build=build: calls.append(1) or _build(*args))
+        build = risae.autoencoder.adversary_cascade_set
+        monkeypatch.setattr(risae.autoencoder, "adversary_cascade_set",
+                            lambda *args: calls.append(1) or build(*args))
         with pytest.warns(NoProgress):
             result = attack_vector(cfg, sys_cfg, nets, "rmaep", 8.0, budget)
         assert result.skipped == 6
@@ -439,22 +438,20 @@ class TestUniversalAttacks:
 
         monkeypatch.setattr(risae.attack, "pgd_minimal_perturbation", failing)
         pgd = AttackSettings(n_p=8, n_s=2, channel_mode="ideal")
-        with pytest.warns(NoProgress):
-            result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
-                           np.random.default_rng(41), channel_mode="ideal")
+        result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
+                       np.random.default_rng(41), channel_mode="ideal")
         assert result.skipped == len(searches) >= 1 and result.flips_found == 0
         assert result.skipped + result.already_broken == pgd.n_p
         assert result.grad_evals == 7 * len(searches)
         assert not result.perturbation.values.any()
 
-    def test_rmaep_warns_when_every_probe_is_already_broken(self):
+    def test_rmaep_vector_stays_zero_when_every_probe_is_already_broken(self):
         # an untrained system decodes no probe cleanly, so no search runs and
-        # the vector stays zero, which the caller must hear about
+        # the vector stays zero
         cfg, nets = self._system()
         pgd = AttackSettings(n_p=4, n_s=1, channel_mode="ideal")
-        with pytest.warns(NoProgress):
-            result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
-                           np.random.default_rng(15), channel_mode="ideal")
+        result = rmaep(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power), pgd,
+                       np.random.default_rng(15), channel_mode="ideal")
         assert result.already_broken == pgd.n_p
         assert not result.perturbation.values.any()
 
@@ -479,8 +476,7 @@ class TestUniversalAttacks:
         cfg, nets = self._system(seed=18)
         budget = AttackBudget(-200.0, reference_power=cfg.power)
         pgd = AttackSettings(n_p=2, n_s=1, channel_mode="ideal")
-        with pytest.warns(NoProgress):
-            result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(19), channel_mode="ideal")
+        result = rmaep(nets, cfg, budget, pgd, np.random.default_rng(19), channel_mode="ideal")
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.perturbation.power < 1e-19
 
@@ -492,6 +488,27 @@ class TestUniversalAttacks:
         result = rmaef(nets, cfg, budget, pgd, np.random.default_rng(21), channel_mode=mode)
         assert result.perturbation.power <= budget.linear + 1e-9
         assert result.grad_evals == 5
+
+    def test_rmaef_double_maps_steps_to_transmit_domain(self, attackable_tiny, monkeypatch):
+        """rmaef maps each gradient step through the aggregates its forward
+        applied, which must give the vector that aggregates built again for
+        the mapping give; the identity mapping gives another vector of the
+        same shape (the system has n_r = n_t)."""
+        cfg, nets = attackable_tiny[0].system, attackable_tiny[1]
+        budget = AttackBudget(-7.0, reference_power=cfg.power)
+        pgd = AttackSettings(n_p=4, n_s=1, channel_mode="double")
+        result = rmaef(nets, cfg, budget, pgd, np.random.default_rng(33), channel_mode="double")
+        assert result.flips_found >= 1
+
+        forward, mapping = risae.attack.pipeline_forward, risae.attack.receiver_to_transmit
+        recs = []
+        monkeypatch.setattr(risae.attack, "pipeline_forward",
+                            lambda *args, **kwargs: recs.append(forward(*args, **kwargs))
+                            or recs[-1])
+        monkeypatch.setattr(risae.attack, "receiver_to_transmit", lambda g_set, ptilde: mapping(
+            adversary_cascade_set(recs[-1].chan, recs[-1].c1, recs[-1].c2)[0], ptilde))
+        again = rmaef(nets, cfg, budget, pgd, np.random.default_rng(33), channel_mode="double")
+        assert np.array_equal(again.perturbation.values, result.perturbation.values)
 
     @pytest.mark.parametrize("construction", ["pgd_search", "rmaef"])
     def test_attack_gradients_compute_no_weight_gradients(self, construction, monkeypatch):
@@ -553,6 +570,7 @@ class TestUniversalAttacks:
         assert meta["psr_db"] == -7.0
         assert meta["channel_mode"] == "double"
         assert meta["scatterers"] == cfg.num_scatterers
+        assert type(meta["scatterers"]) is int and type(meta["dimension"]) is int
 
     @pytest.mark.parametrize("text", [
         "",
@@ -568,8 +586,15 @@ class TestUniversalAttacks:
         "re,im\nnan,0\n0,0\n",
         "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=2\n"
         "re,im\n0,0\ninf,1\n",
+        "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension=1.0\n"
+        "re,im\n0,0\n",
+        "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal scatterers=3.5 "
+        "dimension=1\nre,im\n0,0\n",
+        "# risae perturbation v1\n# psr_db=-7 budget=1 channel_mode=ideal dimension\n"
+        "re,im\n0,0\n",
     ], ids=["empty", "header-only", "no-column-line", "foreign", "no-budget", "rows-short",
-            "nan-budget", "nan-value", "inf-value"])
+            "nan-budget", "nan-value", "inf-value", "float-dimension", "float-scatterers",
+            "token-without-value"])
     def test_load_rejects_truncated_or_foreign_file(self, tmp_path, text):
         path = tmp_path / "perturbation.csv"
         path.write_text(text)

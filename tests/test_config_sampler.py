@@ -64,8 +64,8 @@ def run(argv: list[str]) -> int:
 def run_ignoring_no_progress(argv: list[str]) -> int:
     """run, for a command whose cells run in forked sweep workers: a worker
     inherits the error filter of the tests, so a zero vector's NoProgress,
-    which the worker warns again naming its cell, would end the command
-    with the warning raised instead of a typed exit."""
+    which names its cell, would end the command with the warning raised
+    instead of a typed exit."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NoProgress)
         return run(argv)

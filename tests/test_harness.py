@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -478,13 +479,14 @@ class TestTrainAndSweep:
         nets = build_autoencoder(cfg.system, derive_rng(cfg.seed, "init"))
         monkeypatch.setattr(harness, "_sweep_state", (cfg, nets))
         budget = make_budget(cfg, cfg.system, nets, "ideal")
+        expected = ["sc=3 snr=-20.0 dB rmaep (ideal attack channel): 2 probes, none refined "
+                    "the vector (2 already broken, 0 skipped), so the vector is zero"]
         with pytest.warns(NoProgress) as caught:
             row, _ = harness._sweep_cell(3, -20.0, "rmaep", budget)
-        assert [str(w.message) for w in caught] == [
-            "sc=3 snr=-20.0 dB rmaep (ideal attack channel): "
-            "no probe produced a flip, so the vector is zero"]
-        with pytest.warns(NoProgress, match="^no probe"):  # the cell's row is unchanged
+        assert [str(w.message) for w in caught] == expected
+        with pytest.warns(NoProgress) as caught:  # the cell's row and warning are unchanged
             assert row == harness.run_cell(cfg, nets, 3, -20.0, "rmaep", budget)
+        assert [str(w.message) for w in caught] == expected
 
     def test_sweep_deterministic_under_seed(self, trained_tiny):
         cfg, nets, _ = trained_tiny
@@ -711,6 +713,26 @@ class TestCli:
         assert (f"; {r.iterations} probes: {r.flips_found} refined the vector, "
                 f"{r.already_broken} already broken, {r.skipped} skipped; "
                 f"{r.grad_evals} decoder gradients; " in capsys.readouterr().out)
+
+    def test_attack_warns_once_per_zero_vector(self, trained_tiny, tmp_path, capsys):
+        # Python's default filter shows a warning once per text and line; a
+        # warning that did not name its count printed one line for two zero
+        # vectors
+        cfg, _, ckpt = trained_tiny
+        cfg = copy.deepcopy(cfg)
+        cfg.scatterers = [2, 3]
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        out = tmp_path / "attack"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert cli_main(["attack", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                             "--kind", "rmaep", "--snr-db", "-20", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.count(" 0 refined the vector") == 2
+        for sc in (2, 3):
+            assert not load_perturbation(out / f"rmaep-sc{sc}.csv")[0].values.any()
+        assert [w.category for w in caught] == [NoProgress, NoProgress]
+        assert [str(w.message).split()[0] for w in caught] == ["sc=2", "sc=3"]
 
     @pytest.mark.parametrize("mode", ["ideal", "double"])
     @pytest.mark.parametrize("kind", ["rmaep", "rmaef"])
