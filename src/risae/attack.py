@@ -57,7 +57,7 @@ class AttackBudget:
     """
 
     psr_db: float
-    reference_power: float = 1.0
+    reference_power: float
 
     def __post_init__(self):
         if not self.reference_power > 0.0:
@@ -101,7 +101,7 @@ class AttackResult:
     flips_found: int
     already_broken: int
     skipped: int            # probes where no target class flipped in range
-    grad_evals: int         # decoder input gradients, failed searches included
+    grad_evals: int         # decoder input gradient rows, failed searches included
 
     def __post_init__(self):
         if self.flips_found + self.already_broken + self.skipped != self.iterations:
@@ -182,21 +182,8 @@ def receiver_to_transmit(g_set: np.ndarray | None, ptilde: np.ndarray) -> np.nda
 # minimal flipping perturbation (per-target bisection + projected walk)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PgdOutcome:
-    """Result of the minimal-perturbation search on one decoder input.
-
-    p_add is the smallest flipping radius times the unit clean-signal
-    gradient toward the class it flips to; subtracting it from the received
-    block (the descent direction of the walk) realizes the flip.
-    """
-
-    p_add: np.ndarray
-    grad_evals: int
-
-
 def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
-                             k_set: np.ndarray, pgd: AttackSettings) -> PgdOutcome:
+                             k_set: np.ndarray, pgd: AttackSettings) -> np.ndarray:
     """Smallest receiver-domain perturbation that flips the block decision.
 
     For every candidate target class a SEARCH_PROBES-step bisection of the
@@ -209,6 +196,10 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     lockstep as one decoder batch. The walk moves the received signal only;
     the CSI channels of the decoder input stay fixed.
 
+    Returns the (n_r, L) smallest flipping radius times the unit clean-signal
+    gradient toward the class it flips to; subtracting it from w (the descent
+    direction of the walk) realizes the flip. Every search, flipped or
+    failed, takes 1 + SEARCH_PROBES * n_s decoder gradients of m rows each.
     Raises AllTargetsFailed when no class flips within the search radius.
     """
     w = np.asarray(w, dtype=np.complex128)
@@ -221,14 +212,10 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     k_batch = np.broadcast_to(k_set[None], (m,) + k_set.shape)
     class_ids = np.arange(m)[:, None]
 
-    grad_evals = 0
-
     def gradients(w_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unit received-signal gradients and the decisions of the same forward."""
-        nonlocal grad_evals
         d_input = pack_decoder_input(w_batch, k_batch)
         probs, g_r = decoder_input_gradient(decoder, cfg, d_input, targets)
-        grad_evals += m
         norms = _row_norms(g_r)
         live = norms > 0.0
         unit = np.zeros_like(g_r)
@@ -245,7 +232,7 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
     lo = np.zeros(m)
     hi = np.full(m, p_max)
     success = np.zeros(m, dtype=bool)
-    p_norm = g_clean.copy()
+    p_norm = g_clean
 
     for _probe in range(SEARCH_PROBES):
         eps_ave = 0.5 * (lo + hi)
@@ -264,13 +251,11 @@ def pgd_minimal_perturbation(decoder: Network, cfg: SystemConfig, w: np.ndarray,
         success |= flipped
 
     if not success.any():
-        raise AllTargetsFailed(f"no target class flipped within radius {p_max:.3e}",
-                               grad_evals=grad_evals)
+        raise AllTargetsFailed(f"no target class flipped within radius {p_max:.3e}")
 
     per_class_eps = np.where(success, hi, np.inf)
     target = int(np.argmin(per_class_eps))
-    eps_star = float(per_class_eps[target])
-    return PgdOutcome(p_add=eps_star * g_clean[target], grad_evals=grad_evals)
+    return float(per_class_eps[target]) * g_clean[target]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +282,6 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     flips = 0
     broken = 0
     skipped = 0
-    grad_evals = 0
 
     for _it in range(pgd.n_p):
         blocks, indices = random_message_blocks(cfg, 1, rng)
@@ -308,20 +292,19 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
             broken += 1
             continue
         try:
-            outcome = pgd_minimal_perturbation(nets.decoder, cfg, rec.r[0], rec.k[0], pgd)
-        except AllTargetsFailed as exc:
-            grad_evals += exc.grad_evals
+            p_add = pgd_minimal_perturbation(nets.decoder, cfg, rec.r[0], rec.k[0], pgd)
+        except AllTargetsFailed:
             skipped += 1
             continue
-        grad_evals += outcome.grad_evals
         # the walk descends along the gradient, so the additive flip is -p_add
-        delta = receiver_to_transmit(None if rec.g is None else rec.g[0], -outcome.p_add)
+        delta = receiver_to_transmit(None if rec.g is None else rec.g[0], -p_add)
         p_adv = enforce_power(p_adv + delta, linear_budget)
         flips += 1
 
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
                         iterations=pgd.n_p, flips_found=flips, already_broken=broken,
-                        skipped=skipped, grad_evals=grad_evals)
+                        skipped=skipped,
+                        grad_evals=(flips + skipped) * cfg.m * (1 + SEARCH_PROBES * pgd.n_s))
 
 
 def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
@@ -338,7 +321,6 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     zero_attack = AttackApplication(channel_mode, p_adv=np.zeros(dim, dtype=np.complex128))
     model = ChannelModel(cfg)
     linear_budget = budget.linear
-    grad_evals = 0
     steps = 0
 
     for _it in range(pgd.n_p):
@@ -347,7 +329,6 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=zero_attack)
         g_r = decoder_input_gradient(nets.decoder, cfg, pack_decoder_input(rec.r, rec.k),
                                      blocks)[1][0]
-        grad_evals += 1
         norm = np.linalg.norm(g_r)
         if norm == 0.0:
             continue
@@ -360,7 +341,7 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
 
     return AttackResult(perturbation=PerturbationVector(p_adv, linear_budget),
                         iterations=pgd.n_p, flips_found=steps, already_broken=0,
-                        skipped=pgd.n_p - steps, grad_evals=grad_evals)
+                        skipped=pgd.n_p - steps, grad_evals=pgd.n_p)
 
 
 # ---------------------------------------------------------------------------

@@ -421,7 +421,7 @@ class TrainResult:
 
 
 def train(nets: AutoencoderNets, cfg: SystemConfig, num_symbols: int, epochs: int,
-          lr: float, rng: np.random.Generator, *, batch_blocks: int = 64,
+          lr: float, rng: np.random.Generator, *, batch_blocks: int,
           channel_model: ChannelModel | None = None,
           adam: AdamState | None = None) -> TrainResult:
     """Train all four networks end to end with Adam.

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from .errors import ConfigInvalid
 
 
-def setting(default, bound=None, *, network: bool = False):
+def setting(default, bound, *, network: bool = False):
     """A config field: its default, its bound as (predicate, message), and
     whether the networks depend on it (``network``): ``build_autoencoder``
     reads it, or it is the block length they were trained on. A checkpoint

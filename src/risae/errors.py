@@ -27,15 +27,7 @@ class InvariantViolation(RuntimeError):
 
 
 class AllTargetsFailed(RuntimeError):
-    """No candidate target class could be flipped within the search radius.
-
-    ``grad_evals`` counts the gradient evaluations the failed search spent;
-    it is instance state, so it survives pickling.
-    """
-
-    def __init__(self, message: str, grad_evals: int = 0):
-        super().__init__(message)
-        self.grad_evals = grad_evals
+    """No candidate target class could be flipped within the search radius."""
 
 
 class NoProgress(UserWarning):

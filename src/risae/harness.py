@@ -468,7 +468,7 @@ def write_manifest(path, cfg: ExperimentConfig, ckpt_path, csv_name: str) -> Non
 
 
 def sweep_to_directory(cfg: ExperimentConfig, nets: AutoencoderNets, ckpt_path,
-                       out_dir, progress: bool = False) -> Path:
+                       out_dir, progress: bool) -> Path:
     """Run the full grid and persist CSV, manifest and a copy of the
     checkpoint, making the output directory self-contained."""
     out_dir = Path(out_dir)
@@ -483,7 +483,7 @@ def sweep_to_directory(cfg: ExperimentConfig, nets: AutoencoderNets, ckpt_path,
     return csv_path
 
 
-def rerun_from_manifest(manifest_path, out_dir, progress: bool = False) -> Path:
+def rerun_from_manifest(manifest_path, out_dir, progress: bool) -> Path:
     """Reproduce a sweep byte-for-byte from its manifest.
 
     The checkpoint is located next to the manifest (or at the recorded path)

@@ -13,7 +13,7 @@ from .errors import NotPSD, ShapeMismatch
 PSD_EIG_FLOOR = -1e-10
 
 
-def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+def as_matrix(a: np.ndarray, name: str) -> np.ndarray:
     """Validate a 2-D complex matrix with finite entries."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:

@@ -458,7 +458,7 @@ _CKPT_MAGIC = b"RISAECK1"
 _CKPT_VERSION = 1
 
 
-def save_checkpoint(path, networks: dict[str, Network], meta: dict | None = None) -> None:
+def save_checkpoint(path, networks: dict[str, Network], meta: dict) -> None:
     """Versioned binary checkpoint: JSON header then flat little-endian doubles.
 
     It holds each network's parameters by name, not its architecture: the
@@ -473,7 +473,7 @@ def save_checkpoint(path, networks: dict[str, Network], meta: dict | None = None
             arr = np.ascontiguousarray(params[key], dtype="<f8")
             manifest.append({"net": net_name, "param": key, "shape": list(arr.shape)})
             blobs.append(arr.tobytes())
-    header = json.dumps({"version": _CKPT_VERSION, "arrays": manifest, "meta": meta or {}},
+    header = json.dumps({"version": _CKPT_VERSION, "arrays": manifest, "meta": meta},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)

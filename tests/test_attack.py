@@ -1,6 +1,5 @@
 """Projection, mapping and search-contract tests for the attack module."""
 
-import pickle
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +253,7 @@ def linear_toy_decoder(bias=0.0):
     return Network([conv, Softmax()])
 
 
-def ray_flips_to_target(decoder, w, k_set, out, target):
+def ray_flips_to_target(decoder, w, k_set, p_add, target):
     """Whether w - p_add decodes to a changed decision whose majority is
     target, on a one-symbol toy block."""
     def decide(r):
@@ -262,8 +261,19 @@ def ray_flips_to_target(decoder, w, k_set, out, target):
                          k_set[0, 0, 0].real, k_set[0, 0, 0].imag]).reshape(1, 4, 1)
         return decoder.forward(d_in)[0][0].argmax(axis=0)
 
-    flipped = decide(w - out.p_add)
+    flipped = decide(w - p_add)
     return (flipped == target).sum() * 2 > flipped.size and (flipped != decide(w)).any()
+
+
+def counting_gradient_rows(monkeypatch) -> list[int]:
+    """The row count of every decoder input gradient the attacks take from
+    here on, in call order."""
+    rows = []
+    gradient = risae.attack.decoder_input_gradient
+    monkeypatch.setattr(risae.attack, "decoder_input_gradient",
+                        lambda decoder, cfg, d_input, targets:
+                        rows.append(len(d_input)) or gradient(decoder, cfg, d_input, targets))
+    return rows
 
 
 def toy_cfg():
@@ -278,37 +288,39 @@ class TestPgdMinimalPerturbation:
         w = np.array([[1.3 + 0.4j]])
         k_set = np.array([[[0.7 + 0.2j]]])
         pgd = AttackSettings(n_p=1, n_s=1)
-        out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
+        p_add = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         # p_add is the flipping radius along a unit gradient
-        assert abs(np.linalg.norm(out.p_add) - 1.3) <= 2e-3
-        assert ray_flips_to_target(decoder, w, k_set, out, target=1)
+        assert p_add.shape == w.shape
+        assert abs(np.linalg.norm(p_add) - 1.3) <= 2e-3
+        assert ray_flips_to_target(decoder, w, k_set, p_add, target=1)
 
-    def test_flip_contract_and_probe_count(self):
+    def test_flip_contract_and_probe_count(self, monkeypatch):
         decoder = linear_toy_decoder()
         cfg = toy_cfg()
         w = np.array([[0.9 - 0.2j]])
         k_set = np.array([[[0.5 + 0.1j]]])
         pgd = AttackSettings(n_p=1, n_s=1)
-        out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
-        assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
-        assert np.linalg.norm(out.p_add) <= 2.0 * np.abs(w).item()
+        rows = counting_gradient_rows(monkeypatch)
+        p_add = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
+        assert rows == [cfg.m] * (1 + SEARCH_PROBES * pgd.n_s)
+        assert np.linalg.norm(p_add) <= 2.0 * np.abs(w).item()
         # w - p_add flips the decision to the other class
-        assert ray_flips_to_target(decoder, w, k_set, out, target=1)
+        assert ray_flips_to_target(decoder, w, k_set, p_add, target=1)
 
-    def test_all_targets_failed(self):
+    def test_all_targets_failed(self, monkeypatch):
         # the boundary Re(r) = -2.5 lies 3.8 from w, past the radius 2 ||w|| = 2.6
         decoder = linear_toy_decoder(bias=5.0)
         cfg = toy_cfg()
         w = np.array([[1.3 + 0.0j]])
         k_set = np.array([[[0.5 + 0.0j]]])
         pgd = AttackSettings(n_p=1, n_s=1)
-        with pytest.raises(AllTargetsFailed) as err:
+        rows = counting_gradient_rows(monkeypatch)
+        with pytest.raises(AllTargetsFailed):
             pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
-        # the failed search reports what it spent, also across a pickle
-        assert err.value.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s) == 22
-        assert pickle.loads(pickle.dumps(err.value)).grad_evals == err.value.grad_evals
+        # a failed search spends as much as one that flips
+        assert sum(rows) == cfg.m * (1 + SEARCH_PROBES * pgd.n_s) == 22
 
-    def test_gradient_evaluation_bound(self):
+    def test_gradient_evaluation_bound(self, monkeypatch):
         cfg = tiny_config()
         nets = build_autoencoder(cfg, np.random.default_rng(12))
         rng = np.random.default_rng(14)
@@ -317,11 +329,12 @@ class TestPgdMinimalPerturbation:
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         w = rec.r[0]
         pgd = AttackSettings(n_p=1, n_s=2)
+        rows = counting_gradient_rows(monkeypatch)
         try:
-            out = pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd)
+            pgd_minimal_perturbation(nets.decoder, cfg, w, rec.k[0], pgd)
         except AllTargetsFailed:
             pytest.skip("random system produced no flip for this seed")
-        assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
+        assert rows == [cfg.m] * (1 + SEARCH_PROBES * pgd.n_s)
 
     @pytest.mark.parametrize("n_s", [1, 3])
     @pytest.mark.parametrize("bias", [0.0, 5.0], ids=["flips", "fails"])
@@ -338,26 +351,27 @@ class TestPgdMinimalPerturbation:
         k_set = np.array([[[0.7 + 0.2j]]])
         pgd = AttackSettings(n_p=1, n_s=n_s)
         try:
-            out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
+            p_add = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
         except AllTargetsFailed:
-            out = None
+            p_add = None
         assert forwards == [cfg.m] * (1 + SEARCH_PROBES * n_s)
-        assert (out is None) == (bias > 0.0)
-        assert out is None or ray_flips_to_target(decoder, w, k_set, out, target=1)
+        assert (p_add is None) == (bias > 0.0)
+        assert p_add is None or ray_flips_to_target(decoder, w, k_set, p_add, target=1)
 
-    def test_binary_search_interval_width(self):
+    def test_binary_search_interval_width(self, monkeypatch):
         decoder = linear_toy_decoder()
         cfg = toy_cfg()
         w = np.array([[0.6 + 0.3j]])
         k_set = np.array([[[0.4 - 0.6j]]])
         pgd = AttackSettings(n_p=1, n_s=1)
-        out = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
-        assert out.grad_evals == cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
+        rows = counting_gradient_rows(monkeypatch)
+        p_add = pgd_minimal_perturbation(decoder, cfg, w, k_set, pgd)
+        assert rows == [cfg.m] * (1 + SEARCH_PROBES * pgd.n_s)
         # the interval left after the probes, radius / 2^probes, is at most
         # 1e-3 of the radius, and holds the 0.6 margin from above
         radius = 2.0 * np.abs(w).item()
         assert 2.0 ** -SEARCH_PROBES <= 1e-3
-        assert 0.6 < np.linalg.norm(out.p_add) <= 0.6 + radius / 2 ** SEARCH_PROBES
+        assert 0.6 < np.linalg.norm(p_add) <= 0.6 + radius / 2 ** SEARCH_PROBES
 
 
 class TestUniversalAttacks:
@@ -427,14 +441,15 @@ class TestUniversalAttacks:
 
     def test_rmaep_counts_gradients_of_failed_searches(self, monkeypatch):
         # an untrained m=2, block_len=1 system decodes about half the probes;
-        # every search that runs fails and reports 7 gradient evaluations
+        # every search that runs fails, and counts as the m (1 + probes n_s)
+        # decoder gradient rows a real one takes
         cfg = tiny_config(m=2, block_len=1)
         nets = build_autoencoder(cfg, np.random.default_rng(40))
         searches = []
 
         def failing(*args):
             searches.append(args)
-            raise AllTargetsFailed("stub search", grad_evals=7)
+            raise AllTargetsFailed("stub search")
 
         monkeypatch.setattr(risae.attack, "pgd_minimal_perturbation", failing)
         pgd = AttackSettings(n_p=8, n_s=2, channel_mode="ideal")
@@ -442,8 +457,28 @@ class TestUniversalAttacks:
                        np.random.default_rng(41), channel_mode="ideal")
         assert result.skipped == len(searches) >= 1 and result.flips_found == 0
         assert result.skipped + result.already_broken == pgd.n_p
-        assert result.grad_evals == 7 * len(searches)
+        assert result.grad_evals == len(searches) * cfg.m * (1 + SEARCH_PROBES * pgd.n_s)
         assert not result.perturbation.values.any()
+
+    def test_reported_gradients_are_the_rows_requested(self, monkeypatch):
+        # The desk constructions on the ideal channel (reference checkpoint,
+        # master seed 7, 8 dB): rmaep finds 1 flip, skips 2 probes and finds
+        # 47 already broken, so its 3 searches take 3 * 16 * 201 = 9,648
+        # rows; rmaef takes one gradient row per probe.
+        cfg = desk_preset(7)
+        nets = load_system(REFERENCE_CKPT, cfg)
+        sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, 8.0))
+        budget = make_budget(cfg, sys_cfg, nets, "ideal")
+        rows = counting_gradient_rows(monkeypatch)
+        results = {}
+        for kind in ("rmaep", "rmaef"):
+            start = len(rows)
+            results[kind] = attack_vector(cfg, sys_cfg, nets, kind, 8.0, budget)
+            assert results[kind].grad_evals == sum(rows[start:]), kind
+        rmaep_result = results["rmaep"]
+        assert (rmaep_result.flips_found, rmaep_result.skipped,
+                rmaep_result.already_broken) == (1, 2, 47)
+        assert (rmaep_result.grad_evals, results["rmaef"].grad_evals) == (9648, 50)
 
     def test_rmaep_vector_stays_zero_when_every_probe_is_already_broken(self):
         # an untrained system decodes no probe cleanly, so no search runs and

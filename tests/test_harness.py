@@ -519,20 +519,20 @@ class TestPersistence:
     def test_manifest_rerun_is_byte_identical(self, trained_tiny, tmp_path):
         cfg, nets, ckpt = trained_tiny
         first = tmp_path / "first"
-        csv1 = sweep_to_directory(cfg, nets, ckpt, first)
+        csv1 = sweep_to_directory(cfg, nets, ckpt, first, progress=False)
         second = tmp_path / "second"
-        csv2 = rerun_from_manifest(first / "manifest.json", second)
+        csv2 = rerun_from_manifest(first / "manifest.json", second, progress=False)
         assert csv1.read_bytes() == csv2.read_bytes()
 
     def test_manifest_detects_checkpoint_tampering(self, trained_tiny, tmp_path):
         cfg, nets, ckpt = trained_tiny
         out = tmp_path / "run"
-        sweep_to_directory(cfg, nets, ckpt, out)
+        sweep_to_directory(cfg, nets, ckpt, out, progress=False)
         with open(out / "weights.ckpt", "r+b") as fh:
             fh.seek(-8, 2)
             fh.write(b"\x00" * 8)
         with pytest.raises(ConfigInvalid):
-            rerun_from_manifest(out / "manifest.json", tmp_path / "again")
+            rerun_from_manifest(out / "manifest.json", tmp_path / "again", progress=False)
 
 
     @pytest.mark.parametrize("text, where", [
@@ -795,7 +795,7 @@ class TestCli:
         # the rerun takes its config and seed from the manifest; given one of
         # these, it exited 0 with the manifest's results
         cfg, nets, ckpt = trained_tiny
-        sweep_to_directory(cfg, nets, ckpt, tmp_path / "first")
+        sweep_to_directory(cfg, nets, ckpt, tmp_path / "first", progress=False)
         assert cli_main(["sweep", "--from-manifest", str(tmp_path / "first" / "manifest.json"),
                          *option, "--out", str(tmp_path / "o")]) == 2
         assert (f"argument {option[0]}: not allowed with argument --from-manifest"

@@ -139,4 +139,4 @@ class TestAsMatrixFiniteCheck:
         if layout != "contiguous":
             a = LAYOUTS[layout](a)
         with pytest.raises(ValueError, match="non-finite"):
-            as_matrix(a)
+            as_matrix(a, "a")

@@ -599,7 +599,7 @@ class TestChannelsLastNetwork:
         grads, _ = net.backward(rec, rng.standard_normal(y.shape))
         adam_step(net.trainable_params(), grads, AdamState(lr=1e-2))
         path = tmp_path / "decoder.ckpt"
-        save_checkpoint(path, {"dec": net})
+        save_checkpoint(path, {"dec": net}, meta={})
         loaded, _ = load_checkpoint(path)
         assert sorted(loaded["dec"]) == sorted(net.params())
         rebuilt = self.decoder(np.random.default_rng(0))
@@ -623,7 +623,7 @@ class TestChannelsLastNetwork:
         grads, _ = net.backward(rec, rng.standard_normal(y.shape))
         adam_step(net.trainable_params(), grads, AdamState(lr=1e-2))
         assert views(net) == [True] * 3
-        save_checkpoint(tmp_path / "decoder.ckpt", {"dec": net})
+        save_checkpoint(tmp_path / "decoder.ckpt", {"dec": net}, meta={})
         loaded = self.decoder(np.random.default_rng(0))
         for key, value in load_checkpoint(tmp_path / "decoder.ckpt")[0]["dec"].items():
             loaded.set_param(key, value)
@@ -707,7 +707,7 @@ class TestCheckpoint:
     def test_rejects_truncated_file(self, tmp_path, where):
         rng = np.random.default_rng(22)
         path = tmp_path / "weights.ckpt"
-        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], rng, final=Softmax())})
+        save_checkpoint(path, {"dec": conv_stack([2, 4, 3], rng, final=Softmax())}, meta={})
         data = path.read_bytes()
         (header_len,) = struct.unpack("<I", data[12:16])
         arrays_start = 16 + header_len
@@ -731,7 +731,7 @@ class TestCheckpoint:
         # valid JSON of the wrong structure is a corrupt checkpoint, not a crash
         path = tmp_path / "weights.ckpt"
         save_checkpoint(path, {"dec": conv_stack([2, 4, 3], np.random.default_rng(27),
-                                                 final=Softmax())})
+                                                 final=Softmax())}, meta={})
         data = path.read_bytes()
         (header_len,) = struct.unpack("<I", data[12:16])
         header = json.loads(data[16:16 + header_len])

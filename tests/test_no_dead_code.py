@@ -8,8 +8,10 @@ benchmark wraps functions by name, and a function that only its wrap table
 names is still one nothing calls. A config field, and any other dataclass
 field, counts as used when it is read as an attribute in either place,
 outside its class's ``__post_init__`` check, and a parameter of a function
-or method when its body reads it. Tests do not count: nothing in ``src/``
-should exist only so that a test can call it.
+or method when its body reads it. A parameter's default counts as used
+when some program call sets the parameter and some leaves the default in
+place. Tests do not count: nothing in ``src/`` should exist only so that a
+test can call it.
 """
 
 import ast
@@ -250,22 +252,27 @@ def parameters_set(positional: list[str], call: ast.Call) -> set[str] | None:
     return filled
 
 
-def unset_defaulted_parameters() -> list[str]:
+def defaults_by_call() -> list[tuple[str, set[str], set[str], set[str]]]:
+    """(function's module and qualified name, its defaulted parameters, those
+    some call in src/risae or perfbench sets, those some call leaves in
+    place) of every function and method with a default that is not placed
+    in a table; a ``**`` argument counts as setting and leaving every one."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM_FILES}
     sites = [site for tree in trees.values() for site in call_sites(tree)]
     refs = set().union(*(value_references(tree) for tree in trees.values()))
-    unset = []
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, qualname, positional, with_default in defaulted_signatures(trees[path]):
             if not with_default or name in refs:
                 continue
-            filled = set()
+            filled, left = set(), set()
             for callee, call in sites:
                 if callee == name:
                     params = parameters_set(positional, call)
                     filled |= with_default if params is None else params
-            unset.extend(f"{path.stem}.{qualname}.{p}" for p in sorted(with_default - filled))
-    return unset
+                    left |= with_default if params is None else with_default - params
+            out.append((f"{path.stem}.{qualname}", with_default, filled, left))
+    return out
 
 
 def test_every_defaulted_parameter_is_set_by_the_program():
@@ -273,8 +280,18 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     # is a knob only tests turn. A call to a class fills its __init__; a
     # function placed in a table, like the attack builders, may be called
     # with any of its parameters.
-    unset = unset_defaulted_parameters()
+    unset = [f"{where}.{p}" for where, with_default, filled, _ in defaults_by_call()
+             for p in sorted(with_default - filled)]
     assert not unset, f"parameters no call in src/risae or perfbench sets: {unset}"
+
+
+def test_every_default_is_relied_on_by_the_program():
+    # A default that every call in src/risae or perfbench overrides is a
+    # value only tests take: the program would read the same without it. A
+    # function no program code calls is left to the rule above.
+    overridden = [f"{where}.{p}" for where, with_default, filled, left in defaults_by_call()
+                  if filled for p in sorted(with_default - left)]
+    assert not overridden, f"defaults every call in src/risae or perfbench overrides: {overridden}"
 
 
 # -- parameters read ----------------------------------------------------------
