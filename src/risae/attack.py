@@ -380,7 +380,7 @@ def load_perturbation(path) -> tuple[PerturbationVector, dict]:
     if meta.get("dimension") != len(rows):
         raise ValueError(f"not a perturbation file: {len(rows)} rows, "
                          f"the header gives dimension {meta.get('dimension')}")
-    values = np.array([float(r) + 1j * float(i) for r, i in rows])
+    values = np.array([complex(float(r), float(i)) for r, i in rows])
     if not (np.isfinite(values).all() and np.isfinite(meta["budget"])):
         raise ValueError("not a perturbation file: a value or the budget is not finite")
     return PerturbationVector(values=values, budget=meta["budget"]), meta

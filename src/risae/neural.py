@@ -247,10 +247,12 @@ class PowerNorm(Layer):
         return gx, {}
 
 
-# Rows (blocks times block length) per slice of a forward without a record:
-# a desk slice's 1 MiB activations stay in a 2 MiB L2 cache, where the 4,096
-# rows of a 512-block desk chunk (a 12 MiB im2col matrix) spill to memory
-INFERENCE_ROWS = 1024
+# Rows (blocks times block length) per slice of a forward without a record.
+# Per row, the widest desk layer (a 128 -> 128 Conv1D of kernel 3) holds its
+# input (128 floats), padded copy (160: 10 positions per 8-row block), im2col
+# row (384) and output (128). A 256-row slice (32 desk blocks) thus takes
+# 256 x 800 x 8 B, about 1.6 MiB, and stays in a 2 MiB L2 cache
+INFERENCE_ROWS = 256
 
 
 class Network:

@@ -607,6 +607,15 @@ class TestUniversalAttacks:
         assert meta["scatterers"] == cfg.num_scatterers
         assert type(meta["scatterers"]) is int and type(meta["dimension"]) is int
 
+    def test_export_round_trip_keeps_signed_zeros(self, tmp_path):
+        vector = PerturbationVector(np.array([complex(-0.0, 0.5), complex(1.5, -0.0)]), 3.0)
+        path = tmp_path / "perturbation.csv"
+        export_perturbation(path, vector, "ideal", psr_db=-7.0, scatterers=9)
+        loaded, _ = load_perturbation(path)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(loaded.values, part)),
+                                  np.signbit(getattr(vector.values, part))), part
+
     @pytest.mark.parametrize("text", [
         "",
         "# risae perturbation v1\n",

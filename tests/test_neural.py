@@ -3,10 +3,13 @@
 import copy
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from risae.autoencoder import build_autoencoder
+from risae.config import SystemConfig
 from risae.errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 from risae.neural import (
     ADAM_BETA1,
@@ -496,6 +499,22 @@ class TestNetwork:
         assert np.array_equal(y, net.folded().forward(x, record=True)[0])
         with pytest.raises(MissingRecord):
             net.backward(rec, np.zeros_like(y))
+
+    @pytest.mark.parametrize("name", ["encoder", "ris1", "ris2", "decoder"])
+    def test_unrecorded_pass_fits_the_l2_cache(self, name):
+        # the working set of a desk network's pass over a 512-block evaluation
+        # chunk, beyond its output: about 1.6 MiB with 256-row slices, 3.13 MiB
+        # with 512 and 6.25 MiB with 1,024
+        cfg, rng = SystemConfig(), np.random.default_rng(24)
+        net = getattr(build_autoencoder(cfg, rng).folded(), name)
+        x = rng.standard_normal((512, net.layers[0].in_channels, cfg.block_len))
+        tracemalloc.start()
+        try:
+            y, _ = net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - y.nbytes < 2 * 2 ** 20, (name, peak - y.nbytes)
 
 
 def one_layer_of_each_kind(rng):
