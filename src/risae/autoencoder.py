@@ -349,7 +349,7 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     g_a1 = channels_to_complex(gs1) + np.conj(rec.c1) * g_m1_field
     g_o += u1h @ g_a1
 
-    enc_grads, _ = nets.encoder.backward(rec.enc_rec, complex_to_channels(g_o))
+    enc_grads, _ = nets.encoder.backward(rec.enc_rec, complex_to_channels(g_o), inputs=0)
     rec.enc_rec = None
     return loss, {"encoder": enc_grads, "ris1": r1_grads, "ris2": r2_grads,
                   "decoder": dec_grads}
@@ -366,8 +366,8 @@ def decoder_input_gradient(decoder: Network, cfg: SystemConfig, d_input: np.ndar
     decoder = decoder.folded()
     probs, rec = decoder.forward(d_input, record=True)
     g_probs = bce_loss_per_sample(probs, target)[1]
-    _, g_input = decoder.backward(rec, g_probs, params=False)
-    return probs, channels_to_complex(g_input[:, :2 * cfg.n_r])
+    _, g_input = decoder.backward(rec, g_probs, params=False, inputs=2 * cfg.n_r)
+    return probs, channels_to_complex(g_input)
 
 
 # ---------------------------------------------------------------------------

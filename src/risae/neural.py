@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
 
@@ -66,6 +66,7 @@ class Conv1D(Layer):
     """
 
     trainable = ("weight", "bias")
+    flipped: np.ndarray | None = None  # set by Network.folded, whose copies nothing steps
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator):
@@ -95,7 +96,10 @@ class Conv1D(Layer):
         # (0, 2) run much faster on this layout than on a C-ordered copy.
         return y.reshape(batch, length, -1).transpose(0, 2, 1), {"cols": cols}
 
-    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
+    def backward(self, cache: dict, gy: np.ndarray, params: bool = True,
+                 inputs: int | None = None):
+        """Parameter gradients (unless params=False) and the gradient of the
+        first ``inputs`` input channels (default all; at 0, no GEMM runs)."""
         batch, channels, length, k_size = cache["cols"].shape
         grads = {}
         if params:
@@ -103,12 +107,20 @@ class Conv1D(Layer):
             g_w = (g2.T @ _im2col(cache["cols"])).reshape(self.out_channels, k_size, channels)
             g_w = np.asfortranarray(g_w.transpose(0, 2, 1))  # the weight's layout
             grads = {"weight": g_w, "bias": g2.sum(axis=0)}
-        # The adjoint of a same-padded correlation is the same correlation of
-        # the padded upstream gradient with the flipped kernel: window t, tap
-        # j reads output t + j - pad, so row j·O + o holds weight[o, :, K-1-j].
-        flipped = self.weight[:, :, ::-1].transpose(2, 0, 1).reshape(-1, channels)
-        gx = _im2col(_windows(gy, k_size)) @ flipped
-        return gx.reshape(batch, length, channels).transpose(0, 2, 1), grads
+        inputs = channels if inputs is None else inputs
+        if inputs == 0:
+            return np.empty((batch, 0, length)), grads
+        gx = _im2col(_windows(gy, k_size)) @ self._flipped_matrix()[:, :inputs]
+        return gx.reshape(batch, length, inputs).transpose(0, 2, 1), grads
+
+    def _flipped_matrix(self) -> np.ndarray:
+        """The (K·O, C) kernel of the input gradient, stored on folded copies.
+        The adjoint of a same-padded correlation is the same correlation of
+        the padded upstream gradient with the flipped kernel: window t, tap
+        j reads output t + j - pad, so row j·O + o holds weight[o, :, K-1-j]."""
+        if self.flipped is not None:
+            return self.flipped
+        return self.weight[:, :, ::-1].transpose(2, 0, 1).reshape(-1, self.in_channels)
 
 
 def _windows(x: np.ndarray, k_size: int) -> np.ndarray:
@@ -120,7 +132,8 @@ def _windows(x: np.ndarray, k_size: int) -> np.ndarray:
     xp[:, :pad] = 0.0
     xp[:, pad + length:] = 0.0
     xp[:, pad:pad + length] = x.transpose(0, 2, 1)
-    return sliding_window_view(xp, k_size, axis=1).transpose(0, 2, 1, 3)
+    sb, sl, sc = xp.strides
+    return as_strided(xp, (batch, channels, length, k_size), (sb, sc, sl, sl), writeable=False)
 
 
 def _im2col(cols: np.ndarray) -> np.ndarray:
@@ -305,11 +318,17 @@ class Network:
             out[start:start + step] = y
         return out, None
 
-    def backward(self, record, gy: np.ndarray, params: bool = True):
+    def backward(self, record, gy: np.ndarray, params: bool = True,
+                 inputs: int | None = None):
         """Gradients of the recorded forward pass.
 
         Returns (param gradients keyed like params(), input gradient); with
         params=False only the input gradient is computed and the dict is empty.
+        The input gradient holds the first ``inputs`` input channels (default
+        all), the ones the caller reads; the first layer must then be a Conv1D,
+        which computes no other and at 0 runs no input-gradient GEMM. The
+        attacks ask for the received signal's channels, training asks the
+        encoder for none.
         """
         if record is None:
             raise MissingRecord("forward() was not run with recording")
@@ -318,7 +337,8 @@ class Network:
         grads: dict[str, np.ndarray] = {}
         g = gy
         for i in reversed(range(len(self.layers))):
-            g, layer_grads = self.layers[i].backward(record[i], g, params)
+            cut = () if i or inputs is None else (inputs,)  # a first Conv1D's argument
+            g, layer_grads = self.layers[i].backward(record[i], g, params, *cut)
             for name, value in layer_grads.items():
                 grads[f"layer{i}.{name}"] = value
         return grads, g
@@ -326,7 +346,8 @@ class Network:
     def folded(self) -> Network:
         """An inference copy with every BatchNorm's running estimates folded
         into the Conv1D before it (``conv_stack`` puts one before each):
-        weight W·s and bias (b − μ)·s + β, with s = γ / sqrt(σ² + eps). The
+        weight W·s and bias (b − μ)·s + β, with s = γ / sqrt(σ² + eps). Nothing
+        steps the copies, so each keeps its flipped input-gradient kernel. The
         other layers are shared and this network is left unchanged; one
         without BatchNorm is its own folded network."""
         if not any(isinstance(layer, BatchNorm) for layer in self.layers):
@@ -345,6 +366,9 @@ class Network:
                 layers.append(conv)
             else:
                 layers.append(layer)
+        for conv in layers:
+            if isinstance(conv, Conv1D):  # its weight is final: the fold has scaled it
+                conv.flipped = conv._flipped_matrix()
         return Network(layers)
 
 

@@ -349,6 +349,29 @@ class TestPipelineGradients:
         with pytest.raises(MissingRecord):
             pipeline_backward(nets, rec)
 
+    def test_backward_asks_the_encoder_for_no_input_gradient(self, monkeypatch):
+        # the encoder's input is the one-hot message, whose gradient nothing
+        # reads; every other Conv1D's input gradient feeds the layer before it
+        # or the chain into another network
+        cfg, nets = make_system(seed=46)
+        rng = np.random.default_rng(47)
+        chan = ChannelModel(cfg).sample_batch(2, rng)
+        blocks, _ = random_message_blocks(cfg, 2, rng)
+        rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, train=True)
+        asked = {}
+        backward = Conv1D.backward
+
+        def spy(conv, cache, gy, params=True, inputs=None):
+            asked[id(conv)] = inputs
+            return backward(conv, cache, gy, params, inputs)
+
+        monkeypatch.setattr(Conv1D, "backward", spy)
+        pipeline_backward(nets, rec)
+        convs = [layer for net in nets.as_dict().values() for layer in net.layers
+                 if isinstance(layer, Conv1D)]
+        assert asked == {id(conv): 0 if conv is nets.encoder.layers[0] else None
+                         for conv in convs}
+
     def test_training_pass_refuses_an_attack(self):
         # the backward treats the received signal as z + noise; the pass
         # refuses before it draws or updates a BatchNorm statistic

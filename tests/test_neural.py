@@ -7,16 +7,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from risae import neural
 from risae.autoencoder import build_autoencoder
 from risae.config import SystemConfig
 from risae.errors import CorruptCheckpoint, DegenerateInput, MissingRecord, ShapeMismatch
+from risae.harness import paper_preset
 from risae.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     BN_EPS,
     BN_MOMENTUM,
+    KERNEL_SIZE,
     AdamState,
     BatchNorm,
     Conv1D,
@@ -578,6 +582,147 @@ class TestInputOnlyBackward:
         assert grads == {}
         assert np.array_equal(gx, full_gx)
         assert sorted(full_grads) == sorted(net.trainable_params())
+
+
+# The decoders the attacks differentiate: 40 input channels on the desk
+# preset, 544 on the paper preset, of which the first 2·n_r are the received signal
+DECODER_CONFIGS = {"desk": SystemConfig(), "paper": paper_preset().system}
+# (preset, batch): rmaef's one-block gradient and the minimal-flip search's
+# m-target batch at each preset, and a 64-block batch at the desk
+CUT_BATCHES = [("desk", 1), ("desk", 16), ("desk", 64), ("paper", 64)]
+
+
+def decoder_with_statistics(cfg, rng):
+    """The cfg decoder with BatchNorm maps and running statistics away from
+    the identity."""
+    net = build_autoencoder(cfg, rng).decoder
+    for bn in (layer for layer in net.layers if isinstance(layer, BatchNorm)):
+        bn.gamma = rng.uniform(0.5, 2.0, bn.channels)
+        bn.beta = rng.standard_normal(bn.channels)
+        bn.running_mean = rng.standard_normal(bn.channels)
+        bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
+    return net
+
+
+def flipped_kernel(weight):
+    """The input gradient's (K·O, C) kernel by its definition: row j·O + o
+    holds weight[o, :, K-1-j]."""
+    out_channels, channels, k_size = weight.shape
+    flipped = np.empty((k_size * out_channels, channels))
+    for j in range(k_size):
+        for o in range(out_channels):
+            flipped[j * out_channels + o] = weight[o, :, k_size - 1 - j]
+    return flipped
+
+
+class TestInputChannelCut:
+    """``backward(..., inputs=k)`` computes only the first k input channels,
+    folded copies keep their flipped kernel, and the window view is the
+    sliding-window view."""
+
+    @pytest.mark.parametrize("stored", [False, True], ids=["built", "stored"])
+    @pytest.mark.parametrize("preset, batch", CUT_BATCHES)
+    def test_conv_cut_is_the_first_channels_bit_for_bit(self, preset, batch, stored):
+        cfg = DECODER_CONFIGS[preset]
+        rng = np.random.default_rng(60)
+        conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, KERNEL_SIZE, rng)
+        if stored:
+            conv = Network([conv, BatchNorm(cfg.hidden_width)]).folded().layers[0]
+        x = rng.standard_normal((batch, cfg.decoder_channels, cfg.block_len))
+        gy = array_in_layout(rng, (batch, cfg.hidden_width, cfg.block_len), True)
+        _, cache = conv.forward(x)
+        full, _ = conv.backward(cache, gy, params=False)
+        cut, _ = conv.backward(cache, gy, params=False, inputs=2 * cfg.n_r)
+        assert cut.shape == (batch, 2 * cfg.n_r, cfg.block_len)
+        assert np.array_equal(cut, full[:, :2 * cfg.n_r])
+
+    def test_paper_one_block_cut_is_equal_to_rounding(self):
+        # At one or two paper blocks (20 or 40 GEMM rows) the cut product is
+        # small enough for OpenBLAS's small-matrix kernel, which sums the 768
+        # products in another order than the full 544-column product does
+        cfg = DECODER_CONFIGS["paper"]
+        rng = np.random.default_rng(61)
+        conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, KERNEL_SIZE, rng)
+        _, cache = conv.forward(rng.standard_normal((1, cfg.decoder_channels, cfg.block_len)))
+        gy = rng.standard_normal((1, cfg.hidden_width, cfg.block_len))
+        full, _ = conv.backward(cache, gy, params=False)
+        cut, _ = conv.backward(cache, gy, params=False, inputs=2 * cfg.n_r)
+        assert_close(cut, full[:, :2 * cfg.n_r], rtol=1e-14)
+
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "folded"])
+    @pytest.mark.parametrize("preset, batch", CUT_BATCHES)
+    def test_network_cut_is_the_first_channels_bit_for_bit(self, preset, batch, train):
+        cfg = DECODER_CONFIGS[preset]
+        rng = np.random.default_rng(62)
+        net = decoder_with_statistics(cfg, rng)
+        net = net if train else net.folded()
+        x = rng.standard_normal((batch, cfg.decoder_channels, cfg.block_len))
+        y, rec = net.forward(x, record=True)
+        gy = rng.standard_normal(y.shape)
+        full_grads, full = net.backward(rec, gy, params=train)
+        grads, cut = net.backward(rec, gy, params=train, inputs=2 * cfg.n_r)
+        assert np.array_equal(cut, full[:, :2 * cfg.n_r])
+        assert grads.keys() == full_grads.keys()
+        assert all(np.array_equal(grads[key], full_grads[key]) for key in grads)
+
+    def test_zero_inputs_runs_no_input_gradient_gemm(self, monkeypatch):
+        # the input-gradient GEMM multiplies a window view of gy by the
+        # flipped kernel; at inputs=0 the first Conv1D builds neither
+        rng = np.random.default_rng(63)
+        net = conv_stack([4, 8, 8, 4], rng)
+        x = rng.standard_normal((3, 4, 5))
+        y, rec = net.forward(x, record=True)
+        gy = rng.standard_normal(y.shape)
+        full_grads, _ = net.backward(rec, gy)
+        built = {"windows": 0, "kernels": 0}
+        windows, kernel = neural._windows, Conv1D._flipped_matrix
+
+        def count_windows(a, k_size):
+            built["windows"] += 1
+            return windows(a, k_size)
+
+        def count_kernels(conv):
+            built["kernels"] += 1
+            return kernel(conv)
+
+        monkeypatch.setattr(neural, "_windows", count_windows)
+        monkeypatch.setattr(Conv1D, "_flipped_matrix", count_kernels)
+        grads, gx = net.backward(rec, gy, inputs=0)
+        assert built == {"windows": 2, "kernels": 2}  # the second and third Conv1D only
+        assert gx.shape == (3, 0, 5)
+        assert all(np.array_equal(grads[key], full_grads[key]) for key in full_grads)
+
+    def test_folded_copy_stores_the_kernel_of_its_folded_weight(self):
+        net = decoder_with_statistics(DECODER_CONFIGS["desk"], np.random.default_rng(64))
+        for conv in (layer for layer in net.folded().layers if isinstance(layer, Conv1D)):
+            assert np.array_equal(conv.flipped, flipped_kernel(conv.weight))
+        assert all(layer.flipped is None for layer in net.layers if isinstance(layer, Conv1D))
+
+    def test_trainable_conv_gradient_follows_its_weight_after_a_step(self):
+        rng = np.random.default_rng(65)
+        net = Network([Conv1D(3, 4, 3, rng)])
+        conv = net.layers[0]
+        x = rng.standard_normal((2, 3, 5))
+        y, rec = net.forward(x, record=True)
+        gy = rng.standard_normal(y.shape)
+        grads, before = net.backward(rec, gy)
+        adam_step(net.trainable_params(), grads, AdamState(lr=0.1))
+        _, after = net.backward(rec, gy)
+        assert_close(after, conv_oracle(x, conv.weight, conv.bias, gy)[1])
+        assert not np.allclose(after, before)
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+    @pytest.mark.parametrize("k_size", [1, 3, 5])
+    def test_window_view_is_the_sliding_window_view(self, k_size, channels_last):
+        rng = np.random.default_rng(66)
+        x = array_in_layout(rng, (3, 4, 6), channels_last)
+        pad = k_size // 2
+        xp = np.pad(x.transpose(0, 2, 1), ((0, 0), (pad, pad), (0, 0)))
+        want = sliding_window_view(xp, k_size, axis=1).transpose(0, 2, 1, 3)
+        got = neural._windows(x, k_size)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable and not want.flags.writeable
 
 
 class TestChannelsLastNetwork:
