@@ -366,7 +366,7 @@ def decoder_input_gradient(decoder: Network, cfg: SystemConfig, d_input: np.ndar
     decoder = decoder.folded()
     probs, rec = decoder.forward(d_input, record=True)
     g_probs = bce_loss_per_sample(probs, target)[1]
-    _, g_input = decoder.backward(rec, g_probs, params=False, inputs=2 * cfg.n_r)
+    _, g_input = decoder.backward(rec, g_probs, inputs=2 * cfg.n_r)
     return probs, channels_to_complex(g_input)
 
 

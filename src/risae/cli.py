@@ -1,8 +1,9 @@
 """Command-line entry points: train, attack, eval, sweep.
 
 Exit codes: 0 on success, 2 on configuration errors (with the offending
-field path), 3 on I/O errors, including unreadable checkpoints, 4 when the
-numerics fail at run time (a degenerate input or a diverged training loss).
+field path), 3 on I/O errors, including unreadable checkpoints and a sweep
+directory holding another checkpoint, 4 when the numerics fail at run time
+(a degenerate input or a diverged training loss).
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (MissingCheckpoint, CorruptCheckpoint, FileNotFoundError, PermissionError,
-            IsADirectoryError) as exc:
+            IsADirectoryError, FileExistsError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (DegenerateInput, Diverged) as exc:

@@ -38,7 +38,7 @@ from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, Missi
                      NoProgress, ShapeMismatch)
 from .neural import BN_EPS, BN_MOMENTUM, KERNEL_SIZE, load_checkpoint, save_checkpoint
 
-ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")
+ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")  # from the cheapest kind to the slowest
 CSV_HEADER = "snr_db,attack,ser,trials,ci_halfwidth,scatterers,attack_channel"
 
 
@@ -299,6 +299,7 @@ def attack_vector(cfg: ExperimentConfig, sys_cfg: SystemConfig, nets: Autoencode
     cell, which a sweep worker prints on its stderr."""
     mode = cfg.attack.channel_mode
     rng = derive_rng(cfg.seed, "attack", kind, mode, sys_cfg.num_scatterers, snr_db)
+    # built per call, not at import: perfbench's tracer rebinds rmaep and rmaef to time them
     builder = {"rmaep": rmaep, "rmaef": rmaef}[kind]
     result = builder(nets, sys_cfg, budget, cfg.attack, rng, channel_mode=mode)
     if result.flips_found == 0:
@@ -335,10 +336,6 @@ def run_cell(cfg: ExperimentConfig, nets: AutoencoderNets, scatterers: int,
                      ci_halfwidth=est.ci_halfwidth, scatterers=scatterers,
                      attack_channel=cfg.attack.channel_mode)
 
-
-# Submission order of the sweep's cells, slowest kind first, so that a worker
-# is not left alone with an rmaep cell at the end of the sweep.
-_KIND_RANK = {"rmaep": 0, "rmaef": 1, "jamming": 2, "secured": 3}
 
 # (cfg, nets) of the sweep a worker process serves; set by _init_sweep_worker
 # in the worker only, which inherits both from the parent through fork.
@@ -394,7 +391,8 @@ def run_sweep(cfg: ExperimentConfig, nets: AutoencoderNets,
                                cfg.attack.channel_mode) for sc in cfg.scatterers}
     cells = [(sc, snr_db, kind) for sc in cfg.scatterers
              for snr_db in cfg.eval.snr_sweep_db for kind in cfg.attacks]
-    cells.sort(key=lambda cell: _KIND_RANK[cell[2]])
+    # slowest kind first, so that no worker is left alone with an rmaep cell at the end
+    cells.sort(key=lambda cell: -ATTACK_KINDS.index(cell[2]))
     workers = min(len(os.sched_getaffinity(0)), len(cells))
     rows = []
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
@@ -470,13 +468,17 @@ def write_manifest(path, cfg: ExperimentConfig, ckpt_path, csv_name: str) -> Non
 def sweep_to_directory(cfg: ExperimentConfig, nets: AutoencoderNets, ckpt_path,
                        out_dir, progress: bool) -> Path:
     """Run the full grid and persist CSV, manifest and a copy of the
-    checkpoint, making the output directory self-contained."""
+    checkpoint, making the output directory self-contained. A directory that
+    holds another checkpoint of the same name is refused (FileExistsError)
+    before any cell runs; one holding the same bytes gets no copy."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = Path(ckpt_path)
     local_ckpt = out_dir / ckpt_path.name
-    if local_ckpt.resolve() != ckpt_path.resolve():
+    if not local_ckpt.exists():
         shutil.copy2(ckpt_path, local_ckpt)
+    elif checkpoint_sha256(local_ckpt) != checkpoint_sha256(ckpt_path):
+        raise FileExistsError(f"{local_ckpt} holds another checkpoint than {ckpt_path}")
     rows = run_sweep(cfg, nets, progress=progress)
     csv_path = export_results(rows, out_dir / "results.csv")
     write_manifest(out_dir / "manifest.json", cfg, local_ckpt, csv_path.name)

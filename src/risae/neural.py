@@ -1,13 +1,13 @@
 """Minimal differentiable 1-D CNN engine.
 
 Forward and exact reverse-mode gradients (with respect to parameters and
-inputs, or to inputs alone) for the handful of layer kinds the autoencoder
-needs: Conv1D with same padding, batch normalization, ReLU, channel-axis
-softmax, and the non-trainable power normalization. All arrays are float64
-with shape (batch, channels, length); complex signals travel as stacked
-real/imaginary channel halves. Layers accept any strides. Conv1D returns
-its output and its input gradient as channels-last views, transposes of
-C-ordered (batch, length, channels) arrays; the elementwise layers
+inputs; on a folded copy, inputs alone) for the handful of layer kinds the
+autoencoder needs: Conv1D with same padding, batch normalization, ReLU,
+channel-axis softmax, and the non-trainable power normalization. All arrays
+are float64 with shape (batch, channels, length); complex signals travel as
+stacked real/imaginary channel halves. Layers accept any strides. Conv1D
+returns its output and its input gradient as channels-last views, transposes
+of C-ordered (batch, length, channels) arrays; the elementwise layers
 downstream keep that layout.
 
 Forward/backward on distinct activation records are independent; parameter
@@ -66,7 +66,7 @@ class Conv1D(Layer):
     """
 
     trainable = ("weight", "bias")
-    flipped: np.ndarray | None = None  # set by Network.folded, whose copies nothing steps
+    flipped: np.ndarray | None = None  # set by Network.folded on copies nothing steps
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator):
@@ -96,13 +96,12 @@ class Conv1D(Layer):
         # (0, 2) run much faster on this layout than on a C-ordered copy.
         return y.reshape(batch, length, -1).transpose(0, 2, 1), {"cols": cols}
 
-    def backward(self, cache: dict, gy: np.ndarray, params: bool = True,
-                 inputs: int | None = None):
-        """Parameter gradients (unless params=False) and the gradient of the
-        first ``inputs`` input channels (default all; at 0, no GEMM runs)."""
+    def backward(self, cache: dict, gy: np.ndarray, inputs: int | None = None):
+        """Parameter gradients unless folded (``flipped`` set), and the gradient
+        of the first ``inputs`` input channels (default all; at 0, no GEMM runs)."""
         batch, channels, length, k_size = cache["cols"].shape
         grads = {}
-        if params:
+        if self.flipped is None:
             g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
             g_w = (g2.T @ _im2col(cache["cols"])).reshape(self.out_channels, k_size, channels)
             g_w = np.asfortranarray(g_w.transpose(0, 2, 1))  # the weight's layout
@@ -182,7 +181,7 @@ class BatchNorm(Layer):
         y += self.beta[None, :, None]
         return y, {"xhat": xhat, "inv_std": inv_std}
 
-    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
+    def backward(self, cache: dict, gy: np.ndarray):
         xhat = cache["xhat"]
         inv_std = cache["inv_std"]
         g_gamma = np.einsum("bcl,bcl->c", gy, xhat)  # the input gradient needs both
@@ -193,7 +192,7 @@ class BatchNorm(Layer):
         gx += (g_beta / n)[None, :, None]
         np.subtract(gy, gx, out=gx)
         gx *= (self.gamma * inv_std)[None, :, None]
-        return gx, {"gamma": g_gamma, "beta": g_beta} if params else {}
+        return gx, {"gamma": g_gamma, "beta": g_beta}
 
 
 class ReLU(Layer):
@@ -204,7 +203,7 @@ class ReLU(Layer):
     def infer(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(_check_input(x), 0.0)  # no mask, which only a backward reads
 
-    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
+    def backward(self, cache: dict, gy: np.ndarray):
         return gy * cache["mask"], {}
 
 
@@ -218,7 +217,7 @@ class Softmax(Layer):
         y = ez / ez.sum(axis=1, keepdims=True)
         return y, {"y": y}
 
-    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
+    def backward(self, cache: dict, gy: np.ndarray):
         y = cache["y"]
         inner = (gy * y).sum(axis=1, keepdims=True)
         return y * (gy - inner), {}
@@ -250,7 +249,7 @@ class PowerNorm(Layer):
         y = x * scale[:, None, None]
         return y, {"x": x, "scale": scale, "mean_power": mean_power, "n_complex": n_complex}
 
-    def backward(self, cache: dict, gy: np.ndarray, params: bool = True):
+    def backward(self, cache: dict, gy: np.ndarray):
         x = cache["x"]
         scale = cache["scale"]
         n_complex = cache["n_complex"]
@@ -318,12 +317,11 @@ class Network:
             out[start:start + step] = y
         return out, None
 
-    def backward(self, record, gy: np.ndarray, params: bool = True,
-                 inputs: int | None = None):
+    def backward(self, record, gy: np.ndarray, inputs: int | None = None):
         """Gradients of the recorded forward pass.
 
-        Returns (param gradients keyed like params(), input gradient); with
-        params=False only the input gradient is computed and the dict is empty.
+        Returns (param gradients keyed like params(), input gradient): every
+        trainable parameter's, but none, an empty dict, on a ``folded`` copy.
         The input gradient holds the first ``inputs`` input channels (default
         all), the ones the caller reads; the first layer must then be a Conv1D,
         which computes no other and at 0 runs no input-gradient GEMM. The
@@ -338,7 +336,7 @@ class Network:
         g = gy
         for i in reversed(range(len(self.layers))):
             cut = () if i or inputs is None else (inputs,)  # a first Conv1D's argument
-            g, layer_grads = self.layers[i].backward(record[i], g, params, *cut)
+            g, layer_grads = self.layers[i].backward(record[i], g, *cut)
             for name, value in layer_grads.items():
                 grads[f"layer{i}.{name}"] = value
         return grads, g
@@ -347,9 +345,10 @@ class Network:
         """An inference copy with every BatchNorm's running estimates folded
         into the Conv1D before it (``conv_stack`` puts one before each):
         weight W·s and bias (b − μ)·s + β, with s = γ / sqrt(σ² + eps). Nothing
-        steps the copies, so each keeps its flipped input-gradient kernel. The
-        other layers are shared and this network is left unchanged; one
-        without BatchNorm is its own folded network."""
+        steps the copies, so each keeps its flipped input-gradient kernel and
+        computes no parameter gradients. The other layers are shared and this
+        network is left unchanged; one without BatchNorm is its own folded
+        network and still trains."""
         if not any(isinstance(layer, BatchNorm) for layer in self.layers):
             return self
         layers: list[Layer] = []

@@ -361,9 +361,9 @@ class TestPipelineGradients:
         asked = {}
         backward = Conv1D.backward
 
-        def spy(conv, cache, gy, params=True, inputs=None):
+        def spy(conv, cache, gy, inputs=None):
             asked[id(conv)] = inputs
-            return backward(conv, cache, gy, params, inputs)
+            return backward(conv, cache, gy, inputs)
 
         monkeypatch.setattr(Conv1D, "backward", spy)
         pipeline_backward(nets, rec)
@@ -615,7 +615,7 @@ class AffineBatchNorm(Layer):
              / np.sqrt(bn.running_var + BN_EPS)[None, :, None] + bn.beta[None, :, None])
         return y, None
 
-    def backward(self, _cache, gy, _params):
+    def backward(self, _cache, gy):
         bn = self.bn
         return gy * (bn.gamma / np.sqrt(bn.running_var + BN_EPS))[None, :, None], {}
 

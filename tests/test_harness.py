@@ -802,6 +802,51 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.fixture
+    def two_checkpoints(self, trained_tiny, tmp_path):
+        """A config that sweeps one cheap cell, a training directory a/ holding
+        the tiny checkpoint, and b/ holding another checkpoint of the same name
+        with its manifest."""
+        cfg, _, ckpt = trained_tiny
+        cfg = copy.deepcopy(cfg)
+        cfg.eval.snr_sweep_db, cfg.eval.test_blocks, cfg.attacks = [8.0], 10, ["secured"]
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        a, b = tmp_path / "a" / "weights.ckpt", tmp_path / "b" / "weights.ckpt"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        a.write_bytes(ckpt.read_bytes())
+        rewrite_checkpoint(ckpt, b, lambda arrays, meta: [
+            (net, param, value + 0.5 if (net, param) == ("decoder", "layer0.bias") else value)
+            for net, param, value in arrays])
+        harness.write_manifest(b.parent / "manifest.json", cfg, b, "results.csv")
+        return cfg_path, a, b
+
+    @pytest.mark.parametrize("source", ["checkpoint", "manifest"])
+    def test_sweep_refuses_a_directory_holding_another_checkpoint(self, two_checkpoints, capsys,
+                                                                   source):
+        # the sweep replaced a training directory's weights.ckpt, which its
+        # training log and config.json then no longer described
+        cfg_path, a, b = two_checkpoints
+        before = a.read_bytes()
+        nets_from = (["--config", str(cfg_path), "--checkpoint", str(b)] if source == "checkpoint"
+                     else ["--from-manifest", str(b.parent / "manifest.json")])
+        assert cli_main(["sweep", *nets_from, "--out", str(a.parent)]) == 3
+        assert a.read_bytes() == before
+        assert not (a.parent / "results.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(a) in err and str(b) in err
+
+    def test_sweep_into_a_directory_holding_the_same_checkpoint(self, two_checkpoints):
+        cfg_path, _, b = two_checkpoints
+        assert cli_main(["sweep", "--from-manifest", str(b.parent / "manifest.json"),
+                         "--out", str(b.parent)]) == 0
+        out = b.parent.parent / "c"
+        for _ in range(2):
+            assert cli_main(["sweep", "--config", str(cfg_path), "--checkpoint", str(b),
+                             "--out", str(out)]) == 0
+        assert (out / "weights.ckpt").read_bytes() == b.read_bytes()
+
     @pytest.mark.parametrize("command, rest", [
         ("train", ["--out", "o"]),
         ("eval", ["--checkpoint", "w.ckpt", "--snr-db", "4"]),

@@ -133,9 +133,9 @@ class OracleConv:
     def forward(self, x):
         return conv_oracle(x, self.conv.weight, self.conv.bias)[0], x
 
-    def backward(self, x, gy, params=True):
+    def backward(self, x, gy):
         _, gx, g_w, g_b = conv_oracle(x, self.conv.weight, self.conv.bias, gy)
-        return gx, {"weight": g_w, "bias": g_b} if params else {}
+        return gx, {"weight": g_w, "bias": g_b}
 
 
 def array_in_layout(rng, shape, channels_last):
@@ -276,7 +276,15 @@ class TestBatchNorm:
         bn.running_mean = rng.standard_normal(3)
         bn.running_var = rng.uniform(0.5, 2.0, 3)
         (conv,) = Network([Conv1D(2, 3, 3, rng), bn]).folded().layers
-        check_layer_gradients(conv, rng.standard_normal((2, 2, 4)))
+        # the folded copy differentiates through its stored flipped kernel
+        # and computes no parameter gradients
+        x = rng.standard_normal((2, 2, 4))
+        y, cache = conv.forward(x)
+        upstream = rng.standard_normal(y.shape)
+        gx, grads = conv.backward(cache, upstream)
+        assert grads == {}
+        loss = lambda v: float((conv.forward(v)[0] * upstream).sum())
+        assert rel_err(gx, fd_gradient(loss, x.copy())) < 1e-4
 
     def test_infer_mode_is_affine(self):
         rng = np.random.default_rng(6)
@@ -563,25 +571,71 @@ def network_of_kind(rng, kind, train):
     return Network(lead + ([] if kind == "batchnorm" else [layers[kind]])).folded()
 
 
+def trainable_twin(net, rng):
+    """A trainable network holding net's weights: each Conv1D rebuilt without
+    a stored flipped kernel, the other layers shared."""
+    twin = Network([Conv1D(layer.in_channels, layer.out_channels, layer.kernel_size, rng)
+                    if isinstance(layer, Conv1D) else layer for layer in net.layers])
+    for key, value in net.params().items():
+        twin.set_param(key, value)
+    return twin
+
+
+LAYER_KINDS = ["batchnorm", "conv", "powernorm", "relu", "softmax", "stack"]
+
+
 class TestInputOnlyBackward:
-    """``backward(..., params=False)``, the attacks' decoder gradient."""
+    """The backward of a folded copy, the attacks' decoder gradient, computes
+    the input gradient alone; a trainable network's computes every parameter
+    gradient too."""
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
-    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
-    @pytest.mark.parametrize("kind", ["batchnorm", "conv", "powernorm", "relu", "softmax",
-                                      "stack"])
-    def test_same_input_gradient_and_no_parameter_gradients(self, kind, train, channels_last):
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_folded_network_computes_the_input_gradient_alone(self, kind, channels_last):
         rng = np.random.default_rng(27)
-        net = network_of_kind(rng, kind, train)
-        assert train or not any(isinstance(layer, BatchNorm) for layer in net.layers)
+        net = network_of_kind(rng, kind, train=False)
+        assert not any(isinstance(layer, BatchNorm) for layer in net.layers)
+        twin = trainable_twin(net, rng)
         x = array_in_layout(rng, (3, 4, 5), channels_last)
         y, rec = net.forward(x, record=True)
+        twin_y, twin_rec = twin.forward(x, record=True)
+        assert np.array_equal(twin_y, y)
         gy = rng.standard_normal(y.shape)
-        full_grads, full_gx = net.backward(rec, gy)
-        grads, gx = net.backward(rec, gy, params=False)
+        grads, gx = net.backward(rec, gy)
+        twin_grads, twin_gx = twin.backward(twin_rec, gy)
         assert grads == {}
-        assert np.array_equal(gx, full_gx)
-        assert sorted(full_grads) == sorted(net.trainable_params())
+        assert np.array_equal(gx, twin_gx)
+        assert sorted(twin_grads) == sorted(twin.trainable_params())
+
+    @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_trainable_network_computes_every_parameter_gradient(self, kind, channels_last):
+        rng = np.random.default_rng(27)
+        net = network_of_kind(rng, kind, train=True)
+        y, rec = net.forward(array_in_layout(rng, (3, 4, 5), channels_last), record=True)
+        grads, _ = net.backward(rec, rng.standard_normal(y.shape))
+        assert sorted(grads) == sorted(net.trainable_params())
+
+    def test_network_without_batchnorm_is_its_own_folded_network_and_trains(self):
+        rng = np.random.default_rng(28)
+        net = Network([Conv1D(4, 6, 3, rng)])
+        assert net.folded() is net
+        x = rng.standard_normal((2, 4, 5))
+        y, rec = net.forward(x, record=True)
+        gy = rng.standard_normal(y.shape)
+        grads, _ = net.backward(rec, gy)
+        _, _, g_w, g_b = conv_oracle(x, net.layers[0].weight, net.layers[0].bias, gy)
+        assert sorted(grads) == ["layer0.bias", "layer0.weight"]
+        assert_close(grads["layer0.weight"], g_w)
+        assert_close(grads["layer0.bias"], g_b)
+
+    def test_folding_leaves_the_network_trainable(self):
+        rng = np.random.default_rng(29)
+        net = stack_with_statistics(rng)
+        net.folded()
+        y, rec = net.forward(rng.standard_normal((3, 4, 5)), record=True)
+        grads, _ = net.backward(rec, rng.standard_normal(y.shape))
+        assert sorted(grads) == sorted(net.trainable_params())
 
 
 # The decoders the attacks differentiate: 40 input channels on the desk
@@ -631,8 +685,8 @@ class TestInputChannelCut:
         x = rng.standard_normal((batch, cfg.decoder_channels, cfg.block_len))
         gy = array_in_layout(rng, (batch, cfg.hidden_width, cfg.block_len), True)
         _, cache = conv.forward(x)
-        full, _ = conv.backward(cache, gy, params=False)
-        cut, _ = conv.backward(cache, gy, params=False, inputs=2 * cfg.n_r)
+        full, _ = conv.backward(cache, gy)
+        cut, _ = conv.backward(cache, gy, inputs=2 * cfg.n_r)
         assert cut.shape == (batch, 2 * cfg.n_r, cfg.block_len)
         assert np.array_equal(cut, full[:, :2 * cfg.n_r])
 
@@ -645,8 +699,8 @@ class TestInputChannelCut:
         conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, KERNEL_SIZE, rng)
         _, cache = conv.forward(rng.standard_normal((1, cfg.decoder_channels, cfg.block_len)))
         gy = rng.standard_normal((1, cfg.hidden_width, cfg.block_len))
-        full, _ = conv.backward(cache, gy, params=False)
-        cut, _ = conv.backward(cache, gy, params=False, inputs=2 * cfg.n_r)
+        full, _ = conv.backward(cache, gy)
+        cut, _ = conv.backward(cache, gy, inputs=2 * cfg.n_r)
         assert_close(cut, full[:, :2 * cfg.n_r], rtol=1e-14)
 
     @pytest.mark.parametrize("train", [True, False], ids=["train", "folded"])
@@ -659,8 +713,8 @@ class TestInputChannelCut:
         x = rng.standard_normal((batch, cfg.decoder_channels, cfg.block_len))
         y, rec = net.forward(x, record=True)
         gy = rng.standard_normal(y.shape)
-        full_grads, full = net.backward(rec, gy, params=train)
-        grads, cut = net.backward(rec, gy, params=train, inputs=2 * cfg.n_r)
+        full_grads, full = net.backward(rec, gy)
+        grads, cut = net.backward(rec, gy, inputs=2 * cfg.n_r)
         assert np.array_equal(cut, full[:, :2 * cfg.n_r])
         assert grads.keys() == full_grads.keys()
         assert all(np.array_equal(grads[key], full_grads[key]) for key in grads)

@@ -296,13 +296,6 @@ def test_every_default_is_relied_on_by_the_program():
 
 # -- parameters read ----------------------------------------------------------
 
-# (module, function, parameter): why the parameter stays unread in its body
-UNREAD_EXEMPT = {
-    ("neural", f"{layer}.backward", "params"): "Network.backward passes it to every layer"
-    for layer in ("ReLU", "Softmax", "PowerNorm")
-}
-
-
 def unread_parameters(path: Path) -> set[tuple[str, str, str]]:
     """(module, qualified function, parameter) of every parameter of a
     function or method that its body never loads; a method's self or cls
@@ -333,7 +326,6 @@ def unread_parameters(path: Path) -> set[tuple[str, str, str]]:
 
 def test_every_parameter_is_read():
     # a parameter its function never reads changes nothing when a caller sets it
-    unread = set().union(*(unread_parameters(path) for path in sorted(PACKAGE.glob("*.py"))))
-    assert unread >= set(UNREAD_EXEMPT), "an exemption is no longer needed"
-    stray = sorted(unread - set(UNREAD_EXEMPT))
-    assert not stray, f"parameters their function never reads: {stray}"
+    unread = sorted(set().union(*(unread_parameters(path)
+                                  for path in sorted(PACKAGE.glob("*.py")))))
+    assert not unread, f"parameters their function never reads: {unread}"
