@@ -32,7 +32,7 @@ from .autoencoder import (
     random_message_blocks,
 )
 from .channel import ChannelModel
-from .config import COUNT, DECIBELS, Section, SystemConfig, one_of, setting
+from .config import COUNT, DECIBELS, Section, SystemConfig, setting
 from .errors import AllTargetsFailed, InvariantViolation
 from .linalg import ls_solve
 from .neural import Network
@@ -120,7 +120,8 @@ class AttackSettings(Section):
     psr_db: float = setting(-7.0, DECIBELS)
     n_p: int = setting(50, COUNT)
     n_s: int = setting(20, COUNT)
-    channel_mode: str = setting("ideal", one_of(CHANNEL_MODES))
+    channel_mode: str = setting("ideal", ((lambda v: v in CHANNEL_MODES),
+                                          f"must be one of {CHANNEL_MODES}"))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ class ArrayGeometry:
         """Full-array correlation as the Kronecker product of the two axis
         correlations, matching the a_v kron a_h steering structure; a linear
         array's vertical factor is [[1]]."""
-        r_v = corr_uniform(self.count_v, SPACING, SPREAD, num_scatterers)
-        r_h = corr_uniform(self.count_h, SPACING, SPREAD, num_scatterers)
+        r_v = corr_uniform(self.count_v, num_scatterers)
+        r_h = corr_uniform(self.count_h, num_scatterers)
         return np.kron(r_v, r_h)
 
 
@@ -68,8 +68,8 @@ class ArrayGeometry:
 # steering vectors
 # ---------------------------------------------------------------------------
 
-def steering_ula(count: int, spacing: float, angle) -> np.ndarray:
-    """ULA response: element n = exp(j 2 pi spacing n sin(angle)), 0-based n.
+def steering_ula(count: int, angle) -> np.ndarray:
+    """ULA response: element n = exp(j 2 pi SPACING n sin(angle)), 0-based n.
 
     `angle` may be a scalar or an array; an array produces a batch of
     steering vectors with the batch axes leading.
@@ -78,14 +78,14 @@ def steering_ula(count: int, spacing: float, angle) -> np.ndarray:
         raise ValueError("count must be >= 1")
     angle = np.asarray(angle, dtype=np.float64)
     n = np.arange(count, dtype=np.float64)
-    phase = 2.0 * np.pi * spacing * np.sin(angle)[..., None] * n
+    phase = 2.0 * np.pi * SPACING * np.sin(angle)[..., None] * n
     return np.exp(1j * phase)
 
 
 def steering_upa(geom: ArrayGeometry, azimuth, elevation) -> np.ndarray:
     """UPA response a = a_v kron a_h; vertical axis steers by elevation."""
-    a_v = steering_ula(geom.count_v, SPACING, elevation)
-    a_h = steering_ula(geom.count_h, SPACING, azimuth)
+    a_v = steering_ula(geom.count_v, elevation)
+    a_h = steering_ula(geom.count_h, azimuth)
     outer = a_v[..., :, None] * a_h[..., None, :]
     return outer.reshape(*outer.shape[:-2], geom.count_v * geom.count_h)
 
@@ -94,10 +94,10 @@ def steering_upa(geom: ArrayGeometry, azimuth, elevation) -> np.ndarray:
 # correlation matrices and Gaussian draws
 # ---------------------------------------------------------------------------
 
-def corr_uniform(count: int, spacing: float, spread: float, num_scatterers: int) -> np.ndarray:
+def corr_uniform(count: int, num_scatterers: int) -> np.ndarray:
     """Uniform-array correlation over a finite set of scatterers.
 
-    Entry (m, n) = SC^-1 sum_k exp(j 2 pi spacing (m - n) sin(k spread / (1 - SC)))
+    Entry (m, n) = SC^-1 sum_k exp(j 2 pi SPACING (m - n) sin(k SPREAD / (1 - SC)))
     with k running over the SC values {-a, -a+1, ..., a}, a = (SC - 1)/2
     (half-integer endpoints when SC is even). The single-scatterer case
     degenerates to the all-ones matrix. Hermitian with unit diagonal and PSD
@@ -112,9 +112,9 @@ def corr_uniform(count: int, spacing: float, spread: float, num_scatterers: int)
         return np.ones((count, count), dtype=np.complex128)
     a = 0.5 * (sc - 1)
     k = -a + np.arange(sc, dtype=np.float64)
-    beta = k * spread / (1.0 - sc)
+    beta = k * SPREAD / (1.0 - sc)
     q = np.arange(count, dtype=np.float64)[:, None] - np.arange(count, dtype=np.float64)[None, :]
-    phases = 2.0 * np.pi * spacing * q[..., None] * np.sin(beta)
+    phases = 2.0 * np.pi * SPACING * q[..., None] * np.sin(beta)
     r = np.exp(1j * phases).sum(axis=-1) / sc
     np.fill_diagonal(r, 1.0)  # q = 0 terms are exactly SC * exp(0)
     return r
@@ -183,7 +183,7 @@ class ChannelModel:
             "ris1": ArrayGeometry(cfg.a1_v, cfg.a1_h), "ris2": ArrayGeometry(cfg.a2_v, cfg.a2_h),
         }
         self._f = {name: hermitian_sqrt(geom.correlation(sc)) for name, geom in self._geom.items()}
-        self._f["sc"] = hermitian_sqrt(corr_uniform(sc, SPACING, SPREAD, sc))
+        self._f["sc"] = hermitian_sqrt(corr_uniform(sc, sc))
 
     # -- LoS -----------------------------------------------------------------
 

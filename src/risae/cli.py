@@ -1,9 +1,9 @@
 """Command-line entry points: train, attack, eval, sweep.
 
 Exit codes: 0 on success, 2 on configuration errors (with the offending
-field path), 3 on I/O errors, including unreadable checkpoints and a sweep
-directory holding another checkpoint, 4 when the numerics fail at run time
-(a degenerate input or a diverged training loss).
+field path), 3 on I/O errors: unreadable checkpoints, a sweep directory
+holding another checkpoint and any other OS error, 4 when the numerics fail
+at run time (a degenerate input or a diverged training loss).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 from .attack import export_perturbation, rmaef, rmaep  # noqa: F401
 from .autoencoder import set_heap_policy
 from .config import DECIBELS
-from .errors import ConfigInvalid, CorruptCheckpoint, DegenerateInput, Diverged, MissingCheckpoint
+from .errors import ConfigInvalid, CorruptCheckpoint, DegenerateInput, Diverged
 from .harness import (ATTACK_KINDS, PRESETS, attack_vector, format_rows, load_config, load_system,
                       make_budget, rerun_from_manifest, run_sweep, save_config, snr_to_sigma2,
                       sweep_to_directory, train_system)
@@ -156,8 +156,7 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MissingCheckpoint, CorruptCheckpoint, FileNotFoundError, PermissionError,
-            IsADirectoryError, FileExistsError) as exc:
+    except (CorruptCheckpoint, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (DegenerateInput, Diverged) as exc:

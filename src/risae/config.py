@@ -34,14 +34,6 @@ def at_least(low):
     return (lambda v: v >= low), f"must be >= {low}"
 
 
-def above(low):
-    return (lambda v: v > low), f"must be > {low}"
-
-
-def one_of(choices: tuple):
-    return (lambda v: v in choices), f"must be one of {choices}"
-
-
 @functools.cache
 def _declared(cls) -> dict:
     """name -> (type, bound) of every field of cls; the string annotations
@@ -108,7 +100,7 @@ def from_json(cls, data: dict):
 
 
 COUNT = at_least(1)
-POSITIVE = above(0)
+POSITIVE = (lambda v: v > 0), "must be > 0"
 # a ratio in dB; far enough inside the float range that 10 ** (v / 10)
 # neither overflows nor rounds to 0
 DECIBELS = (lambda v: -300.0 <= v <= 300.0), "must lie in [-300, 300] dB"

@@ -61,23 +61,20 @@ class Conv1D(Layer):
     """Cross-correlation along the length axis with zero same-padding.
 
     Weight shape (out_channels, in_channels, kernel_size), the view of a
-    C-ordered (K, C, O) array, so the weight matrix is a reshape; kernel_size
-    must be odd so the output length equals the input length.
+    C-ordered (K, C, O) array, so the weight matrix is a reshape; the odd
+    kernel_size keeps the output length equal to the input length.
     """
 
     trainable = ("weight", "bias")
+    kernel_size = KERNEL_SIZE
     flipped: np.ndarray | None = None  # set by Network.folded on copies nothing steps
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator):
-        if kernel_size % 2 != 1:
-            raise ValueError("kernel_size must be odd for same padding")
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        limit = np.sqrt(6.0 / (in_channels * kernel_size + out_channels * kernel_size))
+        limit = np.sqrt(6.0 / (in_channels * KERNEL_SIZE + out_channels * KERNEL_SIZE))
         self.weight = np.asfortranarray(
-            rng.uniform(-limit, limit, size=(out_channels, in_channels, kernel_size)))
+            rng.uniform(-limit, limit, size=(out_channels, in_channels, KERNEL_SIZE)))
         self.bias = np.zeros(out_channels)
 
     def _weight_matrix(self) -> np.ndarray:
@@ -382,7 +379,7 @@ def conv_stack(channel_sizes: list[int], rng: np.random.Generator,
     layers: list[Layer] = []
     n = len(channel_sizes) - 1
     for i in range(n):
-        layers.append(Conv1D(channel_sizes[i], channel_sizes[i + 1], KERNEL_SIZE, rng))
+        layers.append(Conv1D(channel_sizes[i], channel_sizes[i + 1], rng))
         if i < n - 1:
             layers.append(BatchNorm(channel_sizes[i + 1]))
             layers.append(ReLU())

@@ -34,7 +34,7 @@ from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import AllTargetsFailed, InvariantViolation, NoProgress
 from risae.harness import attack_vector, desk_preset, load_system, make_budget, snr_to_sigma2
-from risae.neural import BatchNorm, Conv1D, Network, PowerNorm, ReLU, Softmax
+from risae.neural import KERNEL_SIZE, BatchNorm, Conv1D, Network, PowerNorm, ReLU, Softmax
 
 REFERENCE_CKPT = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "desk-seed7.ckpt"
 
@@ -244,11 +244,12 @@ class TestReceiverToTransmit:
 
 def linear_toy_decoder(bias=0.0):
     """Two-class decoder that reads only Re(r): logits (2 Re r + bias,
-    -2 Re r - bias), so the boundary lies at Re(r) = -bias / 2."""
-    conv = Conv1D(4, 2, 1, np.random.default_rng(0))
-    conv.weight = np.zeros((2, 4, 1))
-    conv.weight[0, 0, 0] = 2.0
-    conv.weight[1, 0, 0] = -2.0
+    -2 Re r - bias), so the boundary lies at Re(r) = -bias / 2. Only the
+    kernel's centre tap is nonzero, so each symbol is decoded alone."""
+    conv = Conv1D(4, 2, np.random.default_rng(0))
+    conv.weight = np.zeros((2, 4, KERNEL_SIZE))
+    conv.weight[0, 0, KERNEL_SIZE // 2] = 2.0
+    conv.weight[1, 0, KERNEL_SIZE // 2] = -2.0
     conv.bias = np.array([bias, -bias])
     return Network([conv, Softmax()])
 

@@ -913,6 +913,27 @@ class TestCli:
                          str(tmp_path / "none.ckpt"), "--snr-db", "0"])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "attack", "eval"])
+    def test_exit_code_on_any_os_error(self, trained_tiny, tmp_path, capsys, command):
+        # a path through a regular file raised NotADirectoryError, which no
+        # except clause listed: it escaped with a traceback and exit 1
+        cfg, _, ckpt = trained_tiny
+        cfg_path = tmp_path / "config.json"
+        save_config(cfg, cfg_path)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        nets_from = ["--config", str(cfg_path), "--checkpoint", str(ckpt)]
+        argv = {"train": ["train", "--config", str(cfg_path), "--out", str(afile / "sub")],
+                "sweep": ["sweep", *nets_from, "--out", str(afile / "sub")],
+                "attack": ["attack", *nets_from, "--kind", "rmaef", "--snr-db", "4",
+                           "--out", str(afile / "sub")],
+                "eval": ["eval", "--config", str(afile / "c.json"), "--checkpoint", str(ckpt),
+                         "--snr-db", "4"]}[command]
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main(argv) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
+
     @pytest.mark.parametrize("command", ["eval", "attack"])
     # the search radius p_max is a constant of the search, not a setting
     @pytest.mark.parametrize("attack, message", [({"n_p": 0}, "must be >= 1"),

@@ -149,7 +149,7 @@ def array_in_layout(rng, shape, channels_last):
 class TestConv1D:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
-        conv = Conv1D(2, 2, 3, rng)
+        conv = Conv1D(2, 2, rng)
         conv.weight = np.zeros((2, 2, 3))
         conv.weight[0, 0, 1] = 1.0
         conv.weight[1, 1, 1] = 1.0
@@ -162,7 +162,7 @@ class TestConv1D:
         # For a single conv the input gradient is the upstream signal
         # correlated with the flipped kernel, summed over output channels.
         rng = np.random.default_rng(1)
-        conv = Conv1D(1, 1, 3, rng)
+        conv = Conv1D(1, 1, rng)
         x = rng.standard_normal((1, 1, 6))
         y, cache = conv.forward(x)
         gy = rng.standard_normal(y.shape)
@@ -178,19 +178,17 @@ class TestConv1D:
 
     def test_gradients(self):
         rng = np.random.default_rng(2)
-        conv = Conv1D(3, 4, 3, rng)
+        conv = Conv1D(3, 4, rng)
         check_layer_gradients(conv, rng.standard_normal((2, 3, 5)))
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("length", [1, 2, 8])
-    @pytest.mark.parametrize("k_size", [1, 3, 5])
     @pytest.mark.parametrize("channels, out_channels", [(3, 5), (6, 2)],
                              ids=["widening", "narrowing"])
-    def test_matches_loop_oracle(self, channels, out_channels, k_size, length, batch,
-                                 channels_last):
-        rng = np.random.default_rng(100 + 10 * k_size + length)
-        conv = Conv1D(channels, out_channels, k_size, rng)
+    def test_matches_loop_oracle(self, channels, out_channels, length, batch, channels_last):
+        rng = np.random.default_rng(100 + 10 * KERNEL_SIZE + length)
+        conv = Conv1D(channels, out_channels, rng)
         conv.bias = rng.standard_normal(out_channels)
         x = array_in_layout(rng, (batch, channels, length), channels_last)
         gy = array_in_layout(rng, (batch, out_channels, length), channels_last)
@@ -202,17 +200,11 @@ class TestConv1D:
         assert_close(grads["weight"], want_gw)
         assert_close(grads["bias"], want_gb)
 
-    def test_gradients_kernel5(self):
-        rng = np.random.default_rng(22)
-        conv = Conv1D(3, 2, 5, rng)
-        conv.bias = rng.standard_normal(2)
-        check_layer_gradients(conv, rng.standard_normal((2, 3, 4)))
-
     def test_cache_spans_only_padded_input(self):
         # The cache may hold the padded input, never an im2col copy K times
         # its size; the window view must keep the (B, C, L, K) shape.
-        batch, channels, length, k_size = 4, 6, 8, 3
-        conv = Conv1D(channels, 5, k_size, np.random.default_rng(23))
+        batch, channels, length, k_size = 4, 6, 8, KERNEL_SIZE
+        conv = Conv1D(channels, 5, np.random.default_rng(23))
         x = np.random.default_rng(24).standard_normal((batch, channels, length))
         _, cache = conv.forward(x)
         bounds = sorted(np.lib.array_utils.byte_bounds(v) for v in cache.values()
@@ -225,15 +217,14 @@ class TestConv1D:
         assert cache["cols"].shape == (batch, channels, length, k_size)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 8])
-    @pytest.mark.parametrize("k_size", [1, 3, 5])
-    def test_input_gradient_equals_flipped_kernel_correlation(self, k_size, length):
+    def test_input_gradient_equals_flipped_kernel_correlation(self, length):
         # The input gradient is the same-padded correlation of the upstream
         # gradient with the flipped kernel, channels swapped: row j·O + o of
         # its (K·O, C) matrix holds weight[o, :, K-1-j]. Built here from K
         # shifted slices of a zeroed padded buffer, it must give the same bits.
-        rng = np.random.default_rng(200 + 10 * k_size + length)
-        batch, channels, out_channels = 3, 4, 5
-        conv = Conv1D(channels, out_channels, k_size, rng)
+        rng = np.random.default_rng(200 + 10 * KERNEL_SIZE + length)
+        batch, channels, out_channels, k_size = 3, 4, 5, KERNEL_SIZE
+        conv = Conv1D(channels, out_channels, rng)
         x = array_in_layout(rng, (batch, channels, length), channels_last=True)
         gy = array_in_layout(rng, (batch, out_channels, length), channels_last=True)
         _, cache = conv.forward(x)
@@ -253,7 +244,7 @@ class TestConv1D:
         assert grads["weight"].flags.f_contiguous  # the weight's layout
 
     def test_channel_mismatch(self):
-        conv = Conv1D(3, 4, 3, np.random.default_rng(3))
+        conv = Conv1D(3, 4, np.random.default_rng(3))
         with pytest.raises(ShapeMismatch):
             conv.forward(np.zeros((1, 2, 5)))
 
@@ -275,7 +266,7 @@ class TestBatchNorm:
         bn.beta = rng.standard_normal(3)
         bn.running_mean = rng.standard_normal(3)
         bn.running_var = rng.uniform(0.5, 2.0, 3)
-        (conv,) = Network([Conv1D(2, 3, 3, rng), bn]).folded().layers
+        (conv,) = Network([Conv1D(2, 3, rng), bn]).folded().layers
         # the folded copy differentiates through its stored flipped kernel
         # and computes no parameter gradients
         x = rng.standard_normal((2, 2, 4))
@@ -288,7 +279,7 @@ class TestBatchNorm:
 
     def test_infer_mode_is_affine(self):
         rng = np.random.default_rng(6)
-        conv = Conv1D(2, 2, 3, rng)
+        conv = Conv1D(2, 2, rng)
         conv.bias = rng.standard_normal(2)
         bn = BatchNorm(2)
         bn.running_mean = rng.standard_normal(2)
@@ -532,7 +523,7 @@ class TestNetwork:
 def one_layer_of_each_kind(rng):
     """Every layer kind on 4 input channels, parameters and running
     statistics away from their initial values."""
-    conv = Conv1D(4, 6, 3, rng)
+    conv = Conv1D(4, 6, rng)
     conv.bias = rng.standard_normal(6)
     bn = BatchNorm(4)
     bn.gamma = rng.standard_normal(4)
@@ -567,14 +558,14 @@ def network_of_kind(rng, kind, train):
     layers = one_layer_of_each_kind(rng)
     if train:
         return Network([layers[kind]])
-    lead = [Conv1D(4, 4, 3, rng), layers["batchnorm"]]
+    lead = [Conv1D(4, 4, rng), layers["batchnorm"]]
     return Network(lead + ([] if kind == "batchnorm" else [layers[kind]])).folded()
 
 
 def trainable_twin(net, rng):
     """A trainable network holding net's weights: each Conv1D rebuilt without
     a stored flipped kernel, the other layers shared."""
-    twin = Network([Conv1D(layer.in_channels, layer.out_channels, layer.kernel_size, rng)
+    twin = Network([Conv1D(layer.in_channels, layer.out_channels, rng)
                     if isinstance(layer, Conv1D) else layer for layer in net.layers])
     for key, value in net.params().items():
         twin.set_param(key, value)
@@ -618,7 +609,7 @@ class TestInputOnlyBackward:
 
     def test_network_without_batchnorm_is_its_own_folded_network_and_trains(self):
         rng = np.random.default_rng(28)
-        net = Network([Conv1D(4, 6, 3, rng)])
+        net = Network([Conv1D(4, 6, rng)])
         assert net.folded() is net
         x = rng.standard_normal((2, 4, 5))
         y, rec = net.forward(x, record=True)
@@ -679,7 +670,7 @@ class TestInputChannelCut:
     def test_conv_cut_is_the_first_channels_bit_for_bit(self, preset, batch, stored):
         cfg = DECODER_CONFIGS[preset]
         rng = np.random.default_rng(60)
-        conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, KERNEL_SIZE, rng)
+        conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, rng)
         if stored:
             conv = Network([conv, BatchNorm(cfg.hidden_width)]).folded().layers[0]
         x = rng.standard_normal((batch, cfg.decoder_channels, cfg.block_len))
@@ -696,7 +687,7 @@ class TestInputChannelCut:
         # products in another order than the full 544-column product does
         cfg = DECODER_CONFIGS["paper"]
         rng = np.random.default_rng(61)
-        conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, KERNEL_SIZE, rng)
+        conv = Conv1D(cfg.decoder_channels, cfg.hidden_width, rng)
         _, cache = conv.forward(rng.standard_normal((1, cfg.decoder_channels, cfg.block_len)))
         gy = rng.standard_normal((1, cfg.hidden_width, cfg.block_len))
         full, _ = conv.backward(cache, gy)
@@ -754,7 +745,7 @@ class TestInputChannelCut:
 
     def test_trainable_conv_gradient_follows_its_weight_after_a_step(self):
         rng = np.random.default_rng(65)
-        net = Network([Conv1D(3, 4, 3, rng)])
+        net = Network([Conv1D(3, 4, rng)])
         conv = net.layers[0]
         x = rng.standard_normal((2, 3, 5))
         y, rec = net.forward(x, record=True)

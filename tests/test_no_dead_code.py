@@ -10,8 +10,14 @@ field, counts as used when it is read as an attribute in either place,
 outside its class's ``__post_init__`` check, and a parameter of a function
 or method when its body reads it. A parameter's default counts as used
 when some program call sets the parameter and some leaves the default in
-place. Tests do not count: nothing in ``src/`` should exist only so that a
-test can call it.
+place, and a parameter counts as a parameter only when the program calls
+do not all fill it with one literal or upper-case constant: such a value is
+a constant the function can read itself. The parameter rules skip a function
+placed in a table, which may be called with any arguments; a class counts
+as placed there when its name is passed as a value, not when it only names
+a type (in an annotation, an ``isinstance`` check, an ``except`` clause, a
+class base or ``X.__new__(X)``). Tests do not count: nothing in ``src/``
+should exist only so that a test can call it.
 """
 
 import ast
@@ -19,10 +25,11 @@ import typing
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
+import risae
 from risae.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "risae"
+PACKAGE = Path(risae.__file__).resolve().parent  # src/risae, or the copy a mutation run imports
 PROGRAM_FILES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
 
 # (module, name): why the name stays without a caller in the program
@@ -171,11 +178,12 @@ def test_every_dataclass_field_is_read_by_the_program():
 
 # -- parameters ---------------------------------------------------------------
 
-def defaulted_signatures(tree: ast.Module) -> list[tuple[str, str, list[str], set[str]]]:
+def defaulted_signatures(tree: ast.Module) -> list[tuple[str, str, list[str], list[str],
+                                                       set[str]]]:
     """(name a call uses, qualified name, positional parameters as a call
-    fills them, parameters with a default) of every function and method. A
-    method drops its first parameter, and a class's ``__init__`` goes by the
-    class name, because a call to the class fills it."""
+    fills them, keyword-only parameters, parameters with a default) of every
+    function and method. A method drops its first parameter, and a class's
+    ``__init__`` goes by the class name, because a call to the class fills it."""
     out = []
 
     def visit(body, cls):
@@ -192,7 +200,7 @@ def defaulted_signatures(tree: ast.Module) -> list[tuple[str, str, list[str], se
                                  if d is not None}
                 qualname = node.name if cls is None else f"{cls}.{node.name}"
                 out.append((cls if node.name == "__init__" else node.name, qualname,
-                            positional, with_default))
+                            positional, [a.arg for a in args.kwonlyargs], with_default))
                 visit(node.body, None)
 
     visit(tree.body, None)
@@ -211,9 +219,35 @@ def call_sites(tree: ast.Module) -> list[tuple[str, ast.Call]]:
     return sites
 
 
+def type_uses(node: ast.AST) -> list[ast.AST]:
+    """The children of node that name a type rather than pass a value: an
+    annotation, a class base, an ``except`` clause's type, the second
+    argument of ``isinstance`` or ``issubclass``, and both names in
+    ``X.__new__(X)``, which builds an X without calling its ``__init__``."""
+    if isinstance(node, ast.arg):
+        return [node.annotation]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.returns]
+    if isinstance(node, ast.AnnAssign):
+        return [node.annotation]
+    if isinstance(node, ast.ClassDef):
+        return node.bases
+    if isinstance(node, ast.ExceptHandler):
+        return [node.type]
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2):
+        return [node.args[1]]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "__new__":
+        return [node.func, *node.args]
+    return []
+
+
 def value_references(tree: ast.Module) -> set[str]:
     """Names loaded as values rather than called, such as a function placed
-    in a table; a name bound locally (a parameter or variable) does not count."""
+    in a table or a class passed to a call; a name bound locally (a parameter
+    or variable) does not count, and neither does one that only names a type
+    (``type_uses``)."""
     refs = set()
 
     def visit(node, local):
@@ -225,9 +259,10 @@ def value_references(tree: ast.Module) -> set[str]:
                       if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in local:
             refs.add(node.id)
+        types = type_uses(node)
         for child in ast.iter_child_nodes(node):
             if not (isinstance(node, ast.Call) and child is node.func
-                    and isinstance(child, ast.Name)):
+                    and isinstance(child, ast.Name)) and not any(child is t for t in types):
                 visit(child, local)
 
     visit(tree, frozenset())
@@ -252,17 +287,25 @@ def parameters_set(positional: list[str], call: ast.Call) -> set[str] | None:
     return filled
 
 
-def defaults_by_call() -> list[tuple[str, set[str], set[str], set[str]]]:
-    """(function's module and qualified name, its defaulted parameters, those
-    some call in src/risae or perfbench sets, those some call leaves in
-    place) of every function and method with a default that is not placed
-    in a table; a ``**`` argument counts as setting and leaving every one."""
+def program_trees() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The modules of src/risae by name, whose functions the parameter
+    rules check, and every program module, whose calls they read."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PROGRAM_FILES}
-    sites = [site for tree in trees.values() for site in call_sites(tree)]
-    refs = set().union(*(value_references(tree) for tree in trees.values()))
+    package = {path.stem: tree for path, tree in trees.items() if path.parent == PACKAGE}
+    return package, list(trees.values())
+
+
+def defaults_by_call(package: dict[str, ast.Module],
+                     trees: list[ast.Module]) -> list[tuple[str, set[str], set[str], set[str]]]:
+    """(function's module and qualified name, its defaulted parameters, those
+    some call in trees sets, those some call leaves in place) of every
+    function and method of package with a default that is not placed in a
+    table; a ``**`` argument counts as setting and leaving every one."""
+    sites = [site for tree in trees for site in call_sites(tree)]
+    refs = set().union(*(value_references(tree) for tree in trees))
     out = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for name, qualname, positional, with_default in defaulted_signatures(trees[path]):
+    for module, tree in sorted(package.items()):
+        for name, qualname, positional, _, with_default in defaulted_signatures(tree):
             if not with_default or name in refs:
                 continue
             filled, left = set(), set()
@@ -271,8 +314,14 @@ def defaults_by_call() -> list[tuple[str, set[str], set[str], set[str]]]:
                     params = parameters_set(positional, call)
                     filled |= with_default if params is None else params
                     left |= with_default if params is None else with_default - params
-            out.append((f"{path.stem}.{qualname}", with_default, filled, left))
+            out.append((f"{module}.{qualname}", with_default, filled, left))
     return out
+
+
+def unset_parameters(package, trees) -> list[str]:
+    """module.function.parameter of every default no call in trees overrides."""
+    return [f"{where}.{p}" for where, with_default, filled, _ in defaults_by_call(package, trees)
+            for p in sorted(with_default - filled)]
 
 
 def test_every_defaulted_parameter_is_set_by_the_program():
@@ -280,8 +329,7 @@ def test_every_defaulted_parameter_is_set_by_the_program():
     # is a knob only tests turn. A call to a class fills its __init__; a
     # function placed in a table, like the attack builders, may be called
     # with any of its parameters.
-    unset = [f"{where}.{p}" for where, with_default, filled, _ in defaults_by_call()
-             for p in sorted(with_default - filled)]
+    unset = unset_parameters(*program_trees())
     assert not unset, f"parameters no call in src/risae or perfbench sets: {unset}"
 
 
@@ -289,9 +337,83 @@ def test_every_default_is_relied_on_by_the_program():
     # A default that every call in src/risae or perfbench overrides is a
     # value only tests take: the program would read the same without it. A
     # function no program code calls is left to the rule above.
-    overridden = [f"{where}.{p}" for where, with_default, filled, left in defaults_by_call()
-                  if filled for p in sorted(with_default - left)]
+    overridden = [f"{where}.{p}" for where, with_default, filled, left
+                  in defaults_by_call(*program_trees()) if filled
+                  for p in sorted(with_default - left)]
     assert not overridden, f"defaults every call in src/risae or perfbench overrides: {overridden}"
+
+
+# -- parameters filled with one constant --------------------------------------
+
+# (module, qualified function, parameter): why every program call may fill it
+# with the same constant
+ONE_CONSTANT_EXEMPT = {
+    ("autoencoder", "estimate_received_power", "num_blocks"):
+        "perfbench/tracing.py's _refpower_key reads it by name (ROADMAP item 6)",
+}
+
+
+def is_constant(node: ast.expr) -> bool:
+    """A literal, or a name or attribute spelled in upper case: a module constant."""
+    if isinstance(node, ast.Name):
+        return node.id.isupper()
+    if isinstance(node, ast.Attribute):
+        return node.attr.isupper()
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def one_constant_parameters(package: dict[str, ast.Module],
+                            trees: list[ast.Module]) -> dict[tuple[str, str, str], str]:
+    """(module, qualified function, parameter) -> the constant's source, for
+    every parameter of a function or method of package that every call in
+    trees fills with one and the same literal or upper-case constant. A
+    function placed in a table, one a call reaches with a ``*`` or ``**``
+    argument, and one no call reaches are left out."""
+    sites = [site for tree in trees for site in call_sites(tree)]
+    refs = set().union(*(value_references(tree) for tree in trees))
+    out = {}
+    for module, tree in sorted(package.items()):
+        for name, qualname, positional, keyword_only, _ in defaulted_signatures(tree):
+            calls = [call for callee, call in sites if callee == name]
+            filled = [parameters_set(positional, call) for call in calls]
+            if name in refs or not calls or None in filled or any(
+                    isinstance(arg, ast.Starred) for call in calls for arg in call.args):
+                continue
+            for param in positional + keyword_only:
+                if not all(param in f for f in filled):
+                    continue  # some call leaves the default in place
+                values = [argument(call, positional, param) for call in calls]
+                if all(is_constant(v) for v in values) and len({ast.dump(v) for v in values}) == 1:
+                    out[(module, qualname, param)] = ast.unparse(values[0])
+    return out
+
+
+def argument(call: ast.Call, positional: list[str], param: str) -> ast.expr:
+    """The expression a call without ``*`` arguments fills param with."""
+    if param in positional and positional.index(param) < len(call.args):
+        return call.args[positional.index(param)]
+    return next(kw.value for kw in call.keywords if kw.arg == param)
+
+
+def test_no_parameter_is_one_constant():
+    # A parameter that every call in src/risae or perfbench fills with the
+    # same constant is a knob only tests turn: the function can read the
+    # constant itself. A literal counts, and so does an upper-case name.
+    found = one_constant_parameters(*program_trees())
+    single = [f"{m}.{f}.{p} (always {v})" for (m, f, p), v in sorted(found.items())
+              if (m, f, p) not in ONE_CONSTANT_EXEMPT]
+    assert not single, f"parameters every call in src/risae or perfbench fills alike: {single}"
+
+
+def test_one_constant_exemptions_are_still_needed():
+    # an exempt parameter that a call fills otherwise, or that was deleted,
+    # leaves the list
+    found = one_constant_parameters(*program_trees())
+    assert set(ONE_CONSTANT_EXEMPT) <= set(found)
 
 
 # -- parameters read ----------------------------------------------------------
@@ -329,3 +451,52 @@ def test_every_parameter_is_read():
     unread = sorted(set().union(*(unread_parameters(path)
                                   for path in sorted(PACKAGE.glob("*.py")))))
     assert not unread, f"parameters their function never reads: {unread}"
+
+
+# -- the parameter rules on a module of known faults --------------------------
+
+TOY = '''
+SIZE = 3
+
+
+class Box:
+    def __init__(self, width, depth=2):
+        self.width = width
+        self.depth = depth
+
+
+class Crate(Box):
+    pass
+
+
+def area(box: Box, size) -> Box:
+    try:
+        return box.width * size if isinstance(box, (Box, Crate)) else size
+    except Box:
+        return 0
+
+
+def build():
+    return [area(Box(1), SIZE), area(Box(width=2), SIZE), Box.__new__(Box)]
+'''
+
+
+def toy_module(extra: str = "") -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    tree = ast.parse(TOY + extra)
+    return {"toy": tree}, [tree]
+
+
+def test_rules_report_the_faults_of_a_toy_module():
+    # Box is named by an annotation, an isinstance check, an except clause,
+    # a class base and __new__, none of which calls it with other arguments
+    assert one_constant_parameters(*toy_module()) == {("toy", "area", "size"): "SIZE"}
+    assert unset_parameters(*toy_module()) == ["toy.Box.__init__.depth"]
+    assert "Box" not in value_references(toy_module()[0]["toy"])
+
+
+def test_rules_skip_a_class_passed_as_a_value():
+    # whatever receives the class from the table may build it with any arguments
+    package, trees = toy_module("\n\nMAKERS = {'box': Box}\n")
+    assert "Box" in value_references(package["toy"])
+    assert one_constant_parameters(package, trees) == {("toy", "area", "size"): "SIZE"}
+    assert unset_parameters(package, trees) == []
