@@ -146,6 +146,16 @@ def array_in_layout(rng, shape, channels_last):
     return rng.standard_normal(shape)
 
 
+# Kernels that share the one kernel size: every tap random, only the centre
+# tap (a kernel-1 correlation), or only the side taps (pure one-step shifts).
+TAPS = {"dense": [], "centre": [0, 2], "sides": [1]}
+
+
+def zero_taps(conv, taps):
+    """Zero the taps that TAPS[taps] names, in place, keeping the weight's layout."""
+    conv.weight[:, :, TAPS[taps]] = 0.0
+
+
 class TestConv1D:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -181,14 +191,23 @@ class TestConv1D:
         conv = Conv1D(3, 4, rng)
         check_layer_gradients(conv, rng.standard_normal((2, 3, 5)))
 
+    def test_gradients_with_bias(self):
+        rng = np.random.default_rng(22)
+        conv = Conv1D(3, 2, rng)
+        conv.bias = rng.standard_normal(2)
+        check_layer_gradients(conv, rng.standard_normal((2, 3, 4)))
+
+    @pytest.mark.parametrize("taps", list(TAPS))
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("length", [1, 2, 8])
     @pytest.mark.parametrize("channels, out_channels", [(3, 5), (6, 2)],
                              ids=["widening", "narrowing"])
-    def test_matches_loop_oracle(self, channels, out_channels, length, batch, channels_last):
+    def test_matches_loop_oracle(self, channels, out_channels, length, batch, channels_last,
+                                 taps):
         rng = np.random.default_rng(100 + 10 * KERNEL_SIZE + length)
         conv = Conv1D(channels, out_channels, rng)
+        zero_taps(conv, taps)
         conv.bias = rng.standard_normal(out_channels)
         x = array_in_layout(rng, (batch, channels, length), channels_last)
         gy = array_in_layout(rng, (batch, out_channels, length), channels_last)
@@ -216,8 +235,9 @@ class TestConv1D:
         assert spanned <= batch * (length + k_size - 1) * channels * 8
         assert cache["cols"].shape == (batch, channels, length, k_size)
 
+    @pytest.mark.parametrize("taps", list(TAPS))
     @pytest.mark.parametrize("length", [1, 2, 3, 8])
-    def test_input_gradient_equals_flipped_kernel_correlation(self, length):
+    def test_input_gradient_equals_flipped_kernel_correlation(self, length, taps):
         # The input gradient is the same-padded correlation of the upstream
         # gradient with the flipped kernel, channels swapped: row j·O + o of
         # its (K·O, C) matrix holds weight[o, :, K-1-j]. Built here from K
@@ -225,6 +245,7 @@ class TestConv1D:
         rng = np.random.default_rng(200 + 10 * KERNEL_SIZE + length)
         batch, channels, out_channels, k_size = 3, 4, 5, KERNEL_SIZE
         conv = Conv1D(channels, out_channels, rng)
+        zero_taps(conv, taps)
         x = array_in_layout(rng, (batch, channels, length), channels_last=True)
         gy = array_in_layout(rng, (batch, out_channels, length), channels_last=True)
         _, cache = conv.forward(x)
