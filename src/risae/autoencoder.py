@@ -228,8 +228,8 @@ class PipelineRecord(TransmitRecord):
     perturbation, and ``g`` the adversary aggregates G (B, L, n_r, n_t) that
     perturbation went through, None on 'ideal' or without an attack. A
     training record is consumed by its backward: it holds no ``k``, which the
-    backward does not read, and ``pipeline_backward`` sets the activation
-    records and ``m`` to None once it has read them."""
+    backward does not read, and ``pipeline_backward`` leaves its activation
+    records empty and ``m`` None."""
 
     m: np.ndarray | None  # surface-2 incident aggregate M = E psi1 U1 + U2, (B, a2, L, n_t)
     k: np.ndarray | None
@@ -290,8 +290,9 @@ def pipeline_forward(nets: AutoencoderNets, cfg: SystemConfig, blocks: np.ndarra
         p, g = attack.received_perturbation(cfg, chan, tx.c1, tx.c2, rng)
         r = r + p
 
-    probs, dec_rec = nets.decoder.forward(pack_decoder_input(r, k), record=train)
-    return PipelineRecord(**vars(tx), m=m, k=None if train else k, r=r, g=g, dec_rec=dec_rec,
+    d_input, k = pack_decoder_input(r, k), (None if train else k)  # no backward reads K
+    probs, dec_rec = nets.decoder.forward(d_input, record=train)
+    return PipelineRecord(**vars(tx), m=m, k=k, r=r, g=g, dec_rec=dec_rec,
                           probs=probs, decisions=probs.argmax(axis=1))
 
 
@@ -302,16 +303,15 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     the surface fields, the aggregates through one shared H = Y2^H G_K, and
     everything then back to the encoder output.
 
-    The backward consumes the record: each activation record and ``m`` is
-    set to None after its last read, so its memory is freed while the rest
-    of the pass runs, and a second backward on the record raises
-    MissingRecord.
+    The backward consumes the record: each network backward empties its
+    activation record layer by layer, and ``m`` is conjugated in place at its
+    last read and then set to None, so their memory is freed while the rest
+    of the pass runs, and a second backward on the record raises MissingRecord.
     """
     chan = rec.chan
     loss, g_probs = bce_loss(rec.probs, rec.blocks)
 
     dec_grads, g_input = nets.decoder.backward(rec.dec_rec, g_probs)
-    rec.dec_rec = None
     b, n_r, length = rec.z.shape
     n_t = rec.o.shape[1]
     g_r, g_k = unpack_received_gradient(g_input, n_r, n_t)
@@ -325,7 +325,7 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
 
     # K = Y1 X1 + Y2 (c2 o M), X1 = c1 o U1, M = E X1 + U2: adjoint through H = Y2^H G_K
     h = (y2h @ g_k).reshape(rec.m.shape)
-    g_c2 += np.einsum("bqln,bqln->bql", h, np.conj(rec.m))
+    g_c2 += np.einsum("bqln,bqln->bql", h, np.conj(rec.m, out=rec.m))
     rec.m = None
     h *= np.conj(rec.c2)[..., None]
     g_x1 = eh @ h.reshape(b, -1, length * n_t)
@@ -336,7 +336,6 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     g_gamma2 = np.imag(np.conj(rec.c2) * g_c2)
 
     r2_grads, gs2 = nets.ris2.backward(rec.r2_rec, g_gamma2)
-    rec.r2_rec = None
     g_b2 = channels_to_complex(gs2) + np.conj(rec.c2) * h_r
     g_o = u2h @ g_b2
     g_m1_field += eh @ g_b2
@@ -345,12 +344,10 @@ def pipeline_backward(nets: AutoencoderNets, rec: PipelineRecord):
     g_gamma1 = np.imag(np.conj(rec.c1) * g_c1) + np.imag(np.conj(rec.m1_field) * g_m1_field)
 
     r1_grads, gs1 = nets.ris1.backward(rec.r1_rec, g_gamma1)
-    rec.r1_rec = None
     g_a1 = channels_to_complex(gs1) + np.conj(rec.c1) * g_m1_field
     g_o += u1h @ g_a1
 
     enc_grads, _ = nets.encoder.backward(rec.enc_rec, complex_to_channels(g_o), inputs=0)
-    rec.enc_rec = None
     return loss, {"encoder": enc_grads, "ris1": r1_grads, "ris2": r2_grads,
                   "decoder": dec_grads}
 

@@ -86,7 +86,7 @@ class Conv1D(Layer):
         if x.shape[1] != self.in_channels:
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {x.shape[1]}")
         batch, _, length = x.shape
-        cols = _windows(x, self.kernel_size)  # backward rebuilds the K-times larger im2col of it
+        cols = _windows(x)  # backward rebuilds the K-times larger im2col of it
         y = _im2col(cols) @ self._weight_matrix()
         y += self.bias
         # Channels-last (B, O, L) view: BatchNorm's reductions over axes
@@ -106,7 +106,7 @@ class Conv1D(Layer):
         inputs = channels if inputs is None else inputs
         if inputs == 0:
             return np.empty((batch, 0, length)), grads
-        gx = _im2col(_windows(gy, k_size)) @ self._flipped_matrix()[:, :inputs]
+        gx = _im2col(_windows(gy)) @ self._flipped_matrix()[:, :inputs]
         return gx.reshape(batch, length, inputs).transpose(0, 2, 1), grads
 
     def _flipped_matrix(self) -> np.ndarray:
@@ -119,17 +119,17 @@ class Conv1D(Layer):
         return self.weight[:, :, ::-1].transpose(2, 0, 1).reshape(-1, self.in_channels)
 
 
-def _windows(x: np.ndarray, k_size: int) -> np.ndarray:
+def _windows(x: np.ndarray) -> np.ndarray:
     """(B, C, L, K) window view of a (B, C, L) array zero-padded by K // 2 at both
-    ends, built channels-last: window l holds the K positions output l reads."""
+    ends, K = KERNEL_SIZE, built channels-last: window l holds what output l reads."""
     batch, channels, length = x.shape
-    pad = k_size // 2
+    pad = KERNEL_SIZE // 2
     xp = np.empty((batch, length + 2 * pad, channels))
     xp[:, :pad] = 0.0
     xp[:, pad + length:] = 0.0
     xp[:, pad:pad + length] = x.transpose(0, 2, 1)
     sb, sl, sc = xp.strides
-    return as_strided(xp, (batch, channels, length, k_size), (sb, sc, sl, sl), writeable=False)
+    return as_strided(xp, (batch, channels, length, KERNEL_SIZE), (sb, sc, sl, sl), writeable=False)
 
 
 def _im2col(cols: np.ndarray) -> np.ndarray:
@@ -323,7 +323,9 @@ class Network:
         all), the ones the caller reads; the first layer must then be a Conv1D,
         which computes no other and at 0 runs no input-gradient GEMM. The
         attacks ask for the received signal's channels, training asks the
-        encoder for none.
+        encoder for none. Each layer's cache is popped from the record and
+        freed when that layer's backward returns: the record ends empty, and a
+        second backward on it raises MissingRecord.
         """
         if record is None:
             raise MissingRecord("forward() was not run with recording")
@@ -333,7 +335,7 @@ class Network:
         g = gy
         for i in reversed(range(len(self.layers))):
             cut = () if i or inputs is None else (inputs,)  # a first Conv1D's argument
-            g, layer_grads = self.layers[i].backward(record[i], g, *cut)
+            g, layer_grads = self.layers[i].backward(record.pop(), g, *cut)
             for name, value in layer_grads.items():
                 grads[f"layer{i}.{name}"] = value
         return grads, g
