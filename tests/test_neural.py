@@ -789,9 +789,11 @@ class TestInputChannelCut:
         assert not np.allclose(after, before)
 
     @pytest.mark.parametrize("channels_last", [False, True], ids=["c_order", "channels_last"])
-    def test_window_view_is_the_sliding_window_view(self, channels_last):
+    # lengths 1 and 2 are shorter than the kernel: every window reaches a pad
+    @pytest.mark.parametrize("length", [1, 2, 6], ids=lambda n: f"length{n}")
+    def test_window_view_is_the_sliding_window_view(self, length, channels_last):
         rng = np.random.default_rng(66)
-        x = array_in_layout(rng, (3, 4, 6), channels_last)
+        x = array_in_layout(rng, (3, 4, length), channels_last)
         pad = KERNEL_SIZE // 2
         xp = np.pad(x.transpose(0, 2, 1), ((0, 0), (pad, pad), (0, 0)))
         want = sliding_window_view(xp, KERNEL_SIZE, axis=1).transpose(0, 2, 1, 3)
