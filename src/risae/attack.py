@@ -140,8 +140,6 @@ def project_band(w_adv: np.ndarray, w: np.ndarray, beta: np.ndarray) -> np.ndarr
     ||w[b] - beta[b]||, w[b] + beta[b] when it exceeds ||w[b] + beta[b]||, and
     stays w_adv[b] in between.
     """
-    if w_adv.shape != w.shape or beta.shape != w.shape:
-        raise ValueError("w_adv, w and beta must share a shape")
     alpha_low = w - beta
     alpha_up = w + beta
     n_adv = _row_norms(w_adv)

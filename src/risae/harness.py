@@ -493,7 +493,8 @@ def rerun_from_manifest(manifest_path, out_dir, progress: bool) -> Path:
     """
     manifest_path = Path(manifest_path)
     payload = _read_json_object(manifest_path)
-    if payload.get("manifest_version") != MANIFEST_VERSION:
+    version = payload.get("manifest_version")
+    if type(version) is not int or version != MANIFEST_VERSION:  # true and 1.0 equal 1
         raise ConfigInvalid("manifest_version", "unsupported manifest version")
     for key, kind in (("config", dict), ("checkpoint", str), ("checkpoint_sha256", str)):
         if not isinstance(payload.get(key), kind):

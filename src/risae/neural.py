@@ -153,16 +153,12 @@ class BatchNorm(Layer):
     state = ("running_mean", "running_var")
 
     def __init__(self, channels: int):
-        self.channels = channels
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
 
     def forward(self, x: np.ndarray):
-        x = _check_input(x)
-        if x.shape[1] != self.channels:
-            raise ShapeMismatch(f"batchnorm expects {self.channels} channels, got {x.shape[1]}")
         # One centring pass serves the variance and x̂, and x̂ and y are
         # written in place; the sums are those of x.var, so the statistics
         # and y match the textbook formula bit for bit.
@@ -194,11 +190,10 @@ class BatchNorm(Layer):
 
 class ReLU(Layer):
     def forward(self, x: np.ndarray):
-        x = _check_input(x)
         return np.maximum(x, 0.0), {"mask": x > 0.0}
 
     def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(_check_input(x), 0.0)  # no mask, which only a backward reads
+        return np.maximum(x, 0.0)  # no mask, which only a backward reads
 
     def backward(self, cache: dict, gy: np.ndarray):
         return gy * cache["mask"], {}
@@ -208,7 +203,6 @@ class Softmax(Layer):
     """Softmax over the channel axis; every output column sums to one."""
 
     def forward(self, x: np.ndarray):
-        x = _check_input(x)
         z = x - x.max(axis=1, keepdims=True)
         ez = np.exp(z)
         y = ez / ez.sum(axis=1, keepdims=True)
@@ -230,14 +224,9 @@ class PowerNorm(Layer):
     """
 
     def __init__(self, target_power: float):
-        if target_power <= 0.0:
-            raise ValueError("target_power must be > 0")
         self.target_power = target_power
 
     def forward(self, x: np.ndarray):
-        x = _check_input(x)
-        if x.shape[1] % 2 != 0:
-            raise ShapeMismatch("powernorm input needs an even channel count (re/im stacking)")
         n_complex = (x.shape[1] // 2) * x.shape[2]
         mean_power = np.einsum("bcl,bcl->b", x, x) / n_complex
         if np.any(mean_power < 1e-30):

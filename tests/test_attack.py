@@ -142,11 +142,6 @@ class TestProjectBall:
         for b in range(3):
             assert np.array_equal(out[b], band_oracle(w_adv[b], w[b], beta[b]))
 
-    def test_shape_mismatch(self):
-        w = np.ones((2, 3), dtype=complex)
-        with pytest.raises(ValueError):
-            project_band(w, w, np.ones((2, 4), dtype=complex))
-
 
 class TestEnforcePower:
     def test_in_budget_unchanged(self):

@@ -559,8 +559,6 @@ class TestEvaluate:
         assert low == 0.0 and 0.0 < high < 0.05
         low, high = wilson_interval(50, 100)
         assert low < 0.5 < high
-        with pytest.raises(ValueError):
-            wilson_interval(0, 0)
 
     def test_received_power_positive_and_deterministic(self):
         cfg, nets = make_system(seed=33)
@@ -615,10 +613,10 @@ def system(request):
     for net in nets.as_dict().values():
         for layer in net.layers:
             if isinstance(layer, BatchNorm):
-                layer.gamma = rng.uniform(0.5, 2.0, layer.channels)
-                layer.beta = rng.standard_normal(layer.channels)
-                layer.running_mean = rng.standard_normal(layer.channels)
-                layer.running_var = rng.uniform(0.1, 3.0, layer.channels)
+                layer.gamma = rng.uniform(0.5, 2.0, len(layer.gamma))
+                layer.beta = rng.standard_normal(len(layer.gamma))
+                layer.running_mean = rng.standard_normal(len(layer.gamma))
+                layer.running_var = rng.uniform(0.1, 3.0, len(layer.gamma))
     return cfg, nets
 
 

@@ -364,8 +364,6 @@ class TestLinksBuiltOnRead:
         assert batch.ep is batch.ep
 
     def test_batch_takes_exactly_the_links(self):
-        with pytest.raises(TypeError, match="links"):
-            ChannelBatch(**{name: lambda: None for name in LEGITIMATE})
         with pytest.raises(AttributeError):
             ChannelModel(tiny_config()).sample_batch(1, np.random.default_rng(33)).q
 

@@ -544,12 +544,17 @@ class TestPersistence:
         ('{"manifest_version": 1, "config": [], "checkpoint": "w", "checkpoint_sha256": "0"}',
          "config"),
         ('{"config": {}}', "manifest_version"),
+        ('{"manifest_version": true, "config": {}, "checkpoint": "w", "checkpoint_sha256": "0"}',
+         "manifest_version"),
+        ('{"manifest_version": 1.0, "config": {}, "checkpoint": "w", "checkpoint_sha256": "0"}',
+         "manifest_version"),
         ("{not json", "<file>: not valid JSON"),
         ('{"manifest_version": 1' + "0" * 5000 + "}", "<file>: not valid JSON"),
         ("[1, 2]", "<file>: top level must be an object"),
         (b"\xff\xfe{\x00}\x00", "<file>: not valid UTF-8"),
     ], ids=["no-config", "no-checkpoint", "no-checksum", "config-not-object", "no-version",
-            "not-json", "integer-past-digit-limit", "not-object", "not-utf8"])
+            "version-true", "version-float", "not-json", "integer-past-digit-limit", "not-object",
+            "not-utf8"])
     def test_malformed_manifest_exits_with_config_error(self, tmp_path, capsys, text, where):
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))

@@ -423,10 +423,6 @@ class TestPowerNorm:
         with pytest.raises(DegenerateInput):
             PowerNorm(1.0).forward(np.zeros((1, 2, 3)))
 
-    def test_odd_channels_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            PowerNorm(1.0).forward(np.zeros((1, 3, 3)))
-
 
 class TestLosses:
     def test_bce_perfect_prediction(self):
@@ -513,6 +509,15 @@ class TestNetwork:
         with pytest.raises(MissingRecord):
             net.backward(None, np.zeros((1, 2, 4)))
 
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 5), (1, 3, 5)], ids=["2d", "channels"])
+    def test_input_checked_at_entry(self, record, shape):
+        # the first layer, a Conv1D, checks a network's input; no layer
+        # after it checks again
+        net = conv_stack([2, 4, 2], np.random.default_rng(23), final=PowerNorm(1.0))
+        with pytest.raises(ShapeMismatch):
+            net.forward(np.ones(shape), record=record)
+
     def test_backward_consumes_its_record(self):
         # each cache is freed when its layer's backward returns, so a second
         # backward finds an empty record
@@ -572,10 +577,10 @@ def stack_with_statistics(rng):
     differentiate."""
     net = conv_stack([4, 8, 8, 4], rng, final=Softmax())
     for bn in (layer for layer in net.layers if isinstance(layer, BatchNorm)):
-        bn.gamma = rng.uniform(0.5, 2.0, bn.channels)
-        bn.beta = rng.standard_normal(bn.channels)
-        bn.running_mean = rng.standard_normal(bn.channels)
-        bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
+        bn.gamma = rng.uniform(0.5, 2.0, len(bn.gamma))
+        bn.beta = rng.standard_normal(len(bn.gamma))
+        bn.running_mean = rng.standard_normal(len(bn.gamma))
+        bn.running_var = rng.uniform(0.5, 2.0, len(bn.gamma))
     return net
 
 
@@ -674,10 +679,10 @@ def decoder_with_statistics(cfg, rng):
     the identity."""
     net = build_autoencoder(cfg, rng).decoder
     for bn in (layer for layer in net.layers if isinstance(layer, BatchNorm)):
-        bn.gamma = rng.uniform(0.5, 2.0, bn.channels)
-        bn.beta = rng.standard_normal(bn.channels)
-        bn.running_mean = rng.standard_normal(bn.channels)
-        bn.running_var = rng.uniform(0.5, 2.0, bn.channels)
+        bn.gamma = rng.uniform(0.5, 2.0, len(bn.gamma))
+        bn.beta = rng.standard_normal(len(bn.gamma))
+        bn.running_mean = rng.standard_normal(len(bn.gamma))
+        bn.running_var = rng.uniform(0.5, 2.0, len(bn.gamma))
     return net
 
 

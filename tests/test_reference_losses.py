@@ -6,7 +6,9 @@ compare the losses of the next steps with ``perfbench/reference/losses.json``.
 These tests make the same steps in the same way, so a change to any layer of
 the training path that moves a loss shows here and not only in a benchmark
 run; the paper preset checks the GEMM-bound shapes the desk preset does not
-reach. The reference file is read, never written.
+reach. The reference file is read, never written. ``tests/check_desk_bytes.py``
+runs ``train_losses`` against another commit's source and compares the
+losses bit for bit.
 """
 
 import json
@@ -24,9 +26,8 @@ SEED = 7
 LOSS_RTOL = 1e-6  # the benchmark's tolerance, for BLAS summation order
 
 
-def replay_losses(workload: str, preset: str, steps: int) -> None:
-    want = json.loads(REFERENCE.read_text(encoding="utf-8"))[workload][:steps]
-    assert len(want) == steps
+def train_losses(preset: str, steps: int) -> list[float]:
+    """The losses of the preset's steps after the benchmark's warm-up step."""
     cfg = PRESETS[preset](SEED)
     sys_cfg = cfg.system.replace(sigma2=snr_to_sigma2(cfg.system.power, cfg.train.snr_db))
     nets = build_autoencoder(sys_cfg, derive_rng(cfg.seed, "init"))
@@ -41,8 +42,13 @@ def replay_losses(workload: str, preset: str, steps: int) -> None:
         return result.loss_history[0]
 
     step()  # warm-up, as in the benchmark; its loss is not checked
-    got = [step() for _ in range(steps)]
-    np.testing.assert_allclose(got, want, rtol=LOSS_RTOL, atol=0.0)
+    return [step() for _ in range(steps)]
+
+
+def replay_losses(workload: str, preset: str, steps: int) -> None:
+    want = json.loads(REFERENCE.read_text(encoding="utf-8"))[workload][:steps]
+    assert len(want) == steps
+    np.testing.assert_allclose(train_losses(preset, steps), want, rtol=LOSS_RTOL, atol=0.0)
 
 
 def test_desk_train_losses_match_benchmark_reference():
