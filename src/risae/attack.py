@@ -27,11 +27,10 @@ from .autoencoder import (
     AutoencoderNets,
     attack_dimension,
     decoder_input_gradient,
+    fresh_blocks,
     pack_decoder_input,
     pipeline_forward,
-    random_message_blocks,
 )
-from .channel import ChannelModel
 from .config import COUNT, DECIBELS, Section, SystemConfig, setting
 from .errors import AllTargetsFailed, InvariantViolation
 from .linalg import ls_solve
@@ -276,15 +275,12 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     nets = nets.folded()
     dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
-    model = ChannelModel(cfg)
     linear_budget = budget.linear
     flips = 0
     broken = 0
     skipped = 0
 
-    for _it in range(pgd.n_p):
-        blocks, indices = random_message_blocks(cfg, 1, rng)
-        chan = model.sample_batch(1, rng)
+    for blocks, indices, chan in fresh_blocks(cfg, pgd.n_p, 1, rng):
         attack = AttackApplication(channel_mode=channel_mode, p_adv=p_adv)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=attack)
         if not np.array_equal(rec.decisions[0], indices[0]):
@@ -318,13 +314,10 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     dim = attack_dimension(cfg, channel_mode)
     p_adv = np.zeros(dim, dtype=np.complex128)
     zero_attack = AttackApplication(channel_mode, p_adv=np.zeros(dim, dtype=np.complex128))
-    model = ChannelModel(cfg)
     linear_budget = budget.linear
     steps = 0
 
-    for _it in range(pgd.n_p):
-        blocks, _ = random_message_blocks(cfg, 1, rng)
-        chan = model.sample_batch(1, rng)
+    for blocks, _, chan in fresh_blocks(cfg, pgd.n_p, 1, rng):
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=zero_attack)
         g_r = decoder_input_gradient(nets.decoder, cfg, pack_decoder_input(rec.r, rec.k),
                                      blocks)[1][0]

@@ -378,6 +378,17 @@ def random_message_blocks(cfg: SystemConfig, n_blocks: int, rng: np.random.Gener
     return one_hot_blocks(indices, cfg.m), indices
 
 
+def fresh_blocks(cfg: SystemConfig, num_blocks: int, chunk: int, rng: np.random.Generator):
+    """Draw num_blocks fresh blocks in chunks of at most chunk, yielding
+    (blocks, indices, chan) per chunk. A chunk's messages, then its
+    realizations, are drawn only when the caller asks for the chunk, so what
+    the caller draws in between keeps its place in the stream."""
+    model = ChannelModel(cfg)
+    for start in range(0, num_blocks, chunk):
+        blocks, indices = random_message_blocks(cfg, min(chunk, num_blocks - start), rng)
+        yield blocks, indices, model.sample_batch(len(blocks), rng)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -489,8 +500,8 @@ class SerEstimate:
     symbols: int
 
 
-# blocks per evaluate_ser forward; the generator draws blocks, channels and
-# noise chunk by chunk, so the draw order, and with it the SER, depends on it
+# blocks per evaluate_ser forward; fresh_blocks and the forward draw blocks,
+# channels and noise chunk by chunk, so the draw order, and the SER, depend on it
 EVAL_CHUNK_BLOCKS = 512
 
 
@@ -500,18 +511,14 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
     """Monte Carlo SER over fresh blocks, channels and noise, on the folded
     networks, folded once on entry."""
     nets = nets.folded()
-    model = ChannelModel(cfg)
     errors = 0
     total = 0
-    for start in range(0, num_blocks, EVAL_CHUNK_BLOCKS):
-        n = min(EVAL_CHUNK_BLOCKS, num_blocks - start)
-        blocks, indices = random_message_blocks(cfg, n, rng)
-        chan = model.sample_batch(n, rng)
+    for blocks, indices, chan in fresh_blocks(cfg, num_blocks, EVAL_CHUNK_BLOCKS, rng):
         # keep only the decisions: the chunk's record is freed before the next forward
         decisions = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
                                      attack=attack).decisions
         errors += int((decisions != indices).sum())
-        total += n * cfg.block_len
+        total += indices.size
     low, high = wilson_interval(errors, total)
     return SerEstimate(ser=errors / total, ci_halfwidth=(high - low) / 2.0, symbols=total)
 
@@ -520,8 +527,6 @@ def estimate_received_power(nets: AutoencoderNets, cfg: SystemConfig, num_blocks
                             rng: np.random.Generator) -> float:
     """Mean noiseless received energy per symbol, E ||K o||^2 over blocks,
     on the folded networks."""
-    model = ChannelModel(cfg)
-    blocks, _ = random_message_blocks(cfg, num_blocks, rng)
-    chan = model.sample_batch(num_blocks, rng)
+    blocks, _, chan = next(fresh_blocks(cfg, num_blocks, num_blocks, rng))
     z = transmit_forward(nets, cfg, blocks, chan, train=False).z
     return float(np.mean(np.sum(np.abs(z) ** 2, axis=1)))

@@ -9,8 +9,10 @@ that tree and in the working tree, each importing risae from its own
 - the desk sweep (``risae sweep --preset desk --seed 7``) on the tree's
   ``perfbench/reference/desk-seed7.ckpt``, keeping its ``results.csv``;
 - ``risae attack --seed 7 --snr-db 8`` of rmaep and rmaef on the desk
-  preset, with the ``ideal`` and with the ``double`` attack channel, keeping
-  every exported vector;
+  preset, with the ``ideal`` and with the ``double`` attack channel, and
+  ``--seed 4`` of rmaep on ``double``, whose vector, unlike seed 7's, is not
+  zero, so that the minimal-flip search and the ridge solve of the ``double``
+  channel are covered; keeping every exported vector;
 - the desk (20 steps) and paper (5 steps) training-loss replays of
   ``tests/test_reference_losses.py``, one ``repr`` per loss. A tree whose
   replay module has no ``train_losses`` runs the working tree's.
@@ -31,7 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 REPLAY = Path("tests") / "test_reference_losses.py"
-DESK = ["--seed", "7", "--checkpoint", "perfbench/reference/desk-seed7.ckpt"]
+CKPT = ["--checkpoint", "perfbench/reference/desk-seed7.ckpt"]
+DESK = ["--seed", "7", *CKPT]
 DOUBLE_CONFIG = ("import sys; from risae.harness import PRESETS, save_config\n"
                  "cfg = PRESETS['desk'](); cfg.attack.channel_mode = 'double'\n"
                  "save_config(cfg, sys.argv[1])")
@@ -54,10 +57,12 @@ def desk_outputs(tree: Path, out: Path) -> dict[str, bytes]:
         for kind in ("rmaep", "rmaef"):
             run("-m", "risae.cli", "attack", *source, *DESK, "--snr-db", "8", "--kind", kind,
                 "--out", str(out / mode))
+    run("-m", "risae.cli", "attack", "--config", str(out / "double.json"), "--seed", "4", *CKPT,
+        "--snr-db", "8", "--kind", "rmaep", "--out", str(out / "double-seed4"))
     replay = tree / REPLAY if "def train_losses" in (tree / REPLAY).read_text() else ROOT / REPLAY
     outputs = {"losses": run("-c", LOSSES, str(replay))}
     outputs["sweep/results.csv"] = (out / "sweep" / "results.csv").read_bytes()
-    for mode in ("ideal", "double"):
+    for mode in ("ideal", "double", "double-seed4"):
         outputs.update({f"{mode}/{path.name}": path.read_bytes()
                         for path in sorted((out / mode).glob("*.csv"))})
     return outputs

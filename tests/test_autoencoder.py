@@ -19,6 +19,7 @@ from risae.autoencoder import (
     decoder_input_gradient,
     estimate_received_power,
     evaluate_ser,
+    fresh_blocks,
     one_hot_blocks,
     pack_decoder_input,
     pipeline_backward,
@@ -578,6 +579,27 @@ class TestEvaluate:
         power = estimate_received_power(nets, cfg, 20, np.random.default_rng(38))
         assert decoder_forwards == []
         assert power == float(np.mean(np.sum(np.abs(z) ** 2, axis=1)))
+
+    def test_fresh_blocks_draws_each_chunk_when_asked(self):
+        # the caller draws between chunks, as the noise and jamming of a
+        # pass do; each chunk must come from the stream at the point it is
+        # asked for, messages first, then realizations
+        cfg = tiny_config()
+        rng = np.random.default_rng(44)
+        oracle = np.random.default_rng(44)
+        sizes = []
+        for blocks, indices, chan in fresh_blocks(cfg, 5, 2, rng):
+            n = len(blocks)
+            sizes.append(n)
+            want_blocks, want_indices = random_message_blocks(cfg, n, oracle)
+            want_chan = ChannelModel(cfg).sample_batch(n, oracle)
+            assert np.array_equal(blocks, want_blocks)
+            assert np.array_equal(indices, want_indices)
+            for link in ("u1", "u2", "y1", "y2", "e"):
+                assert np.array_equal(getattr(chan, link), getattr(want_chan, link)), link
+            rng.standard_normal(3)
+            oracle.standard_normal(3)
+        assert sizes == [2, 2, 1]
 
     def test_only_a_training_pass_keeps_activation_records(self):
         cfg, nets = make_system(seed=39)
