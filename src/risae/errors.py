@@ -34,10 +34,6 @@ class NoProgress(UserWarning):
     """An attack run produced no successful decision flip (reported, not fatal)."""
 
 
-class MissingCheckpoint(FileNotFoundError):
-    """A run needs trained weights but no checkpoint exists at the given path."""
-
-
 class CorruptCheckpoint(ValueError):
     """A checkpoint file is not a readable checkpoint: wrong magic, version or truncated."""
 

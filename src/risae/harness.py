@@ -34,8 +34,7 @@ from .autoencoder import (
     train,
 )
 from .config import COUNT, DECIBELS, POSITIVE, Section, SystemConfig, from_json, setting
-from .errors import (ConfigInvalid, CorruptCheckpoint, InvariantViolation, MissingCheckpoint,
-                     NoProgress, ShapeMismatch)
+from .errors import ConfigInvalid, CorruptCheckpoint, InvariantViolation, NoProgress, ShapeMismatch
 from .neural import BN_EPS, BN_MOMENTUM, KERNEL_SIZE, load_checkpoint, save_checkpoint
 
 ATTACK_KINDS = ("secured", "jamming", "rmaef", "rmaep")  # from the cheapest kind to the slowest
@@ -200,9 +199,6 @@ def load_system(ckpt_path, cfg: ExperimentConfig) -> AutoencoderNets:
     ``risae.neural`` fixes; CorruptCheckpoint when its arrays are not
     exactly the parameters of those networks, in their shapes.
     """
-    ckpt_path = Path(ckpt_path)
-    if not ckpt_path.exists():
-        raise MissingCheckpoint(f"no checkpoint at {ckpt_path}")
     arrays, meta = load_checkpoint(ckpt_path)
     saved = meta.get("system", {})
     if not isinstance(saved, dict):
@@ -501,8 +497,6 @@ def rerun_from_manifest(manifest_path, out_dir, progress: bool) -> Path:
             raise ConfigInvalid(key, "missing from the manifest or of the wrong type")
     cfg = config_from_dict(payload["config"])
     ckpt_path = manifest_path.parent / payload["checkpoint"]
-    if not ckpt_path.exists():
-        raise MissingCheckpoint(f"checkpoint {ckpt_path} from manifest not found")
     if checkpoint_sha256(ckpt_path) != payload["checkpoint_sha256"]:
         raise ConfigInvalid("checkpoint_sha256", "checkpoint content differs from manifest")
     nets = load_system(ckpt_path, cfg)

@@ -52,10 +52,6 @@ class Layer:
     def params(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.trainable + self.state}
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """The output of forward, in a pass that keeps no cache."""
-        return self.forward(x)[0]
-
 
 class Conv1D(Layer):
     """Cross-correlation along the length axis with zero same-padding.
@@ -192,9 +188,6 @@ class ReLU(Layer):
     def forward(self, x: np.ndarray):
         return np.maximum(x, 0.0), {"mask": x > 0.0}
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)  # no mask, which only a backward reads
-
     def backward(self, cache: dict, gy: np.ndarray):
         return gy * cache["mask"], {}
 
@@ -279,8 +272,9 @@ class Network:
         """Output, and with record=True the activation record backward() needs.
         With a record, this network's own layers run: on a network that still
         has its BatchNorms, a recorded forward is a training step, which
-        updates their running estimates. Without one, the folded layers infer
-        over slices of at most INFERENCE_ROWS rows, written into one output in
+        updates their running estimates. Without one, the folded network's
+        layers run their forward over slices of at most INFERENCE_ROWS rows,
+        each cache dropped as the layer returns, written into one output in
         the layout of a single pass; they treat every block alone, so the
         output is that single pass's bit for bit."""
         if record:
@@ -297,7 +291,7 @@ class Network:
         for start in range(0, max(1, len(x)), step):
             y = x[start:start + step]
             for layer in layers:
-                y = layer.infer(y)
+                y = layer.forward(y)[0]
             if out is None:
                 out = np.empty_like(y, shape=(len(x), *y.shape[1:]))
             out[start:start + step] = y

@@ -17,8 +17,7 @@ import pytest
 from risae.config import SystemConfig
 from risae import autoencoder, cli, harness
 from risae.autoencoder import build_autoencoder, estimate_received_power
-from risae.errors import (ConfigInvalid, CorruptCheckpoint, Diverged, InvariantViolation,
-                          MissingCheckpoint, NoProgress)
+from risae.errors import ConfigInvalid, CorruptCheckpoint, Diverged, InvariantViolation, NoProgress
 from risae.harness import (
     AttackSettings,
     EvalSettings,
@@ -386,7 +385,7 @@ class TestTrainAndSweep:
 
     def test_missing_checkpoint(self, trained_tiny, tmp_path):
         cfg, _, _ = trained_tiny
-        with pytest.raises(MissingCheckpoint):
+        with pytest.raises(FileNotFoundError):
             load_system(tmp_path / "nope.ckpt", cfg)
 
     def test_sweep_cardinality_and_sorting(self, trained_tiny, monkeypatch):
@@ -534,6 +533,14 @@ class TestPersistence:
         with pytest.raises(ConfigInvalid):
             rerun_from_manifest(out / "manifest.json", tmp_path / "again", progress=False)
 
+    def test_manifest_without_its_checkpoint_exits_3(self, trained_tiny, tmp_path, capsys):
+        cfg, nets, ckpt = trained_tiny
+        out = tmp_path / "run"
+        sweep_to_directory(cfg, nets, ckpt, out, progress=False)
+        (out / "weights.ckpt").unlink()
+        assert cli_main(["sweep", "--from-manifest", str(out / "manifest.json"),
+                         "--out", str(tmp_path / "again")]) == 3
+        assert str(out / "weights.ckpt") in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, where", [
         ('{"manifest_version": 1, "checkpoint": "weights.ckpt", "checkpoint_sha256": "0"}',

@@ -368,12 +368,10 @@ class TestReLUSoftmax:
         rng = np.random.default_rng(9)
         x = rng.standard_normal((3, 4, 5))
         x[0, 0, :3] = [0.0, -0.0, np.finfo(float).tiny]
-        y, cache = ReLU().forward(x)
+        _, cache = ReLU().forward(x)
         gy = rng.standard_normal(x.shape)
         gx, grads = ReLU().backward(cache, gy)
         assert np.array_equal(gx, gy * (x > 0)) and grads == {}
-        # a pass that keeps no record infers the same output without a mask
-        assert np.array_equal(ReLU().infer(x), y)
 
     def test_softmax_uniform_on_zeros(self):
         y, _ = Softmax().forward(np.zeros((1, 5, 2)))
