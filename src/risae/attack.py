@@ -280,7 +280,7 @@ def rmaep(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     broken = 0
     skipped = 0
 
-    for blocks, indices, chan in fresh_blocks(cfg, pgd.n_p, 1, rng):
+    for blocks, indices, chan in fresh_blocks(cfg, pgd.n_p, 1, rng, channel_mode == "double"):
         attack = AttackApplication(channel_mode=channel_mode, p_adv=p_adv)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=attack)
         if not np.array_equal(rec.decisions[0], indices[0]):
@@ -317,7 +317,7 @@ def rmaef(nets: AutoencoderNets, cfg: SystemConfig, budget: AttackBudget,
     linear_budget = budget.linear
     steps = 0
 
-    for blocks, _, chan in fresh_blocks(cfg, pgd.n_p, 1, rng):
+    for blocks, _, chan in fresh_blocks(cfg, pgd.n_p, 1, rng, channel_mode == "double"):
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng, attack=zero_attack)
         g_r = decoder_input_gradient(nets.decoder, cfg, pack_decoder_input(rec.r, rec.k),
                                      blocks)[1][0]

@@ -378,15 +378,17 @@ def random_message_blocks(cfg: SystemConfig, n_blocks: int, rng: np.random.Gener
     return one_hot_blocks(indices, cfg.m), indices
 
 
-def fresh_blocks(cfg: SystemConfig, num_blocks: int, chunk: int, rng: np.random.Generator):
+def fresh_blocks(cfg: SystemConfig, num_blocks: int, chunk: int, rng: np.random.Generator,
+                 adversary: bool = False):
     """Draw num_blocks fresh blocks in chunks of at most chunk, yielding
     (blocks, indices, chan) per chunk. A chunk's messages, then its
     realizations, are drawn only when the caller asks for the chunk, so what
-    the caller draws in between keeps its place in the stream."""
+    the caller draws in between keeps its place in the stream. The
+    realizations hold the adversary links only with ``adversary``."""
     model = ChannelModel(cfg)
     for start in range(0, num_blocks, chunk):
         blocks, indices = random_message_blocks(cfg, min(chunk, num_blocks - start), rng)
-        yield blocks, indices, model.sample_batch(len(blocks), rng)
+        yield blocks, indices, model.sample_batch(len(blocks), rng, adversary)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +515,8 @@ def evaluate_ser(nets: AutoencoderNets, cfg: SystemConfig,
     nets = nets.folded()
     errors = 0
     total = 0
-    for blocks, indices, chan in fresh_blocks(cfg, num_blocks, EVAL_CHUNK_BLOCKS, rng):
+    adversary = attack is not None and attack.channel_mode == "double"
+    for blocks, indices, chan in fresh_blocks(cfg, num_blocks, EVAL_CHUNK_BLOCKS, rng, adversary):
         # keep only the decisions: the chunk's record is freed before the next forward
         decisions = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
                                      attack=attack).decisions

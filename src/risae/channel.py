@@ -13,7 +13,6 @@ realizations can be produced concurrently from independent streams.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,26 +131,17 @@ def crandn(rng: np.random.Generator, shape) -> np.ndarray:
 class ChannelBatch:
     """A batch of independent coherence-block realizations.
 
-    Each link of LINK_ENDS reads as a (batch, rows, cols) array; links are
-    static within a block, so one matrix per block serves every symbol of
-    it. Legitimate links: u1 (A1 x N_t), u2 (A2 x N_t), y1 (N_r x A1),
-    y2 (N_r x A2), e (A2 x A1). Adversary links carry a 'p' suffix; note
-    ep is A1 x A2 (the reverse inter-surface direction). Each link is given
-    as a function of no arguments that builds it on its first read, so the
-    adversary links, which only the double attack channel reads, are
-    otherwise never built.
+    Each link of LINK_ENDS it holds reads as a (batch, rows, cols) array;
+    links are static within a block, so one matrix per block serves every
+    symbol of it. Legitimate links: u1 (A1 x N_t), u2 (A2 x N_t),
+    y1 (N_r x A1), y2 (N_r x A2), e (A2 x A1). Adversary links carry a 'p'
+    suffix; note ep is A1 x A2 (the reverse inter-surface direction). A batch
+    holds the adversary links only when it was sampled for a pass that reads
+    them (the double attack channel).
     """
 
-    def __init__(self, **builders):
-        self._builders = builders
-
-    def __getattr__(self, name: str) -> np.ndarray:
-        builder = self.__dict__.get("_builders", {}).pop(name, None)
-        if builder is None:
-            raise AttributeError(name)
-        link = builder()
-        setattr(self, name, link)
-        return link
+    def __init__(self, **links):
+        self.__dict__.update(links)
 
     def __len__(self) -> int:
         return len(self.u1)
@@ -203,7 +193,8 @@ class ChannelModel:
         nlos = self._f[rows] @ q @ p / np.sqrt(sc)
         return w_los * self._los_batch(name, az, el) + w_nlos * nlos
 
-    def sample_batch(self, n: int, rng: np.random.Generator) -> ChannelBatch:
+    def sample_batch(self, n: int, rng: np.random.Generator,
+                     adversary: bool = False) -> ChannelBatch:
         """Draw n independent coherence-block realizations.
 
         Each link is sqrt(OMEGA) (sqrt(k/(k+1)) LoS + sqrt(1/(k+1)) NLoS),
@@ -214,14 +205,17 @@ class ChannelModel:
         i.i.d. CN(0, 1) entries, so the NLoS part has rank at most SC. Every
         draw is taken here, per link (in LINK_ENDS order): LoS azimuths,
         uniform on [-pi, pi), and elevations, on [-pi/2, pi/2], first, then
-        Q, then P. A link is built from its draws on its first read.
+        Q, then P. The adversary links are built only with ``adversary``;
+        otherwise their draws are taken and dropped, so the stream stays the
+        same either way.
         """
         sc = self.cfg.num_scatterers
-        builders = {}
+        links = {}
         for name, (rows, cols) in LINK_ENDS.items():
             az = rng.uniform(-np.pi, np.pi, size=(n, 2))
             el = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, 2))
             q = crandn(rng, (n * self._f[rows].shape[0], sc))
             p = crandn(rng, (n * sc, self._f[cols].shape[0]))
-            builders[name] = functools.partial(self._link, name, az, el, q, p)
-        return ChannelBatch(**builders)
+            if adversary or not name.endswith("p"):
+                links[name] = self._link(name, az, el, q, p)
+        return ChannelBatch(**links)

@@ -122,7 +122,7 @@ def _read_json_object(path) -> dict:
             data = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigInvalid("<file>", f"not valid UTF-8: {exc}") from exc
-        except ValueError as exc:  # also an integer literal past Python's digit limit
+        except (RecursionError, ValueError) as exc:  # too deep, or an int past the digit limit
             raise ConfigInvalid("<file>", f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigInvalid("<file>", "top level must be an object")

@@ -96,8 +96,8 @@ class Conv1D(Layer):
         grads = {}
         if self.flipped is None:
             g2 = gy.transpose(0, 2, 1).reshape(batch * length, self.out_channels)
-            g_w = (g2.T @ _im2col(cache["cols"])).reshape(self.out_channels, k_size, channels)
-            g_w = np.asfortranarray(g_w.transpose(0, 2, 1))  # the weight's layout
+            # a C-ordered (K, C, O) transposed: the weight's F-ordered (O, C, K) layout
+            g_w = (_im2col(cache["cols"]).T @ g2).reshape(k_size, channels, -1).transpose(2, 1, 0)
             grads = {"weight": g_w, "bias": g2.sum(axis=0)}
         inputs = channels if inputs is None else inputs
         if inputs == 0:
@@ -516,7 +516,7 @@ def load_checkpoint(path) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
             raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
         try:
             header = json.loads(_read_exact(fh, header_len, "the header").decode("utf-8"))
-        except ValueError as exc:  # also an integer literal past Python's digit limit
+        except (RecursionError, ValueError) as exc:  # too deep, or an int past the digit limit
             raise CorruptCheckpoint(f"unreadable checkpoint header: {exc}") from exc
         try:
             arrays: dict[str, dict[str, np.ndarray]] = {}

@@ -220,7 +220,7 @@ class TestReceiverToTransmit:
         cfg = tiny_config()
         rng = np.random.default_rng(12)
         nets = build_autoencoder(cfg, rng)
-        chan = ChannelModel(cfg).sample_batch(8, rng)
+        chan = ChannelModel(cfg).sample_batch(8, rng, adversary=True)
         blocks, _ = random_message_blocks(cfg, 8, rng)
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng)
         for g_set in adversary_cascade_set(chan, rec.c1, rec.c2):

@@ -29,6 +29,7 @@ from risae.autoencoder import (
     transmit_forward,
     wilson_interval,
 )
+from risae.attack import AttackBudget, AttackSettings, rmaef, rmaep
 from risae.channel import ChannelModel, crandn
 from risae.config import SystemConfig
 from risae.errors import Diverged, InvariantViolation, MissingRecord, ShapeMismatch
@@ -64,8 +65,11 @@ def noise_draw(cfg, batch, seed):
 
 
 def one_block(cfg, nets, rng, blocks=None, **kwargs):
-    """pipeline_forward on one block (B = 1) with a freshly sampled channel."""
-    chan = ChannelModel(cfg).sample_batch(1, rng)
+    """pipeline_forward on one block (B = 1) with a freshly sampled channel,
+    holding the adversary links when the pass's attack channel reads them."""
+    attack = kwargs.get("attack")
+    chan = ChannelModel(cfg).sample_batch(
+        1, rng, adversary=attack is not None and attack.channel_mode == "double")
     if blocks is None:
         blocks, _ = random_message_blocks(cfg, 1, rng)
     kwargs.setdefault("sigma2", cfg.sigma2)
@@ -173,7 +177,7 @@ class TestTransmit:
         cfg, nets = make_system(seed=61)
         nets = nets.folded()
         rng = np.random.default_rng(62)
-        chan = ChannelModel(cfg).sample_batch(3, rng)
+        chan = ChannelModel(cfg).sample_batch(3, rng, adversary=mode == "double")
         blocks, _ = random_message_blocks(cfg, 3, rng)
         p_adv = crandn(rng, (cfg.n_r if mode == "ideal" else cfg.n_t,))
         rec = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2, rng=rng,
@@ -230,7 +234,7 @@ class TestForwardPipeline:
     def test_zero_perturbation_equals_secured(self):
         cfg, nets = make_system(seed=10)
         rng = np.random.default_rng(11)
-        chan = ChannelModel(cfg).sample_batch(1, rng)
+        chan = ChannelModel(cfg).sample_batch(1, rng, adversary=True)
         blocks, _ = random_message_blocks(cfg, 1, rng)
         secured = pipeline_forward(nets, cfg, blocks, chan, cfg.sigma2,
                                    rng=np.random.default_rng(110))
@@ -753,20 +757,47 @@ class TestSlicedInference:
             assert layout(got) == layout(want), name
 
     @pytest.mark.parametrize("mode", ["none", "ideal", "double", "training"])
-    def test_only_the_double_attack_channel_builds_adversary_links(self, monkeypatch, mode):
+    def test_only_the_double_attack_channel_builds_adversary_links(self, built_links, mode):
         cfg, nets = make_system(seed=49)
-        built = []
-        link = ChannelModel._link
-        monkeypatch.setattr(ChannelModel, "_link",
-                            lambda model, name, *draws: built.append(name) or link(model, name,
-                                                                                    *draws))
         attack = None
         if mode in ("ideal", "double"):
             attack = AttackApplication(channel_mode=mode, jam_budget=1.0)
         one_block(cfg, nets, np.random.default_rng(50), attack=attack, train=mode == "training")
         legitimate = ["u1", "u2", "e", "y1", "y2"]
         adversary = ["u1p", "u2p", "ep", "y1p", "y2p"] if mode == "double" else []
-        assert sorted(built) == sorted(legitimate + adversary)
+        assert sorted(built_links) == sorted(legitimate + adversary)
+
+    @pytest.mark.parametrize("entry, mode", [
+        ("evaluate_ser", "none"), ("evaluate_ser", "ideal"), ("evaluate_ser", "double"),
+        ("estimate_received_power", "none"), ("train", "none"),
+        ("rmaep", "ideal"), ("rmaep", "double"), ("rmaef", "ideal"), ("rmaef", "double")])
+    def test_monte_carlo_passes_build_adversary_links_only_for_double(self, built_links,
+                                                                        entry, mode):
+        cfg, nets = make_system(seed=51)
+        rng = np.random.default_rng(52)
+        if entry == "evaluate_ser":
+            attack = None if mode == "none" else AttackApplication(mode, jam_budget=1.0)
+            evaluate_ser(nets, cfg, attack, num_blocks=3, rng=rng)
+        elif entry == "estimate_received_power":
+            estimate_received_power(nets, cfg, 3, rng)
+        elif entry == "train":
+            train(nets, cfg, 6, 1, 1e-3, rng, batch_blocks=2)
+        else:
+            construction = {"rmaep": rmaep, "rmaef": rmaef}[entry]
+            construction(nets, cfg, AttackBudget(-7.0, reference_power=cfg.power),
+                         AttackSettings(n_p=2, n_s=1, channel_mode=mode), rng, channel_mode=mode)
+        assert built_links
+        assert any(name.endswith("p") for name in built_links) == (mode == "double")
+
+
+@pytest.fixture
+def built_links(monkeypatch) -> list[str]:
+    """The names of the links ChannelModel builds, in build order."""
+    built = []
+    link = ChannelModel._link
+    monkeypatch.setattr(ChannelModel, "_link",
+                        lambda model, name, *draws: built.append(name) or link(model, name, *draws))
+    return built
 
 
 def batchnorm_arrays(nets):

@@ -278,7 +278,7 @@ class TestRealizationSample:
     def test_paper_scale_shapes(self):
         cfg = SystemConfig(n_t=16, n_r=16, a1_v=4, a1_h=8, a2_v=4, a2_h=8,
                            m=64, block_len=20, num_scatterers=3)
-        real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(9))
+        real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(9), adversary=True)
         assert real.u1.shape == (1, 32, 16)
         assert real.u2.shape == (1, 32, 16)
         assert real.y1.shape == (1, 16, 32)
@@ -290,7 +290,7 @@ class TestRealizationSample:
     def test_primed_shapes_follow_adversary_antennas(self):
         # the adversary has as many antennas as the encoder
         cfg = tiny_config(n_t=3)
-        real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(10))
+        real = ChannelModel(cfg).sample_batch(1, np.random.default_rng(10), adversary=True)
         assert real.u1p.shape == (1, 2, 3)
         assert real.u2p.shape == (1, 2, 3)
         assert real.y1p.shape == (1, 2, 2)
@@ -298,19 +298,21 @@ class TestRealizationSample:
 
     def test_deterministic_under_seed(self):
         model = ChannelModel(tiny_config())
-        r1 = model.sample_batch(1, np.random.default_rng(11))
-        r2 = model.sample_batch(1, np.random.default_rng(11))
+        r1 = model.sample_batch(1, np.random.default_rng(11), adversary=True)
+        r2 = model.sample_batch(1, np.random.default_rng(11), adversary=True)
         for name in LINK_ENDS:
             assert np.array_equal(getattr(r1, name), getattr(r2, name))
 
     def test_zero_large_scale_gain(self, monkeypatch):
         monkeypatch.setattr(channel, "OMEGA", 0.0)
-        real = ChannelModel(tiny_config()).sample_batch(1, np.random.default_rng(12))
+        real = ChannelModel(tiny_config()).sample_batch(1, np.random.default_rng(12),
+                                                        adversary=True)
         assert np.allclose(real.u1, 0.0)
         assert np.allclose(real.ep, 0.0)
 
     def test_batch_indexing_matches_batch_arrays(self):
-        batch = ChannelModel(tiny_config()).sample_batch(3, np.random.default_rng(13))
+        batch = ChannelModel(tiny_config()).sample_batch(3, np.random.default_rng(13),
+                                                         adversary=True)
         assert len(batch) == 3
         assert all(getattr(batch, name).shape[0] == 3 for name in LINK_ENDS)
 
@@ -335,33 +337,36 @@ def eager_sample(model, n, rng):
 
 
 LEGITIMATE = [name for name in LINK_ENDS if not name.endswith("p")]
+ADVERSARY = [name for name in LINK_ENDS if name.endswith("p")]
 
 
-class TestLinksBuiltOnRead:
+class TestAdversaryLinks:
+    """A batch holds the adversary links only when sampled with ``adversary``;
+    either way it takes every link's draws."""
+
     @pytest.mark.parametrize("dims", [{}, NON_SQUARE], ids=["square", "non_square"])
-    def test_adversary_links_once_read_equal_eager_construction(self, dims):
+    def test_links_equal_eager_construction(self, dims):
         model = ChannelModel(tiny_config(**dims))
-        batch = model.sample_batch(5, np.random.default_rng(30))
+        batch = model.sample_batch(5, np.random.default_rng(30), adversary=True)
         want = eager_sample(model, 5, np.random.default_rng(30))
-        # the adversary links first, in reverse, so no read order is assumed
-        for name in reversed(LINK_ENDS):
+        for name in LINK_ENDS:
             assert np.array_equal(getattr(batch, name), want[name]), name
 
-    def test_reading_only_legitimate_links_leaves_the_same_generator_state(self):
+    def test_without_adversary_the_batch_has_no_adversary_link(self):
+        batch = ChannelModel(tiny_config()).sample_batch(2, np.random.default_rng(32))
+        assert [name for name in ADVERSARY if hasattr(batch, name)] == []
+
+    def test_legitimate_links_and_generator_state_do_not_depend_on_the_flag(self):
         model = ChannelModel(tiny_config(**NON_SQUARE))
         rngs = [np.random.default_rng(31) for _ in range(3)]
         some = model.sample_batch(4, rngs[0])
-        every = model.sample_batch(4, rngs[1])
+        every = model.sample_batch(4, rngs[1], adversary=True)
         eager_sample(model, 4, rngs[2])
         assert all(np.array_equal(getattr(some, name), getattr(every, name))
                    for name in LEGITIMATE)
-        assert all(getattr(every, name).shape[0] == 4 for name in LINK_ENDS)
+        assert len(some) == len(every) == 4
         states = [rng.bit_generator.state for rng in rngs]
         assert states[0] == states[1] == states[2]
-
-    def test_a_link_is_built_once(self):
-        batch = ChannelModel(tiny_config()).sample_batch(2, np.random.default_rng(32))
-        assert batch.ep is batch.ep
 
     def test_batch_takes_exactly_the_links(self):
         with pytest.raises(AttributeError):
@@ -376,9 +381,8 @@ def cascade_oracle(y2, e, y1, u1, u2, d1, d2):
 
 def one_block(**links) -> ChannelBatch:
     """A batch of one block from 2-D link matrices; absent links are 1 x 1 zeros."""
-    arrays = {name: np.asarray(links.get(name, np.zeros((1, 1))), dtype=np.complex128)[None]
-              for name in LINK_ENDS}
-    return ChannelBatch(**{name: lambda link=link: link for name, link in arrays.items()})
+    return ChannelBatch(**{name: np.asarray(links.get(name, np.zeros((1, 1))),
+                                            dtype=np.complex128)[None] for name in LINK_ENDS})
 
 
 def legitimate(y2, e, y1, u1, u2, d1, d2):
@@ -443,7 +447,7 @@ class TestCascadedMatrix:
 
     def test_adversary_ordering(self):
         cfg = tiny_config(n_t=3)
-        chan = ChannelModel(cfg).sample_batch(1, np.random.default_rng(20))
+        chan = ChannelModel(cfg).sample_batch(1, np.random.default_rng(20), adversary=True)
         rng = np.random.default_rng(21)
         d1 = unit_phases(rng, cfg.a1)
         d2 = unit_phases(rng, cfg.a2)
@@ -470,7 +474,7 @@ class TestNonSquareCascades:
     def setup_method(self):
         self.cfg = tiny_config(**NON_SQUARE)
         rng = np.random.default_rng(40)
-        self.chan = ChannelModel(self.cfg).sample_batch(3, rng)
+        self.chan = ChannelModel(self.cfg).sample_batch(3, rng, adversary=True)
         self.c1 = unit_phases(rng, 3, self.cfg.a1, self.cfg.block_len)
         self.c2 = unit_phases(rng, 3, self.cfg.a2, self.cfg.block_len)
 

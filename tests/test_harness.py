@@ -47,6 +47,10 @@ from risae.attack import load_perturbation
 from risae.cli import main as cli_main
 from risae.neural import load_checkpoint
 
+# valid JSON, but nested past Python's recursion limit, where json.loads
+# raises RecursionError
+NESTED_JSON = '{"a": ' * 100_000 + "{}" + "}" * 100_000
+
 
 def tiny_experiment(seed=101, **system_kwargs) -> ExperimentConfig:
     system = dict(n_t=2, n_r=2, a1_v=1, a1_h=2, a2_v=1, a2_h=2, m=4, block_len=3,
@@ -557,11 +561,12 @@ class TestPersistence:
          "manifest_version"),
         ("{not json", "<file>: not valid JSON"),
         ('{"manifest_version": 1' + "0" * 5000 + "}", "<file>: not valid JSON"),
+        (NESTED_JSON, "<file>: not valid JSON"),
         ("[1, 2]", "<file>: top level must be an object"),
         (b"\xff\xfe{\x00}\x00", "<file>: not valid UTF-8"),
     ], ids=["no-config", "no-checkpoint", "no-checksum", "config-not-object", "no-version",
-            "version-true", "version-float", "not-json", "integer-past-digit-limit", "not-object",
-            "not-utf8"])
+            "version-true", "version-float", "not-json", "integer-past-digit-limit",
+            "nested-past-recursion-limit", "not-object", "not-utf8"])
     def test_malformed_manifest_exits_with_config_error(self, tmp_path, capsys, text, where):
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -995,6 +1000,14 @@ class TestCli:
                          "--snr-db", "0"]) == 3
         assert "unreadable checkpoint header" in capsys.readouterr().err
 
+    def test_exit_code_on_checkpoint_header_nested_past_recursion_limit(self, tmp_path, capsys):
+        header = NESTED_JSON.encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"RISAECK1" + struct.pack("<II", 1, len(header)) + header)
+        assert cli_main(["eval", "--preset", "desk", "--checkpoint", str(bad),
+                         "--snr-db", "0"]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: unreadable checkpoint header")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda src, dst: with_first_shape(src, dst, [2 ** 61]), "truncated"),
         (lambda src, dst: with_first_shape(src, dst, [2 ** 34]), "truncated"),
@@ -1020,6 +1033,13 @@ class TestCli:
         assert cli_main(["sweep", "--config", str(bad), "--checkpoint", str(tmp_path / "w.ckpt"),
                          "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error: <file>: not valid UTF-8")
+
+    def test_exit_code_on_config_file_nested_past_recursion_limit(self, tmp_path, capsys):
+        bad = tmp_path / "config.json"
+        bad.write_text(NESTED_JSON, encoding="utf-8")
+        assert cli_main(["eval", "--config", str(bad), "--checkpoint", str(tmp_path / "w.ckpt"),
+                         "--snr-db", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: <file>: not valid JSON")
 
     def test_exit_code_on_config_error_in_sweep_worker(self, trained_tiny, tmp_path,
                                                        capsys, monkeypatch):
